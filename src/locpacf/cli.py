@@ -7,8 +7,8 @@ boundary_flag``) with an optional SVG line plot.  Command-line flags
 override an optional ``--config`` key=value file, which overrides
 defaults.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure,
-4 verification failure.
+Exit codes: 0 success, 1 usage error, 2 data error (including an output
+path that cannot be written), 3 numerical failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -319,17 +319,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        args = parser.parse_args(argv)
         # flags override config-file values, which override defaults
-        if "--config" in argv:
-            cfg_path = argv[argv.index("--config") + 1]
-            cfg = _load_config(cfg_path)
-            ns = parser.parse_args(argv)
-            for key, val in cfg.items():
-                if hasattr(ns, key) and f"--{key.replace('_', '-')}" not in argv:
-                    setattr(ns, key, _coerce(val))
-            args = ns
-        else:
-            args = parser.parse_args(argv)
+        if args.config:
+            for key, val in _load_config(args.config).items():
+                if hasattr(args, key) and f"--{key.replace('_', '-')}" not in argv:
+                    setattr(args, key, _coerce(val))
         if args.command == "simulate":
             return _cmd_simulate(args)
         if args.command == "estimate":
@@ -349,7 +344,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

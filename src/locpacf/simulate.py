@@ -1,6 +1,10 @@
 """Time-varying AR generators, the exact local PACF truth, and the
 Monte-Carlo RMSE benchmark harness.
 
+The stationarity check and the truth share the reflection coefficients k_m
+of the step-down (reverse Durbin-Levinson) recursion: an AR(p) model is
+stationary iff all |k_m| < 1, and k_tau is its PACF at lag tau.
+
 Replicates are independent and seeded as ``seed + replicate_index``, so
 results are identical however the work is partitioned.
 """
@@ -13,8 +17,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgumentError
-from .estimators import levinson_pacf, wavelet_lpacf, windowed_lpacf
+from .errors import DataError, InvalidArgumentError
+from .estimators import wavelet_lpacf, windowed_lpacf
 from .series import TimeSeries
 
 __all__ = [
@@ -39,7 +43,7 @@ class ArPathSpec:
 
     ``paths[i]`` maps rescaled time z = t/T to the lag-(i+1) coefficient.
     Every instantaneous coefficient vector must define a stationary AR
-    model (all roots of the AR polynomial outside the unit circle).
+    model: all its step-down reflection coefficients have |k_m| < 1.
     """
 
     paths: tuple[Callable[[float], float], ...]
@@ -104,22 +108,32 @@ class ArPathSpec:
         return cls(tuple(make(i) for i in range(p)), sigma=sigma)
 
 
-def _check_stationary_at(coefs: np.ndarray, where: str) -> None:
-    if not np.any(coefs):
-        return
-    roots = np.roots(np.concatenate([[1.0], -coefs]))
-    if roots.size and np.max(np.abs(roots)) >= 1.0 - 1e-12:
+def _reflection_coefficients(coefs: np.ndarray, where: str) -> np.ndarray:
+    """Step-down reflection coefficients of the rows of an (n, p) AR table.
+    A row fails unless all |k_m| < 1 - 1e-12, so a NaN from 0/0 fails too;
+    the error names the first failing row as ``where.format(row)``."""
+    coefs = a = np.array(coefs, dtype=float, ndmin=2)
+    k = np.empty_like(coefs)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for m in range(coefs.shape[1] - 1, -1, -1):
+            k[:, m] = a[:, m]
+            head, km = a[:, :m], a[:, m, None]
+            a = (head + km * head[:, ::-1]) / (1.0 - km * km)
+    stable = np.all(np.abs(k) < 1.0 - 1e-12, axis=1)
+    if not stable.all():
+        row = int(np.argmin(stable))
         raise InvalidArgumentError(
-            f"coefficient path is not instantaneously stationary at {where}: "
-            f"phi={coefs.tolist()}"
+            f"coefficient path is not instantaneously stationary at "
+            f"{where.format(row)}: phi={coefs[row].tolist()}"
         )
+    return k
 
 
-def validate_stability(spec: ArPathSpec, T: int) -> None:
-    """Instantaneous-stationarity check of the AR polynomial at every t."""
-    for t in range(T):
-        # companion-matrix eigenvalues equal the inverse characteristic roots
-        _check_stationary_at(spec.coefficients(t / T), f"t={t}")
+def validate_stability(spec: ArPathSpec, T: int) -> np.ndarray:
+    """Stationarity check at every t; returns phi(t/T) as a (T, p) table."""
+    coefs = np.array([spec.coefficients(t / T) for t in range(T)]).reshape(T, spec.order)
+    _reflection_coefficients(coefs, "t={}")
+    return coefs
 
 
 def simulate_tvar(spec: ArPathSpec, T: int, seed: int) -> TimeSeries:
@@ -131,21 +145,15 @@ def simulate_tvar(spec: ArPathSpec, T: int, seed: int) -> TimeSeries:
     """
     if T < 1:
         raise InvalidArgumentError(f"T={T} must be positive")
-    validate_stability(spec, T)
+    table = validate_stability(spec, T)
     p = spec.order
     rng = np.random.default_rng(seed)
     n = T + spec.burn_in
-    eps = rng.standard_normal(n) * spec.sigma
-    coefs = np.empty((n, p))
-    coefs[: spec.burn_in] = spec.coefficients(0.0)
-    for t in range(T):
-        coefs[spec.burn_in + t] = spec.coefficients(t / T)
-    x = np.zeros(n)
+    x = rng.standard_normal(n) * spec.sigma  # innovations, then the recursion in place
+    coefs = np.concatenate([np.repeat(table[:1], spec.burn_in, axis=0), table])
     for t in range(n):
-        acc = eps[t]
         for i in range(1, min(p, t) + 1):
-            acc += coefs[t, i - 1] * x[t - i]
-        x[t] = acc
+            x[t] += coefs[t, i - 1] * x[t - i]
     return TimeSeries(x[spec.burn_in :], origin=f"tvar(seed={seed})")
 
 
@@ -172,24 +180,19 @@ def ar_autocovariances(phi: Sequence[float], sigma: float, max_lag: int) -> np.n
     """
     phi = np.asarray(phi, dtype=float)
     p = len(phi)
-    _check_stationary_at(phi, "constant coefficients")
-    if p == 0:
-        out = np.zeros(max_lag + 1)
-        out[0] = sigma**2
-        return out
+    _reflection_coefficients(phi, "constant coefficients")
     # unknowns gamma(0..p)
-    A = np.zeros((p + 1, p + 1))
+    A = np.eye(p + 1)
     b = np.zeros(p + 1)
     b[0] = sigma**2
     for k in range(p + 1):
-        A[k, k] += 1.0
         for i in range(1, p + 1):
             A[k, abs(k - i)] -= phi[i - 1]
     gam = np.linalg.solve(A, b)
     out = np.empty(max_lag + 1)
     out[: p + 1] = gam[: max_lag + 1]
     for k in range(p + 1, max_lag + 1):
-        out[k] = np.dot(phi, out[k - 1 : k - p - 1 : -1] if p > 1 else out[k - 1 : k])
+        out[k] = np.dot(phi, out[k - 1 : k - p - 1 : -1])
     return out
 
 
@@ -198,21 +201,17 @@ def true_tv_pacf(spec: ArPathSpec, t: int, tau: int, T: int) -> float:
     coefficients phi(t/T); exactly zero for tau beyond the order."""
     if tau < 1:
         raise InvalidArgumentError(f"tau={tau} must be >= 1")
-    coefs = spec.coefficients(t / T)
-    coefs = np.trim_zeros(coefs, "b")  # effective order at this t
-    if tau > len(coefs):
-        return 0.0
-    gam = ar_autocovariances(coefs, spec.sigma, tau)
-    return float(levinson_pacf(gam)[tau - 1])
+    k = _reflection_coefficients(spec.coefficients(t / T), f"t={t}")[0]
+    return float(k[tau - 1]) if tau <= len(k) else 0.0
 
 
 def true_pacf_curve(spec: ArPathSpec, T: int, lags: Sequence[int]) -> np.ndarray:
     """true_tv_pacf evaluated on the full grid; shape (len(lags), T)."""
-    out = np.empty((len(lags), T))
-    for i, tau in enumerate(lags):
-        for t in range(T):
-            out[i, t] = true_tv_pacf(spec, t, int(tau), T)
-    return out
+    lags = np.asarray(lags, dtype=int)
+    if np.any(lags < 1):
+        raise InvalidArgumentError(f"lags {lags.tolist()} must be >= 1")
+    k = _reflection_coefficients(validate_stability(spec, T), "t={}")
+    return np.pad(k, ((0, 0), (0, lags.max(initial=0)))).T[lags - 1]  # 0 past the order
 
 
 @dataclass(frozen=True)
@@ -292,12 +291,10 @@ def monte_carlo_rmse(
     for r in range(reps):
         ts = simulate_tvar(spec, T, seed + r)
         grid = config.estimate(ts)
-        if len(grid.dropped_points) > 0.1 * (len(grid.points) + len(grid.dropped_points)):
-            excluded += 1
-            continue
         interior = grid.boundary == 0
         pts = grid.points[interior]
-        if pts.size == 0:
+        n_dropped = len(grid.dropped_points)
+        if pts.size == 0 or n_dropped > 0.1 * (len(grid.points) + n_dropped):
             excluded += 1
             continue
         errs = []
@@ -305,6 +302,8 @@ def monte_carlo_rmse(
             e = grid.estimates[interior, tau - 1] - truth[i, pts]
             errs.append(np.sqrt(np.mean(e * e)))
         per_rep.append(errs)
+    if not per_rep:
+        raise DataError(f"all {excluded} of {reps} replicates were excluded")
     elapsed = time.perf_counter() - t0
     per_rep = np.asarray(per_rep)
     used = per_rep.shape[0]

@@ -159,6 +159,16 @@ def test_cli_data_error_exit_code(tmp_path):
     assert main(["estimate", "--input", short, "--output", "o.csv"]) == 2
 
 
+def test_cli_output_in_missing_directory_is_data_error(tmp_path):
+    out = str(tmp_path / "nodir" / "x.csv")
+    assert main(["simulate", "tvar", "--T", "64", "--output", out]) == 2
+
+
+def test_cli_config_without_value_is_usage_error():
+    assert main(["--config"]) == 1
+    assert main(["verify", "--config"]) == 1
+
+
 def test_cli_config_file_precedence(tmp_path):
     sim = str(tmp_path / "sim.csv")
     main(["simulate", "tvar", "--T", "256", "--seed", "5", "--output", sim])
@@ -191,3 +201,13 @@ def test_cli_benchmark_small(tmp_path):
     lines = open(out).read().splitlines()
     assert lines[0].startswith("estimator,lag,rmse")
     assert len(lines) == 3
+
+
+def test_cli_benchmark_every_replicate_excluded(tmp_path, capsys):
+    # max-lag 10 on T=64 leaves the wavelet estimator too few points
+    out = str(tmp_path / "rmse.csv")
+    assert main(
+        ["benchmark", "--T", "64", "--method", "wavelet", "--max-lag", "10",
+         "--reps", "3", "--output", out]
+    ) == 2
+    assert "all 3 of 3 replicates were excluded" in capsys.readouterr().err

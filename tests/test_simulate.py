@@ -1,7 +1,11 @@
 """Simulators, the frozen-coefficient truth oracle, and the RMSE harness."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from locpacf import (
     ArPathSpec,
@@ -9,6 +13,7 @@ from locpacf import (
     InvalidArgumentError,
     ar_autocovariances,
     classical_pacf,
+    levinson_pacf,
     monte_carlo_rmse,
     simulate_piecewise_ar,
     simulate_tvar,
@@ -16,6 +21,7 @@ from locpacf import (
     true_tv_pacf,
     windowed_lpacf,
 )
+from locpacf.simulate import validate_stability
 
 
 def test_zero_coefficients_reproduce_innovations():
@@ -49,8 +55,73 @@ def test_unstable_path_rejected():
         simulate_tvar(spec, 32, 0)
     # ramp that crosses the unit root partway through names the first bad t
     ramp = ArPathSpec.linear_ramp([0.8], [1.2])
-    with pytest.raises(InvalidArgumentError, match="t="):
+    with pytest.raises(InvalidArgumentError, match="at t=32: "):
         simulate_tvar(ramp, 64, 0)
+    # the truth refuses an unstable spec, also at lags beyond its order
+    with pytest.raises(InvalidArgumentError, match="at t=0: "):
+        true_pacf_curve(spec, 8, [2])
+
+
+def _accepted(phi):
+    """Stationarity verdict of every public route to the step-down check,
+    which must agree."""
+    verdicts = set()
+    for check in (
+        lambda: validate_stability(ArPathSpec.constant(phi), 1),
+        lambda: true_pacf_curve(ArPathSpec.constant(phi), 1, [1]),
+        lambda: true_tv_pacf(ArPathSpec.constant(phi), 0, 1, 1),
+        lambda: ar_autocovariances(phi, 1.0, 1),
+    ):
+        try:
+            check()
+            verdicts.add(True)
+        except InvalidArgumentError:
+            verdicts.add(False)
+    assert len(verdicts) == 1
+    return verdicts.pop()
+
+
+def _step_up(ks):
+    """AR coefficients with reflection coefficients ks (Levinson step-up)."""
+    phi = np.zeros(0)
+    for k in ks:
+        phi = np.append(phi - k * phi[::-1], k)
+    return phi
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1.3, 1.3), max_size=4))
+def test_step_down_matches_root_and_moment_references(ks):
+    phi = _step_up(ks)
+    roots = np.roots(np.concatenate([[1.0], -phi]))
+    modulus = np.max(np.abs(roots), initial=0.0)
+    assume(abs(modulus - 1.0) > 1e-6)
+    assert _accepted(phi) == (modulus < 1.0)
+    if modulus < 1.0:
+        spec = ArPathSpec.constant(phi)
+        gam = ar_autocovariances(phi, 1.0, len(phi) + 2)
+        got = [true_tv_pacf(spec, 0, tau, 1) for tau in range(1, len(phi) + 3)]
+        # the moment-equation reference loses digits in proportion to gamma(0)
+        assert np.allclose(got, levinson_pacf(gam), rtol=0.0, atol=1e-12 * gam[0])
+
+
+@pytest.mark.parametrize(
+    "phi, accepted",
+    [
+        ([1 - 1e-12], False),
+        ([-(1 - 1e-12)], False),
+        ([1 - 1e-11], True),
+        ([-(1 - 1e-11)], True),
+        ([1.5, -0.5], False),  # unit root
+        ([2 * np.cos(0.3), -1.0], False),  # unit-modulus pair; step-down hits 0/0
+        ([0.5, 0.6], False),  # |k_2| < 1 but k_1 = 1.25
+        ([0.5, np.nan], False),
+    ],
+)
+def test_stability_boundary(phi, accepted):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _accepted(phi) == accepted
 
 
 def test_single_segment_equals_constant_tvar():
