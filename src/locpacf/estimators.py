@@ -14,7 +14,13 @@ Yule-Walker system for phi and two prediction systems for the MSPEs.
 Both assume mean-zero input; pass demean=True to subtract the
 (kernel-weighted, for the windowed estimator) local mean first.
 Estimation at distinct time points is independent; the implementations
-vectorize over points and produce deterministic output ordering.
+vectorize over points and produce deterministic output ordering.  The
+windowed estimator runs one sliding-sum pass and one batched Levinson
+recursion for all points.  The plug-in estimator assembles, per lag, the
+systems of all points by indexing the local autocovariance grid, and
+solves each kind with one stacked solve; only systems needing ridge
+regularization are solved one at a time.  The scalar ``_yw_phi_last`` and
+``prediction_system`` are the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -406,8 +412,10 @@ def prediction_system(lacv: LocalAcvGrid, zT: int, tau: int) -> PredictionSystem
     regularization is escalated otherwise and NumericalError raised once
     exhausted.
     """
-    if tau < 1:
-        raise InvalidArgumentError(f"tau={tau} must be >= 1")
+    if not 1 <= tau <= lacv.max_lag:
+        raise InvalidArgumentError(
+            f"tau={tau} outside [1, {lacv.max_lag}], the lags of the lacv grid"
+        )
     if zT < 0 or zT + tau > lacv.T - 1:
         raise InvalidArgumentError(
             f"point zT={zT} with tau={tau} needs entries up to time {zT + tau}"
@@ -437,12 +445,115 @@ def prediction_system(lacv: LocalAcvGrid, zT: int, tau: int) -> PredictionSystem
 
 
 def _yw_phi_last(lacv: LocalAcvGrid, zT: int, tau: int) -> float:
-    """phi_{tau,tau} from the local Yule-Walker system anchored at zT."""
+    """phi_{tau,tau} from the local Yule-Walker system anchored at zT.
+
+    Scalar reference for the batched stage of ``wavelet_lpacf``.
+    """
     times = np.arange(zT + tau - 1, zT - 1, -1)  # zT+tau-1 down to zT
     B = _pair_cov_matrix(lacv, times)
     r = np.array([lacv.midpoint(zT + tau, tt) for tt in times])
     phi, _ = _solve_regularized(B, r, max(lacv.at(zT, 0), 1e-300))
     return float(phi[-1])
+
+
+def _midpoint_stack(values: np.ndarray, z: np.ndarray, ta, tb) -> np.ndarray:
+    """``LocalAcvGrid.midpoint(z + ta, z + tb)`` for every point z at once.
+
+    ``ta`` and ``tb`` are times relative to the point and broadcast to a
+    common cell shape S; the result has shape (len(z),) + S.  A
+    half-integer midpoint averages the two adjacent entries with the same
+    operations as ``midpoint``, so every entry carries the same bits.
+    """
+    ta, tb = np.broadcast_arrays(ta, tb)
+    lag = np.abs(ta - tb)
+    lo, odd = np.divmod(ta + tb, 2)
+    odd = odd.astype(bool)
+    zz = z.reshape((-1,) + (1,) * lag.ndim)
+    out = values[lag, zz + lo]
+    out[:, odd] = 0.5 * (out[:, odd] + values[lag[odd], z[:, None] + lo[odd] + 1])
+    return out
+
+
+def _cholesky_gate(M: np.ndarray) -> np.ndarray:
+    """Per-matrix outcome of the positive-definiteness gate of a stack.
+
+    ``np.linalg.cholesky`` raises for the whole stack when one member
+    fails, so only a stack that raises is checked member by member.
+    """
+    ok = np.ones(len(M), dtype=bool)
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        for i, m in enumerate(M):
+            try:
+                np.linalg.cholesky(m)
+            except np.linalg.LinAlgError:
+                ok[i] = False
+    return ok
+
+
+def _solve_stack(B: np.ndarray, r: np.ndarray, scale: np.ndarray):
+    """``_solve_regularized`` for a stack of systems B[i] phi[i] = r[i].
+
+    Every system that passes the unregularized attempt is solved by one
+    stacked ``np.linalg.solve``; the rest go to the scalar routine, which
+    escalates the ridge.  Returns (phi, ok) with ``ok[i]`` False where the
+    ridge was exhausted.
+    """
+    M = B + 0.0  # as the scalar B + 0*I: a -0.0 entry becomes 0.0, and can
+    # change the sign of a zero solution
+    gate = _cholesky_gate(M)
+    phi = np.full(r.shape, np.nan)
+    try:
+        phi[gate] = np.linalg.solve(M[gate], r[gate][..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # rounding can let a singular matrix pass Cholesky; the scalar
+        # routine then catches the singular solve per system
+        gate[:] = False
+    finite = np.all(np.isfinite(phi), axis=1)
+    redo = ~gate | ~finite | (np.abs(phi[:, -1]) > 1.0 + _PACF_SLACK)
+    ok = np.ones(len(B), dtype=bool)
+    for i in np.flatnonzero(redo):
+        try:
+            phi[i], _ = _solve_regularized(B[i], r[i], scale[i])
+        except NumericalError:
+            ok[i] = False
+    return phi, ok
+
+
+def _mspe_stack(B: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # stacked matmul gives the bits of the scalar b @ B @ b; einsum and
+    # elementwise sums round differently
+    return (b[:, None, :] @ B @ b[:, :, None])[:, 0, 0]
+
+
+def _plug_in_stack(lacv: LocalAcvGrid, z: np.ndarray, tau: int):
+    """phi_{tau,tau} * sqrt(backward MSPE / forward MSPE) at every point z.
+
+    Batched form of ``_yw_phi_last`` times ``prediction_system(...).ratio``
+    with the same bits.  Returns (estimates, ok); ``ok`` is False where
+    that pair would raise NumericalError.
+    """
+    v = lacv.values
+    scale = np.maximum(v[0, z], 1e-300)
+    t = np.arange(tau)
+    yt = tau - 1 - t  # Yule-Walker times zT+tau-1 down to zT, as in the loop
+    phi, ok = _solve_stack(
+        _midpoint_stack(v, z, yt[:, None], yt), _midpoint_stack(v, z, tau, yt), scale
+    )
+    Bb = _midpoint_stack(v, z, t[:, None], t)  # backcast span zT..zT+tau-1
+    Bf = _midpoint_stack(v, z, t[:, None] + 1, t + 1)  # forecast span, one later
+    bb = np.full((len(z), tau), -1.0)
+    bf = bb.copy()
+    if tau > 1:
+        bb[:, 1:], ok_b = _solve_stack(Bb[:, 1:, 1:], Bb[:, 1:, 0], scale)
+        bf[:, :-1], ok_f = _solve_stack(Bf[:, :-1, :-1], Bf[:, :-1, -1], scale)
+        ok &= ok_b & ok_f
+    mb = _mspe_stack(Bb, bb)
+    mf = _mspe_stack(Bf, bf)
+    ok &= (mb > 0.0) & (mf > 0.0) & np.isfinite(mb) & np.isfinite(mf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return phi[:, -1] * np.sqrt(mb / mf), ok
 
 
 def wavelet_lpacf(
@@ -463,7 +574,15 @@ def wavelet_lpacf(
     point and lag, the local Yule-Walker coefficient times the square-root
     MSPE ratio, clamped to [-1, 1].  A precomputed ``lacv`` grid bypasses
     the spectral stage (used by tests and by callers estimating on a known
-    covariance surface).
+    covariance surface); it must cover the series' T times and lags up to
+    ``max_lag``.
+
+    The plug-in stage is batched per lag: the Yule-Walker, backcast and
+    forecast systems of every usable point are assembled by indexing the
+    grid and solved by one stacked solve each.  Systems that fail the
+    Cholesky or |phi| <= 1 gate go to the scalar ridge-regularized solve,
+    so the estimates carry the same bits as a per-point loop over
+    ``_yw_phi_last`` and ``prediction_system``.
 
     Points failing numerically are dropped and reported, not fatal.
     """
@@ -482,6 +601,14 @@ def wavelet_lpacf(
         lacv = local_autocovariance(ews, max(max_lag, 1))
         margin = (1 << (max_scale - 1)) + max_lag
     else:
+        if lacv.T < T:
+            raise InvalidArgumentError(
+                f"lacv grid has T={lacv.T} times, fewer than the series T={T}"
+            )
+        if lacv.max_lag < max_lag:
+            raise InvalidArgumentError(
+                f"lacv grid holds lags up to {lacv.max_lag} < max_lag={max_lag}"
+            )
         max_scale = 0
         margin = max_lag
     pts = _select_points(T, points, stride)
@@ -489,20 +616,13 @@ def wavelet_lpacf(
     dropped = np.setdiff1d(pts, usable)
 
     estimates = np.empty((len(usable), max_lag))
-    failed = []
-    for i, zT in enumerate(usable):
-        try:
-            for tau in range(1, max_lag + 1):
-                phi = _yw_phi_last(lacv, int(zT), tau)
-                ps = prediction_system(lacv, int(zT), tau)
-                estimates[i, tau - 1] = phi * ps.ratio
-        except NumericalError:
-            failed.append(i)
-    if failed:
-        ok = np.setdiff1d(np.arange(len(usable)), np.array(failed))
-        dropped = np.concatenate([dropped, usable[np.array(failed, dtype=int)]])
-        usable = usable[ok]
-        estimates = estimates[ok]
+    ok = np.ones(len(usable), dtype=bool)
+    for tau in range(1, max_lag + 1):
+        estimates[:, tau - 1], ok_tau = _plug_in_stack(lacv, usable, tau)
+        ok &= ok_tau
+    dropped = np.concatenate([dropped, usable[~ok]])
+    usable = usable[ok]
+    estimates = estimates[ok]
     clamp_count = int(np.sum(np.abs(estimates) > 1.0))
     estimates = np.clip(estimates, -1.0, 1.0)
     boundary = ((usable < margin) | (usable > T - 1 - margin)).astype(np.uint8)

@@ -22,6 +22,8 @@ from locpacf import (
     windowed_lpacf,
     ArPathSpec,
 )
+from locpacf.errors import NumericalError
+from locpacf.estimators import _pair_cov_matrix, _solve_regularized, _yw_phi_last
 
 
 def test_confidence_halfwidth_values():
@@ -237,6 +239,137 @@ def test_wavelet_lpacf_on_constant_grid_reduces_to_classical():
     for row in range(len(grid.points)):
         assert np.allclose(grid.estimates[row], expected, atol=1e-10)
     assert grid.ci_halfwidth is None
+
+
+def _scalar_plug_in(lacv, T, max_lag):
+    """Per-point, per-lag reference: the loop the batched stage replaced."""
+    kept, rows, dropped = [], [], []
+    for zT in range(T):
+        if zT + max_lag > lacv.T - 1 or not lacv.values[0, zT] > 0:
+            dropped.append(zT)
+            continue
+        try:
+            rows.append(
+                [
+                    _yw_phi_last(lacv, zT, tau) * prediction_system(lacv, zT, tau).ratio
+                    for tau in range(1, max_lag + 1)
+                ]
+            )
+            kept.append(zT)
+        except NumericalError:
+            dropped.append(zT)
+    est = np.array(rows).reshape(-1, max_lag)
+    return np.array(kept, dtype=int), est, np.array(dropped, dtype=int)
+
+
+def _assert_matches_scalar_loop(lacv, max_lag):
+    T = lacv.T
+    grid = wavelet_lpacf(np.ones(T), max_lag=max_lag, lacv=lacv)
+    kept, est, dropped = _scalar_plug_in(lacv, T, max_lag)
+    assert np.array_equal(grid.points, kept)
+    assert np.array_equal(grid.dropped_points, dropped)
+    # bytes, so that the sign of a zero estimate counts too
+    assert grid.estimates.tobytes() == np.clip(est, -1.0, 1.0).tobytes()
+    assert grid.clamp_count == int(np.sum(np.abs(est) > 1.0))
+    return grid
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 10),
+    st.floats(0.5, 1.0),
+    st.floats(0.0, 0.2),
+)
+def test_wavelet_lpacf_batched_stage_is_bit_identical_to_scalar_loop(
+    seed, max_lag, strength, noise
+):
+    # lag-tau rows v0 * rho^tau with rho ramping between two values of
+    # modulus up to `strength` (near-singular systems as it nears 1), and
+    # multiplicative noise that can break positive definiteness, so ridge
+    # regularization and both kinds of drop occur
+    rng = np.random.default_rng(seed)
+    T = int(rng.integers(max_lag + 8, 33))
+    v0 = np.exp(rng.normal(0.0, 0.5, T))
+    rho = np.linspace(*rng.uniform(-strength, strength, 2), T)
+    vals = v0 * rho ** np.arange(max_lag + 1)[:, None]
+    vals[1:] *= 1.0 + noise * rng.standard_normal((max_lag, T))
+    _assert_matches_scalar_loop(LocalAcvGrid(vals, 0), max_lag)
+
+
+def test_wavelet_lpacf_ridge_fallback_matches_scalar_loop():
+    # at zT=1 the lag-2 Yule-Walker solve gives |phi_22| > 1, so the point
+    # is kept only through ridge regularization
+    vals = np.array(
+        [
+            [1.8, 1.1, 1.6, 1.6, 1.5, 1.9, 1.2, 1.0],
+            [0.72, 0.0, 0.16, 0.64, 0.6, 1.71, 0.3, 0.2],
+            [1.44, -0.55, 1.12, 0.16, -0.9, 1.33, 0.1, 0.05],
+        ]
+    )
+    lacv = LocalAcvGrid(vals, 0)
+    times = np.array([2, 1])
+    r = np.array([lacv.midpoint(3, t) for t in times])
+    _, ridge = _solve_regularized(_pair_cov_matrix(lacv, times), r, vals[0, 1])
+    assert ridge > 0.0
+    grid = _assert_matches_scalar_loop(lacv, 2)
+    assert 1 in grid.points
+
+
+def test_wavelet_lpacf_singular_system_passing_cholesky_matches_scalar_loop():
+    # at zT=0 the lag-4 Yule-Walker matrix is singular, yet rounding lets
+    # its Cholesky factorization pass; only the LU solve finds the zero pivot
+    T = 12
+    vals = np.zeros((5, T))
+    vals[0] = 1.0
+    vals[1] = [0.0, 0.0, 1.0, -1.0] + [0.3] * 8
+    vals[2] = [0.3, 0.5, 0.5] + [0.1] * 9
+    vals[3, 1:3] = 0.5
+    lacv = LocalAcvGrid(vals, 0)
+    B = _pair_cov_matrix(lacv, np.arange(3, -1, -1))
+    np.linalg.cholesky(B)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(B, np.ones(4))
+    _assert_matches_scalar_loop(lacv, 4)
+
+
+def test_wavelet_lpacf_keeps_the_sign_of_a_zero_estimate():
+    # signed zeros in the grid give phi_22 = -0.0 at zT=1
+    vals = np.array(
+        [
+            [1.0] * 8,
+            [0.0, -0.0, -0.0, 0.0, -0.25, -0.25, 0.0, -0.25],
+            [-0.25, -0.0, -0.0, 0.5, 0.5, -0.0, 0.0, -0.25],
+        ]
+    )
+    grid = _assert_matches_scalar_loop(LocalAcvGrid(vals, 0), 2)
+    assert grid.points[1] == 1 and np.signbit(grid.estimates[1, 1])
+
+
+def test_wavelet_lpacf_drops_point_with_non_positive_mspe():
+    # the forecast MSPE at zT=5, lag 1, is the lag-0 entry at time 6
+    vals = np.vstack([np.ones(12), np.full(12, 0.3)])
+    vals[0, 6] = -0.5
+    grid = _assert_matches_scalar_loop(LocalAcvGrid(vals, 0), 1)
+    assert list(grid.dropped_points) == [5, 6, 11]
+
+
+def test_wavelet_lpacf_rejects_grid_shorter_than_series():
+    lacv = _constant_grid([1.0, 0.5, 0.25], T=32)
+    with pytest.raises(InvalidArgumentError, match="T=32 times, fewer than the series T=40"):
+        wavelet_lpacf(np.ones(40), max_lag=2, lacv=lacv)
+
+
+def test_wavelet_lpacf_rejects_grid_with_too_few_lags():
+    lacv = _constant_grid([1.0, 0.5, 0.25], T=32)
+    with pytest.raises(InvalidArgumentError, match="lags up to 2 < max_lag=3"):
+        wavelet_lpacf(np.ones(32), max_lag=3, lacv=lacv)
+
+
+def test_prediction_system_rejects_lag_beyond_grid():
+    lacv = _constant_grid([1.0, 0.5, 0.25], T=32)
+    with pytest.raises(InvalidArgumentError, match=r"tau=3 outside \[1, 2\]"):
+        prediction_system(lacv, 4, 3)
 
 
 def test_wavelet_lpacf_white_noise_null():
