@@ -127,18 +127,9 @@ def build_parser() -> _Parser:
 
     ver = sub.add_parser("verify", help="run the wavelet formula/property suites")
     ver.add_argument("--output", type=str, help="also write the results as CSV")
+    for leaf in (tv, pw, est, pac, ben, sw, ver):
+        leaf.set_defaults(leaf=leaf)
     return top
-
-
-def _coerce(val: str):
-    if val.lower() in ("true", "false"):
-        return val.lower() == "true"
-    for cast in (int, float):
-        try:
-            return cast(val)
-        except ValueError:
-            pass
-    return val
 
 
 def _load_config(path: str) -> dict:
@@ -156,6 +147,46 @@ def _load_config(path: str) -> dict:
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from None
     return out
+
+
+_POINT_DESTS = ("all_points", "stride", "points")
+
+
+def _apply_config(parser, args, argv):
+    """Parse argv again with the config file's values as the subcommand's defaults.
+
+    Each value is converted and checked like the flag it names, whether or
+    not the command line overrides it; a flag on the command line, in any
+    spelling, still wins.  Keys the subcommand does not take are ignored,
+    as are the config's point options when the command line chooses the
+    points.
+    """
+    path, leaf = args.config, args.leaf
+    options = {a.dest: a for a in leaf._actions if a.option_strings and a.dest != "help"}
+    points_given = any(getattr(args, d, None) not in (None, False) for d in _POINT_DESTS)
+    defaults = {}
+    for key, text in _load_config(path).items():
+        action = options.get(key)
+        if action is None or (key in _POINT_DESTS and points_given):
+            continue
+        if action.nargs == 0:  # a switch such as --demean
+            if text.lower() not in ("true", "false"):
+                raise UsageError(f"{path}: {key} must be true or false, not {text!r}")
+            defaults[key] = text.lower() == "true"
+            continue
+        try:
+            val = text if action.type is None else action.type(text)
+        except ValueError:
+            raise UsageError(
+                f"{path}: {key}: invalid {action.type.__name__} value {text!r}"
+            ) from None
+        if action.choices is not None and val not in action.choices:
+            raise UsageError(
+                f"{path}: {key} must be one of {', '.join(action.choices)}, not {text!r}"
+            )
+        defaults[key] = val
+    leaf.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def _points_kwargs(args) -> dict:
@@ -322,9 +353,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         # flags override config-file values, which override defaults
         if args.config:
-            for key, val in _load_config(args.config).items():
-                if hasattr(args, key) and f"--{key.replace('_', '-')}" not in argv:
-                    setattr(args, key, _coerce(val))
+            args = _apply_config(parser, args, argv)
         if args.command == "simulate":
             return _cmd_simulate(args)
         if args.command == "estimate":

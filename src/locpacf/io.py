@@ -7,6 +7,14 @@ reproduce every value; estimate output is the long format
 
 with one record per (point, lag) and empty ci fields exactly when the
 estimator provides no confidence band.
+
+Output is formatted in chunks: each chunk of ``_CHUNK_POINTS`` points
+(``_CHUNK_VALUES`` series values) becomes one string built by a single
+``%`` call, so the per-row Python loop is gone while every byte is the
+same as formatting each value with ``format(v, ".17g")``, and memory
+stays bounded by the chunk size rather than by the length of the file.
+Reading parses every line with ``float`` in one pass and falls back to a
+line-by-line scan only to skip a header or to name a bad line.
 """
 
 from __future__ import annotations
@@ -35,6 +43,14 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# Points per chunk of the long CSV (the chunk's string holds this many
+# times max_lag rows) and values per chunk of a written series.
+_CHUNK_POINTS = 2048
+_CHUNK_VALUES = 8192
+# One long-CSV row: "t,z," + "lag," + estimate + ",lo,hi,flag\n".
+_ROW = "%s%s%.17g%s"
+
+
 def read_series(path: str) -> TimeSeries:
     """Read one value per line, or a single-column CSV with optional header.
 
@@ -43,61 +59,105 @@ def read_series(path: str) -> TimeSeries:
     """
     if not os.path.exists(path):
         raise DataError(f"no such file: {path}")
-    values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, rawline in enumerate(fh, start=1):
-            line = rawline.strip()
-            if not line:
-                continue
-            fields = [f.strip() for f in line.split(",")]
-            fields = [f for f in fields if f != ""]
-            if len(fields) > 1:
-                raise DataError(
-                    f"{path}: line {lineno}, column 2: expected a single column, "
-                    f"found {len(fields)}"
-                )
-            token = fields[0]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             try:
-                val = float(token)
+                values = np.array([float(line) for line in fh])
+                clean = values.size > 0 and bool(np.isfinite(values).all())
             except ValueError:
-                if lineno == 1 and not values:
-                    continue  # header row
-                raise DataError(
-                    f"{path}: line {lineno}, column 1: could not parse {token!r}"
-                ) from None
-            if not np.isfinite(val):
-                raise DataError(
-                    f"{path}: line {lineno}, column 1: non-finite value {token!r}"
-                )
-            values.append(val)
+                clean = False
+            if not clean:
+                fh.seek(0)
+                values = np.array(_scan_lines(path, fh))
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
+    return TimeSeries(values, origin=path)
+
+
+def _scan_lines(path: str, lines) -> list[float]:
+    """Line-by-line parse: skips blank lines and a header, names bad lines."""
+    values = []
+    for lineno, rawline in enumerate(lines, start=1):
+        line = rawline.strip()
+        if not line:
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        fields = [f for f in fields if f != ""]
+        if not fields:
+            raise DataError(f"{path}: line {lineno}, column 1: no value")
+        if len(fields) > 1:
+            raise DataError(
+                f"{path}: line {lineno}, column 2: expected a single column, "
+                f"found {len(fields)}"
+            )
+        token = fields[0]
+        try:
+            val = float(token)
+        except ValueError:
+            if lineno == 1 and not values:
+                continue  # header row
+            raise DataError(
+                f"{path}: line {lineno}, column 1: could not parse {token!r}"
+            ) from None
+        if not np.isfinite(val):
+            raise DataError(
+                f"{path}: line {lineno}, column 1: non-finite value {token!r}"
+            )
+        values.append(val)
     if not values:
         raise DataError(f"{path}: no numeric data found")
-    return TimeSeries(np.array(values), origin=path)
+    return values
 
 
 def write_series(path: str, ts: TimeSeries) -> None:
+    values = np.asarray(ts.values)
     with open(path, "w", encoding="utf-8") as fh:
-        for v in ts.values:
-            fh.write(_fmt(v) + "\n")
+        for start in range(0, values.size, _CHUNK_VALUES):
+            chunk = values[start : start + _CHUNK_VALUES].tolist()
+            fh.write(("%.17g\n" * len(chunk)) % tuple(chunk))
+
+
+def _ci_suffix(hw, flag) -> str:
+    ci = ",," if hw is None else f",{_fmt(-hw)},{_fmt(hw)}"
+    return f"{ci},{int(flag)}\n"
 
 
 def write_long_csv(path: str, grid: LpacfGrid, T: int) -> None:
     """One record per (point, lag), ordered by point then lag."""
+    lag_fields = ["%d," % lag for lag in grid.lags.tolist()]
+    points = np.asarray(grid.points)
+    z = points / T
+    hw = grid.ci_halfwidth
+    # ",lo,hi,flag\n" is formatted once per distinct (half-width, flag);
+    # the sign bit is part of the key because 0.0 == -0.0 format apart.
+    suffixes: dict = {}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(LONG_HEADER + "\n")
-        for p, t in enumerate(grid.points):
-            z = t / T
-            if grid.ci_halfwidth is None:
-                lo_s = hi_s = ""
+        for start in range(0, points.size, _CHUNK_POINTS):
+            stop = start + _CHUNK_POINTS
+            flags = grid.boundary[start:stop].tolist()
+            if hw is None:
+                halves = signs = [None] * len(flags)
             else:
-                hw = grid.ci_halfwidth[p]
-                lo_s, hi_s = _fmt(-hw), _fmt(hw)
-            flag = int(grid.boundary[p])
-            for li, lag in enumerate(grid.lags):
-                fh.write(
-                    f"{int(t)},{_fmt(z)},{int(lag)},{_fmt(grid.estimates[p, li])},"
-                    f"{lo_s},{hi_s},{flag}\n"
-                )
+                halves = hw[start:stop].tolist()
+                signs = np.signbit(hw[start:stop]).tolist()
+            sfx = []
+            for key in zip(halves, signs, flags):
+                s = suffixes.get(key)
+                if s is None:
+                    s = suffixes[key] = _ci_suffix(key[0], key[2])
+                sfx.append(s)
+            pre = [
+                "%d,%.17g," % tz
+                for tz in zip(points[start:stop].tolist(), z[start:stop].tolist())
+            ]
+            rows = len(pre) * len(lag_fields)
+            args = [None] * (4 * rows)
+            args[0::4] = [p for p in pre for _ in lag_fields]
+            args[1::4] = lag_fields * len(pre)
+            args[2::4] = grid.estimates[start:stop].ravel().tolist()
+            args[3::4] = [s for s in sfx for _ in lag_fields]
+            fh.write((_ROW * rows) % tuple(args))
 
 
 def write_rmse_csv(path: str, report) -> None:

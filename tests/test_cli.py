@@ -48,6 +48,20 @@ def test_read_series_rejects_nan_inf(tmp_path):
         read_series(p)
 
 
+def test_read_series_comma_only_line_is_data_error(tmp_path):
+    p = _write(tmp_path, "x.csv", "1.0\n,\n2.0")
+    with pytest.raises(DataError, match="line 2, column 1"):
+        read_series(p)
+    assert main(["estimate", "--input", p, "--output", str(tmp_path / "o.csv")]) == 2
+
+
+def test_read_series_undecodable_bytes_are_data_error(tmp_path):
+    p = tmp_path / "x.csv"
+    p.write_bytes(b"1.0\n\xff\n2.0\n")
+    with pytest.raises(DataError, match="not UTF-8 text"):
+        read_series(str(p))
+
+
 def test_read_series_rejects_multi_column(tmp_path):
     p = _write(tmp_path, "x.csv", "1.0,2.0\n")
     with pytest.raises(DataError, match="column 2"):
@@ -189,6 +203,37 @@ def test_cli_config_file_precedence(tmp_path):
     assert main(["--config", cfg, "estimate", "--input", sim, "--output", est2,
                  "--binwidth", "100"]) == 0
     assert interior_ci(est2) == pytest.approx(1.96 / np.sqrt(100), abs=1e-6)
+
+
+def test_cli_flag_with_equals_overrides_config(tmp_path):
+    sim = str(tmp_path / "sim.csv")
+    main(["simulate", "tvar", "--T", "256", "--seed", "5", "--output", sim])
+    cfg = _write(tmp_path, "run.cfg", "max_lag=2\nbinwidth=64\ndemean=true\n")
+    est = str(tmp_path / "e.csv")
+    assert main(["--config", cfg, "estimate", "--input", sim, "--output", est,
+                 "--max-lag=3"]) == 0
+    lags = {r.split(",")[2] for r in open(est).read().splitlines()[1:]}
+    assert lags == {"1", "2", "3"}
+    # a point flag on the command line replaces the config's point choice
+    cfg = _write(tmp_path, "pts.cfg", "points=10,20\n")
+    assert main(["--config", cfg, "estimate", "--input", sim, "--output", est,
+                 "--binwidth", "64", "--stride=64"]) == 0
+    points = {r.split(",")[0] for r in open(est).read().splitlines()[1:]}
+    assert points == {"0", "64", "128", "192"}
+
+
+def test_cli_bad_config_value_is_usage_error(tmp_path, capsys):
+    sim = str(tmp_path / "sim.csv")
+    main(["simulate", "tvar", "--T", "128", "--seed", "0", "--output", sim])
+    est = str(tmp_path / "e.csv")
+    for line, needle in (
+        ("binwidth=abc", "binwidth: invalid int value 'abc'"),
+        ("method=spline", "method must be one of"),
+        ("demean=yes", "demean must be true or false"),
+    ):
+        cfg = _write(tmp_path, "bad.cfg", line + "\n")
+        assert main(["--config", cfg, "estimate", "--input", sim, "--output", est]) == 1
+        assert needle in capsys.readouterr().err
 
 
 def test_cli_benchmark_small(tmp_path):
