@@ -20,14 +20,12 @@ from .errors import (
     VerificationError,
 )
 from .estimators import (
-    LocalYwSolution,
     LpacfGrid,
     PredictionSystem,
     classical_pacf,
     confidence_halfwidth,
     default_bandwidth,
     levinson_pacf,
-    local_yule_walker,
     prediction_system,
     wavelet_lpacf,
     weighted_local_acv,
@@ -90,7 +88,6 @@ __all__ = [
     "InsufficientWindowError",
     "InvalidArgumentError",
     "LocalAcvGrid",
-    "LocalYwSolution",
     "LocpacfError",
     "LpacfGrid",
     "NumericalError",
@@ -119,7 +116,6 @@ __all__ = [
     "levinson_pacf",
     "local_autocovariance",
     "local_wavelet_periodogram_tapered",
-    "local_yule_walker",
     "monte_carlo_rmse",
     "nondecimated_haar_transform",
     "omega_core",

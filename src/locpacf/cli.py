@@ -190,13 +190,15 @@ def _apply_config(parser, args, argv):
 
 
 def _points_kwargs(args) -> dict:
-    if getattr(args, "points", None):
+    if args.points is not None:
         try:
             pts = [int(v) for v in args.points.split(",") if v.strip() != ""]
         except ValueError:
             raise UsageError("--points must be comma-separated integers") from None
+        if not pts:
+            raise UsageError("--points is empty")
         return {"points": np.array(pts, dtype=int)}
-    if getattr(args, "stride", None):
+    if args.stride is not None:
         return {"stride": args.stride}
     return {}
 
@@ -279,7 +281,7 @@ def _cmd_pacf(args) -> int:
 def _cmd_benchmark(args) -> int:
     if args.study == "tvar":
         spec = ArPathSpec.linear_ramp([0.9], [-0.9])
-        T = args.T or 512
+        T = 512 if args.T is None else args.T
     else:
         spec = ArPathSpec.piecewise([(85, [-0.2]), (86, [0.5, 0.2]), (85, [-0.2])])
         T = 256

@@ -16,11 +16,14 @@ Both assume mean-zero input; pass demean=True to subtract the
 Estimation at distinct time points is independent; the implementations
 vectorize over points and produce deterministic output ordering.  The
 windowed estimator runs one sliding-sum pass and one batched Levinson
-recursion for all points.  The plug-in estimator assembles, per lag, the
-systems of all points by indexing the local autocovariance grid, and
-solves each kind with one stacked solve; only systems needing ridge
-regularization are solved one at a time.  The scalar ``_yw_phi_last`` and
-``prediction_system`` are the reference it is tested against.
+recursion for all points.  All three plug-in systems at a point read one
+covariance block, the times zT..zT+tau of the local autocovariance
+surface.  The plug-in estimator assembles that block once for all points
+by indexing the grid, slices each lag's systems from it, and solves each
+kind with one stacked solve; only systems needing ridge regularization
+are solved one at a time.  The scalar ``prediction_system`` builds the
+same block for one point and is the reference the batched stage is tested
+against.
 """
 
 from __future__ import annotations
@@ -53,8 +56,6 @@ __all__ = [
     "classical_pacf",
     "weighted_local_acv",
     "windowed_lpacf",
-    "local_yule_walker",
-    "LocalYwSolution",
     "prediction_system",
     "PredictionSystem",
     "wavelet_lpacf",
@@ -256,12 +257,10 @@ def windowed_lpacf(
     offs = np.arange(-L // 2 + 1, L // 2 + 1)
     w = kernel.h((offs + L / 2) / L)
     x = ts.values
-    if demean:
-        ones = np.ones(T)
-        wsum = _sliding_dot(ones, w, offs, T)
-        x = x - _sliding_dot(x, w, offs, T) / wsum
-    prod = _pair_products(x, max_lag)
     denom = _sliding_dot(np.ones(T), w, offs, T)
+    if demean:
+        x = x - _sliding_dot(x, w, offs, T) / denom
+    prod = _pair_products(x, max_lag)
     # pairs must lie fully inside the window: weight on the left index,
     # last tau window slots carry none
     gamma = np.empty((max_lag + 1, T))
@@ -305,26 +304,6 @@ def _sliding_dot(arr: np.ndarray, w: np.ndarray, offs: np.ndarray, T: int) -> np
     return full[idx]
 
 
-@dataclass(frozen=True)
-class LocalYwSolution:
-    """Solution of a tau x tau local Yule-Walker system.
-
-    ``coefficients[i-1]`` multiplies the observation i steps back from the
-    target; the last element is the partial autocorrelation.  ``residual``
-    is ||B phi - r|| relative to ||B||; ``ridge`` the regularization that
-    was needed (0 when none).
-    """
-
-    lag: int
-    coefficients: np.ndarray
-    residual: float
-    ridge: float
-
-    @property
-    def last(self) -> float:
-        return float(self.coefficients[-1])
-
-
 def _solve_regularized(B: np.ndarray, r: np.ndarray, scale: float):
     """Solve B phi = r, escalating ridge regularization until the system is
     positive definite and the trailing coefficient is a valid correlation."""
@@ -349,38 +328,22 @@ def _solve_regularized(B: np.ndarray, r: np.ndarray, scale: float):
         eps *= 2.0
 
 
-def local_yule_walker(acv, tau: int) -> LocalYwSolution:
-    """Solve the order-tau Yule-Walker system for a lag-indexed accessor.
-
-    ``acv`` is a callable lag -> covariance (or a sequence indexed by lag)
-    defined for lags 0..tau with acv(0) > 0.  Ridge regularization is
-    applied on failure; a system still unusable at the maximum ridge
-    raises NumericalError carrying a condition estimate.
-    """
-    if tau < 1:
-        raise InvalidArgumentError(f"tau={tau} must be >= 1")
-    c = [float(acv(k)) if callable(acv) else float(acv[k]) for k in range(tau + 1)]
-    if c[0] <= 0.0:
-        raise DegenerateInputError("acv(0) must be positive")
-    idx = np.arange(tau)
-    B = np.array(c)[np.abs(idx[:, None] - idx[None, :])]
-    r = np.array(c[1:])
-    phi, ridge = _solve_regularized(B, r, c[0])
-    resid = float(np.linalg.norm(B @ phi - r) / max(np.linalg.norm(B), 1e-300))
-    return LocalYwSolution(tau, phi, resid, ridge)
-
-
 @dataclass(frozen=True)
 class PredictionSystem:
-    """Backcast and forecast prediction systems at one point and lag.
+    """The plug-in systems at one point zT and lag tau.
 
-    The backcast predicts the observation at zT from the tau-1 following
-    ones; the forecast predicts the observation at zT+tau from the same
-    predictor set.  Coefficient vectors carry -1 at the target position,
-    so each MSPE is the quadratic form b' B b.
+    All three read the covariance block of the times zT..zT+tau.
+    ``coefficients`` solves the local Yule-Walker system that predicts the
+    observation at zT+tau: ``coefficients[i-1]`` multiplies the observation
+    i steps back, and the last element is phi_{tau,tau}.  The backcast
+    predicts the observation at zT from the tau-1 following ones; the
+    forecast predicts the observation at zT+tau from the same predictor
+    set.  Their coefficient vectors carry -1 at the target position, so
+    each MSPE is the quadratic form b' B b.
     """
 
     lag: int
+    coefficients: np.ndarray
     backcast: np.ndarray
     forecast: np.ndarray
     backward_matrix: np.ndarray
@@ -393,6 +356,11 @@ class PredictionSystem:
         """sqrt(backward MSPE / forward MSPE)."""
         return float(np.sqrt(self.mspe_backward / self.mspe_forward))
 
+    @property
+    def estimate(self) -> float:
+        """The plug-in estimate phi_{tau,tau} * ratio, before clamping."""
+        return float(self.coefficients[-1]) * self.ratio
+
 
 def _pair_cov_matrix(lacv: LocalAcvGrid, times: np.ndarray) -> np.ndarray:
     n = len(times)
@@ -404,13 +372,15 @@ def _pair_cov_matrix(lacv: LocalAcvGrid, times: np.ndarray) -> np.ndarray:
 
 
 def prediction_system(lacv: LocalAcvGrid, zT: int, tau: int) -> PredictionSystem:
-    """Build both prediction systems from a local autocovariance grid.
+    """Build the Yule-Walker and both prediction systems from a local
+    autocovariance grid.
 
     Covariance entries are evaluated at the rescaled midpoint of each
     index pair, so the backward and forward matrices genuinely differ
-    under nonstationarity.  MSPEs must come out positive; ridge
-    regularization is escalated otherwise and NumericalError raised once
-    exhausted.
+    under nonstationarity.  Each system is solved with ridge
+    regularization escalated as needed; NumericalError is raised once it
+    is exhausted or when an MSPE does not come out positive.  This is the
+    scalar reference for the batched stage of ``wavelet_lpacf``.
     """
     if not 1 <= tau <= lacv.max_lag:
         raise InvalidArgumentError(
@@ -420,11 +390,12 @@ def prediction_system(lacv: LocalAcvGrid, zT: int, tau: int) -> PredictionSystem
         raise InvalidArgumentError(
             f"point zT={zT} with tau={tau} needs entries up to time {zT + tau}"
         )
-    bt = np.arange(zT, zT + tau)  # backcast span, target first
-    ft = np.arange(zT + 1, zT + tau + 1)  # forecast span, target last
-    Bb = _pair_cov_matrix(lacv, bt)
-    Bf = _pair_cov_matrix(lacv, ft)
+    C = _pair_cov_matrix(lacv, np.arange(zT, zT + tau + 1))
     scale = max(lacv.at(zT, 0), 1e-300)
+    rev = slice(tau - 1, None, -1)  # predictors zT+tau-1 down to zT
+    phi, _ = _solve_regularized(C[rev, rev], C[tau, rev], scale)
+    Bb = C[:-1, :-1]  # backcast span zT..zT+tau-1, target first
+    Bf = C[1:, 1:]  # forecast span zT+1..zT+tau, target last
     if tau == 1:
         bb = np.array([-1.0])
         bf = np.array([-1.0])
@@ -441,37 +412,25 @@ def prediction_system(lacv: LocalAcvGrid, zT: int, tau: int) -> PredictionSystem
             f"non-positive MSPE at zT={zT}, tau={tau}",
             condition=float(np.linalg.cond(Bf)),
         )
-    return PredictionSystem(tau, bb, bf, Bb, Bf, mb, mf)
+    return PredictionSystem(tau, phi, bb, bf, Bb, Bf, mb, mf)
 
 
-def _yw_phi_last(lacv: LocalAcvGrid, zT: int, tau: int) -> float:
-    """phi_{tau,tau} from the local Yule-Walker system anchored at zT.
+def _midpoint_stack(values: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
+    """G[i, a, b] = ``LocalAcvGrid.midpoint(z[i] + a, z[i] + b)`` for a, b < n.
 
-    Scalar reference for the batched stage of ``wavelet_lpacf``.
+    A half-integer midpoint averages the two adjacent entries with the same
+    operations as ``midpoint``, so every entry carries the same bits.  One
+    cell at a time, so no temporary holds more than one entry per point.
     """
-    times = np.arange(zT + tau - 1, zT - 1, -1)  # zT+tau-1 down to zT
-    B = _pair_cov_matrix(lacv, times)
-    r = np.array([lacv.midpoint(zT + tau, tt) for tt in times])
-    phi, _ = _solve_regularized(B, r, max(lacv.at(zT, 0), 1e-300))
-    return float(phi[-1])
-
-
-def _midpoint_stack(values: np.ndarray, z: np.ndarray, ta, tb) -> np.ndarray:
-    """``LocalAcvGrid.midpoint(z + ta, z + tb)`` for every point z at once.
-
-    ``ta`` and ``tb`` are times relative to the point and broadcast to a
-    common cell shape S; the result has shape (len(z),) + S.  A
-    half-integer midpoint averages the two adjacent entries with the same
-    operations as ``midpoint``, so every entry carries the same bits.
-    """
-    ta, tb = np.broadcast_arrays(ta, tb)
-    lag = np.abs(ta - tb)
-    lo, odd = np.divmod(ta + tb, 2)
-    odd = odd.astype(bool)
-    zz = z.reshape((-1,) + (1,) * lag.ndim)
-    out = values[lag, zz + lo]
-    out[:, odd] = 0.5 * (out[:, odd] + values[lag[odd], z[:, None] + lo[odd] + 1])
-    return out
+    G = np.empty((len(z), n, n))
+    for a in range(n):
+        for b in range(a, n):
+            lo, odd = divmod(a + b, 2)
+            cell = values[b - a, z + lo]
+            if odd:
+                cell = 0.5 * (cell + values[b - a, z + lo + 1])
+            G[:, a, b] = G[:, b, a] = cell
+    return G
 
 
 def _cholesky_gate(M: np.ndarray) -> np.ndarray:
@@ -527,23 +486,21 @@ def _mspe_stack(B: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (b[:, None, :] @ B @ b[:, :, None])[:, 0, 0]
 
 
-def _plug_in_stack(lacv: LocalAcvGrid, z: np.ndarray, tau: int):
-    """phi_{tau,tau} * sqrt(backward MSPE / forward MSPE) at every point z.
+def _plug_in_stack(G: np.ndarray, scale: np.ndarray, tau: int):
+    """phi_{tau,tau} * sqrt(backward MSPE / forward MSPE) at every point.
 
-    Batched form of ``_yw_phi_last`` times ``prediction_system(...).ratio``
-    with the same bits.  Returns (estimates, ok); ``ok`` is False where
-    that pair would raise NumericalError.
+    ``G[i, a, b]`` is the covariance of the times z_i+a and z_i+b, for
+    a, b up to at least tau.  Batched form of
+    ``prediction_system(...).estimate`` with the same bits: every system
+    is sliced from the block in the orientation the scalar routine solves
+    it in.  Returns (estimates, ok); ``ok`` is False where
+    ``prediction_system`` would raise NumericalError.
     """
-    v = lacv.values
-    scale = np.maximum(v[0, z], 1e-300)
-    t = np.arange(tau)
-    yt = tau - 1 - t  # Yule-Walker times zT+tau-1 down to zT, as in the loop
-    phi, ok = _solve_stack(
-        _midpoint_stack(v, z, yt[:, None], yt), _midpoint_stack(v, z, tau, yt), scale
-    )
-    Bb = _midpoint_stack(v, z, t[:, None], t)  # backcast span zT..zT+tau-1
-    Bf = _midpoint_stack(v, z, t[:, None] + 1, t + 1)  # forecast span, one later
-    bb = np.full((len(z), tau), -1.0)
+    rev = slice(tau - 1, None, -1)  # predictors zT+tau-1 down to zT
+    phi, ok = _solve_stack(G[:, rev, rev], G[:, tau, rev], scale)
+    Bb = G[:, :tau, :tau]  # backcast span zT..zT+tau-1
+    Bf = G[:, 1 : tau + 1, 1 : tau + 1]  # forecast span, one later
+    bb = np.full((len(G), tau), -1.0)
     bf = bb.copy()
     if tau > 1:
         bb[:, 1:], ok_b = _solve_stack(Bb[:, 1:, 1:], Bb[:, 1:, 0], scale)
@@ -577,12 +534,13 @@ def wavelet_lpacf(
     covariance surface); it must cover the series' T times and lags up to
     ``max_lag``.
 
-    The plug-in stage is batched per lag: the Yule-Walker, backcast and
-    forecast systems of every usable point are assembled by indexing the
-    grid and solved by one stacked solve each.  Systems that fail the
-    Cholesky or |phi| <= 1 gate go to the scalar ridge-regularized solve,
-    so the estimates carry the same bits as a per-point loop over
-    ``_yw_phi_last`` and ``prediction_system``.
+    The plug-in stage is batched: the covariance block of the times
+    zT..zT+max_lag is assembled once for every usable point by indexing
+    the grid, and per lag the Yule-Walker, backcast and forecast systems
+    are slices of it, each solved by one stacked solve.  Systems that fail
+    the Cholesky or |phi| <= 1 gate go to the scalar ridge-regularized
+    solve, so the estimates carry the same bits as a per-point loop over
+    ``prediction_system(...).estimate``.
 
     Points failing numerically are dropped and reported, not fatal.
     """
@@ -615,10 +573,12 @@ def wavelet_lpacf(
     usable = pts[(pts >= 0) & (pts + max_lag <= lacv.T - 1) & (lacv.values[0, pts] > 0)]
     dropped = np.setdiff1d(pts, usable)
 
+    G = _midpoint_stack(lacv.values, usable, max_lag + 1)  # times zT..zT+max_lag
+    scale = np.maximum(lacv.values[0, usable], 1e-300)
     estimates = np.empty((len(usable), max_lag))
     ok = np.ones(len(usable), dtype=bool)
     for tau in range(1, max_lag + 1):
-        estimates[:, tau - 1], ok_tau = _plug_in_stack(lacv, usable, tau)
+        estimates[:, tau - 1], ok_tau = _plug_in_stack(G, scale, tau)
         ok &= ok_tau
     dropped = np.concatenate([dropped, usable[~ok]])
     usable = usable[ok]

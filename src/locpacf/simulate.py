@@ -282,6 +282,8 @@ def monte_carlo_rmse(
     if reps < 2:
         raise InvalidArgumentError(f"reps={reps} must be >= 2")
     lags = [int(v) for v in lags]
+    if not lags:
+        raise InvalidArgumentError("no lags requested")
     if max(lags) > config.max_lag:
         raise InvalidArgumentError("requested lag exceeds config.max_lag")
     truth = true_pacf_curve(spec, T, lags)

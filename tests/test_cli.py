@@ -256,3 +256,27 @@ def test_cli_benchmark_every_replicate_excluded(tmp_path, capsys):
          "--reps", "3", "--output", out]
     ) == 2
     assert "all 3 of 3 replicates were excluded" in capsys.readouterr().err
+
+
+def test_cli_benchmark_max_lag_zero_is_usage_error(tmp_path, capsys):
+    out = str(tmp_path / "rmse.csv")
+    assert main(["benchmark", "--max-lag", "0", "--reps", "3", "--output", out]) == 1
+    assert "error: no lags requested" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_cli_zero_or_empty_value_is_not_taken_as_absent(tmp_path, capsys):
+    sim = str(tmp_path / "sim.csv")
+    main(["simulate", "tvar", "--T", "128", "--seed", "0", "--output", sim])
+    est = str(tmp_path / "e.csv")
+    for argv, needle in (
+        (["estimate", "--input", sim, "--output", est, "--stride", "0"],
+         "stride=0 must be >= 1"),
+        (["estimate", "--input", sim, "--output", est, "--points", ","],
+         "--points is empty"),
+        (["benchmark", "--T", "0", "--reps", "3", "--output", est],
+         "T=0 must be positive"),
+    ):
+        assert main(argv) == 1
+        assert needle in capsys.readouterr().err
+        assert not os.path.exists(est)

@@ -14,7 +14,6 @@ from locpacf import (
     classical_pacf,
     confidence_halfwidth,
     levinson_pacf,
-    local_yule_walker,
     prediction_system,
     simulate_tvar,
     wavelet_lpacf,
@@ -23,7 +22,7 @@ from locpacf import (
     ArPathSpec,
 )
 from locpacf.errors import NumericalError
-from locpacf.estimators import _pair_cov_matrix, _solve_regularized, _yw_phi_last
+from locpacf.estimators import _pair_cov_matrix, _solve_regularized
 
 
 def test_confidence_halfwidth_values():
@@ -153,35 +152,28 @@ def test_windowed_no_clamping_on_stationary_ar1():
     assert grid2.clamp_count == 0
 
 
-def test_local_yule_walker_examples():
-    # lag 1: c(1)/c(0)
-    sol = local_yule_walker(lambda k: [2.0, 0.8][k], 1)
-    assert sol.last == pytest.approx(0.4, abs=1e-14)
-    # AR(1)-shaped accessor: pacf(2) = 0
-    sol = local_yule_walker(lambda k: 0.6 ** abs(k), 2)
-    assert abs(sol.last) < 1e-14
-    # AR(2) analytic autocovariances: pacf(2) = 0.2
-    sol = local_yule_walker(ar_autocovariances([0.5, 0.2], 1.0, 2), 2)
-    assert sol.last == pytest.approx(0.2, abs=1e-12)
-    assert sol.residual < 1e-8
-
-
-def test_local_yule_walker_order_cutoff_invariant():
-    gam = ar_autocovariances([0.4, 0.3, -0.2], 1.0, 8)
-    for tau in range(4, 9):
-        assert abs(local_yule_walker(gam, tau).last) < 1e-10
-
-
-def test_local_yule_walker_validates():
-    with pytest.raises(DegenerateInputError):
-        local_yule_walker(lambda k: 0.0, 1)
-    with pytest.raises(InvalidArgumentError):
-        local_yule_walker(lambda k: 1.0, 0)
-
-
 def _constant_grid(c_values, T=32):
     vals = np.tile(np.asarray(c_values, dtype=float)[:, None], (1, T))
     return LocalAcvGrid(vals, 0)
+
+
+def test_prediction_system_yule_walker_coefficients():
+    # lag 1: c(1)/c(0)
+    ps = prediction_system(_constant_grid([2.0, 0.8]), 10, 1)
+    assert ps.coefficients[-1] == pytest.approx(0.4, abs=1e-14)
+    # AR(1)-shaped covariances: pacf(2) = 0
+    ps = prediction_system(_constant_grid(0.6 ** np.arange(3)), 10, 2)
+    assert abs(ps.coefficients[-1]) < 1e-14
+    # AR(2) analytic autocovariances: the coefficients themselves
+    ps = prediction_system(_constant_grid(ar_autocovariances([0.5, 0.2], 1.0, 2)), 10, 2)
+    assert np.allclose(ps.coefficients, [0.5, 0.2], rtol=0.0, atol=1e-12)
+    # order cutoff: beyond the AR order the last coefficient vanishes
+    lacv = _constant_grid(ar_autocovariances([0.4, 0.3, -0.2], 1.0, 8))
+    assert np.allclose(
+        prediction_system(lacv, 10, 3).coefficients, [0.4, 0.3, -0.2], rtol=0.0, atol=1e-12
+    )
+    for tau in range(4, 9):
+        assert abs(prediction_system(lacv, 10, tau).coefficients[-1]) < 1e-10
 
 
 def test_prediction_system_constant_covariance_ratio_one():
@@ -250,10 +242,7 @@ def _scalar_plug_in(lacv, T, max_lag):
             continue
         try:
             rows.append(
-                [
-                    _yw_phi_last(lacv, zT, tau) * prediction_system(lacv, zT, tau).ratio
-                    for tau in range(1, max_lag + 1)
-                ]
+                [prediction_system(lacv, zT, tau).estimate for tau in range(1, max_lag + 1)]
             )
             kept.append(zT)
         except NumericalError:
@@ -368,8 +357,9 @@ def test_wavelet_lpacf_rejects_grid_with_too_few_lags():
 
 def test_prediction_system_rejects_lag_beyond_grid():
     lacv = _constant_grid([1.0, 0.5, 0.25], T=32)
-    with pytest.raises(InvalidArgumentError, match=r"tau=3 outside \[1, 2\]"):
-        prediction_system(lacv, 4, 3)
+    for tau in (0, 3):
+        with pytest.raises(InvalidArgumentError, match=rf"tau={tau} outside \[1, 2\]"):
+            prediction_system(lacv, 4, tau)
 
 
 def test_wavelet_lpacf_white_noise_null():
@@ -400,8 +390,8 @@ def test_wavelet_lpacf_tracks_tvar_ramp():
 @settings(max_examples=25, deadline=None)
 @given(st.floats(-0.9, 0.9), st.integers(2, 6))
 def test_true_ar1_accessor_cutoff_property(rho, tau):
-    # AR(1)-shaped accessors always cut off beyond lag one
+    # AR(1)-shaped covariances always cut off beyond lag one
     if abs(rho) < 1e-3:
         rho = 0.5
-    sol = local_yule_walker(lambda k, r=rho: r ** abs(k), tau)
-    assert abs(sol.last) < 1e-9
+    ps = prediction_system(_constant_grid(rho ** np.arange(tau + 1)), 10, tau)
+    assert abs(ps.coefficients[-1]) < 1e-9
