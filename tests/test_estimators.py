@@ -157,23 +157,42 @@ def _constant_grid(c_values, T=32):
     return LocalAcvGrid(vals, 0)
 
 
-def test_prediction_system_yule_walker_coefficients():
+# The local Yule-Walker solve is the ``coefficients`` of prediction_system,
+# read from the same covariance block as the two prediction systems.
+
+
+def test_local_yule_walker_examples():
     # lag 1: c(1)/c(0)
     ps = prediction_system(_constant_grid([2.0, 0.8]), 10, 1)
     assert ps.coefficients[-1] == pytest.approx(0.4, abs=1e-14)
     # AR(1)-shaped covariances: pacf(2) = 0
     ps = prediction_system(_constant_grid(0.6 ** np.arange(3)), 10, 2)
     assert abs(ps.coefficients[-1]) < 1e-14
-    # AR(2) analytic autocovariances: the coefficients themselves
-    ps = prediction_system(_constant_grid(ar_autocovariances([0.5, 0.2], 1.0, 2)), 10, 2)
+    # AR(2) analytic autocovariances: pacf(2) = 0.2, and the coefficients themselves
+    gam = np.asarray(ar_autocovariances([0.5, 0.2], 1.0, 2))
+    ps = prediction_system(_constant_grid(gam), 10, 2)
+    assert ps.coefficients[-1] == pytest.approx(0.2, abs=1e-12)
     assert np.allclose(ps.coefficients, [0.5, 0.2], rtol=0.0, atol=1e-12)
-    # order cutoff: beyond the AR order the last coefficient vanishes
+    B = gam[np.abs(np.arange(2)[:, None] - np.arange(2))]
+    assert np.linalg.norm(B @ ps.coefficients - gam[1:]) / np.linalg.norm(B) < 1e-8
+
+
+def test_local_yule_walker_order_cutoff_invariant():
+    # beyond the AR order the last coefficient vanishes
     lacv = _constant_grid(ar_autocovariances([0.4, 0.3, -0.2], 1.0, 8))
     assert np.allclose(
         prediction_system(lacv, 10, 3).coefficients, [0.4, 0.3, -0.2], rtol=0.0, atol=1e-12
     )
     for tau in range(4, 9):
         assert abs(prediction_system(lacv, 10, tau).coefficients[-1]) < 1e-10
+
+
+def test_local_yule_walker_validates():
+    # an all-zero covariance block leaves no positive MSPE
+    with pytest.raises(NumericalError, match="non-positive MSPE"):
+        prediction_system(_constant_grid([0.0, 0.0]), 10, 1)
+    with pytest.raises(InvalidArgumentError, match=r"tau=0 outside \[1, 1\]"):
+        prediction_system(_constant_grid([1.0, 1.0]), 10, 0)
 
 
 def test_prediction_system_constant_covariance_ratio_one():
@@ -357,9 +376,8 @@ def test_wavelet_lpacf_rejects_grid_with_too_few_lags():
 
 def test_prediction_system_rejects_lag_beyond_grid():
     lacv = _constant_grid([1.0, 0.5, 0.25], T=32)
-    for tau in (0, 3):
-        with pytest.raises(InvalidArgumentError, match=rf"tau={tau} outside \[1, 2\]"):
-            prediction_system(lacv, 4, tau)
+    with pytest.raises(InvalidArgumentError, match=r"tau=3 outside \[1, 2\]"):
+        prediction_system(lacv, 4, 3)
 
 
 def test_wavelet_lpacf_white_noise_null():
