@@ -283,6 +283,8 @@ def _cmd_benchmark(args) -> int:
         spec = ArPathSpec.linear_ramp([0.9], [-0.9])
         T = 512 if args.T is None else args.T
     else:
+        if args.T is not None:
+            raise UsageError("--T applies to the tvar study only (piecewise-ar has T=256)")
         spec = ArPathSpec.piecewise([(85, [-0.2]), (86, [0.5, 0.2]), (85, [-0.2])])
         T = 256
     config = EstimatorConfig(

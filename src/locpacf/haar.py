@@ -16,6 +16,7 @@ module.  Everything is a pure function of its arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -307,9 +308,14 @@ def a_matrix(J: int) -> np.ndarray:
     """Gram matrix A_{j,l} = sum_tau Psi_j(tau) Psi_l(tau), J x J.
 
     Symmetric positive definite; diagonal entries satisfy
-    A_{l,l} = (1/3) 2^{-l} (2^{2l} + 5).
+    A_{l,l} = (1/3) 2^{-l} (2^{2l} + 5).  Built once per J and returned
+    read-only, so every caller shares that one array.
     """
-    J = _check_scale(J, "J", limit=20)
+    return _a_matrix(_check_scale(J, "J", limit=20))
+
+
+@lru_cache(maxsize=None)  # J <= 20, so at most 20 entries
+def _a_matrix(J: int) -> np.ndarray:
     A = np.zeros((J, J))
     for j in range(1, J + 1):
         for l in range(j, J + 1):
@@ -317,6 +323,7 @@ def a_matrix(J: int) -> np.ndarray:
             taus = np.arange(-m + 1, m)
             s = float(np.sum(psi_auto(j, taus) * psi_auto(l, taus)))
             A[j - 1, l - 1] = A[l - 1, j - 1] = s
+    A.setflags(write=False)
     return A
 
 

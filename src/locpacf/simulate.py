@@ -5,14 +5,20 @@ The stationarity check and the truth share the reflection coefficients k_m
 of the step-down (reverse Durbin-Levinson) recursion: an AR(p) model is
 stationary iff all |k_m| < 1, and k_tau is its PACF at lag tau.
 
-Replicates are independent and seeded as ``seed + replicate_index``, so
-results are identical however the work is partitioned.
+One private routine runs the AR recursion, over a checked (T, p) table of
+coefficients phi(t/T).  ``simulate_tvar`` builds that table for one series;
+a Monte-Carlo study builds it, and takes its truth from its reflection
+coefficients, once for all replicates.  Replicates are independent and
+seeded as ``seed + replicate_index``, so results are identical however
+the work is partitioned.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -71,8 +77,9 @@ class ArPathSpec:
         end = np.atleast_1d(np.asarray(end, dtype=float))
         if start.shape != end.shape:
             raise InvalidArgumentError("start and end must have the same length")
-        paths = tuple(
-            (lambda z, a=a, b=b: a + (b - a) * z) for a, b in zip(start, end)
+        paths = tuple(  # Python floats: same bits as numpy scalars, faster
+            (lambda z, a=a, b=b: a + (b - a) * z)
+            for a, b in zip(start.tolist(), end.tolist())
         )
         return cls(paths, sigma=sigma)
 
@@ -96,12 +103,11 @@ class ArPathSpec:
         coef_table = np.zeros((len(segments), p))
         for row, (_, c) in enumerate(segments):
             coef_table[row, : len(c)] = np.asarray(c, dtype=float)
-        edges = np.cumsum(lengths) / total  # right edges in rescaled time
+        edges = (np.cumsum(lengths) / total).tolist()  # right edges in rescaled time
 
         def make(i):
-            def path(z, edges=edges, col=coef_table[:, i]):
-                seg = int(np.searchsorted(edges, z, side="right"))
-                return float(col[min(seg, len(col) - 1)])
+            def path(z, edges=edges, col=coef_table[:, i].tolist()):
+                return col[min(bisect_right(edges, z), len(col) - 1)]
 
             return path
 
@@ -129,11 +135,42 @@ def _reflection_coefficients(coefs: np.ndarray, where: str) -> np.ndarray:
     return k
 
 
+def _checked_table(spec: ArPathSpec, T: int) -> tuple[np.ndarray, np.ndarray]:
+    """phi(t/T) as a (T, p) table, and its reflection coefficients once the
+    stationarity check at every t has passed."""
+    table = np.array(
+        [[f(t / T) for f in spec.paths] for t in range(T)], dtype=float
+    ).reshape(T, spec.order)
+    return table, _reflection_coefficients(table, "t={}")
+
+
 def validate_stability(spec: ArPathSpec, T: int) -> np.ndarray:
     """Stationarity check at every t; returns phi(t/T) as a (T, p) table."""
-    coefs = np.array([spec.coefficients(t / T) for t in range(T)]).reshape(T, spec.order)
-    _reflection_coefficients(coefs, "t={}")
-    return coefs
+    return _checked_table(spec, T)[0]
+
+
+def _ar_recursion(table: np.ndarray, burn_in: int, sigma: float, seed: int) -> np.ndarray:
+    """X_t = sum_i phi_i X_{t-i} + sigma eps_t over the rows of a checked
+    (T, p) table, after burn_in samples (discarded) with row 0 frozen.
+
+    Runs on Python floats: each step adds the lag terms i = 1..min(p, t) in
+    order to the innovation, so every rounding is that of float64 array
+    arithmetic and the output is bit-identical for identical inputs.
+    """
+    p = table.shape[1]
+    eps = np.random.default_rng(seed).standard_normal(len(table) + burn_in)
+    x = (eps * sigma).tolist()
+    # one row tuple per step from the columns, so no list of rows is held;
+    # order 0 has no columns: the loop stops early, leaving the innovations
+    steps = chain(repeat(tuple(table[0].tolist()), burn_in), zip(*table.T.tolist()))
+    for t, c in enumerate(steps):
+        v = x[t]
+        k = t
+        for ci in c if t >= p else c[:t]:  # phi_i * X_{t-i}, i = 1..min(p, t)
+            k -= 1
+            v += ci * x[k]
+        x[t] = v
+    return np.array(x[burn_in:])
 
 
 def simulate_tvar(spec: ArPathSpec, T: int, seed: int) -> TimeSeries:
@@ -145,16 +182,8 @@ def simulate_tvar(spec: ArPathSpec, T: int, seed: int) -> TimeSeries:
     """
     if T < 1:
         raise InvalidArgumentError(f"T={T} must be positive")
-    table = validate_stability(spec, T)
-    p = spec.order
-    rng = np.random.default_rng(seed)
-    n = T + spec.burn_in
-    x = rng.standard_normal(n) * spec.sigma  # innovations, then the recursion in place
-    coefs = np.concatenate([np.repeat(table[:1], spec.burn_in, axis=0), table])
-    for t in range(n):
-        for i in range(1, min(p, t) + 1):
-            x[t] += coefs[t, i - 1] * x[t - i]
-    return TimeSeries(x[spec.burn_in :], origin=f"tvar(seed={seed})")
+    x = _ar_recursion(validate_stability(spec, T), spec.burn_in, spec.sigma, seed)
+    return TimeSeries(x, origin=f"tvar(seed={seed})")
 
 
 def simulate_piecewise_ar(
@@ -210,7 +239,11 @@ def true_pacf_curve(spec: ArPathSpec, T: int, lags: Sequence[int]) -> np.ndarray
     lags = np.asarray(lags, dtype=int)
     if np.any(lags < 1):
         raise InvalidArgumentError(f"lags {lags.tolist()} must be >= 1")
-    k = _reflection_coefficients(validate_stability(spec, T), "t={}")
+    return _pacf_rows(_checked_table(spec, T)[1], lags)
+
+
+def _pacf_rows(k: np.ndarray, lags: np.ndarray) -> np.ndarray:
+    """Rows k[:, tau - 1] of a (T, p) reflection table for lags tau >= 1."""
     return np.pad(k, ((0, 0), (0, lags.max(initial=0)))).T[lags - 1]  # 0 past the order
 
 
@@ -273,11 +306,14 @@ def monte_carlo_rmse(
 ) -> RmseReport:
     """Per-lag RMSE of an estimator against the frozen-coefficient truth.
 
-    For each replicate: simulate, estimate at all points, drop
-    boundary-flagged points, take the root-mean-square deviation from
-    true_tv_pacf over the retained points, then average over replicates
-    (standard error = sample s.d. / sqrt(reps)).  A replicate in which the
-    estimator fails at more than 10% of points is excluded and counted.
+    The coefficient table phi(t/T), its stationarity check and the truth
+    (true_pacf_curve) are computed once per study.  For each replicate r:
+    simulate with seed ``seed + r`` (the series simulate_tvar returns),
+    estimate at all points, drop boundary-flagged points, take the
+    root-mean-square deviation from the truth over the retained points,
+    then average over replicates (standard error = sample s.d. /
+    sqrt(reps)).  A replicate in which the estimator fails at more than
+    10% of points is excluded and counted.
     """
     if reps < 2:
         raise InvalidArgumentError(f"reps={reps} must be >= 2")
@@ -286,12 +322,18 @@ def monte_carlo_rmse(
         raise InvalidArgumentError("no lags requested")
     if max(lags) > config.max_lag:
         raise InvalidArgumentError("requested lag exceeds config.max_lag")
-    truth = true_pacf_curve(spec, T, lags)
+    if min(lags) < 1:
+        raise InvalidArgumentError(f"lags {lags} must be >= 1")
+    if T < 1:
+        raise InvalidArgumentError(f"T={T} must be positive")
+    table, k = _checked_table(spec, T)
+    truth = _pacf_rows(k, np.array(lags))
     t0 = time.perf_counter()
     per_rep = []
     excluded = 0
     for r in range(reps):
-        ts = simulate_tvar(spec, T, seed + r)
+        x = _ar_recursion(table, spec.burn_in, spec.sigma, seed + r)
+        ts = TimeSeries(x, origin=f"tvar(seed={seed + r})")
         grid = config.estimate(ts)
         interior = grid.boundary == 0
         pts = grid.points[interior]

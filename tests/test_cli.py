@@ -265,6 +265,18 @@ def test_cli_benchmark_max_lag_zero_is_usage_error(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("T", ["0", "256", "4096"])
+def test_cli_benchmark_piecewise_refuses_T(tmp_path, capsys, T):
+    # the piecewise-ar study has a fixed length; --T must not pass unnoticed
+    out = str(tmp_path / "rmse.csv")
+    argv = ["benchmark", "--study", "piecewise-ar", "--T", T, "--reps", "2",
+            "--binwidth", "48", "--max-lag", "1", "--output", out]
+    assert main(argv) == 1
+    assert "--T applies to the tvar study only" in capsys.readouterr().err
+    assert not os.path.exists(out)
+    assert main([a for a in argv if a not in ("--T", T)]) == 0
+
+
 def test_cli_zero_or_empty_value_is_not_taken_as_absent(tmp_path, capsys):
     sim = str(tmp_path / "sim.csv")
     main(["simulate", "tvar", "--T", "128", "--seed", "0", "--output", sim])

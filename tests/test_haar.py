@@ -16,6 +16,7 @@ from locpacf import (
     psi_cross_bruteforce,
     psi_cross_closed,
 )
+from locpacf.haar import _a_matrix
 
 SQ2 = 2.0**-0.5
 
@@ -172,3 +173,12 @@ def test_a_matrix_diagonal_identity_and_invertibility(J):
             (2 ** (2 * l) + 5) * 2.0 ** (-l) / 3.0, abs=1e-10
         )
     assert np.all(np.linalg.eigvalsh(A) > 0)
+
+
+@pytest.mark.parametrize("J", [1, 4, 9])
+def test_a_matrix_is_built_once_per_scale_and_read_only(J):
+    A = a_matrix(J)
+    assert a_matrix(J) is A
+    assert np.array_equal(A, _a_matrix.__wrapped__(J))  # a fresh, uncached build
+    with pytest.raises(ValueError, match="read-only"):
+        A[0, 0] = 0.0

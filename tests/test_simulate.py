@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from locpacf import (
@@ -21,7 +21,10 @@ from locpacf import (
     true_tv_pacf,
     windowed_lpacf,
 )
-from locpacf.simulate import validate_stability
+from locpacf.simulate import _ar_recursion, validate_stability
+
+TVAR_STUDY = ArPathSpec.linear_ramp([0.9], [-0.9])
+PIECEWISE_STUDY = ArPathSpec.piecewise([(85, [-0.2]), (86, [0.5, 0.2]), (85, [-0.2])])
 
 
 def test_zero_coefficients_reproduce_innovations():
@@ -122,6 +125,135 @@ def test_stability_boundary(phi, accepted):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _accepted(phi) == accepted
+
+
+def _numpy_scalar_recursion(table, burn_in, sigma, seed):
+    """The AR recursion run in place on numpy scalars, the reference for
+    _ar_recursion: row 0 frozen over the burn-in, lag terms i = 1..min(p, t)."""
+    p = table.shape[1]
+    n = len(table) + burn_in
+    x = np.random.default_rng(seed).standard_normal(n) * sigma
+    coefs = np.concatenate([np.repeat(table[:1], burn_in, axis=0), table])
+    for t in range(n):
+        for i in range(1, min(p, t) + 1):
+            x[t] += coefs[t, i - 1] * x[t - i]
+    return x[burn_in:]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 3).flatmap(
+        lambda p: st.lists(
+            st.lists(st.floats(-0.99, 0.99), min_size=p, max_size=p),
+            min_size=2,
+            max_size=2,
+        )
+    ),
+    st.integers(1, 300),
+    st.integers(0, 600),
+    st.floats(0.01, 10.0),
+    st.integers(0, 2**32 - 1),
+)
+@example([[0.95, -0.5], [-0.9, 0.3]], 1, 0, 1.0, 0)
+@example([[0.9, 0.1, -0.8], [0.2, -0.7, 0.6]], 300, 0, 2.5, 7)
+def test_ar_recursion_matches_numpy_scalar_reference(ends, T, burn_in, sigma, seed):
+    # the reflection coefficients move linearly inside (-1, 1), so every row is stable
+    ka, kb = np.array(ends[0]), np.array(ends[1])
+    table = np.array([_step_up(ka + (kb - ka) * t / T) for t in range(T)])
+    table = table.reshape(T, len(ka))
+    got = _ar_recursion(table, burn_in, sigma, seed)
+    assert got.tobytes() == _numpy_scalar_recursion(table, burn_in, sigma, seed).tobytes()
+
+
+def test_piecewise_table_matches_searchsorted_at_edges():
+    segments = [(85, [-0.2]), (86, [0.5, 0.2]), (1, [0.7, -0.1, 0.3]), (84, [-0.2])]
+    spec = ArPathSpec.piecewise(segments)
+    lengths = np.array([n for n, _ in segments])
+    edges = np.cumsum(lengths) / lengths.sum()
+    table = np.zeros((len(segments), 3))
+    for row, (_, c) in enumerate(segments):
+        table[row, : len(c)] = c
+    last = len(segments) - 1
+    zs = [0.0, -0.5, 1.5]
+    for e in edges:
+        zs += [np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf)]
+    for z in zs:
+        seg = min(int(np.searchsorted(edges, z, side="right")), last)
+        assert spec.coefficients(z).tobytes() == table[seg].tobytes()
+    T = int(lengths.sum())
+    ref = np.array(
+        [table[min(int(np.searchsorted(edges, t / T, side="right")), last)] for t in range(T)]
+    )
+    assert validate_stability(spec, T).tobytes() == ref.tobytes()
+
+
+def _reference_rmse(spec, config, reps, lags, seed, T):
+    """(rmse, stderr, replicates, excluded) per lag from a plain loop over
+    simulate_tvar, the estimator and true_pacf_curve."""
+    truth = true_pacf_curve(spec, T, lags)
+    per_rep, excluded = [], 0
+    for r in range(reps):
+        grid = config.estimate(simulate_tvar(spec, T, seed + r))
+        interior = grid.boundary == 0
+        pts = grid.points[interior]
+        n_dropped = len(grid.dropped_points)
+        if pts.size == 0 or n_dropped > 0.1 * (len(grid.points) + n_dropped):
+            excluded += 1
+            continue
+        errs = []
+        for i, tau in enumerate(lags):
+            e = grid.estimates[interior, tau - 1] - truth[i, pts]
+            errs.append(np.sqrt(np.mean(e * e)))
+        per_rep.append(errs)
+    per_rep = np.asarray(per_rep)
+    used = len(per_rep)
+    return [
+        (
+            float(np.mean(per_rep[:, i])),
+            float(np.std(per_rep[:, i], ddof=1) / np.sqrt(used)),
+            used,
+            excluded,
+        )
+        for i in range(len(lags))
+    ]
+
+
+@pytest.mark.parametrize(
+    "spec, config, reps, lags, seed, T, excluded",
+    [
+        pytest.param(
+            TVAR_STUDY, EstimatorConfig("windowed", binwidth=40, max_lag=2),
+            5, [1, 2], 0, 512, 0, id="tvar-windowed",
+        ),
+        pytest.param(
+            PIECEWISE_STUDY, EstimatorConfig("windowed", binwidth=48, max_lag=2),
+            5, [1, 2], 1000, 256, 0, id="piecewise-windowed",
+        ),
+        pytest.param(
+            TVAR_STUDY,
+            EstimatorConfig("windowed", binwidth=33, kernel="rectangular", max_lag=3),
+            3, [3, 1], 33, 300, 0, id="tvar-rectangular-unordered-lags",
+        ),
+        pytest.param(
+            TVAR_STUDY, EstimatorConfig("wavelet", max_scale=4, max_lag=2),
+            3, [1, 2], 5, 128, 0, id="tvar-wavelet",
+        ),
+        # max_lag 10 at T=128 drops more than 10% of the points in some replicates
+        pytest.param(
+            TVAR_STUDY, EstimatorConfig("wavelet", max_scale=4, max_lag=10),
+            6, [1, 2], 0, 128, 3, id="tvar-wavelet-excluded",
+        ),
+    ],
+)
+def test_monte_carlo_rmse_matches_per_replicate_reference(
+    spec, config, reps, lags, seed, T, excluded
+):
+    report = monte_carlo_rmse(spec, config, reps, lags, seed, T)
+    got = [(r.rmse, r.stderr, r.replicates, r.excluded) for r in report.rows]
+    ref = _reference_rmse(spec, config, reps, lags, seed, T)
+    assert np.array(got).tobytes() == np.array(ref).tobytes()
+    assert [r.lag for r in report.rows] == lags
+    assert report.rows[0].excluded == excluded
 
 
 def test_single_segment_equals_constant_tvar():
