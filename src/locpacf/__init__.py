@@ -28,7 +28,6 @@ from .estimators import (
     levinson_pacf,
     prediction_system,
     wavelet_lpacf,
-    weighted_local_acv,
     windowed_lpacf,
 )
 from .haar import (
@@ -132,7 +131,6 @@ __all__ = [
     "true_pacf_curve",
     "true_tv_pacf",
     "wavelet_lpacf",
-    "weighted_local_acv",
     "windowed_lpacf",
     "write_long_csv",
     "write_rmse_csv",

@@ -18,12 +18,11 @@ vectorize over points and produce deterministic output ordering.  The
 windowed estimator runs one sliding-sum pass and one batched Levinson
 recursion for all points.  All three plug-in systems at a point read one
 covariance block, the times zT..zT+tau of the local autocovariance
-surface.  The plug-in estimator assembles that block once for all points
-by indexing the grid, slices each lag's systems from it, and solves each
+surface.  The plug-in stage assembles that block for a stack of points by
+indexing the grid, slices each lag's systems from it, and solves each
 kind with one stacked solve; only systems needing ridge regularization
-are solved one at a time.  The scalar ``prediction_system`` builds the
-same block for one point and is the reference the batched stage is tested
-against.
+are solved one at a time.  ``wavelet_lpacf`` runs it on every point, and
+``prediction_system`` on one.
 """
 
 from __future__ import annotations
@@ -34,11 +33,10 @@ import numpy as np
 
 from .errors import (
     DegenerateInputError,
-    InsufficientWindowError,
     InvalidArgumentError,
     NumericalError,
 )
-from .kernels import EPANECHNIKOV, TaperKernel, get_kernel
+from .kernels import EPANECHNIKOV, get_kernel
 from .series import as_series
 from .spectral import (
     LocalAcvGrid,
@@ -54,7 +52,6 @@ __all__ = [
     "default_bandwidth",
     "levinson_pacf",
     "classical_pacf",
-    "weighted_local_acv",
     "windowed_lpacf",
     "prediction_system",
     "PredictionSystem",
@@ -126,46 +123,6 @@ def classical_pacf(ts, max_lag: int, demean: bool = False) -> np.ndarray:
     if gamma[0] <= 0.0:
         raise DegenerateInputError("series has zero sample variance")
     return levinson_pacf(gamma)
-
-
-def weighted_local_acv(ts, center: int, L: int, kernel=EPANECHNIKOV, max_lag: int = 1):
-    """Kernel-weighted local autocovariances around one time point.
-
-    gamma_z(tau) = sum_t w_t X_t X_{t+tau} / sum_t w_t over pairs lying
-    inside the window [center-L/2+1, center+L/2], weighted by the left
-    index via w_t = h((t - center + L/2)/L).  The rectangular kernel
-    reproduces the classical biased autocovariance of the length-L
-    sub-series exactly.
-
-    Returns (gamma, effective_length, clipped) where effective_length is
-    the number of in-bounds window points and clipped tells whether the
-    nominal window left the series.
-    """
-    ts = as_series(ts)
-    kernel = get_kernel(kernel)
-    T = ts.T
-    if max_lag >= L / 2:
-        raise InvalidArgumentError(f"max_lag={max_lag} must be < L/2 = {L / 2}")
-    t = np.arange(center - L // 2 + 1, center + L // 2 + 1)
-    w = kernel.h((t - center + L / 2) / L)
-    inb = (t >= 0) & (t <= T - 1)
-    clipped = bool(np.any(~inb))
-    eff = int(np.sum(inb))
-    if eff < max_lag + 1:
-        raise InsufficientWindowError(
-            f"window at center={center} retains {eff} points < max_lag+1"
-        )
-    denom = float(np.sum(w[inb]))
-    if denom <= 0.0:
-        raise InsufficientWindowError(f"window at center={center} has zero weight mass")
-    x = ts.values
-    win_end = t[-1]
-    gamma = np.zeros(max_lag + 1)
-    for tau in range(max_lag + 1):
-        ok = inb & (t + tau <= min(T - 1, win_end))
-        tt = t[ok]
-        gamma[tau] = float(np.sum(w[ok] * x[tt] * x[tt + tau])) / denom
-    return gamma, eff, clipped
 
 
 @dataclass(frozen=True)
@@ -271,15 +228,17 @@ def windowed_lpacf(
         gamma[tau] = _sliding_dot(prod[tau], w_tau, offs, T)
     gamma /= denom
 
-    eff = _sliding_dot(np.ones(T), np.ones(L), offs, T).round().astype(int)
-    keep_mask = (eff[pts] >= 2 * max_lag) & (gamma[0, pts] > 0.0)
+    # in-bounds window points, an exact count
+    eff = np.minimum(pts + offs[-1], T - 1) - np.maximum(pts + offs[0], 0) + 1
+    keep_mask = (eff >= 2 * max_lag) & (gamma[0, pts] > 0.0)
     kept = pts[keep_mask]
     dropped = pts[~keep_mask]
 
     pacf = levinson_pacf(gamma[:, kept]) if kept.size else np.zeros((max_lag, 0))
     clamp_count = int(np.sum(np.abs(pacf) >= 1.0))
-    boundary = (eff[kept] < L).astype(np.uint8)
-    ci = 1.96 / np.sqrt(eff[kept].astype(float))
+    eff = eff[keep_mask]
+    boundary = (eff < L).astype(np.uint8)
+    ci = 1.96 / np.sqrt(eff.astype(float))
     return LpacfGrid(
         kind="windowed",
         points=kept,
@@ -290,7 +249,7 @@ def windowed_lpacf(
         ci_halfwidth=ci,
         clamp_count=clamp_count,
         dropped_points=dropped,
-        effective_length=eff[kept],
+        effective_length=eff,
     )
 
 
@@ -306,7 +265,11 @@ def _sliding_dot(arr: np.ndarray, w: np.ndarray, offs: np.ndarray, T: int) -> np
 
 def _solve_regularized(B: np.ndarray, r: np.ndarray, scale: float):
     """Solve B phi = r, escalating ridge regularization until the system is
-    positive definite and the trailing coefficient is a valid correlation."""
+    positive definite and the trailing coefficient is a valid correlation.
+
+    Returns (phi, ridge), the accepted ridge; both are NaN once the ridge
+    runs out.
+    """
     ridge = 0.0
     eps = _RIDGE_START
     eye = np.eye(B.shape[0])
@@ -320,10 +283,7 @@ def _solve_regularized(B: np.ndarray, r: np.ndarray, scale: float):
         except np.linalg.LinAlgError:
             pass
         if eps > _RIDGE_STOP:
-            cond = float(np.linalg.cond(B)) if np.all(np.isfinite(B)) else np.inf
-            raise NumericalError(
-                f"Yule-Walker system unusable after ridge {_RIDGE_STOP}", condition=cond
-            )
+            return np.full(r.shape, np.nan), np.nan
         ridge = eps * scale
         eps *= 2.0
 
@@ -362,25 +322,17 @@ class PredictionSystem:
         return float(self.coefficients[-1]) * self.ratio
 
 
-def _pair_cov_matrix(lacv: LocalAcvGrid, times: np.ndarray) -> np.ndarray:
-    n = len(times)
-    M = np.empty((n, n))
-    for a in range(n):
-        for b in range(a, n):
-            M[a, b] = M[b, a] = lacv.midpoint(times[a], times[b])
-    return M
-
-
 def prediction_system(lacv: LocalAcvGrid, zT: int, tau: int) -> PredictionSystem:
-    """Build the Yule-Walker and both prediction systems from a local
-    autocovariance grid.
+    """The Yule-Walker and both prediction systems at one point, solved.
 
     Covariance entries are evaluated at the rescaled midpoint of each
     index pair, so the backward and forward matrices genuinely differ
-    under nonstationarity.  Each system is solved with ridge
-    regularization escalated as needed; NumericalError is raised once it
-    is exhausted or when an MSPE does not come out positive.  This is the
-    scalar reference for the batched stage of ``wavelet_lpacf``.
+    under nonstationarity.  This is the batched stage of ``wavelet_lpacf``
+    run on a one-point stack, so it carries the same bits.
+    NumericalError is raised, with the condition number of the failing
+    matrix, when a system exhausts its ridge regularization (checked in
+    the order Yule-Walker, backcast, forecast) or when an MSPE does not
+    come out positive.
     """
     if not 1 <= tau <= lacv.max_lag:
         raise InvalidArgumentError(
@@ -390,29 +342,27 @@ def prediction_system(lacv: LocalAcvGrid, zT: int, tau: int) -> PredictionSystem
         raise InvalidArgumentError(
             f"point zT={zT} with tau={tau} needs entries up to time {zT + tau}"
         )
-    C = _pair_cov_matrix(lacv, np.arange(zT, zT + tau + 1))
-    scale = max(lacv.at(zT, 0), 1e-300)
-    rev = slice(tau - 1, None, -1)  # predictors zT+tau-1 down to zT
-    phi, _ = _solve_regularized(C[rev, rev], C[tau, rev], scale)
-    Bb = C[:-1, :-1]  # backcast span zT..zT+tau-1, target first
-    Bf = C[1:, 1:]  # forecast span zT+1..zT+tau, target last
-    if tau == 1:
-        bb = np.array([-1.0])
-        bf = np.array([-1.0])
-        mb, mf = float(Bb[0, 0]), float(Bf[0, 0])
-    else:
-        beta_b, _ = _solve_regularized(Bb[1:, 1:], Bb[1:, 0], scale)
-        beta_f, _ = _solve_regularized(Bf[:-1, :-1], Bf[:-1, -1], scale)
-        bb = np.concatenate([[-1.0], beta_b])
-        bf = np.concatenate([beta_f, [-1.0]])
-        mb = float(bb @ Bb @ bb)
-        mf = float(bf @ Bf @ bf)
-    if not (mb > 0.0 and mf > 0.0 and np.isfinite(mb) and np.isfinite(mf)):
+    z = np.array([zT])
+    G = _midpoint_stack(lacv.values, z, tau + 1)
+    scale = np.maximum(lacv.values[0, z], 1e-300)
+    phi, bb, bf, mb, mf, ridge = _plug_in_stack(G, scale, tau)
+    C = G[0]
+    rev = slice(tau - 1, None, -1)
+    inner = C[1:tau, 1:tau]  # the predictors of the backcast and the forecast
+    for exhausted, B in zip(np.isnan(ridge[:, 0]), (C[rev, rev], inner, inner)):
+        if exhausted:
+            cond = float(np.linalg.cond(B)) if np.all(np.isfinite(B)) else np.inf
+            raise NumericalError(
+                f"Yule-Walker system unusable after ridge {_RIDGE_STOP}", condition=cond
+            )
+    if not _mspe_ok(mb, mf)[0]:
         raise NumericalError(
             f"non-positive MSPE at zT={zT}, tau={tau}",
-            condition=float(np.linalg.cond(Bf)),
+            condition=float(np.linalg.cond(C[1:, 1:])),
         )
-    return PredictionSystem(tau, phi, bb, bf, Bb, Bf, mb, mf)
+    return PredictionSystem(
+        tau, phi[0], bb[0], bf[0], C[:-1, :-1], C[1:, 1:], float(mb[0]), float(mf[0])
+    )
 
 
 def _midpoint_stack(values: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
@@ -456,8 +406,8 @@ def _solve_stack(B: np.ndarray, r: np.ndarray, scale: np.ndarray):
 
     Every system that passes the unregularized attempt is solved by one
     stacked ``np.linalg.solve``; the rest go to the scalar routine, which
-    escalates the ridge.  Returns (phi, ok) with ``ok[i]`` False where the
-    ridge was exhausted.
+    escalates the ridge.  Returns (phi, ridge) with the accepted ridge of
+    each system, NaN where it ran out.
     """
     M = B + 0.0  # as the scalar B + 0*I: a -0.0 entry becomes 0.0, and can
     # change the sign of a zero solution
@@ -471,13 +421,10 @@ def _solve_stack(B: np.ndarray, r: np.ndarray, scale: np.ndarray):
         gate[:] = False
     finite = np.all(np.isfinite(phi), axis=1)
     redo = ~gate | ~finite | (np.abs(phi[:, -1]) > 1.0 + _PACF_SLACK)
-    ok = np.ones(len(B), dtype=bool)
+    ridge = np.zeros(len(B))
     for i in np.flatnonzero(redo):
-        try:
-            phi[i], _ = _solve_regularized(B[i], r[i], scale[i])
-        except NumericalError:
-            ok[i] = False
-    return phi, ok
+        phi[i], ridge[i] = _solve_regularized(B[i], r[i], scale[i])
+    return phi, ridge
 
 
 def _mspe_stack(B: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -486,31 +433,35 @@ def _mspe_stack(B: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (b[:, None, :] @ B @ b[:, :, None])[:, 0, 0]
 
 
+def _mspe_ok(mb: np.ndarray, mf: np.ndarray) -> np.ndarray:
+    """Where both MSPEs are positive and finite."""
+    return (mb > 0.0) & (mf > 0.0) & np.isfinite(mb) & np.isfinite(mf)
+
+
 def _plug_in_stack(G: np.ndarray, scale: np.ndarray, tau: int):
-    """phi_{tau,tau} * sqrt(backward MSPE / forward MSPE) at every point.
+    """The three plug-in systems at lag tau of every point, solved.
 
     ``G[i, a, b]`` is the covariance of the times z_i+a and z_i+b, for
-    a, b up to at least tau.  Batched form of
-    ``prediction_system(...).estimate`` with the same bits: every system
-    is sliced from the block in the orientation the scalar routine solves
-    it in.  Returns (estimates, ok); ``ok`` is False where
-    ``prediction_system`` would raise NumericalError.
+    a, b up to at least tau.  Every system is sliced from the block: the
+    Yule-Walker system with its predictors ordered most recent first, the
+    backcast and forecast systems on the times z_i+1..z_i+tau-1 with the
+    targets z_i and z_i+tau.  Returns (phi, backcast, forecast, backward
+    MSPE, forward MSPE, ridge); ``ridge[k, i]`` is the accepted ridge of
+    the Yule-Walker (k=0), backcast (1) and forecast (2) system of point i,
+    NaN where it ran out.
     """
-    rev = slice(tau - 1, None, -1)  # predictors zT+tau-1 down to zT
-    phi, ok = _solve_stack(G[:, rev, rev], G[:, tau, rev], scale)
-    Bb = G[:, :tau, :tau]  # backcast span zT..zT+tau-1
-    Bf = G[:, 1 : tau + 1, 1 : tau + 1]  # forecast span, one later
+    ridge = np.zeros((3, len(G)))
+    rev = slice(tau - 1, None, -1)  # predictors z+tau-1 down to z
+    phi, ridge[0] = _solve_stack(G[:, rev, rev], G[:, tau, rev], scale)
     bb = np.full((len(G), tau), -1.0)
     bf = bb.copy()
     if tau > 1:
-        bb[:, 1:], ok_b = _solve_stack(Bb[:, 1:, 1:], Bb[:, 1:, 0], scale)
-        bf[:, :-1], ok_f = _solve_stack(Bf[:, :-1, :-1], Bf[:, :-1, -1], scale)
-        ok &= ok_b & ok_f
-    mb = _mspe_stack(Bb, bb)
-    mf = _mspe_stack(Bf, bf)
-    ok &= (mb > 0.0) & (mf > 0.0) & np.isfinite(mb) & np.isfinite(mf)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return phi[:, -1] * np.sqrt(mb / mf), ok
+        inner = G[:, 1:tau, 1:tau]
+        bb[:, 1:], ridge[1] = _solve_stack(inner, G[:, 1:tau, 0], scale)
+        bf[:, :-1], ridge[2] = _solve_stack(inner, G[:, 1:tau, tau], scale)
+    mb = _mspe_stack(G[:, :tau, :tau], bb)  # backcast span z..z+tau-1
+    mf = _mspe_stack(G[:, 1 : tau + 1, 1 : tau + 1], bf)  # forecast span, one later
+    return phi, bb, bf, mb, mf, ridge
 
 
 def wavelet_lpacf(
@@ -539,8 +490,7 @@ def wavelet_lpacf(
     the grid, and per lag the Yule-Walker, backcast and forecast systems
     are slices of it, each solved by one stacked solve.  Systems that fail
     the Cholesky or |phi| <= 1 gate go to the scalar ridge-regularized
-    solve, so the estimates carry the same bits as a per-point loop over
-    ``prediction_system(...).estimate``.
+    solve.  ``prediction_system`` runs the same stage at one point.
 
     Points failing numerically are dropped and reported, not fatal.
     """
@@ -578,8 +528,10 @@ def wavelet_lpacf(
     estimates = np.empty((len(usable), max_lag))
     ok = np.ones(len(usable), dtype=bool)
     for tau in range(1, max_lag + 1):
-        estimates[:, tau - 1], ok_tau = _plug_in_stack(G, scale, tau)
-        ok &= ok_tau
+        phi, _, _, mb, mf, ridge = _plug_in_stack(G, scale, tau)
+        ok &= ~np.isnan(ridge).any(axis=0) & _mspe_ok(mb, mf)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            estimates[:, tau - 1] = phi[:, -1] * np.sqrt(mb / mf)
     dropped = np.concatenate([dropped, usable[~ok]])
     usable = usable[ok]
     estimates = estimates[ok]

@@ -312,8 +312,10 @@ def monte_carlo_rmse(
     estimate at all points, drop boundary-flagged points, take the
     root-mean-square deviation from the truth over the retained points,
     then average over replicates (standard error = sample s.d. /
-    sqrt(reps)).  A replicate in which the estimator fails at more than
-    10% of points is excluded and counted.
+    sqrt(reps)).  A replicate with no point outside the boundary margin,
+    or in which the estimator fails at more than 10% of points, is
+    excluded and counted; when every replicate is, the DataError counts
+    each reason.
     """
     if reps < 2:
         raise InvalidArgumentError(f"reps={reps} must be >= 2")
@@ -330,7 +332,7 @@ def monte_carlo_rmse(
     truth = _pacf_rows(k, np.array(lags))
     t0 = time.perf_counter()
     per_rep = []
-    excluded = 0
+    no_interior = too_many_dropped = 0
     for r in range(reps):
         x = _ar_recursion(table, spec.burn_in, spec.sigma, seed + r)
         ts = TimeSeries(x, origin=f"tvar(seed={seed + r})")
@@ -338,16 +340,24 @@ def monte_carlo_rmse(
         interior = grid.boundary == 0
         pts = grid.points[interior]
         n_dropped = len(grid.dropped_points)
-        if pts.size == 0 or n_dropped > 0.1 * (len(grid.points) + n_dropped):
-            excluded += 1
+        if pts.size == 0:
+            no_interior += 1
+            continue
+        if n_dropped > 0.1 * (len(grid.points) + n_dropped):
+            too_many_dropped += 1
             continue
         errs = []
         for i, tau in enumerate(lags):
             e = grid.estimates[interior, tau - 1] - truth[i, pts]
             errs.append(np.sqrt(np.mean(e * e)))
         per_rep.append(errs)
+    excluded = no_interior + too_many_dropped
     if not per_rep:
-        raise DataError(f"all {excluded} of {reps} replicates were excluded")
+        raise DataError(
+            f"all {excluded} of {reps} replicates were excluded: {no_interior} with no"
+            f" point outside the boundary margin, {too_many_dropped} with more than"
+            " 10% of points dropped"
+        )
     elapsed = time.perf_counter() - t0
     per_rep = np.asarray(per_rep)
     used = per_rep.shape[0]

@@ -258,6 +258,21 @@ def test_cli_benchmark_every_replicate_excluded(tmp_path, capsys):
     assert "all 3 of 3 replicates were excluded" in capsys.readouterr().err
 
 
+def test_cli_benchmark_piecewise_wavelet_needs_a_smaller_max_scale(tmp_path, capsys):
+    # at T=256 the default J*=8 gives the margin 2^7 + max_lag >= T/2, so
+    # no point lies outside it; J*=7 leaves an interior
+    out = str(tmp_path / "rmse.csv")
+    argv = ["benchmark", "--study", "piecewise-ar", "--method", "wavelet",
+            "--max-lag", "1", "--reps", "2", "--output", out]
+    assert main(argv) == 2
+    assert (
+        "all 2 of 2 replicates were excluded: 2 with no point outside the boundary"
+        " margin, 0 with more than 10% of points dropped"
+    ) in capsys.readouterr().err
+    assert main(argv + ["--max-scale", "7"]) == 0
+    assert open(out).read().splitlines()[1].startswith("wavelet,1,")
+
+
 def test_cli_benchmark_max_lag_zero_is_usage_error(tmp_path, capsys):
     out = str(tmp_path / "rmse.csv")
     assert main(["benchmark", "--max-lag", "0", "--reps", "3", "--output", out]) == 1

@@ -10,6 +10,7 @@ from locpacf import (
     InsufficientWindowError,
     InvalidArgumentError,
     LocalAcvGrid,
+    PredictionSystem,
     ar_autocovariances,
     classical_pacf,
     confidence_halfwidth,
@@ -17,12 +18,118 @@ from locpacf import (
     prediction_system,
     simulate_tvar,
     wavelet_lpacf,
-    weighted_local_acv,
     windowed_lpacf,
     ArPathSpec,
 )
 from locpacf.errors import NumericalError
-from locpacf.estimators import _pair_cov_matrix, _solve_regularized
+from locpacf.estimators import _PACF_SLACK, _RIDGE_START, _RIDGE_STOP
+from locpacf.kernels import EPANECHNIKOV, get_kernel
+from locpacf.series import as_series
+
+
+# Scalar reference implementations.  The library computes these quantities
+# in batched form; each definition here is the oracle its fast path is
+# pinned to.
+
+
+def weighted_local_acv(ts, center: int, L: int, kernel=EPANECHNIKOV, max_lag: int = 1):
+    """Kernel-weighted local autocovariances around one time point.
+
+    gamma_z(tau) = sum_t w_t X_t X_{t+tau} / sum_t w_t over pairs lying
+    inside the L-point window center-ceil(L/2)+1 .. center+floor(L/2),
+    weighted by the left index via w_t = h((t - center + L/2)/L).  The
+    rectangular kernel reproduces the classical biased autocovariance of
+    the length-L sub-series exactly.
+
+    Returns (gamma, effective_length, clipped) where effective_length is
+    the number of in-bounds window points and clipped tells whether the
+    nominal window left the series.
+    """
+    ts = as_series(ts)
+    kernel = get_kernel(kernel)
+    T = ts.T
+    if max_lag >= L / 2:
+        raise InvalidArgumentError(f"max_lag={max_lag} must be < L/2 = {L / 2}")
+    t = center + np.arange(-L // 2 + 1, L // 2 + 1)
+    w = kernel.h((t - center + L / 2) / L)
+    inb = (t >= 0) & (t <= T - 1)
+    clipped = bool(np.any(~inb))
+    eff = int(np.sum(inb))
+    if eff < max_lag + 1:
+        raise InsufficientWindowError(
+            f"window at center={center} retains {eff} points < max_lag+1"
+        )
+    denom = float(np.sum(w[inb]))
+    if denom <= 0.0:
+        raise InsufficientWindowError(f"window at center={center} has zero weight mass")
+    x = ts.values
+    win_end = t[-1]
+    gamma = np.zeros(max_lag + 1)
+    for tau in range(max_lag + 1):
+        ok = inb & (t + tau <= min(T - 1, win_end))
+        tt = t[ok]
+        gamma[tau] = float(np.sum(w[ok] * x[tt] * x[tt + tau])) / denom
+    return gamma, eff, clipped
+
+
+def _pair_cov_matrix(lacv: LocalAcvGrid, times: np.ndarray) -> np.ndarray:
+    n = len(times)
+    M = np.empty((n, n))
+    for a in range(n):
+        for b in range(a, n):
+            M[a, b] = M[b, a] = lacv.midpoint(times[a], times[b])
+    return M
+
+
+def _solve_regularized(B: np.ndarray, r: np.ndarray, scale: float):
+    """Solve B phi = r, escalating ridge regularization until the system is
+    positive definite and the trailing coefficient is a valid correlation."""
+    ridge = 0.0
+    eps = _RIDGE_START
+    eye = np.eye(B.shape[0])
+    while True:
+        M = B + ridge * eye
+        try:
+            np.linalg.cholesky(M)  # positive-definiteness gate
+            phi = np.linalg.solve(M, r)
+            if abs(phi[-1]) <= 1.0 + _PACF_SLACK and np.all(np.isfinite(phi)):
+                return phi, ridge
+        except np.linalg.LinAlgError:
+            pass
+        if eps > _RIDGE_STOP:
+            cond = float(np.linalg.cond(B)) if np.all(np.isfinite(B)) else np.inf
+            raise NumericalError(
+                f"Yule-Walker system unusable after ridge {_RIDGE_STOP}", condition=cond
+            )
+        ridge = eps * scale
+        eps *= 2.0
+
+
+def _scalar_prediction_system(lacv: LocalAcvGrid, zT: int, tau: int) -> PredictionSystem:
+    """``prediction_system`` built point by point from ``lacv.midpoint``."""
+    C = _pair_cov_matrix(lacv, np.arange(zT, zT + tau + 1))
+    scale = max(lacv.at(zT, 0), 1e-300)
+    rev = slice(tau - 1, None, -1)  # predictors zT+tau-1 down to zT
+    phi, _ = _solve_regularized(C[rev, rev], C[tau, rev], scale)
+    Bb = C[:-1, :-1]  # backcast span zT..zT+tau-1, target first
+    Bf = C[1:, 1:]  # forecast span zT+1..zT+tau, target last
+    if tau == 1:
+        bb = np.array([-1.0])
+        bf = np.array([-1.0])
+        mb, mf = float(Bb[0, 0]), float(Bf[0, 0])
+    else:
+        beta_b, _ = _solve_regularized(Bb[1:, 1:], Bb[1:, 0], scale)
+        beta_f, _ = _solve_regularized(Bf[:-1, :-1], Bf[:-1, -1], scale)
+        bb = np.concatenate([[-1.0], beta_b])
+        bf = np.concatenate([beta_f, [-1.0]])
+        mb = float(bb @ Bb @ bb)
+        mf = float(bf @ Bf @ bf)
+    if not (mb > 0.0 and mf > 0.0 and np.isfinite(mb) and np.isfinite(mf)):
+        raise NumericalError(
+            f"non-positive MSPE at zT={zT}, tau={tau}",
+            condition=float(np.linalg.cond(Bf)),
+        )
+    return PredictionSystem(tau, phi, bb, bf, Bb, Bf, mb, mf)
 
 
 def test_confidence_halfwidth_values():
@@ -152,6 +259,36 @@ def test_windowed_no_clamping_on_stationary_ar1():
     assert grid2.clamp_count == 0
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(8, 160),
+    st.sampled_from(["rectangular", "epanechnikov"]),
+    st.data(),
+)
+def test_windowed_lpacf_matches_weighted_local_acv(seed, T, kernel, data):
+    L = data.draw(st.integers(4, T - 1), label="L")  # odd and even widths
+    max_lag = data.draw(st.integers(1, (L - 1) // 2), label="max_lag")
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(T)
+    if data.draw(st.booleans(), label="zero block"):
+        # a stretch of zeros wider than the window leaves gamma(0) = 0
+        start = data.draw(st.integers(0, T - 1), label="start")
+        x[start : start + L + 2] = 0.0
+    grid = windowed_lpacf(x, L=L, kernel=kernel, max_lag=max_lag)
+    for row, c in enumerate(grid.points):
+        gam, eff, clipped = weighted_local_acv(x, c, L, kernel, max_lag)
+        assert grid.effective_length[row] == eff
+        assert grid.boundary[row] == clipped
+        assert np.allclose(grid.estimates[row], levinson_pacf(gam), rtol=0.0, atol=1e-10)
+    for c in grid.dropped_points:
+        try:
+            gam, eff, _ = weighted_local_acv(x, c, L, kernel, max_lag)
+        except InsufficientWindowError:
+            continue
+        assert eff < 2 * max_lag or gam[0] <= 0.0
+
+
 def _constant_grid(c_values, T=32):
     vals = np.tile(np.asarray(c_values, dtype=float)[:, None], (1, T))
     return LocalAcvGrid(vals, 0)
@@ -253,7 +390,7 @@ def test_wavelet_lpacf_on_constant_grid_reduces_to_classical():
 
 
 def _scalar_plug_in(lacv, T, max_lag):
-    """Per-point, per-lag reference: the loop the batched stage replaced."""
+    """Per-point, per-lag reference loop over the scalar prediction systems."""
     kept, rows, dropped = [], [], []
     for zT in range(T):
         if zT + max_lag > lacv.T - 1 or not lacv.values[0, zT] > 0:
@@ -261,7 +398,10 @@ def _scalar_plug_in(lacv, T, max_lag):
             continue
         try:
             rows.append(
-                [prediction_system(lacv, zT, tau).estimate for tau in range(1, max_lag + 1)]
+                [
+                    _scalar_prediction_system(lacv, zT, tau).estimate
+                    for tau in range(1, max_lag + 1)
+                ]
             )
             kept.append(zT)
         except NumericalError:
@@ -282,27 +422,74 @@ def _assert_matches_scalar_loop(lacv, max_lag):
     return grid
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(0, 2**32 - 1),
-    st.integers(1, 10),
-    st.floats(0.5, 1.0),
-    st.floats(0.0, 0.2),
-)
-def test_wavelet_lpacf_batched_stage_is_bit_identical_to_scalar_loop(
-    seed, max_lag, strength, noise
-):
-    # lag-tau rows v0 * rho^tau with rho ramping between two values of
-    # modulus up to `strength` (near-singular systems as it nears 1), and
-    # multiplicative noise that can break positive definiteness, so ridge
-    # regularization and both kinds of drop occur
+def _grid_family(seed, max_lag, strength, noise):
+    """lacv grid with lag-tau rows v0 * rho^tau, rho ramping between two
+    values of modulus up to ``strength`` (near-singular systems as it nears
+    1), and multiplicative noise that can break positive definiteness, so
+    ridge regularization and both kinds of drop occur."""
     rng = np.random.default_rng(seed)
     T = int(rng.integers(max_lag + 8, 33))
     v0 = np.exp(rng.normal(0.0, 0.5, T))
     rho = np.linspace(*rng.uniform(-strength, strength, 2), T)
     vals = v0 * rho ** np.arange(max_lag + 1)[:, None]
     vals[1:] *= 1.0 + noise * rng.standard_normal((max_lag, T))
-    _assert_matches_scalar_loop(LocalAcvGrid(vals, 0), max_lag)
+    return LocalAcvGrid(vals, 0)
+
+
+_grid_family_args = (
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 10),
+    st.floats(0.5, 1.0),
+    st.floats(0.0, 0.2),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(*_grid_family_args)
+def test_wavelet_lpacf_batched_stage_is_bit_identical_to_scalar_loop(
+    seed, max_lag, strength, noise
+):
+    _assert_matches_scalar_loop(_grid_family(seed, max_lag, strength, noise), max_lag)
+
+
+@settings(max_examples=30, deadline=None)
+@given(*_grid_family_args, st.floats(0.0, 0.5))
+def test_prediction_system_is_bit_identical_to_scalar_oracle(
+    seed, max_lag, strength, noise, zeros
+):
+    lacv = _grid_family(seed, max_lag, strength, noise)
+    # signed zeros off the diagonal, whose signs the solves must keep
+    vals = lacv.values.copy()
+    rng = np.random.default_rng(seed)
+    hit = rng.random(vals[1:].shape) < zeros
+    vals[1:][hit] = np.where(rng.random(hit.sum()) < 0.5, -0.0, 0.0)
+    lacv = LocalAcvGrid(vals, 0)
+    for zT in range(lacv.T - max_lag):
+        for tau in range(1, max_lag + 1):
+            try:
+                ref = _scalar_prediction_system(lacv, zT, tau)
+            except NumericalError as exc:
+                with pytest.raises(NumericalError) as got:
+                    prediction_system(lacv, zT, tau)
+                # the same message and condition number: the same system failed
+                assert str(got.value) == str(exc)
+                assert np.float64(got.value.condition).tobytes() == np.float64(
+                    exc.condition
+                ).tobytes()
+                continue
+            ps = prediction_system(lacv, zT, tau)
+            assert ps.lag == ref.lag
+            for name in (
+                "coefficients",
+                "backcast",
+                "forecast",
+                "backward_matrix",
+                "forward_matrix",
+                "mspe_backward",
+                "mspe_forward",
+            ):
+                got, want = np.asarray(getattr(ps, name)), np.asarray(getattr(ref, name))
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
 
 def test_wavelet_lpacf_ridge_fallback_matches_scalar_loop():
