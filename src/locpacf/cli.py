@@ -20,7 +20,13 @@ import numpy as np
 
 from . import io as _io
 from .errors import DataError, InvalidArgumentError, LocpacfError, NumericalError
-from .estimators import LpacfGrid, classical_pacf, wavelet_lpacf, windowed_lpacf
+from .estimators import (
+    LpacfGrid,
+    _check_bandwidth,
+    classical_pacf,
+    wavelet_lpacf,
+    windowed_lpacf,
+)
 from .simulate import (
     ArPathSpec,
     EstimatorConfig,
@@ -321,6 +327,9 @@ def _cmd_sweep(args) -> int:
         raise UsageError("--widths must be comma-separated integers") from None
     if not widths:
         raise UsageError("--widths is empty")
+    # every width is checked before the first output file is written
+    for L in widths:
+        _check_bandwidth(ts.T, L, args.max_lag)
     for L in widths:
         grid = windowed_lpacf(
             ts, L=L, kernel=args.kernel, max_lag=args.max_lag, demean=args.demean

@@ -15,14 +15,16 @@ Both assume mean-zero input; pass demean=True to subtract the
 (kernel-weighted, for the windowed estimator) local mean first.
 Estimation at distinct time points is independent; the implementations
 vectorize over points and produce deterministic output ordering.  The
-windowed estimator runs one sliding-sum pass and one batched Levinson
-recursion for all points.  All three plug-in systems at a point read one
-covariance block, the times zT..zT+tau of the local autocovariance
-surface.  The plug-in stage assembles that block for a stack of points by
-indexing the grid, slices each lag's systems from it, and solves each
-kind with one stacked solve; only systems needing ridge regularization
-are solved one at a time.  ``wavelet_lpacf`` runs it on every point, and
-``prediction_system`` on one.
+windowed estimator sums its windows only at the requested points, with
+one ``np.vecdot`` over a read-only sliding view of the zero-padded rows,
+and runs one batched Levinson recursion for them.  All three plug-in
+systems at a point read one covariance block, the times zT..zT+tau of
+the local autocovariance surface.  The plug-in stage assembles that
+block for a stack of points by indexing the grid, slices each lag's
+systems from it, and solves each kind with one stacked solve; only
+systems needing ridge regularization are solved one at a time.
+``wavelet_lpacf`` runs it on every point, and ``prediction_system`` on
+one.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     DegenerateInputError,
@@ -173,12 +176,42 @@ def _select_points(T: int, points, stride) -> np.ndarray:
     return np.arange(T)
 
 
-def _pair_products(x: np.ndarray, max_lag: int) -> np.ndarray:
-    T = len(x)
-    prod = np.zeros((max_lag + 1, T))
-    for tau in range(max_lag + 1):
-        prod[tau, : T - tau] = x[: T - tau] * x[tau:]
-    return prod
+# numpy's correlate sums kernels of at most this many taps in an unrolled
+# left-to-right loop instead of the BLAS dot it uses for longer ones
+_SMALL_KERNEL = 11
+
+
+def _check_bandwidth(T: int, L: int, max_lag: int) -> None:
+    if not 1 < L < T:
+        raise InvalidArgumentError(f"bandwidth L={L} must lie in (1, T={T})")
+    if not 1 <= max_lag < L / 2:
+        raise InvalidArgumentError(f"max_lag={max_lag} outside [1, L/2) for L={L}")
+
+
+def _window_sums(
+    rows: np.ndarray, weights: np.ndarray, start: int, stop: int, step: int = 1
+) -> np.ndarray:
+    """sums[i, j] = sum_k rows[i, start + j*step + k] * weights[i, k].
+
+    Only the windows starting at start, start + step, ... below stop are
+    summed, each in the bits of ``np.correlate(rows[i], weights[i],
+    "valid")`` at its start: vecdot calls the BLAS dot that correlate calls
+    per entry, and short kernels repeat correlate's unrolled sum.  The
+    windows are a read-only view of ``rows``, never a copy.
+    """
+    L = weights.shape[1]
+    n, m = rows.shape
+    # every length-L window of every row, as sliding_window_view builds it
+    # but without its per-call checks
+    windows = as_strided(
+        rows, (n, m - L + 1, L), rows.strides + rows.strides[1:], writeable=False
+    )[:, start:stop:step]
+    if L > _SMALL_KERNEL:
+        return np.vecdot(windows, weights[:, None, :])
+    sums = np.zeros(windows.shape[:2])
+    for k in range(L):
+        sums += windows[..., k] * weights[:, None, k]
+    return sums
 
 
 def windowed_lpacf(
@@ -196,45 +229,54 @@ def windowed_lpacf(
     window centred there, then the classical order-recursive partial
     autocorrelation.  Window clipping at the series ends is flagged and
     the effective window length is used for the CI half-width; points
-    retaining fewer than 2*max_lag observations are dropped.
+    retaining fewer than 2*max_lag observations are dropped.  The window
+    sums are taken only at the requested points (``demean`` needs the
+    local mean at every point), so a stride or a few points cost that
+    much less than every point.
     """
     ts = as_series(ts).require_length()
     kernel = get_kernel(kernel)
     T = ts.T
     if L is None:
         L = default_bandwidth(T)
-    if not 1 < L < T:
-        raise InvalidArgumentError(f"bandwidth L={L} must lie in (1, T={T})")
-    if not 1 <= max_lag < L / 2:
-        raise InvalidArgumentError(f"max_lag={max_lag} outside [1, L/2) for L={L}")
+    _check_bandwidth(T, L, max_lag)
     pts = _select_points(T, points, stride)
 
-    # One pass of windowed sums for every time point via correlation with
-    # the weight profile; per-point loops would repeat identical work.
+    # Zero-padded rows: the ones (weight mass) and the pair products at
+    # lags 0..max_lag, each summed against its weights over the window.
+    # Pairs must lie fully inside the window: weight on the left index,
+    # last tau window slots carry none.
     offs = np.arange(-L // 2 + 1, L // 2 + 1)
     w = kernel.h((offs + L / 2) / L)
+    weights = w[None, :].repeat(max_lag + 2, axis=0)
+    for tau in range(1, max_lag + 1):
+        weights[1 + tau, L - tau :] = 0.0
+    rows = np.zeros((max_lag + 2, T + 2 * L))
+    rows[0, L : L + T] = 1.0
+    first = L + offs[0]  # start of point 0's window in the padded rows
     x = ts.values
-    denom = _sliding_dot(np.ones(T), w, offs, T)
     if demean:
-        x = x - _sliding_dot(x, w, offs, T) / denom
-    prod = _pair_products(x, max_lag)
-    # pairs must lie fully inside the window: weight on the left index,
-    # last tau window slots carry none
-    gamma = np.empty((max_lag + 1, T))
+        rows[1, L : L + T] = x
+        sums = _window_sums(rows[:2], weights[:2], first, first + T)
+        x = x - sums[1] / sums[0]
     for tau in range(max_lag + 1):
-        w_tau = w.copy()
-        if tau:
-            w_tau[L - tau :] = 0.0
-        gamma[tau] = _sliding_dot(prod[tau], w_tau, offs, T)
-    gamma /= denom
+        np.multiply(x[: T - tau], x[tau:], out=rows[1 + tau, L : L + T - tau])
+    if points is None:
+        sums = _window_sums(rows, weights, first, first + T, stride or 1)
+    else:
+        # the span covering the points, never a copy of their windows
+        lo, hi = (pts.min(), pts.max() + 1) if pts.size else (0, 0)
+        sums = _window_sums(rows, weights, first + lo, first + hi)[:, pts - lo]
+    gamma = sums[1:]
+    gamma /= sums[0]
 
     # in-bounds window points, an exact count
     eff = np.minimum(pts + offs[-1], T - 1) - np.maximum(pts + offs[0], 0) + 1
-    keep_mask = (eff >= 2 * max_lag) & (gamma[0, pts] > 0.0)
+    keep_mask = (eff >= 2 * max_lag) & (gamma[0] > 0.0)
     kept = pts[keep_mask]
     dropped = pts[~keep_mask]
 
-    pacf = levinson_pacf(gamma[:, kept]) if kept.size else np.zeros((max_lag, 0))
+    pacf = levinson_pacf(gamma[:, keep_mask]) if kept.size else np.zeros((max_lag, 0))
     clamp_count = int(np.sum(np.abs(pacf) >= 1.0))
     eff = eff[keep_mask]
     boundary = (eff < L).astype(np.uint8)
@@ -251,16 +293,6 @@ def windowed_lpacf(
         dropped_points=dropped,
         effective_length=eff,
     )
-
-
-def _sliding_dot(arr: np.ndarray, w: np.ndarray, offs: np.ndarray, T: int) -> np.ndarray:
-    """out[c] = sum_k arr[c + offs[k]] * w[k], zero outside [0, T-1]."""
-    L = len(w)
-    pad = np.zeros(T + 2 * L)
-    pad[L : L + T] = arr
-    full = np.correlate(pad, w, "valid")
-    idx = np.arange(T) + offs[0] + L
-    return full[idx]
 
 
 def _solve_regularized(B: np.ndarray, r: np.ndarray, scale: float):

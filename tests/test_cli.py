@@ -307,3 +307,18 @@ def test_cli_zero_or_empty_value_is_not_taken_as_absent(tmp_path, capsys):
         assert main(argv) == 1
         assert needle in capsys.readouterr().err
         assert not os.path.exists(est)
+
+
+@pytest.mark.parametrize(
+    "widths, message",
+    [("64,8", "max_lag=4 outside [1, L/2) for L=8"), ("64,512", "bandwidth L=512 must lie in (1, T=512)")],
+)
+def test_cli_sweep_bandwidth_checks_every_width_before_writing(tmp_path, capsys, widths, message):
+    sim = str(tmp_path / "sim.csv")
+    assert main(["simulate", "tvar", "--T", "512", "--seed", "4", "--output", sim]) == 0
+    stem = str(tmp_path / "sweep.csv")
+    assert main(
+        ["sweep-bandwidth", "--input", sim, "--output", stem, "--widths", widths]
+    ) == 1
+    assert message in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["sim.csv"]

@@ -1,5 +1,7 @@
 """Classical and local partial autocorrelation estimators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from locpacf import (
     ArPathSpec,
 )
 from locpacf.errors import NumericalError
-from locpacf.estimators import _PACF_SLACK, _RIDGE_START, _RIDGE_STOP
+from locpacf.estimators import _PACF_SLACK, _RIDGE_START, _RIDGE_STOP, _window_sums
 from locpacf.kernels import EPANECHNIKOV, get_kernel
 from locpacf.series import as_series
 
@@ -70,6 +72,42 @@ def weighted_local_acv(ts, center: int, L: int, kernel=EPANECHNIKOV, max_lag: in
         tt = t[ok]
         gamma[tau] = float(np.sum(w[ok] * x[tt] * x[tt + tau])) / denom
     return gamma, eff, clipped
+
+
+def _sliding_dot(arr: np.ndarray, w: np.ndarray, offs: np.ndarray, T: int) -> np.ndarray:
+    """out[c] = sum_k arr[c + offs[k]] * w[k], zero outside [0, T-1].
+
+    One full-length ``np.correlate`` pass; the windowed estimator's sums at
+    any selection of points must equal these entries bit for bit.
+    """
+    L = len(w)
+    pad = np.zeros(T + 2 * L)
+    pad[L : L + T] = arr
+    full = np.correlate(pad, w, "valid")
+    idx = np.arange(T) + offs[0] + L
+    return full[idx]
+
+
+def _correlate_window_sums(x, L, kernel, max_lag, demean):
+    """The windowed estimator's weight mass and lag-0..max_lag pair sums at
+    every point, one ``_sliding_dot`` pass per row, and its weight rows."""
+    T = len(x)
+    offs = np.arange(-L // 2 + 1, L // 2 + 1)
+    w = get_kernel(kernel).h((offs + L / 2) / L)
+    denom = _sliding_dot(np.ones(T), w, offs, T)
+    if demean:
+        x = x - _sliding_dot(x, w, offs, T) / denom
+    weights = [w]
+    sums = [denom]
+    for tau in range(max_lag + 1):
+        w_tau = w.copy()
+        if tau:
+            w_tau[L - tau :] = 0.0
+        prod = np.zeros(T)
+        prod[: T - tau] = x[: T - tau] * x[tau:]
+        weights.append(w_tau)
+        sums.append(_sliding_dot(prod, w_tau, offs, T))
+    return np.array(sums), np.array(weights), x
 
 
 def _pair_cov_matrix(lacv: LocalAcvGrid, times: np.ndarray) -> np.ndarray:
@@ -287,6 +325,121 @@ def test_windowed_lpacf_matches_weighted_local_acv(seed, T, kernel, data):
         except InsufficientWindowError:
             continue
         assert eff < 2 * max_lag or gam[0] <= 0.0
+
+
+@st.composite
+def _window_case(draw):
+    """A series with a block of signed zeros, a width on either side of
+    numpy's 11-tap unrolled correlate, and a selection of points."""
+    T = draw(st.integers(16, 240), label="T")
+    if draw(st.booleans(), label="short kernel"):
+        L = draw(st.integers(3, 11), label="L")
+    else:
+        L = draw(st.integers(12, T - 1), label="L")
+    max_lag = draw(st.integers(1, (L - 1) // 2), label="max_lag")
+    kernel = draw(st.sampled_from(["rectangular", "epanechnikov"]), label="kernel")
+    demean = draw(st.booleans(), label="demean")
+    x = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed")).standard_normal(T)
+    # all -0.0 products in a window sum to +0.0 only from a +0.0 start
+    start = draw(st.integers(0, T - 1), label="zero start")
+    n = draw(st.integers(1, L + 2), label="zero length")
+    pattern = draw(st.sampled_from(["negative", "alternating", "drawn"]), label="signs")
+    if pattern == "negative":
+        signs = np.ones(n, bool)
+    elif pattern == "alternating":
+        signs = np.arange(n) % 2 == 1
+    else:
+        signs = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), bool)
+    block = x[start : start + n]
+    block[:] = np.where(signs[: len(block)], -0.0, 0.0)
+    kind = draw(st.sampled_from(["all", "stride", "points"]), label="selection")
+    if kind == "all":
+        select, pts = {}, np.arange(T)
+    elif kind == "stride":
+        stride = draw(st.integers(1, T), label="stride")
+        select, pts = {"stride": stride}, np.arange(0, T, stride)
+    else:
+        picked = draw(st.lists(st.integers(0, T - 1), min_size=1, max_size=12), label="points")
+        pts = np.array(draw(st.permutations(picked + [0, T - 1, picked[0]]), label="order"))
+        select = {"points": pts}
+    return x, L, kernel, max_lag, demean, select, pts
+
+
+@settings(max_examples=120, deadline=None)
+@given(_window_case())
+def test_windowed_sums_are_bit_identical_to_full_correlate(case):
+    x, L, kernel, max_lag, demean, select, pts = case
+    T = len(x)
+    full, weights, xd = _correlate_window_sums(x, L, kernel, max_lag, demean)
+    # the routine on the estimator's padded rows, at the selected windows
+    rows = np.zeros((max_lag + 2, T + 2 * L))
+    rows[0, L : L + T] = 1.0
+    for tau in range(max_lag + 1):
+        rows[1 + tau, L : L + T - tau] = xd[: T - tau] * xd[tau:]
+    offs = np.arange(-L // 2 + 1, L // 2 + 1)
+    first = L + offs[0]
+    if "points" in select:
+        lo, hi = pts.min(), pts.max() + 1
+        sums = _window_sums(rows, weights, first + lo, first + hi)[:, pts - lo]
+    else:
+        sums = _window_sums(rows, weights, first, first + T, select.get("stride", 1))
+    assert sums.tobytes() == full[:, pts].tobytes()
+    # and the estimator built on them
+    gamma = full[1:, pts] / full[0, pts]
+    eff = np.minimum(pts + offs[-1], T - 1) - np.maximum(pts + offs[0], 0) + 1
+    keep = (eff >= 2 * max_lag) & (gamma[0] > 0.0)
+    grid = windowed_lpacf(x, L=L, kernel=kernel, max_lag=max_lag, demean=demean, **select)
+    assert grid.points.tobytes() == pts[keep].tobytes()
+    assert grid.dropped_points.tobytes() == pts[~keep].tobytes()
+    if keep.any():
+        assert grid.estimates.tobytes() == levinson_pacf(gamma[:, keep]).T.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(8, 200),
+    st.sampled_from(["rectangular", "epanechnikov"]),
+    st.booleans(),
+    st.data(),
+)
+def test_windowed_selection_equals_the_every_point_grid(seed, T, kernel, demean, data):
+    L = data.draw(st.integers(3, T - 1), label="L")
+    max_lag = data.draw(st.integers(1, (L - 1) // 2), label="max_lag")
+    x = np.random.default_rng(seed).standard_normal(T)
+    kw = dict(L=L, kernel=kernel, max_lag=max_lag, demean=demean)
+    whole = windowed_lpacf(x, **kw)
+    row = {int(c): i for i, c in enumerate(whole.points)}
+    stride = data.draw(st.integers(1, T), label="stride")
+    picked = data.draw(st.lists(st.integers(0, T - 1), min_size=1, max_size=10), label="points")
+    for select, pts in (
+        ({"stride": stride}, np.arange(0, T, stride)),
+        ({"points": picked}, np.array(picked)),
+    ):
+        grid = windowed_lpacf(x, **kw, **select)
+        idx = np.array([row[int(c)] for c in pts if int(c) in row], dtype=int)
+        assert grid.points.tobytes() == whole.points[idx].tobytes()
+        assert grid.estimates.tobytes() == whole.estimates[idx].tobytes()
+        assert grid.ci_halfwidth.tobytes() == whole.ci_halfwidth[idx].tobytes()
+        assert grid.boundary.tobytes() == whole.boundary[idx].tobytes()
+        assert grid.effective_length.tobytes() == whole.effective_length[idx].tobytes()
+        assert set(grid.dropped_points) == set(pts) & set(whole.dropped_points)
+
+
+@pytest.mark.parametrize(
+    "select", [{"stride": 64}, {"points": np.arange(0, 32768, 64)}], ids=["stride", "points"]
+)
+def test_windowed_lpacf_memory_at_sparse_points_is_bounded(select):
+    # a copy of the 512 selected windows of the 6 summed rows is 100 MB
+    x = np.random.default_rng(0).standard_normal(32768)
+    tracemalloc.start()
+    try:
+        grid = windowed_lpacf(x, L=4096, max_lag=4, **select)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(grid.points) == 512
+    assert peak < 16 * 2**20
 
 
 def _constant_grid(c_values, T=32):
