@@ -39,7 +39,7 @@ for study, (spec, T, seed) in STUDIES.items():
     print(f"\n{study}, {REPS} replicates, RMSE x100 (standard error):")
     for config in CONFIGS[study]:
         report = monte_carlo_rmse(spec, config, REPS, [1, 2], seed, T)
-        row1, row2 = report.row(1), report.row(2)
+        row1, row2 = report.rows  # one row per requested lag, in order
         label = config.method
         if config.binwidth:
             label += f" L={config.binwidth}"

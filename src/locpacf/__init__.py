@@ -13,11 +13,9 @@ from .errors import (
     BoundaryError,
     DataError,
     DegenerateInputError,
-    InsufficientWindowError,
     InvalidArgumentError,
     LocpacfError,
     NumericalError,
-    VerificationError,
 )
 from .estimators import (
     LpacfGrid,
@@ -32,8 +30,6 @@ from .estimators import (
 )
 from .haar import (
     BProduct,
-    CrossCorrWaveletTable,
-    WindowedXcorr,
     a_matrix,
     b_product,
     haar_coefficients,
@@ -78,13 +74,11 @@ __all__ = [
     "ArPathSpec",
     "BProduct",
     "BoundaryError",
-    "CrossCorrWaveletTable",
     "DataError",
     "DegenerateInputError",
     "EPANECHNIKOV",
     "EstimatorConfig",
     "EwsGrid",
-    "InsufficientWindowError",
     "InvalidArgumentError",
     "LocalAcvGrid",
     "LocpacfError",
@@ -96,8 +90,6 @@ __all__ = [
     "RmseRow",
     "TaperKernel",
     "TimeSeries",
-    "VerificationError",
-    "WindowedXcorr",
     "a_matrix",
     "ar_autocovariances",
     "as_series",

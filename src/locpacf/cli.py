@@ -70,7 +70,6 @@ def _add_estimator_flags(p):
     p.add_argument("--max-lag", type=int, default=4)
     p.add_argument("--smooth-span", type=int, help="running-mean half-span s (wavelet)")
     p.add_argument("--max-scale", type=int, help="deepest wavelet scale J* (wavelet)")
-    p.add_argument("--demean", action="store_true", help="subtract the local mean first")
 
 
 def build_parser() -> _Parser:
@@ -102,8 +101,11 @@ def build_parser() -> _Parser:
     est.add_argument("--input", type=str, required=True)
     est.add_argument("--output", type=str, required=True)
     _add_estimator_flags(est)
+    est.add_argument("--demean", action="store_true", help="subtract the local mean first")
     _add_point_flags(est)
-    est.add_argument("--pad", action="store_true", help="reflect-pad non-dyadic input")
+    est.add_argument(
+        "--pad", action="store_true", help="reflect-pad non-dyadic input (wavelet)"
+    )
     est.add_argument("--plot", type=str, help="also write an SVG line plot")
 
     pac = sub.add_parser("pacf", help="classical whole-series partial autocorrelation")
@@ -261,6 +263,8 @@ def _cmd_estimate(args) -> int:
             pad=args.pad,
             **kw,
         )
+    if args.plot:
+        _io._check_plottable(grid)
     _io.write_long_csv(args.output, grid, ts.T)
     if args.plot:
         _io.svg_plot(args.plot, grid, ts.T, title=f"local pacf ({grid.kind})")
@@ -334,6 +338,8 @@ def _cmd_sweep(args) -> int:
         grid = windowed_lpacf(
             ts, L=L, kernel=args.kernel, max_lag=args.max_lag, demean=args.demean
         )
+        if args.plot:
+            _io._check_plottable(grid)
         _io.write_long_csv(_stem_with_suffix(args.output, f"L{L}"), grid, ts.T)
         if args.plot:
             _io.svg_plot(

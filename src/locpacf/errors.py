@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes: usage/argument problems -> 1,
-data problems (parsing, bounds, degenerate input) -> 2, numerical
-failures -> 3, verification failures -> 4.
+The CLI maps these onto process exit codes: InvalidArgumentError (and
+its own usage errors) -> 1, DataError and its subclasses BoundaryError
+and DegenerateInputError -> 2, NumericalError -> 3.  Verification
+failures raise nothing: ``locpacf verify`` returns 4 itself.
 """
 
 
@@ -22,10 +23,6 @@ class BoundaryError(DataError):
     """A window exceeds the series bounds under the strict policy."""
 
 
-class InsufficientWindowError(DataError):
-    """Effective window mass is too small for the requested lags."""
-
-
 class DegenerateInputError(DataError):
     """Input has no usable variation (e.g. zero sample variance)."""
 
@@ -36,7 +33,3 @@ class NumericalError(LocpacfError):
     def __init__(self, message, condition=None):
         super().__init__(message)
         self.condition = condition
-
-
-class VerificationError(LocpacfError):
-    """A verification property suite reported failures."""

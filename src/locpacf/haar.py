@@ -30,10 +30,8 @@ __all__ = [
     "psi_cross_bruteforce",
     "psi_cross_closed",
     "omega_core",
-    "CrossCorrWaveletTable",
     "i_windowed",
     "i_windowed_support",
-    "WindowedXcorr",
     "lemma_bound_thresholds",
     "a_matrix",
     "b_product",
@@ -199,75 +197,9 @@ def psi_cross_closed(j: int, l: int, tau: int) -> float:
     return _xcorr_closed_upper(j, l, -tau)
 
 
-class CrossCorrWaveletTable:
-    """Precomputed Psi_{j,l}(tau) for all 1 <= j, l <= max_scale.
-
-    Values are computed once by brute-force summation and are immutable
-    afterwards; lags outside the finite support return 0.
-    """
-
-    def __init__(self, max_scale: int):
-        self.max_scale = _check_scale(max_scale, "max_scale", limit=16)
-        self._table = {}
-        for j in range(1, max_scale + 1):
-            for l in range(1, max_scale + 1):
-                lo, hi = -(1 << l), 1 << j  # support of the discrete sum
-                vals = np.array(
-                    [psi_cross_bruteforce(j, l, t) for t in range(lo, hi + 1)]
-                )
-                vals.setflags(write=False)
-                self._table[(j, l)] = (lo, vals)
-
-    def value(self, j: int, l: int, tau: int) -> float:
-        lo, vals = self._table[(j, l)]
-        idx = int(tau) - lo
-        if idx < 0 or idx >= len(vals):
-            return 0.0
-        return float(vals[idx])
-
-
 def i_windowed_support(N: int, zT: int, l: int) -> tuple[int, int]:
     """Smallest and largest k with possibly nonzero i_{N,z}(., l, k)."""
     return zT - N // 2 + 1, zT + N // 2 + (1 << l) - 1
-
-
-class WindowedXcorr:
-    """Windowed cross-scale autocorrelation wavelets for one (N, zT, kernel).
-
-    Values i_{N,z}(j, l, k) are computed on first access per scale pair and
-    cached; anything outside the finite support window is 0.
-    """
-
-    def __init__(self, N: int, zT: int, kernel: TaperKernel = RECTANGULAR):
-        if N <= 0 or N % 2:
-            raise InvalidArgumentError(
-                f"window length N={N} must be a positive even integer"
-            )
-        self.N = int(N)
-        self.zT = int(zT)
-        self.kernel = kernel
-        self._cache: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
-
-    def support(self, l: int) -> tuple[int, int]:
-        return i_windowed_support(self.N, self.zT, l)
-
-    def value(self, j: int, l: int, k: int) -> float:
-        key = (int(j), int(l))
-        if key not in self._cache:
-            kmin, kmax = self.support(l)
-            vals = np.array(
-                [
-                    i_windowed(self.N, self.zT, j, l, kk, self.kernel)
-                    for kk in range(kmin, kmax + 1)
-                ]
-            )
-            vals.setflags(write=False)
-            self._cache[key] = (kmin, vals)
-        kmin, vals = self._cache[key]
-        idx = int(k) - kmin
-        if idx < 0 or idx >= len(vals):
-            return 0.0
-        return float(vals[idx])
 
 
 def lemma_bound_thresholds(N: int, zT: int, l: int) -> tuple[int, int]:

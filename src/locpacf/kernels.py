@@ -2,8 +2,8 @@
 
 Two kernels are supported: the rectangular kernel h(x) = 1 and the
 Epanechnikov kernel h(x) = (3/4)(1 - (2x - 1)^2), both on [0, 1] and
-symmetric about 1/2.  The normalizer ``h_norm(N)`` is
-H_N = sum_{t<N} h(t/N)^2, so the rectangular kernel gives H_N = N.
+symmetric about 1/2.  Callers evaluate ``h`` at the points they keep;
+the tapered periodogram forms its normalizer H from those values.
 """
 
 from __future__ import annotations
@@ -31,18 +31,10 @@ def _epanechnikov(x):
 
 @dataclass(frozen=True)
 class TaperKernel:
-    """A nonnegative taper on [0, 1] with its discrete normalizer."""
+    """A named nonnegative taper h on [0, 1]."""
 
     kind: str
     h: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-
-    def weights(self, n: int) -> np.ndarray:
-        """h(t/n) for t = 0..n-1."""
-        return self.h(np.arange(n) / n)
-
-    def h_norm(self, n: int) -> float:
-        """H_n = sum_{t<n} h(t/n)^2."""
-        return float(np.sum(self.weights(n) ** 2))
 
 
 RECTANGULAR = TaperKernel("rectangular", _rect)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Callable, Sequence
 
@@ -289,12 +289,6 @@ class RmseReport:
     rows: tuple[RmseRow, ...]
     seed: int
 
-    def row(self, lag: int) -> RmseRow:
-        for r in self.rows:
-            if r.lag == lag:
-                return r
-        raise KeyError(lag)
-
 
 def monte_carlo_rmse(
     spec: ArPathSpec,
@@ -315,7 +309,8 @@ def monte_carlo_rmse(
     sqrt(reps)).  A replicate with no point outside the boundary margin,
     or in which the estimator fails at more than 10% of points, is
     excluded and counted; when every replicate is, the DataError counts
-    each reason.
+    each reason.  The report holds one row per requested lag, in the order
+    given.
     """
     if reps < 2:
         raise InvalidArgumentError(f"reps={reps} must be >= 2")

@@ -1,6 +1,7 @@
 """B-product closed forms against brute-force summation."""
 
-import numpy as np
+from collections import Counter
+
 import pytest
 
 from locpacf import b_product
@@ -35,46 +36,39 @@ def test_symmetry_in_upper_scales(brute_table):
                 assert swapped == pytest.approx(brute_table[(l, j, i)], abs=1e-12)
 
 
-def test_exact_cases_match_bruteforce(brute_table):
-    checked = 0
-    for (l, j, i), brute in brute_table.items():
-        closed = b_product(l, j, i)
-        if closed.kind == "exact":
-            assert closed.value == pytest.approx(brute, abs=1e-10), (l, j, i)
-            checked += 1
-    assert checked > 100
+# The closed forms are compared with brute force on GRID once, by the
+# "B-product closed forms" and "B-product overall bound" checks of the shared
+# ``locpacf verify`` run; the tests below also count the closed-form cases,
+# so that no kind of case can drop out of that comparison unnoticed.
 
 
-def test_approx_cases_within_published_envelope(brute_table):
+def _closed_kinds():
+    return Counter(b_product(l, j, i).kind for (l, j, i) in GRID)
+
+
+def test_exact_cases_match_bruteforce(verify_run):
+    res = verify_run.check("B-product closed forms")
+    assert res.passed, res.detail
+    assert _closed_kinds()["exact"] > 100
+
+
+def test_approx_cases_within_published_envelope(verify_run):
     # one scale equals l, the other c > l: the closed value is the stated
     # large-scale approximation with |error| <= 5 * 2^{-l} * 2^{-(c-l)/2}
-    seen = 0
-    for (l, j, i), brute in brute_table.items():
-        closed = b_product(l, j, i)
-        if closed.kind == "approx":
-            c = max(j, i)
-            envelope = 5.0 * 2.0 ** (-l) * 2.0 ** (-(c - l) / 2)
-            assert abs(closed.value - brute) <= envelope, (l, j, i)
-            seen += 1
-    assert seen > 0
+    res = verify_run.check("B-product closed forms")
+    assert res.passed, res.detail
+    assert _closed_kinds()["approx"] > 0
 
 
-def test_bound_cases_hold(brute_table):
-    seen = 0
-    for (l, j, i), brute in brute_table.items():
-        closed = b_product(l, j, i)
-        if closed.kind == "bound":
-            assert brute <= closed.value + 1e-10, (l, j, i)
-            seen += 1
-    assert seen > 0
+def test_bound_cases_hold(verify_run):
+    res = verify_run.check("B-product closed forms")
+    assert res.passed, res.detail
+    assert _closed_kinds()["bound"] > 0
 
 
-def test_overall_bound_single_constant(brute_table):
-    ratios = [
-        brute / (2.0 ** (-(j + i) / 2) * 2.0 ** (2 * l))
-        for (l, j, i), brute in brute_table.items()
-    ]
-    assert max(ratios) <= 1.0  # measured 0.75 on this grid
+def test_overall_bound_single_constant(verify_run):
+    res = verify_run.check("B-product overall bound")  # measured K = 0.75 on GRID
+    assert res.passed, res.detail
 
 
 def test_part_c_sandwich_case(brute_table):

@@ -322,3 +322,23 @@ def test_cli_sweep_bandwidth_checks_every_width_before_writing(tmp_path, capsys,
     ) == 1
     assert message in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == ["sim.csv"]
+
+
+def test_cli_benchmark_refuses_demean(tmp_path, capsys):
+    # the Monte-Carlo study never demeaned; the switch belongs to estimate only
+    out = str(tmp_path / "rmse.csv")
+    assert main(["benchmark", "--demean", "--reps", "2", "--output", out]) == 1
+    assert "unrecognized arguments: --demean" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["estimate", "sweep-bandwidth"])
+def test_cli_failed_plot_writes_no_csv(tmp_path, capsys, command):
+    # a constant series has zero variance once demeaned, so no point survives
+    sim = _write(tmp_path, "flat.csv", "1.0\n" * 128)
+    argv = [command, "--input", sim, "--output", str(tmp_path / "e.csv"),
+            "--demean", "--plot", str(tmp_path / "e.svg")]
+    argv += ["--binwidth", "32"] if command == "estimate" else ["--widths", "32"]
+    assert main(argv) == 2
+    assert "nothing to plot: grid has no points" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["flat.csv"]

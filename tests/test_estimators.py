@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from locpacf import (
     DegenerateInputError,
-    InsufficientWindowError,
     InvalidArgumentError,
     LocalAcvGrid,
     PredictionSystem,
@@ -32,6 +31,10 @@ from locpacf.series import as_series
 # Scalar reference implementations.  The library computes these quantities
 # in batched form; each definition here is the oracle its fast path is
 # pinned to.
+
+
+class InsufficientWindowError(Exception):
+    """The oracle's window keeps too few points or no weight mass."""
 
 
 def weighted_local_acv(ts, center: int, L: int, kernel=EPANECHNIKOV, max_lag: int = 1):

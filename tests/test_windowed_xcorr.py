@@ -1,21 +1,13 @@
 """Windowed cross-scale autocorrelation wavelets and their bounds."""
 
-import numpy as np
 import pytest
 
 from locpacf import (
     RECTANGULAR,
-    WindowedXcorr,
     i_windowed,
     i_windowed_support,
     lemma_bound_thresholds,
     psi_cross_bruteforce,
-)
-from locpacf.verify import (
-    check_lemma1_overlapping_grid,
-    check_lemma1_spec_grid,
-    check_lemma2_growth,
-    check_windowed_equals_psi,
 )
 
 
@@ -79,30 +71,24 @@ def test_lemma_thresholds():
     assert b2 == 100 + 8 + 8 - 1
 
 
-def test_lemma1_bounds_on_stated_grid():
-    res = check_lemma1_spec_grid()
+# The lemma 1 and lemma 2 grids run once, in the shared ``locpacf verify`` run.
+
+
+def test_lemma1_bounds_on_stated_grid(verify_run):
+    res = verify_run.check("windowed-wavelet bounds (stated grid)")
     assert res.passed, res.detail
 
 
-def test_lemma1_bounds_on_overlapping_grid():
-    res = check_lemma1_overlapping_grid()
+def test_lemma1_bounds_on_overlapping_grid(verify_run):
+    res = verify_run.check("windowed-wavelet bounds (overlapping windows)")
     assert res.passed, res.detail
 
 
-def test_windowed_equals_psi_check():
-    res = check_windowed_equals_psi()
+def test_windowed_equals_psi_check(verify_run):
+    res = verify_run.check("windowed equals full cross-correlation when covering")
     assert res.passed, res.detail
 
 
-def test_energy_growth_bounded():
-    res = check_lemma2_growth()
+def test_energy_growth_bounded(verify_run):
+    res = verify_run.check("windowed-wavelet energy growth")
     assert res.passed, res.detail
-
-
-def test_windowed_xcorr_table_matches_scalar_op():
-    table = WindowedXcorr(16, 8)
-    for j in (1, 2, 3):
-        for l in (1, 2, 3):
-            kmin, kmax = table.support(l)
-            for k in range(kmin - 2, kmax + 3):
-                assert table.value(j, l, k) == i_windowed(16, 8, j, l, k)
