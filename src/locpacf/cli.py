@@ -143,7 +143,7 @@ def build_parser() -> _Parser:
 def _load_config(path: str) -> dict:
     out = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -154,6 +154,8 @@ def _load_config(path: str) -> dict:
                 out[key.strip().replace("-", "_")] = val.strip()
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise UsageError(f"config file {path}: not UTF-8 text") from None
     return out
 
 

@@ -60,7 +60,7 @@ def read_series(path: str) -> TimeSeries:
     if not os.path.exists(path):
         raise DataError(f"no such file: {path}")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             try:
                 values = np.array([float(line) for line in fh])
                 clean = values.size > 0 and bool(np.isfinite(values).all())

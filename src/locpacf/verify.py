@@ -9,10 +9,10 @@ closed forms they test.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .haar import (
     a_matrix,
@@ -44,21 +44,20 @@ class CheckResult:
 
 
 def cos_ratio_integral(a: float, b: float) -> float:
-    """Adaptive quadrature of the trigonometric ratio integral
+    """Gauss-Legendre quadrature of the trigonometric ratio integral
 
-    int_{-pi}^{pi} (1-cos(2a w))(1-cos(2b w)) / (1-cos(w)) dw,
+    int_{-pi}^{pi} (1-cos(2a w))(1-cos(2b w)) / (1-cos(w)) dw.
 
-    treating w = 0 by its finite limit.  Closed value: 4*pi*min(a, b).
+    A fixed rule of n = max(64, ceil(4(a+b))) nodes per half, on [-pi, 0]
+    and on [0, pi]; the integrand is even, so the two halves are one sum,
+    counted twice.  w = 0 is an endpoint, never a node, so the removable
+    singularity is never evaluated.  Closed value: 4*pi*min(a, b); the rule
+    agrees with it to a relative 1e-10 for every 2a, 2b in 1..128.
     """
-
-    def f(w):
-        if abs(w) < 1e-8:
-            # series: numerator ~ (2a^2 w^2)(2b^2 w^2), denominator ~ w^2/2
-            return 8.0 * a * a * b * b * w * w
-        return (1 - np.cos(2 * a * w)) * (1 - np.cos(2 * b * w)) / (1 - np.cos(w))
-
-    val, _ = quad(f, -np.pi, np.pi, points=[0.0], limit=200, epsabs=1e-10, epsrel=1e-10)
-    return val
+    x, wts = np.polynomial.legendre.leggauss(max(64, math.ceil(4 * (a + b))))
+    w = np.pi / 2 * (x + 1)  # the nodes on (0, pi)
+    f = (1 - np.cos(2 * a * w)) * (1 - np.cos(2 * b * w)) / (1 - np.cos(w))
+    return float(np.pi * (wts @ f))
 
 
 def check_haar_basics(max_scale: int = 10) -> CheckResult:

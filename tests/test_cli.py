@@ -1,10 +1,14 @@
 """CSV ingestion, long-format output, SVG plotting, and the CLI surface."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import locpacf
 from locpacf import DataError, TimeSeries, read_series, write_series
 from locpacf.cli import main
 from locpacf.io import LONG_HEADER
@@ -94,9 +98,9 @@ def test_cli_simulate_estimate_end_to_end(tmp_path):
             "--plot", plot,
         ]
     ) == 0
-    lines = open(est).read().splitlines()
+    lines = Path(est).read_text().splitlines()
     assert lines[0] == LONG_HEADER
-    svg = open(plot).read()
+    svg = Path(plot).read_text()
     assert svg.startswith("<svg") and "polyline" in svg and "dasharray" in svg
     # CI half-width for L=40 on any interior (unclipped) record
     interior = [r.split(",") for r in lines[1:] if r.endswith(",0")]
@@ -116,7 +120,7 @@ def test_cli_estimate_wavelet_empty_ci(tmp_path):
         ["estimate", "--input", sim, "--output", est, "--method", "wavelet",
          "--max-lag", "2", "--max-scale", "5", "--smooth-span", "12"]
     ) == 0
-    for line in open(est).read().splitlines()[1:3]:
+    for line in Path(est).read_text().splitlines()[1:3]:
         parts = line.split(",")
         assert parts[4] == "" and parts[5] == ""
 
@@ -129,7 +133,7 @@ def test_cli_determinism_byte_identical(tmp_path):
         main(["simulate", "piecewise-ar", "--seed", "7", "--output", sim])
         main(["estimate", "--input", sim, "--output", est, "--binwidth", "48",
               "--max-lag", "2", "--stride", "4"])
-        out.append(open(est, "rb").read())
+        out.append(Path(est).read_bytes())
     assert out[0] == out[1]
 
 
@@ -138,7 +142,7 @@ def test_cli_pacf_subcommand(tmp_path):
     out = str(tmp_path / "pacf.csv")
     main(["simulate", "tvar", "--T", "128", "--seed", "2", "--output", sim])
     assert main(["pacf", "--input", sim, "--output", out, "--max-lag", "6"]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == LONG_HEADER
     assert len(lines) == 7
 
@@ -191,11 +195,11 @@ def test_cli_config_file_precedence(tmp_path):
     est2 = str(tmp_path / "e2.csv")
     # config supplies binwidth and max-lag
     assert main(["--config", cfg, "estimate", "--input", sim, "--output", est1]) == 0
-    lines = open(est1).read().splitlines()
+    lines = Path(est1).read_text().splitlines()
     assert len(lines[1:]) % 3 == 0
 
     def interior_ci(path):
-        rows = [r.split(",") for r in open(path).read().splitlines()[1:] if r.endswith(",0")]
+        rows = [r.split(",") for r in Path(path).read_text().splitlines()[1:] if r.endswith(",0")]
         return float(rows[len(rows) // 2][5])
 
     assert interior_ci(est1) == pytest.approx(1.96 / np.sqrt(64), abs=1e-6)
@@ -212,13 +216,13 @@ def test_cli_flag_with_equals_overrides_config(tmp_path):
     est = str(tmp_path / "e.csv")
     assert main(["--config", cfg, "estimate", "--input", sim, "--output", est,
                  "--max-lag=3"]) == 0
-    lags = {r.split(",")[2] for r in open(est).read().splitlines()[1:]}
+    lags = {r.split(",")[2] for r in Path(est).read_text().splitlines()[1:]}
     assert lags == {"1", "2", "3"}
     # a point flag on the command line replaces the config's point choice
     cfg = _write(tmp_path, "pts.cfg", "points=10,20\n")
     assert main(["--config", cfg, "estimate", "--input", sim, "--output", est,
                  "--binwidth", "64", "--stride=64"]) == 0
-    points = {r.split(",")[0] for r in open(est).read().splitlines()[1:]}
+    points = {r.split(",")[0] for r in Path(est).read_text().splitlines()[1:]}
     assert points == {"0", "64", "128", "192"}
 
 
@@ -236,6 +240,24 @@ def test_cli_bad_config_value_is_usage_error(tmp_path, capsys):
         assert needle in capsys.readouterr().err
 
 
+def test_cli_config_with_bom_keeps_its_first_key(tmp_path):
+    sim = str(tmp_path / "sim.csv")
+    main(["simulate", "tvar", "--T", "256", "--seed", "5", "--output", sim])
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfmax_lag=2\nbinwidth=64\n")
+    est = str(tmp_path / "e.csv")
+    assert main(["--config", str(cfg), "estimate", "--input", sim, "--output", est]) == 0
+    lags = {r.split(",")[2] for r in Path(est).read_text().splitlines()[1:]}
+    assert lags == {"1", "2"}
+
+
+def test_cli_non_utf8_config_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"max_lag=2\n\xff\n")
+    assert main(["--config", str(cfg), "verify"]) == 1
+    assert f"config file {cfg}: not UTF-8 text" in capsys.readouterr().err
+
+
 def test_cli_benchmark_small(tmp_path):
     out = str(tmp_path / "rmse.csv")
     assert main(
@@ -243,7 +265,7 @@ def test_cli_benchmark_small(tmp_path):
          "--method", "windowed", "--binwidth", "48", "--max-lag", "2",
          "--seed", "0", "--output", out]
     ) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0].startswith("estimator,lag,rmse")
     assert len(lines) == 3
 
@@ -270,7 +292,7 @@ def test_cli_benchmark_piecewise_wavelet_needs_a_smaller_max_scale(tmp_path, cap
         " margin, 0 with more than 10% of points dropped"
     ) in capsys.readouterr().err
     assert main(argv + ["--max-scale", "7"]) == 0
-    assert open(out).read().splitlines()[1].startswith("wavelet,1,")
+    assert Path(out).read_text().splitlines()[1].startswith("wavelet,1,")
 
 
 def test_cli_benchmark_max_lag_zero_is_usage_error(tmp_path, capsys):
@@ -342,3 +364,15 @@ def test_cli_failed_plot_writes_no_csv(tmp_path, capsys, command):
     assert main(argv) == 2
     assert "nothing to plot: grid has no points" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == ["flat.csv"]
+
+
+def test_cli_verify_imports_no_scipy():
+    # numpy is the one runtime dependency; no command may pull in scipy
+    code = (
+        "import sys; from locpacf.cli import main; assert main(['verify']) == 0; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(locpacf.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"

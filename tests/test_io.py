@@ -167,6 +167,16 @@ def test_read_series_matches_reference_scan(tmp_path_factory, lines, newline, tr
         assert got.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize(
+    "text, values",
+    [("1.5\n2.5\n3.5\n", [1.5, 2.5, 3.5]), ("value\n1.5\n2.5\n", [1.5, 2.5])],
+)
+def test_read_series_skips_a_utf8_bom(tmp_path, text, values):
+    p = tmp_path / "bom.csv"
+    p.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert read_series(str(p)).values.tolist() == values
+
+
 def test_write_long_csv_memory_is_bounded_by_the_chunk(tmp_path):
     # a writer that joins the whole file first peaks near 40 MB here
     n, max_lag = 32768, 4

@@ -11,6 +11,7 @@ from locpacf import (
     EwsGrid,
     InvalidArgumentError,
     RECTANGULAR,
+    TimeSeries,
     a_matrix,
     haar_coefficients,
     integrated_periodogram,
@@ -55,6 +56,38 @@ def test_transform_linearity(seed):
     dy = nondecimated_haar_transform(y, 4)
     dxy = nondecimated_haar_transform(x + y, 4)
     assert np.allclose(dxy, dx + dy, atol=1e-12)
+
+
+def direct_haar_transform(x, max_scale):
+    """The definition d_{j,k} = sum_t X_t psi_{j,(t-k) mod T} as a direct circular sum."""
+    T = len(x)
+    d = np.zeros((max_scale, T))
+    for j in range(1, max_scale + 1):
+        psi = np.zeros(T)
+        psi[: 1 << j] = haar_coefficients(j)
+        for k in range(T):
+            d[j - 1, k] = sum(x[t] * psi[(t - k) % T] for t in range(T))
+    return d
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.data())
+def test_transform_matches_direct_circular_sum(log2_T, seed, data):
+    max_scale = data.draw(st.integers(1, log2_T))
+    x = np.random.default_rng(seed).standard_normal(1 << log2_T)
+    d = nondecimated_haar_transform(x, max_scale)
+    assert np.abs(d - direct_haar_transform(x, max_scale)).max() <= 1e-12 * np.linalg.norm(x)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(3, 255).filter(lambda T: T & (T - 1)), st.integers(0, 2**32 - 1), st.data())
+def test_padded_transform_matches_direct_circular_sum(T, seed, data):
+    x = np.random.default_rng(seed).standard_normal(T)
+    padded, _ = TimeSeries(x).pad_to_dyadic()
+    max_scale = data.draw(st.integers(1, int(np.log2(padded.T))))
+    d = nondecimated_haar_transform(x, max_scale, pad=True)
+    ref = direct_haar_transform(padded.values, max_scale)[:, :T]
+    assert np.abs(d - ref).max() <= 1e-12 * np.linalg.norm(x)
 
 
 def test_periodogram_scaling_and_nonnegativity():
