@@ -19,11 +19,12 @@ import sys
 import numpy as np
 
 from . import io as _io
-from .errors import DataError, InvalidArgumentError, LocpacfError, NumericalError
+from .errors import DataError, InvalidArgumentError, NumericalError
 from .estimators import (
     LpacfGrid,
     _check_bandwidth,
     classical_pacf,
+    confidence_halfwidth,
     wavelet_lpacf,
     windowed_lpacf,
 )
@@ -44,21 +45,15 @@ EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFY = 4
 
-
-class UsageError(LocpacfError):
-    pass
+# The two Monte-Carlo studies of ``benchmark``; by default ``simulate``
+# draws one series of either.
+TVAR_STUDY = {"T": 512, "phi_start": 0.9, "phi_end": -0.9}  # AR(1), linear ramp
+PIECEWISE_STUDY = "85:-0.2;86:0.5,0.2;85:-0.2"  # length:coef[,coef...] per segment
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
-
-
-def _add_point_flags(p):
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--all-points", action="store_true", help="estimate at every index")
-    g.add_argument("--stride", type=int, help="estimate every n-th index")
-    g.add_argument("--points", type=str, help="comma-separated explicit indices")
+        raise InvalidArgumentError(message)
 
 
 def _add_estimator_flags(p):
@@ -80,9 +75,9 @@ def build_parser() -> _Parser:
     sim = sub.add_parser("simulate", help="simulate a test process")
     simsub = sim.add_subparsers(dest="process", required=True)
     tv = simsub.add_parser("tvar", help="time-varying AR(1) with a linear ramp")
-    tv.add_argument("--T", type=int, default=512)
-    tv.add_argument("--phi-start", type=float, default=0.9)
-    tv.add_argument("--phi-end", type=float, default=-0.9)
+    tv.add_argument("--T", type=int, default=TVAR_STUDY["T"])
+    tv.add_argument("--phi-start", type=float, default=TVAR_STUDY["phi_start"])
+    tv.add_argument("--phi-end", type=float, default=TVAR_STUDY["phi_end"])
     tv.add_argument("--sigma", type=float, default=1.0)
     tv.add_argument("--seed", type=int, default=0)
     tv.add_argument("--output", type=str, required=True)
@@ -90,7 +85,7 @@ def build_parser() -> _Parser:
     pw.add_argument(
         "--segments",
         type=str,
-        default="85:-0.2;86:0.5,0.2;85:-0.2",
+        default=PIECEWISE_STUDY,
         help="length:coef,coef;length:... (default: the three-segment AR study)",
     )
     pw.add_argument("--sigma", type=float, default=1.0)
@@ -102,7 +97,9 @@ def build_parser() -> _Parser:
     est.add_argument("--output", type=str, required=True)
     _add_estimator_flags(est)
     est.add_argument("--demean", action="store_true", help="subtract the local mean first")
-    _add_point_flags(est)
+    points = est.add_mutually_exclusive_group()  # neither: every index
+    points.add_argument("--stride", type=int, help="estimate every n-th index")
+    points.add_argument("--points", type=str, help="comma-separated explicit indices")
     est.add_argument(
         "--pad", action="store_true", help="reflect-pad non-dyadic input (wavelet)"
     )
@@ -135,8 +132,11 @@ def build_parser() -> _Parser:
 
     ver = sub.add_parser("verify", help="run the wavelet formula/property suites")
     ver.add_argument("--output", type=str, help="also write the results as CSV")
-    for leaf in (tv, pw, est, pac, ben, sw, ver):
-        leaf.set_defaults(leaf=leaf)
+    for leaf, run in (
+        (tv, _cmd_tvar), (pw, _cmd_piecewise), (est, _cmd_estimate), (pac, _cmd_pacf),
+        (ben, _cmd_benchmark), (sw, _cmd_sweep), (ver, _cmd_verify),
+    ):
+        leaf.set_defaults(leaf=leaf, run=run)
     return top
 
 
@@ -149,17 +149,19 @@ def _load_config(path: str) -> dict:
                 if not line or line.startswith("#"):
                     continue
                 if "=" not in line:
-                    raise UsageError(f"{path}: line {lineno}: expected key=value")
+                    raise InvalidArgumentError(
+                        f"{path}: line {lineno}: expected key=value"
+                    )
                 key, val = line.split("=", 1)
                 out[key.strip().replace("-", "_")] = val.strip()
     except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from None
+        raise InvalidArgumentError(f"cannot read config file {path}: {exc}") from None
     except UnicodeDecodeError:
-        raise UsageError(f"config file {path}: not UTF-8 text") from None
+        raise InvalidArgumentError(f"config file {path}: not UTF-8 text") from None
     return out
 
 
-_POINT_DESTS = ("all_points", "stride", "points")
+_POINT_DESTS = ("stride", "points")
 
 
 def _apply_config(parser, args, argv):
@@ -173,7 +175,7 @@ def _apply_config(parser, args, argv):
     """
     path, leaf = args.config, args.leaf
     options = {a.dest: a for a in leaf._actions if a.option_strings and a.dest != "help"}
-    points_given = any(getattr(args, d, None) not in (None, False) for d in _POINT_DESTS)
+    points_given = any(getattr(args, d, None) is not None for d in _POINT_DESTS)
     defaults = {}
     for key, text in _load_config(path).items():
         action = options.get(key)
@@ -181,17 +183,19 @@ def _apply_config(parser, args, argv):
             continue
         if action.nargs == 0:  # a switch such as --demean
             if text.lower() not in ("true", "false"):
-                raise UsageError(f"{path}: {key} must be true or false, not {text!r}")
+                raise InvalidArgumentError(
+                    f"{path}: {key} must be true or false, not {text!r}"
+                )
             defaults[key] = text.lower() == "true"
             continue
         try:
             val = text if action.type is None else action.type(text)
         except ValueError:
-            raise UsageError(
+            raise InvalidArgumentError(
                 f"{path}: {key}: invalid {action.type.__name__} value {text!r}"
             ) from None
         if action.choices is not None and val not in action.choices:
-            raise UsageError(
+            raise InvalidArgumentError(
                 f"{path}: {key} must be one of {', '.join(action.choices)}, not {text!r}"
             )
         defaults[key] = val
@@ -199,18 +203,15 @@ def _apply_config(parser, args, argv):
     return parser.parse_args(argv)
 
 
-def _points_kwargs(args) -> dict:
-    if args.points is not None:
-        try:
-            pts = [int(v) for v in args.points.split(",") if v.strip() != ""]
-        except ValueError:
-            raise UsageError("--points must be comma-separated integers") from None
-        if not pts:
-            raise UsageError("--points is empty")
-        return {"points": np.array(pts, dtype=int)}
-    if args.stride is not None:
-        return {"stride": args.stride}
-    return {}
+def _int_list(text: str, flag: str) -> list[int]:
+    """The integers of ``flag``'s comma-separated list; blank items are skipped."""
+    try:
+        values = [int(v) for v in text.split(",") if v.strip() != ""]
+    except ValueError:
+        raise InvalidArgumentError(f"{flag} must be comma-separated integers") from None
+    if not values:
+        raise InvalidArgumentError(f"{flag} is empty")
+    return values
 
 
 def _parse_segments(text: str):
@@ -225,51 +226,50 @@ def _parse_segments(text: str):
                 (int(length), [float(c) for c in coefs.split(",") if c.strip() != ""])
             )
         except ValueError:
-            raise UsageError(
+            raise InvalidArgumentError(
                 f"bad segment {part!r}; expected length:coef[,coef...]"
             ) from None
     if not segments:
-        raise UsageError("--segments is empty")
+        raise InvalidArgumentError("--segments is empty")
     return segments
 
 
-def _cmd_simulate(args) -> int:
-    if args.process == "tvar":
-        spec = ArPathSpec.linear_ramp([args.phi_start], [args.phi_end], sigma=args.sigma)
-        ts = simulate_tvar(spec, args.T, args.seed)
-    else:
-        ts = simulate_piecewise_ar(_parse_segments(args.segments), args.seed, args.sigma)
+def _write_grid(grid: LpacfGrid, T: int, output: str, plot=None, title="") -> None:
+    """Write the long CSV and, given a plot path, the SVG.  A grid that
+    cannot be plotted fails before its CSV is written."""
+    if plot:
+        _io._check_plottable(grid)
+    _io.write_long_csv(output, grid, T)
+    if plot:
+        _io.svg_plot(plot, grid, T, title=title)
+
+
+def _cmd_tvar(args) -> int:
+    spec = ArPathSpec.linear_ramp(args.phi_start, args.phi_end, sigma=args.sigma)
+    _io.write_series(args.output, simulate_tvar(spec, args.T, args.seed))
+    return EXIT_OK
+
+
+def _cmd_piecewise(args) -> int:
+    ts = simulate_piecewise_ar(_parse_segments(args.segments), args.seed, args.sigma)
     _io.write_series(args.output, ts)
     return EXIT_OK
 
 
 def _cmd_estimate(args) -> int:
     ts = _io.read_series(args.input)
-    kw = _points_kwargs(args)
+    kw = {"max_lag": args.max_lag, "demean": args.demean}
+    if args.points is not None:
+        kw["points"] = np.array(_int_list(args.points, "--points"), dtype=int)
+    else:
+        kw["stride"] = args.stride
     if args.method == "windowed":
-        grid = windowed_lpacf(
-            ts,
-            L=args.binwidth,
-            kernel=args.kernel,
-            max_lag=args.max_lag,
-            demean=args.demean,
-            **kw,
-        )
+        grid = windowed_lpacf(ts, L=args.binwidth, kernel=args.kernel, **kw)
     else:
         grid = wavelet_lpacf(
-            ts,
-            max_scale=args.max_scale,
-            span=args.smooth_span,
-            max_lag=args.max_lag,
-            demean=args.demean,
-            pad=args.pad,
-            **kw,
+            ts, max_scale=args.max_scale, span=args.smooth_span, pad=args.pad, **kw
         )
-    if args.plot:
-        _io._check_plottable(grid)
-    _io.write_long_csv(args.output, grid, ts.T)
-    if args.plot:
-        _io.svg_plot(args.plot, grid, ts.T, title=f"local pacf ({grid.kind})")
+    _write_grid(grid, ts.T, args.output, args.plot, f"local pacf ({grid.kind})")
     return EXIT_OK
 
 
@@ -283,22 +283,25 @@ def _cmd_pacf(args) -> int:
         boundary=np.array([0], dtype=np.uint8),
         bandwidth=ts.T,
         kernel=None,
-        ci_halfwidth=np.array([1.96 / np.sqrt(ts.T)]),
+        ci_halfwidth=confidence_halfwidth(np.array([ts.T])),
         clamp_count=0,
     )
-    _io.write_long_csv(args.output, grid, ts.T)
+    _write_grid(grid, ts.T, args.output)
     return EXIT_OK
 
 
 def _cmd_benchmark(args) -> int:
     if args.study == "tvar":
-        spec = ArPathSpec.linear_ramp([0.9], [-0.9])
-        T = 512 if args.T is None else args.T
+        spec = ArPathSpec.linear_ramp(TVAR_STUDY["phi_start"], TVAR_STUDY["phi_end"])
+        T = TVAR_STUDY["T"] if args.T is None else args.T
     else:
+        segments = _parse_segments(PIECEWISE_STUDY)
+        T = sum(n for n, _ in segments)
         if args.T is not None:
-            raise UsageError("--T applies to the tvar study only (piecewise-ar has T=256)")
-        spec = ArPathSpec.piecewise([(85, [-0.2]), (86, [0.5, 0.2]), (85, [-0.2])])
-        T = 256
+            raise InvalidArgumentError(
+                f"--T applies to the tvar study only (piecewise-ar has T={T})"
+            )
+        spec = ArPathSpec.piecewise(segments)
     config = EstimatorConfig(
         method=args.method,
         binwidth=args.binwidth,
@@ -327,12 +330,7 @@ def _stem_with_suffix(stem: str, suffix: str) -> str:
 
 def _cmd_sweep(args) -> int:
     ts = _io.read_series(args.input)
-    try:
-        widths = [int(w) for w in args.widths.split(",") if w.strip() != ""]
-    except ValueError:
-        raise UsageError("--widths must be comma-separated integers") from None
-    if not widths:
-        raise UsageError("--widths is empty")
+    widths = _int_list(args.widths, "--widths")
     # every width is checked before the first output file is written
     for L in widths:
         _check_bandwidth(ts.T, L, args.max_lag)
@@ -340,16 +338,13 @@ def _cmd_sweep(args) -> int:
         grid = windowed_lpacf(
             ts, L=L, kernel=args.kernel, max_lag=args.max_lag, demean=args.demean
         )
-        if args.plot:
-            _io._check_plottable(grid)
-        _io.write_long_csv(_stem_with_suffix(args.output, f"L{L}"), grid, ts.T)
-        if args.plot:
-            _io.svg_plot(
-                _stem_with_suffix(args.plot, f"L{L}"),
-                grid,
-                ts.T,
-                title=f"windowed local pacf, L={L}",
-            )
+        _write_grid(
+            grid,
+            ts.T,
+            _stem_with_suffix(args.output, f"L{L}"),
+            args.plot and _stem_with_suffix(args.plot, f"L{L}"),
+            f"windowed local pacf, L={L}",
+        )
     return EXIT_OK
 
 
@@ -375,20 +370,8 @@ def main(argv=None) -> int:
         # flags override config-file values, which override defaults
         if args.config:
             args = _apply_config(parser, args, argv)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "estimate":
-            return _cmd_estimate(args)
-        if args.command == "pacf":
-            return _cmd_pacf(args)
-        if args.command == "benchmark":
-            return _cmd_benchmark(args)
-        if args.command == "sweep-bandwidth":
-            return _cmd_sweep(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        raise UsageError(f"unknown command {args.command!r}")
-    except (UsageError, InvalidArgumentError) as exc:
+        return args.run(args)
+    except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericalError as exc:

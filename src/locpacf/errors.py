@@ -1,9 +1,9 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes: InvalidArgumentError (and
-its own usage errors) -> 1, DataError and its subclasses BoundaryError
-and DegenerateInputError -> 2, NumericalError -> 3.  Verification
-failures raise nothing: ``locpacf verify`` returns 4 itself.
+The CLI maps these onto process exit codes: InvalidArgumentError -> 1,
+DataError and its subclasses BoundaryError and DegenerateInputError -> 2,
+NumericalError -> 3.  Verification failures raise nothing: ``locpacf
+verify`` returns 4 itself.
 """
 
 

@@ -67,9 +67,10 @@ _RIDGE_STOP = 1e-2
 _PACF_SLACK = 1e-6
 
 
-def confidence_halfwidth(L: int) -> float:
-    """Approximate 95% half-width 1.96/sqrt(L) for a window of L points."""
-    if L < 1:
+def confidence_halfwidth(L: int | np.ndarray) -> float | np.ndarray:
+    """Approximate 95% half-width 1.96/sqrt(L) for a window of L points;
+    L may be an array of window lengths."""
+    if np.any(L < 1):
         raise InvalidArgumentError(f"L={L} must be >= 1")
     return 1.96 / np.sqrt(L)
 
@@ -280,7 +281,7 @@ def windowed_lpacf(
     clamp_count = int(np.sum(np.abs(pacf) >= 1.0))
     eff = eff[keep_mask]
     boundary = (eff < L).astype(np.uint8)
-    ci = 1.96 / np.sqrt(eff.astype(float))
+    ci = confidence_halfwidth(eff.astype(float))
     return LpacfGrid(
         kind="windowed",
         points=kept,

@@ -24,7 +24,7 @@ import os
 import numpy as np
 
 from .errors import DataError
-from .estimators import LpacfGrid
+from .estimators import LpacfGrid, confidence_halfwidth
 from .series import TimeSeries
 
 __all__ = [
@@ -227,7 +227,7 @@ def svg_plot(path: str, grid: LpacfGrid, T: int, title: str = "") -> None:
             f"{title}</text>"
         )
     if grid.ci_halfwidth is not None and grid.bandwidth:
-        hw = 1.96 / np.sqrt(grid.bandwidth)
+        hw = confidence_halfwidth(grid.bandwidth)
         for v in (-hw, hw):
             out.append(
                 f'<line x1="{ml}" y1="{sy(v):.2f}" x2="{ml + pw}" y2="{sy(v):.2f}" '

@@ -56,6 +56,14 @@ class ArPathSpec:
     sigma: float = 1.0
     burn_in: int = DEFAULT_BURN_IN
 
+    def __post_init__(self):
+        if not (np.isfinite(self.sigma) and self.sigma > 0):
+            raise InvalidArgumentError(f"sigma={self.sigma} must be finite and > 0")
+        if not isinstance(self.burn_in, (int, np.integer)) or self.burn_in < 0:
+            raise InvalidArgumentError(
+                f"burn_in={self.burn_in!r} must be an integer >= 0"
+            )
+
     @property
     def order(self) -> int:
         return len(self.paths)
@@ -157,6 +165,8 @@ def _ar_recursion(table: np.ndarray, burn_in: int, sigma: float, seed: int) -> n
     order to the innovation, so every rounding is that of float64 array
     arithmetic and the output is bit-identical for identical inputs.
     """
+    if seed < 0:
+        raise InvalidArgumentError(f"seed={seed} must be >= 0")
     p = table.shape[1]
     eps = np.random.default_rng(seed).standard_normal(len(table) + burn_in)
     x = (eps * sigma).tolist()

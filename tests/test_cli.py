@@ -332,6 +332,49 @@ def test_cli_zero_or_empty_value_is_not_taken_as_absent(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["simulate", "tvar", "--seed", "-1"], "seed=-1 must be >= 0"),
+        (["simulate", "piecewise-ar", "--seed", "-3"], "seed=-3 must be >= 0"),
+        (["benchmark", "--seed", "-1", "--reps", "2"], "seed=-1 must be >= 0"),
+        (["simulate", "tvar", "--sigma", "nan"], "sigma=nan must be finite and > 0"),
+        (["simulate", "tvar", "--sigma", "inf"], "sigma=inf must be finite and > 0"),
+        (["simulate", "tvar", "--sigma", "-1"], "sigma=-1.0 must be finite and > 0"),
+    ],
+)
+def test_cli_bad_seed_or_sigma_is_usage_error(tmp_path, capsys, argv, needle):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err
+    assert not out.exists()
+
+
+def test_cli_stride_one_is_every_point_and_overrides_config_points(tmp_path, capsys):
+    sim = str(tmp_path / "sim.csv")
+    main(["simulate", "tvar", "--T", "256", "--seed", "5", "--output", sim])
+    outs = {}
+    for name, extra in (("default", []), ("stride1", ["--stride", "1"])):
+        outs[name] = tmp_path / f"{name}.csv"
+        argv = ["estimate", "--input", sim, "--output", str(outs[name])]
+        assert main(argv + extra) == 0
+    cfg = _write(tmp_path, "st4.cfg", "stride=4\n")
+    outs["cfg"] = tmp_path / "cfg.csv"
+    assert main(["--config", cfg, "estimate", "--input", sim, "--output",
+                 str(outs["cfg"]), "--stride", "1"]) == 0
+    assert outs["default"].read_bytes() == outs["stride1"].read_bytes()
+    assert outs["default"].read_bytes() == outs["cfg"].read_bytes()
+    # --stride 0 chooses the points too: the config's points do not stand in for it
+    cfg = _write(tmp_path, "pts.cfg", "points=10,20\n")
+    assert main(["--config", cfg, "estimate", "--input", sim, "--output",
+                 str(tmp_path / "e.csv"), "--stride", "0"]) == 1
+    assert "stride=0 must be >= 1" in capsys.readouterr().err
+    assert main(["estimate", "--input", sim, "--output", str(tmp_path / "e.csv"),
+                 "--all-points"]) == 1
+    assert not (tmp_path / "e.csv").exists()
+
+
+@pytest.mark.parametrize(
     "widths, message",
     [("64,8", "max_lag=4 outside [1, L/2) for L=8"), ("64,512", "bandwidth L=512 must lie in (1, T=512)")],
 )

@@ -180,6 +180,11 @@ def test_confidence_halfwidth_values():
     assert confidence_halfwidth(250) == 1.96 / np.sqrt(250)
     assert confidence_halfwidth(250) == pytest.approx(0.12396, abs=5e-6)
     assert confidence_halfwidth(1) == pytest.approx(1.96)
+    # one band per window length, and one short window fails them all
+    lengths = np.array([40.0, 250.0])
+    assert np.array_equal(confidence_halfwidth(lengths), 1.96 / np.sqrt(lengths))
+    with pytest.raises(InvalidArgumentError, match="must be >= 1"):
+        confidence_halfwidth(np.array([40, 0]))
 
 
 def test_levinson_on_exact_ar2_autocovariances():

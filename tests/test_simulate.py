@@ -65,6 +65,29 @@ def test_unstable_path_rejected():
         true_pacf_curve(spec, 8, [2])
 
 
+@pytest.mark.parametrize(
+    "kwargs, needle",
+    [
+        ({"sigma": float("nan")}, "sigma=nan"),
+        ({"sigma": float("inf")}, "sigma=inf"),
+        ({"sigma": -1.0}, "sigma=-1.0"),
+        ({"burn_in": -3}, "burn_in=-3"),
+        ({"burn_in": 2.5}, "burn_in=2.5"),
+    ],
+)
+def test_path_spec_rejects_bad_sigma_and_burn_in(kwargs, needle):
+    with pytest.raises(InvalidArgumentError, match=needle):
+        ArPathSpec((lambda z: 0.5,), **kwargs)
+
+
+def test_negative_seed_is_invalid_argument():
+    with pytest.raises(InvalidArgumentError, match="seed=-1 must be >= 0"):
+        simulate_tvar(TVAR_STUDY, 64, -1)
+    config = EstimatorConfig("windowed", binwidth=32, max_lag=1)
+    with pytest.raises(InvalidArgumentError, match="seed=-2 must be >= 0"):
+        monte_carlo_rmse(TVAR_STUDY, config, 2, [1], -2, 128)
+
+
 def _accepted(phi):
     """Stationarity verdict of every public route to the step-down check,
     which must agree."""

@@ -185,6 +185,24 @@ def test_smoothing_span_zero_is_identity_before_correction():
     assert np.allclose(ews.spectrum, ref, atol=1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(2, 64), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_smooth_and_correct_matches_reflected_running_mean(data, T, J, seed):
+    # the definition: mean over the 2s+1 neighbours, the index reflected at
+    # both ends (period 2(T-1), so a span >= T reflects more than once),
+    # then A^{-1}
+    span = data.draw(st.integers(0, 3 * T + 1), label="span")
+    raw = np.random.default_rng(seed).random((J, T))
+    period = 2 * (T - 1)
+    sm = np.empty_like(raw)
+    for k in range(T):
+        idx = np.arange(k - span, k + span + 1) % period
+        sm[:, k] = raw[:, np.where(idx > T - 1, period - idx, idx)].mean(axis=1)
+    ref = np.linalg.solve(a_matrix(J), sm)
+    got = smooth_and_correct(raw, span=span).spectrum
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_constant_grid_correction_is_direct_solve():
     mu = 2.5
     raw = np.full((4, 16), mu)
