@@ -14,6 +14,7 @@ path that cannot be written), 3 numerical failure, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -236,12 +237,17 @@ def _parse_segments(text: str):
 
 def _write_grid(grid: LpacfGrid, T: int, output: str, plot=None, title="") -> None:
     """Write the long CSV and, given a plot path, the SVG.  A grid that
-    cannot be plotted fails before its CSV is written."""
+    cannot be plotted fails before its CSV is written, and an SVG that
+    cannot be written takes the CSV with it."""
     if plot:
         _io._check_plottable(grid)
     _io.write_long_csv(output, grid, T)
     if plot:
-        _io.svg_plot(plot, grid, T, title=title)
+        try:
+            _io.svg_plot(plot, grid, T, title=title)
+        except OSError:
+            os.remove(output)
+            raise
 
 
 def _cmd_tvar(args) -> int:

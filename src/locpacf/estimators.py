@@ -21,8 +21,8 @@ and runs one batched Levinson recursion for them.  All three plug-in
 systems at a point read one covariance block, the times zT..zT+tau of
 the local autocovariance surface.  The plug-in stage assembles that
 block for a stack of points by indexing the grid, slices each lag's
-systems from it, and solves each kind with one stacked solve; only
-systems needing ridge regularization are solved one at a time.
+systems from it, and solves each kind with one stacked solve; the
+systems that need a ridge are solved again as one stack per ridge level.
 ``wavelet_lpacf`` runs it on every point, and ``prediction_system`` on
 one.
 """
@@ -296,31 +296,6 @@ def windowed_lpacf(
     )
 
 
-def _solve_regularized(B: np.ndarray, r: np.ndarray, scale: float):
-    """Solve B phi = r, escalating ridge regularization until the system is
-    positive definite and the trailing coefficient is a valid correlation.
-
-    Returns (phi, ridge), the accepted ridge; both are NaN once the ridge
-    runs out.
-    """
-    ridge = 0.0
-    eps = _RIDGE_START
-    eye = np.eye(B.shape[0])
-    while True:
-        M = B + ridge * eye
-        try:
-            np.linalg.cholesky(M)  # positive-definiteness gate
-            phi = np.linalg.solve(M, r)
-            if abs(phi[-1]) <= 1.0 + _PACF_SLACK and np.all(np.isfinite(phi)):
-                return phi, ridge
-        except np.linalg.LinAlgError:
-            pass
-        if eps > _RIDGE_STOP:
-            return np.full(r.shape, np.nan), np.nan
-        ridge = eps * scale
-        eps *= 2.0
-
-
 @dataclass(frozen=True)
 class PredictionSystem:
     """The plug-in systems at one point zT and lag tau.
@@ -416,47 +391,56 @@ def _midpoint_stack(values: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
     return G
 
 
-def _cholesky_gate(M: np.ndarray) -> np.ndarray:
-    """Per-matrix outcome of the positive-definiteness gate of a stack.
+def _gated_solve(M: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Solve every system M[i] x[i] = r[i] whose matrix passes the Cholesky
+    positive-definiteness gate; x[i] is NaN where either step fails.
 
-    ``np.linalg.cholesky`` raises for the whole stack when one member
-    fails, so only a stack that raises is checked member by member.
+    A stacked Cholesky or solve raises for the whole stack when one member
+    fails, and rounding can let a singular matrix pass Cholesky, so only a
+    stack that raises is redone member by member.
     """
-    ok = np.ones(len(M), dtype=bool)
     try:
         np.linalg.cholesky(M)
+        return np.linalg.solve(M, r[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        for i, m in enumerate(M):
+        x = np.full(r.shape, np.nan)
+        for i, (m, v) in enumerate(zip(M, r)):
             try:
                 np.linalg.cholesky(m)
+                x[i] = np.linalg.solve(m, v)
             except np.linalg.LinAlgError:
-                ok[i] = False
-    return ok
+                pass
+        return x
 
 
 def _solve_stack(B: np.ndarray, r: np.ndarray, scale: np.ndarray):
-    """``_solve_regularized`` for a stack of systems B[i] phi[i] = r[i].
+    """Solve the stack of systems B[i] phi[i] = r[i], escalating a ridge.
 
-    Every system that passes the unregularized attempt is solved by one
-    stacked ``np.linalg.solve``; the rest go to the scalar routine, which
-    escalates the ridge.  Returns (phi, ridge) with the accepted ridge of
-    each system, NaN where it ran out.
+    A system is accepted when B[i] + ridge * I passes the gate of
+    ``_gated_solve`` and phi[i] is finite with |phi[i, -1]| <= 1 +
+    ``_PACF_SLACK``.  Every system tries ridge 0, then eps * scale[i] for
+    eps doubling from ``_RIDGE_START`` while it is at most ``_RIDGE_STOP``;
+    each level solves the systems still rejected as one stack.  Returns
+    (phi, ridge) with the accepted ridge of each system; both are NaN
+    where the ridge ran out.
     """
-    M = B + 0.0  # as the scalar B + 0*I: a -0.0 entry becomes 0.0, and can
-    # change the sign of a zero solution
-    gate = _cholesky_gate(M)
-    phi = np.full(r.shape, np.nan)
-    try:
-        phi[gate] = np.linalg.solve(M[gate], r[gate][..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        # rounding can let a singular matrix pass Cholesky; the scalar
-        # routine then catches the singular solve per system
-        gate[:] = False
-    finite = np.all(np.isfinite(phi), axis=1)
-    redo = ~gate | ~finite | (np.abs(phi[:, -1]) > 1.0 + _PACF_SLACK)
+    # B + 0.0 as B + 0*I: a -0.0 entry becomes 0.0, and can change the
+    # sign of a zero solution
+    x = phi = _gated_solve(B + 0.0, r)
     ridge = np.zeros(len(B))
-    for i in np.flatnonzero(redo):
-        phi[i], ridge[i] = _solve_regularized(B[i], r[i], scale[i])
+    eye = np.eye(B.shape[-1])
+    eps = _RIDGE_START
+    todo = np.arange(len(B))  # the systems solved last, x their solutions
+    while True:
+        todo = todo[
+            ~np.all(np.isfinite(x), axis=1) | (np.abs(x[:, -1]) > 1.0 + _PACF_SLACK)
+        ]
+        if not todo.size or eps > _RIDGE_STOP:
+            break
+        ridge[todo] = eps * scale[todo]
+        x = phi[todo] = _gated_solve(B[todo] + ridge[todo, None, None] * eye, r[todo])
+        eps *= 2.0
+    phi[todo] = ridge[todo] = np.nan
     return phi, ridge
 
 
@@ -522,8 +506,9 @@ def wavelet_lpacf(
     zT..zT+max_lag is assembled once for every usable point by indexing
     the grid, and per lag the Yule-Walker, backcast and forecast systems
     are slices of it, each solved by one stacked solve.  Systems that fail
-    the Cholesky or |phi| <= 1 gate go to the scalar ridge-regularized
-    solve.  ``prediction_system`` runs the same stage at one point.
+    the Cholesky or |phi| <= 1 gate are solved again with an escalating
+    ridge, one stack per ridge level.  ``prediction_system`` runs the same
+    stage at one point.
 
     Points failing numerically are dropped and reported, not fatal.
     """
@@ -550,7 +535,6 @@ def wavelet_lpacf(
             raise InvalidArgumentError(
                 f"lacv grid holds lags up to {lacv.max_lag} < max_lag={max_lag}"
             )
-        max_scale = 0
         margin = max_lag
     pts = _select_points(T, points, stride)
     usable = pts[(pts >= 0) & (pts + max_lag <= lacv.T - 1) & (lacv.values[0, pts] > 0)]

@@ -409,6 +409,19 @@ def test_cli_failed_plot_writes_no_csv(tmp_path, capsys, command):
     assert sorted(os.listdir(tmp_path)) == ["flat.csv"]
 
 
+@pytest.mark.parametrize("command", ["estimate", "sweep-bandwidth"])
+def test_cli_unwritable_plot_writes_no_csv(tmp_path, capsys, command):
+    # the grid has points, but the SVG's directory does not exist
+    values = np.random.default_rng(0).standard_normal(128).tolist()
+    sim = _write(tmp_path, "x.csv", "".join(f"{v!r}\n" for v in values))
+    argv = [command, "--input", sim, "--output", str(tmp_path / "e.csv"),
+            "--plot", str(tmp_path / "missing" / "e.svg")]
+    argv += ["--binwidth", "32"] if command == "estimate" else ["--widths", "32,40"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("data error:")
+    assert sorted(os.listdir(tmp_path)) == ["x.csv"]
+
+
 def test_cli_verify_imports_no_scipy():
     # numpy is the one runtime dependency; no command may pull in scipy
     code = (

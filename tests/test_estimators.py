@@ -23,7 +23,13 @@ from locpacf import (
     ArPathSpec,
 )
 from locpacf.errors import NumericalError
-from locpacf.estimators import _PACF_SLACK, _RIDGE_START, _RIDGE_STOP, _window_sums
+from locpacf.estimators import (
+    _PACF_SLACK,
+    _RIDGE_START,
+    _RIDGE_STOP,
+    _solve_stack,
+    _window_sums,
+)
 from locpacf.kernels import EPANECHNIKOV, get_kernel
 from locpacf.series import as_series
 
@@ -687,6 +693,56 @@ def test_wavelet_lpacf_singular_system_passing_cholesky_matches_scalar_loop():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(B, np.ones(4))
     _assert_matches_scalar_loop(lacv, 4)
+
+
+# the singular Yule-Walker matrix of the test above, which passes Cholesky
+_SINGULAR_PASSING_CHOLESKY = np.array(
+    [[1.0, 0.0, 0.5, 0.5], [0.0, 1.0, 0.5, 0.5], [0.5, 0.5, 1.0, 0.0], [0.5, 0.5, 0.0, 1.0]]
+)
+
+
+@st.composite
+def _system_stack(draw):
+    """0-6 systems of one size 1-10: Gram matrices of too few or enough
+    columns, some with symmetric noise that breaks positive definiteness,
+    signed zeros in both sides, the singular matrix that passes Cholesky,
+    and per-system scales 1e-3..1e3."""
+    k = draw(st.integers(1, 10))
+    n = draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    B = np.empty((n, k, k))
+    r = np.empty((n, k))
+    for i in range(n):
+        X = rng.standard_normal((k, int(rng.integers(1, 2 * k + 1))))
+        E = rng.standard_normal((k, k)) * rng.choice([0.0, 0.01, 0.3])
+        B[i] = X @ X.T / X.shape[1] + (E + E.T) / 2
+        r[i] = B[i, :, 0] * rng.uniform(0.5, 1.5) + 0.1 * rng.standard_normal(k)
+        if k == 4 and rng.random() < 0.3:
+            B[i] = _SINGULAR_PASSING_CHOLESKY
+        if rng.random() < 0.3:
+            # signed zeros off the diagonal, kept symmetric, and in r
+            hit = np.triu(rng.random((k, k)) < 0.5, 1)
+            zeros = np.where(rng.random((k, k)) < 0.5, -0.0, 0.0)
+            B[i][hit] = zeros[hit]
+            B[i].T[hit] = zeros[hit]
+            r[i][rng.random(k) < 0.5] = rng.choice([-0.0, 0.0])
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    return B, r, scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(_system_stack())
+def test_solve_stack_accepts_the_ridge_of_the_scalar_oracle(stack):
+    B, r, scale = stack
+    phi, ridge = _solve_stack(B, r, scale)
+    for i in range(len(B)):
+        try:
+            want_phi, want_ridge = _solve_regularized(B[i], r[i], scale[i])
+        except NumericalError:
+            want_phi, want_ridge = np.full(r.shape[1], np.nan), np.nan
+        # bytes, so that signed zeros and the NaN of an exhausted ridge count
+        assert phi[i].tobytes() == want_phi.tobytes()
+        assert ridge[i].tobytes() == np.float64(want_ridge).tobytes()
 
 
 def test_wavelet_lpacf_keeps_the_sign_of_a_zero_estimate():
