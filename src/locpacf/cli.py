@@ -7,8 +7,9 @@ boundary_flag``) with an optional SVG line plot.  Command-line flags
 override an optional ``--config`` key=value file, which overrides
 defaults.
 
-Exit codes: 0 success, 1 usage error, 2 data error (including an output
-path that cannot be written), 3 numerical failure, 4 verification failure.
+Exit codes: 0 success, 1 usage error, 2 data error (including an estimate
+that keeps no point and an output path that cannot be written), 3
+numerical failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -236,11 +237,13 @@ def _parse_segments(text: str):
 
 
 def _write_grid(grid: LpacfGrid, T: int, output: str, plot=None, title="") -> None:
-    """Write the long CSV and, given a plot path, the SVG.  A grid that
-    cannot be plotted fails before its CSV is written, and an SVG that
+    """Write the long CSV and, given a plot path, the SVG.  A grid with no
+    points is a data error before any file is written, and an SVG that
     cannot be written takes the CSV with it."""
-    if plot:
-        _io._check_plottable(grid)
+    if grid.points.size == 0:
+        raise DataError(
+            f"no estimate to write: all points were dropped ({grid.dropped_points.size})"
+        )
     _io.write_long_csv(output, grid, T)
     if plot:
         try:
@@ -267,8 +270,10 @@ def _cmd_estimate(args) -> int:
     kw = {"max_lag": args.max_lag, "demean": args.demean}
     if args.points is not None:
         kw["points"] = np.array(_int_list(args.points, "--points"), dtype=int)
-    else:
-        kw["stride"] = args.stride
+    elif args.stride is not None:
+        if args.stride < 1:
+            raise InvalidArgumentError(f"stride={args.stride} must be >= 1")
+        kw["points"] = np.arange(0, ts.T, args.stride)
     if args.method == "windowed":
         grid = windowed_lpacf(ts, L=args.binwidth, kernel=args.kernel, **kw)
     else:
@@ -288,7 +293,6 @@ def _cmd_pacf(args) -> int:
         estimates=vals[None, :],
         boundary=np.array([0], dtype=np.uint8),
         bandwidth=ts.T,
-        kernel=None,
         ci_halfwidth=confidence_halfwidth(np.array([ts.T])),
         clamp_count=0,
     )

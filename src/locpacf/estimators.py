@@ -15,16 +15,18 @@ Both assume mean-zero input; pass demean=True to subtract the
 (kernel-weighted, for the windowed estimator) local mean first.
 Estimation at distinct time points is independent; the implementations
 vectorize over points and produce deterministic output ordering.  The
-windowed estimator sums its windows only at the requested points, with
-one ``np.vecdot`` over a read-only sliding view of the zero-padded rows,
-and runs one batched Levinson recursion for them.  All three plug-in
+windowed estimator sums its windows on the coarsest evenly spaced
+progression that holds the requested points, with one ``np.vecdot`` over
+a read-only sliding view of the zero-padded rows, and runs one batched
+Levinson recursion for them: evenly spaced points cost only their own
+windows, scattered points the span they cover.  All three plug-in
 systems at a point read one covariance block, the times zT..zT+tau of
 the local autocovariance surface.  The plug-in stage assembles that
 block for a stack of points by indexing the grid, slices each lag's
 systems from it, and solves each kind with one stacked solve; the
 systems that need a ridge are solved again as one stack per ridge level.
-``wavelet_lpacf`` runs it on every point, and ``prediction_system`` on
-one.
+``wavelet_lpacf`` runs it on the requested points, and
+``prediction_system`` on one.
 """
 
 from __future__ import annotations
@@ -147,7 +149,6 @@ class LpacfGrid:
     estimates: np.ndarray
     boundary: np.ndarray
     bandwidth: int | None
-    kernel: str | None
     ci_halfwidth: np.ndarray | None
     clamp_count: int
     dropped_points: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
@@ -162,19 +163,13 @@ class LpacfGrid:
         return np.arange(1, self.max_lag + 1)
 
 
-def _select_points(T: int, points, stride) -> np.ndarray:
-    if points is not None and stride is not None:
-        raise InvalidArgumentError("give either explicit points or a stride, not both")
-    if points is not None:
-        pts = np.asarray(points, dtype=int)
-        if pts.size and (pts.min() < 0 or pts.max() > T - 1):
-            raise InvalidArgumentError(f"points outside [0, {T - 1}]")
-        return pts
-    if stride is not None:
-        if stride < 1:
-            raise InvalidArgumentError(f"stride={stride} must be >= 1")
-        return np.arange(0, T, stride)
-    return np.arange(T)
+def _select_points(T: int, points) -> np.ndarray:
+    if points is None:
+        return np.arange(T)
+    pts = np.asarray(points, dtype=int)
+    if pts.size and (pts.min() < 0 or pts.max() > T - 1):
+        raise InvalidArgumentError(f"points outside [0, {T - 1}]")
+    return pts
 
 
 # numpy's correlate sums kernels of at most this many taps in an unrolled
@@ -221,7 +216,6 @@ def windowed_lpacf(
     kernel=EPANECHNIKOV,
     max_lag: int = 4,
     points=None,
-    stride=None,
     demean: bool = False,
 ) -> LpacfGrid:
     """Windowed local partial autocorrelation at the requested points.
@@ -230,10 +224,12 @@ def windowed_lpacf(
     window centred there, then the classical order-recursive partial
     autocorrelation.  Window clipping at the series ends is flagged and
     the effective window length is used for the CI half-width; points
-    retaining fewer than 2*max_lag observations are dropped.  The window
-    sums are taken only at the requested points (``demean`` needs the
-    local mean at every point), so a stride or a few points cost that
-    much less than every point.
+    retaining fewer than 2*max_lag observations are dropped.  ``points``
+    defaults to every index.  The window sums are taken from the lowest to
+    the highest point at the gcd of their spacings (``demean`` also needs
+    the local mean at every point): evenly spaced points, in any order,
+    cost only their own windows, and scattered points every window of the
+    span they cover.
     """
     ts = as_series(ts).require_length()
     kernel = get_kernel(kernel)
@@ -241,7 +237,7 @@ def windowed_lpacf(
     if L is None:
         L = default_bandwidth(T)
     _check_bandwidth(T, L, max_lag)
-    pts = _select_points(T, points, stride)
+    pts = _select_points(T, points)
 
     # Zero-padded rows: the ones (weight mass) and the pair products at
     # lags 0..max_lag, each summed against its weights over the window.
@@ -262,12 +258,14 @@ def windowed_lpacf(
         x = x - sums[1] / sums[0]
     for tau in range(max_lag + 1):
         np.multiply(x[: T - tau], x[tau:], out=rows[1 + tau, L : L + T - tau])
-    if points is None:
-        sums = _window_sums(rows, weights, first, first + T, stride or 1)
-    else:
-        # the span covering the points, never a copy of their windows
-        lo, hi = (pts.min(), pts.max() + 1) if pts.size else (0, 0)
-        sums = _window_sums(rows, weights, first + lo, first + hi)[:, pts - lo]
+    # the windows lo, lo + step, ..., hi, the coarsest progression holding
+    # every point (none for an empty selection); the points in increasing
+    # order, each once, are the whole progression and need no gather
+    lo, hi = pts.min(initial=T), pts.max(initial=-1)
+    step = int(np.gcd.reduce(pts - lo)) or 1
+    sums = _window_sums(rows, weights, first + lo, first + hi + 1, step)
+    if not np.array_equal(pts, np.arange(lo, hi + 1, step)):
+        sums = sums[:, (pts - lo) // step]
     gamma = sums[1:]
     gamma /= sums[0]
 
@@ -288,7 +286,6 @@ def windowed_lpacf(
         estimates=pacf.T.copy(),
         boundary=boundary,
         bandwidth=int(L),
-        kernel=kernel.kind,
         ci_halfwidth=ci,
         clamp_count=clamp_count,
         dropped_points=dropped,
@@ -487,7 +484,6 @@ def wavelet_lpacf(
     span: int | None = None,
     max_lag: int = 4,
     points=None,
-    stride=None,
     demean: bool = False,
     pad: bool = False,
     lacv: LocalAcvGrid | None = None,
@@ -510,7 +506,10 @@ def wavelet_lpacf(
     ridge, one stack per ridge level.  ``prediction_system`` runs the same
     stage at one point.
 
-    Points failing numerically are dropped and reported, not fatal.
+    ``points`` defaults to every index; the plug-in stage solves only
+    their systems, and the spectral stage covers the whole series.  Points
+    failing numerically are dropped and reported, not fatal, in increasing
+    order in ``dropped_points``, a repeated point as often as requested.
     """
     ts = as_series(ts).require_length()
     T = ts.T
@@ -536,9 +535,9 @@ def wavelet_lpacf(
                 f"lacv grid holds lags up to {lacv.max_lag} < max_lag={max_lag}"
             )
         margin = max_lag
-    pts = _select_points(T, points, stride)
-    usable = pts[(pts >= 0) & (pts + max_lag <= lacv.T - 1) & (lacv.values[0, pts] > 0)]
-    dropped = np.setdiff1d(pts, usable)
+    pts = _select_points(T, points)
+    keep = (pts + max_lag <= lacv.T - 1) & (lacv.values[0, pts] > 0)
+    usable, dropped = pts[keep], pts[~keep]
 
     G = _midpoint_stack(lacv.values, usable, max_lag + 1)  # times zT..zT+max_lag
     scale = np.maximum(lacv.values[0, usable], 1e-300)
@@ -561,7 +560,6 @@ def wavelet_lpacf(
         estimates=estimates,
         boundary=boundary,
         bandwidth=None,
-        kernel=None,
         ci_halfwidth=None,
         clamp_count=clamp_count,
         dropped_points=np.sort(dropped),

@@ -71,7 +71,7 @@ def read_series(path: str) -> TimeSeries:
                 values = np.array(_scan_lines(path, fh))
     except UnicodeDecodeError:
         raise DataError(f"{path}: not UTF-8 text") from None
-    return TimeSeries(values, origin=path)
+    return TimeSeries(values)
 
 
 def _scan_lines(path: str, lines) -> list[float]:
@@ -174,18 +174,13 @@ def write_rmse_csv(path: str, report) -> None:
 _PALETTE = ("#000000", "#c0392b", "#2471a3", "#1e8449", "#7d3c98", "#b7950b")
 
 
-def _check_plottable(grid: LpacfGrid) -> None:
-    """Raise the DataError svg_plot would raise for a grid with no points."""
-    if grid.points.size == 0:
-        raise DataError("nothing to plot: grid has no points")
-
-
 def svg_plot(path: str, grid: LpacfGrid, T: int, title: str = "") -> None:
     """Minimal SVG line plot: one polyline per lag, dashed CI rules, axes."""
     width, height = 720, 420
     ml, mr, mt, mb = 60, 20, 30, 45
     pw, ph = width - ml - mr, height - mt - mb
-    _check_plottable(grid)
+    if grid.points.size == 0:
+        raise DataError("nothing to plot: grid has no points")
     pts = grid.points
     x0, x1 = float(pts.min()), float(max(pts.max(), pts.min() + 1))
     ymax = max(1.0, float(np.max(np.abs(grid.estimates))))

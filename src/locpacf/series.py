@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,12 +17,10 @@ MIN_LENGTH = 8
 class TimeSeries:
     """A finite real-valued sequence observed at t = 0..T-1.
 
-    Rescaled time maps each index t to z = t/T.  The origin label records
-    where the values came from (file path, simulator, ...).
+    Rescaled time maps each index t to z = t/T.
     """
 
     values: np.ndarray
-    origin: str = ""
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -65,11 +63,11 @@ class TimeSeries:
         target = 1 << int(np.ceil(np.log2(t)))
         pad = target - t
         padded = np.concatenate([self.values, self.values[-2 : -2 - pad : -1]])
-        return TimeSeries(padded, origin=self.origin), t
+        return TimeSeries(padded), t
 
 
-def as_series(x, origin: str = "") -> TimeSeries:
+def as_series(x) -> TimeSeries:
     """Coerce an array-like or TimeSeries into a TimeSeries."""
     if isinstance(x, TimeSeries):
         return x
-    return TimeSeries(np.asarray(x, dtype=float), origin=origin)
+    return TimeSeries(np.asarray(x, dtype=float))

@@ -193,7 +193,7 @@ def simulate_tvar(spec: ArPathSpec, T: int, seed: int) -> TimeSeries:
     if T < 1:
         raise InvalidArgumentError(f"T={T} must be positive")
     x = _ar_recursion(validate_stability(spec, T), spec.burn_in, spec.sigma, seed)
-    return TimeSeries(x, origin=f"tvar(seed={seed})")
+    return TimeSeries(x)
 
 
 def simulate_piecewise_ar(
@@ -206,8 +206,7 @@ def simulate_piecewise_ar(
     """
     spec = ArPathSpec.piecewise(segments, sigma=sigma)
     T = int(sum(n for n, _ in segments))
-    ts = simulate_tvar(spec, T, seed)
-    return TimeSeries(ts.values, origin=f"piecewise-ar(seed={seed})")
+    return simulate_tvar(spec, T, seed)
 
 
 def ar_autocovariances(phi: Sequence[float], sigma: float, max_lag: int) -> np.ndarray:
@@ -340,8 +339,7 @@ def monte_carlo_rmse(
     no_interior = too_many_dropped = 0
     for r in range(reps):
         x = _ar_recursion(table, spec.burn_in, spec.sigma, seed + r)
-        ts = TimeSeries(x, origin=f"tvar(seed={seed + r})")
-        grid = config.estimate(ts)
+        grid = config.estimate(TimeSeries(x))
         interior = grid.boundary == 0
         pts = grid.points[interior]
         n_dropped = len(grid.dropped_points)

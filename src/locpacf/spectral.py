@@ -163,7 +163,6 @@ class EwsGrid:
     """
 
     spectrum: np.ndarray
-    span: int
     negative_cells: int
 
     @property
@@ -196,7 +195,7 @@ def smooth_and_correct(raw: np.ndarray, span: int | None = None) -> EwsGrid:
     A = a_matrix(J)
     spectrum = np.linalg.solve(A, sm)
     spectrum.setflags(write=False)
-    return EwsGrid(spectrum, span, int(np.sum(spectrum < 0.0)))
+    return EwsGrid(spectrum, int(np.sum(spectrum < 0.0)))
 
 
 @dataclass(frozen=True)

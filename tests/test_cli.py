@@ -405,8 +405,30 @@ def test_cli_failed_plot_writes_no_csv(tmp_path, capsys, command):
             "--demean", "--plot", str(tmp_path / "e.svg")]
     argv += ["--binwidth", "32"] if command == "estimate" else ["--widths", "32"]
     assert main(argv) == 2
-    assert "nothing to plot: grid has no points" in capsys.readouterr().err
+    assert "no estimate to write: all points were dropped (128)" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == ["flat.csv"]
+
+
+@pytest.mark.parametrize("plot", [False, True], ids=["csv", "plot"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--method", "windowed", "--binwidth", "32"],
+        ["estimate", "--method", "wavelet"],
+        ["sweep-bandwidth", "--widths", "32"],
+    ],
+    ids=["windowed", "wavelet", "sweep-bandwidth"],
+)
+def test_cli_grid_with_no_points_writes_nothing(tmp_path, capsys, argv, plot):
+    # an all-zero series has zero variance everywhere, so no point is kept
+    sim = _write(tmp_path, "zero.csv", "0.0\n" * 128)
+    argv = argv + ["--input", sim, "--output", str(tmp_path / "e.csv")]
+    if plot:
+        argv += ["--plot", str(tmp_path / "e.svg")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: no estimate to write: all points were dropped (128)")
+    assert sorted(os.listdir(tmp_path)) == ["zero.csv"]
 
 
 @pytest.mark.parametrize("command", ["estimate", "sweep-bandwidth"])

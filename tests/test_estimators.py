@@ -22,6 +22,7 @@ from locpacf import (
     windowed_lpacf,
     ArPathSpec,
 )
+from locpacf import estimators
 from locpacf.errors import NumericalError
 from locpacf.estimators import (
     _PACF_SLACK,
@@ -294,7 +295,7 @@ def test_windowed_boundary_flags_and_effective_length():
 
 def test_windowed_stride_and_explicit_points():
     x = np.random.default_rng(12).standard_normal(256)
-    g1 = windowed_lpacf(x, L=64, max_lag=2, stride=32)
+    g1 = windowed_lpacf(x, L=64, max_lag=2, points=np.arange(0, 256, 32))
     assert np.all(np.diff(g1.points) == 32)
     g2 = windowed_lpacf(x, L=64, max_lag=2, points=[64, 128])
     assert list(g2.points) == [64, 128]
@@ -370,8 +371,8 @@ def _window_case(draw):
     if kind == "all":
         select, pts = {}, np.arange(T)
     elif kind == "stride":
-        stride = draw(st.integers(1, T), label="stride")
-        select, pts = {"stride": stride}, np.arange(0, T, stride)
+        pts = np.arange(0, T, draw(st.integers(1, T), label="stride"))
+        select = {"points": pts}
     else:
         picked = draw(st.lists(st.integers(0, T - 1), min_size=1, max_size=12), label="points")
         pts = np.array(draw(st.permutations(picked + [0, T - 1, picked[0]]), label="order"))
@@ -392,11 +393,10 @@ def test_windowed_sums_are_bit_identical_to_full_correlate(case):
         rows[1 + tau, L : L + T - tau] = xd[: T - tau] * xd[tau:]
     offs = np.arange(-L // 2 + 1, L // 2 + 1)
     first = L + offs[0]
-    if "points" in select:
-        lo, hi = pts.min(), pts.max() + 1
-        sums = _window_sums(rows, weights, first + lo, first + hi)[:, pts - lo]
-    else:
-        sums = _window_sums(rows, weights, first, first + T, select.get("stride", 1))
+    lo, hi = pts.min(), pts.max()
+    step = int(np.gcd.reduce(pts - lo)) or 1
+    sums = _window_sums(rows, weights, first + lo, first + hi + 1, step)
+    sums = sums[:, (pts - lo) // step]
     assert sums.tobytes() == full[:, pts].tobytes()
     # and the estimator built on them
     gamma = full[1:, pts] / full[0, pts]
@@ -407,6 +407,28 @@ def test_windowed_sums_are_bit_identical_to_full_correlate(case):
     assert grid.dropped_points.tobytes() == pts[~keep].tobytes()
     if keep.any():
         assert grid.estimates.tobytes() == levinson_pacf(gamma[:, keep]).T.tobytes()
+
+
+def _selections(data, T):
+    """Point selections of a length-T series: every n-th index, an evenly
+    spaced set in increasing, reversed and shuffled order, the set with
+    repeats, one point, and points drawn at random."""
+    stride = data.draw(st.integers(1, T), label="stride")
+    start = data.draw(st.integers(0, T - 1), label="start")
+    step = data.draw(st.integers(1, T), label="step")
+    even = np.arange(start, T, step)[: data.draw(st.integers(1, T), label="count")]
+    shuffled = data.draw(st.permutations(even.tolist()), label="shuffled")
+    repeats = data.draw(st.lists(st.sampled_from(even.tolist()), max_size=4), label="repeats")
+    picked = data.draw(st.lists(st.integers(0, T - 1), min_size=1, max_size=10), label="points")
+    return [
+        np.arange(0, T, stride),
+        even,
+        even[::-1],
+        np.array(shuffled),
+        np.concatenate([even, repeats]).astype(int),
+        np.array([start]),
+        np.array(picked),
+    ]
 
 
 @settings(max_examples=60, deadline=None)
@@ -424,31 +446,51 @@ def test_windowed_selection_equals_the_every_point_grid(seed, T, kernel, demean,
     kw = dict(L=L, kernel=kernel, max_lag=max_lag, demean=demean)
     whole = windowed_lpacf(x, **kw)
     row = {int(c): i for i, c in enumerate(whole.points)}
-    stride = data.draw(st.integers(1, T), label="stride")
-    picked = data.draw(st.lists(st.integers(0, T - 1), min_size=1, max_size=10), label="points")
-    for select, pts in (
-        ({"stride": stride}, np.arange(0, T, stride)),
-        ({"points": picked}, np.array(picked)),
-    ):
-        grid = windowed_lpacf(x, **kw, **select)
+    for pts in _selections(data, T):
+        grid = windowed_lpacf(x, **kw, points=pts)
         idx = np.array([row[int(c)] for c in pts if int(c) in row], dtype=int)
         assert grid.points.tobytes() == whole.points[idx].tobytes()
         assert grid.estimates.tobytes() == whole.estimates[idx].tobytes()
         assert grid.ci_halfwidth.tobytes() == whole.ci_halfwidth[idx].tobytes()
         assert grid.boundary.tobytes() == whole.boundary[idx].tobytes()
         assert grid.effective_length.tobytes() == whole.effective_length[idx].tobytes()
-        assert set(grid.dropped_points) == set(pts) & set(whole.dropped_points)
+        # in the order requested, repeats included
+        dropped = pts[np.isin(pts, whole.dropped_points)]
+        assert grid.dropped_points.tobytes() == dropped.tobytes()
+
+
+def test_windowed_lpacf_sums_only_the_windows_of_evenly_spaced_points(monkeypatch):
+    shapes = []
+
+    def spy(rows, weights, start, stop, step=1):
+        sums = _window_sums(rows, weights, start, stop, step)
+        shapes.append(sums.shape)
+        return sums
+
+    monkeypatch.setattr(estimators, "_window_sums", spy)
+    x = np.random.default_rng(0).standard_normal(32768)
+    grid = windowed_lpacf(x, max_lag=4, points=np.arange(0, 32768, 64))
+    assert len(grid.points) == 512
+    # the 6 summed rows at the 512 points, not at the 32705 windows of their span
+    assert shapes == [(6, 512)]
 
 
 @pytest.mark.parametrize(
-    "select", [{"stride": 64}, {"points": np.arange(0, 32768, 64)}], ids=["stride", "points"]
+    "pts",
+    [
+        np.arange(0, 32768, 64),
+        np.sort(np.random.default_rng(1).choice(32768, 512, replace=False)),
+        64 * np.random.default_rng(1).permutation(512),
+    ],
+    ids=["stride", "points", "shuffled"],
 )
-def test_windowed_lpacf_memory_at_sparse_points_is_bounded(select):
+def test_windowed_lpacf_memory_at_sparse_points_is_bounded(pts):
+    # every 64th point, 512 scattered points, and every 64th point shuffled:
     # a copy of the 512 selected windows of the 6 summed rows is 100 MB
     x = np.random.default_rng(0).standard_normal(32768)
     tracemalloc.start()
     try:
-        grid = windowed_lpacf(x, L=4096, max_lag=4, **select)
+        grid = windowed_lpacf(x, L=4096, max_lag=4, points=pts)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -617,6 +659,24 @@ def test_wavelet_lpacf_batched_stage_is_bit_identical_to_scalar_loop(
     seed, max_lag, strength, noise
 ):
     _assert_matches_scalar_loop(_grid_family(seed, max_lag, strength, noise), max_lag)
+
+
+@settings(max_examples=30, deadline=None)
+@given(*_grid_family_args, st.data())
+def test_wavelet_selection_equals_the_every_point_grid(seed, max_lag, strength, noise, data):
+    lacv = _grid_family(seed, max_lag, strength, noise)
+    x = np.ones(lacv.T)
+    whole = wavelet_lpacf(x, max_lag=max_lag, lacv=lacv)
+    row = {int(c): i for i, c in enumerate(whole.points)}
+    for pts in _selections(data, lacv.T):
+        grid = wavelet_lpacf(x, max_lag=max_lag, lacv=lacv, points=pts)
+        idx = np.array([row[int(c)] for c in pts if int(c) in row], dtype=int)
+        assert grid.points.tobytes() == whole.points[idx].tobytes()
+        assert grid.estimates.tobytes() == whole.estimates[idx].tobytes()
+        assert grid.boundary.tobytes() == whole.boundary[idx].tobytes()
+        # in increasing order, repeats included
+        dropped = np.sort(pts[np.isin(pts, whole.dropped_points)])
+        assert grid.dropped_points.tobytes() == dropped.tobytes()
 
 
 @settings(max_examples=30, deadline=None)

@@ -71,7 +71,7 @@ def reference_read_series(path):
             values.append(val)
     if not values:
         raise DataError(f"{path}: no numeric data found")
-    return TimeSeries(np.array(values), origin=path)
+    return TimeSeries(np.array(values))
 
 
 _SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, 1e-300, 1e300])
@@ -108,7 +108,6 @@ def grids(draw):
         estimates=estimates,
         boundary=boundary,
         bandwidth=None,
-        kernel=None,
         ci_halfwidth=ci,
         clamp_count=0,
     )
@@ -187,7 +186,6 @@ def test_write_long_csv_memory_is_bounded_by_the_chunk(tmp_path):
         estimates=rng.uniform(-1.0, 1.0, (n, max_lag)),
         boundary=(np.arange(n) < 100).astype(np.uint8),
         bandwidth=64,
-        kernel="epanechnikov",
         ci_halfwidth=np.full(n, 1.96 / 8.0),
         clamp_count=0,
     )

@@ -219,7 +219,7 @@ def test_single_scale_correction_value():
 def test_local_autocovariance_synthesis():
     T = 16
     spectrum = np.vstack([np.ones(T), np.zeros((2, T))])
-    ews = EwsGrid(spectrum, 0, 0)
+    ews = EwsGrid(spectrum, 0)
     lacv = local_autocovariance(ews, 3)
     assert lacv.values[0, 0] == pytest.approx(1.0)
     assert lacv.values[1, 0] == pytest.approx(-0.5)  # Psi_1(1)
@@ -227,15 +227,15 @@ def test_local_autocovariance_synthesis():
     assert lacv.at(0, -1) == lacv.at(0, 1)
     # lag-0 synthesis is the scale sum
     spectrum2 = np.random.default_rng(6).random((3, T))
-    lacv2 = local_autocovariance(EwsGrid(spectrum2, 0, 0), 2)
+    lacv2 = local_autocovariance(EwsGrid(spectrum2, 0), 2)
     assert np.allclose(lacv2.values[0], spectrum2.sum(axis=0), atol=1e-12)
     # all-zero spectrum synthesizes to zero
-    lacv3 = local_autocovariance(EwsGrid(np.zeros((3, T)), 0, 0), 2)
+    lacv3 = local_autocovariance(EwsGrid(np.zeros((3, T)), 0), 2)
     assert np.all(lacv3.values == 0.0)
 
 
 def test_negative_spectrum_cells_are_floored_and_counted():
     spectrum = np.vstack([np.full(8, -1.0), np.ones((1, 8))])
-    lacv = local_autocovariance(EwsGrid(spectrum, 0, 8), 1)
+    lacv = local_autocovariance(EwsGrid(spectrum, 8), 1)
     assert lacv.floored_cells == 8
     assert np.allclose(lacv.values[0], 1.0)  # only the positive scale remains
