@@ -18,6 +18,7 @@ from .errors import (
     NumericalError,
 )
 from .estimators import (
+    EstimatorConfig,
     LpacfGrid,
     PredictionSystem,
     classical_pacf,
@@ -47,7 +48,6 @@ from .kernels import EPANECHNIKOV, RECTANGULAR, TaperKernel, get_kernel
 from .series import TimeSeries, as_series
 from .simulate import (
     ArPathSpec,
-    EstimatorConfig,
     RmseReport,
     RmseRow,
     ar_autocovariances,

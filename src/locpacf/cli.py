@@ -23,16 +23,14 @@ import numpy as np
 from . import io as _io
 from .errors import DataError, InvalidArgumentError, NumericalError
 from .estimators import (
+    EstimatorConfig,
     LpacfGrid,
     _check_bandwidth,
     classical_pacf,
     confidence_halfwidth,
-    wavelet_lpacf,
-    windowed_lpacf,
 )
 from .simulate import (
     ArPathSpec,
-    EstimatorConfig,
     monte_carlo_rmse,
     simulate_piecewise_ar,
     simulate_tvar,
@@ -69,6 +67,14 @@ def _add_estimator_flags(p):
     p.add_argument("--max-scale", type=int, help="deepest wavelet scale J* (wavelet)")
 
 
+def _estimator(args) -> EstimatorConfig:
+    """The estimator that the flags of ``_add_estimator_flags`` choose."""
+    return EstimatorConfig(
+        args.method, args.binwidth, args.kernel,
+        args.smooth_span, args.max_scale, args.max_lag,
+    )
+
+
 def build_parser() -> _Parser:
     top = _Parser(prog="locpacf", description=__doc__)
     top.add_argument("--config", type=str, help="key=value file of flag defaults")
@@ -98,7 +104,12 @@ def build_parser() -> _Parser:
     est.add_argument("--input", type=str, required=True)
     est.add_argument("--output", type=str, required=True)
     _add_estimator_flags(est)
-    est.add_argument("--demean", action="store_true", help="subtract the local mean first")
+    est.add_argument(
+        "--demean",
+        action="store_true",
+        help="subtract a mean first: the kernel-weighted local mean (windowed) "
+        "or the whole-series mean (wavelet)",
+    )
     points = est.add_mutually_exclusive_group()  # neither: every index
     points.add_argument("--stride", type=int, help="estimate every n-th index")
     points.add_argument("--points", type=str, help="comma-separated explicit indices")
@@ -267,19 +278,14 @@ def _cmd_piecewise(args) -> int:
 
 def _cmd_estimate(args) -> int:
     ts = _io.read_series(args.input)
-    kw = {"max_lag": args.max_lag, "demean": args.demean}
+    points = None  # every index
     if args.points is not None:
-        kw["points"] = np.array(_int_list(args.points, "--points"), dtype=int)
+        points = np.array(_int_list(args.points, "--points"), dtype=int)
     elif args.stride is not None:
         if args.stride < 1:
             raise InvalidArgumentError(f"stride={args.stride} must be >= 1")
-        kw["points"] = np.arange(0, ts.T, args.stride)
-    if args.method == "windowed":
-        grid = windowed_lpacf(ts, L=args.binwidth, kernel=args.kernel, **kw)
-    else:
-        grid = wavelet_lpacf(
-            ts, max_scale=args.max_scale, span=args.smooth_span, pad=args.pad, **kw
-        )
+        points = np.arange(0, ts.T, args.stride)
+    grid = _estimator(args).estimate(ts, points, args.demean, args.pad)
     _write_grid(grid, ts.T, args.output, args.plot, f"local pacf ({grid.kind})")
     return EXIT_OK
 
@@ -312,16 +318,8 @@ def _cmd_benchmark(args) -> int:
                 f"--T applies to the tvar study only (piecewise-ar has T={T})"
             )
         spec = ArPathSpec.piecewise(segments)
-    config = EstimatorConfig(
-        method=args.method,
-        binwidth=args.binwidth,
-        kernel=args.kernel,
-        smooth_span=args.smooth_span,
-        max_scale=args.max_scale,
-        max_lag=args.max_lag,
-    )
     lags = list(range(1, args.max_lag + 1))
-    report = monte_carlo_rmse(spec, config, args.reps, lags, args.seed, T)
+    report = monte_carlo_rmse(spec, _estimator(args), args.reps, lags, args.seed, T)
     _io.write_rmse_csv(args.output, report)
     for r in report.rows:
         print(
@@ -345,9 +343,8 @@ def _cmd_sweep(args) -> int:
     for L in widths:
         _check_bandwidth(ts.T, L, args.max_lag)
     for L in widths:
-        grid = windowed_lpacf(
-            ts, L=L, kernel=args.kernel, max_lag=args.max_lag, demean=args.demean
-        )
+        config = EstimatorConfig("windowed", L, args.kernel, max_lag=args.max_lag)
+        grid = config.estimate(ts, demean=args.demean)
         _write_grid(
             grid,
             ts.T,

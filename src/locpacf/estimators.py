@@ -11,8 +11,11 @@ representation
 with the wavelet local autocovariance estimate, solving a local
 Yule-Walker system for phi and two prediction systems for the MSPEs.
 
-Both assume mean-zero input; pass demean=True to subtract the
-(kernel-weighted, for the windowed estimator) local mean first.
+Both assume mean-zero input.  ``demean=True`` subtracts a mean first: the
+windowed estimator subtracts from each observation the kernel-weighted
+mean of the window centred on it, the wavelet estimator the mean of the
+whole series.  ``EstimatorConfig`` names an estimator and its knobs, and
+its ``estimate`` is the one place that picks an estimator and calls it.
 Estimation at distinct time points is independent; the implementations
 vectorize over points and produce deterministic output ordering.  The
 windowed estimator sums its windows on the coarsest evenly spaced
@@ -62,6 +65,7 @@ __all__ = [
     "PredictionSystem",
     "wavelet_lpacf",
     "LpacfGrid",
+    "EstimatorConfig",
 ]
 
 _RIDGE_START = 1e-8
@@ -224,12 +228,13 @@ def windowed_lpacf(
     window centred there, then the classical order-recursive partial
     autocorrelation.  Window clipping at the series ends is flagged and
     the effective window length is used for the CI half-width; points
-    retaining fewer than 2*max_lag observations are dropped.  ``points``
-    defaults to every index.  The window sums are taken from the lowest to
-    the highest point at the gcd of their spacings (``demean`` also needs
-    the local mean at every point): evenly spaced points, in any order,
-    cost only their own windows, and scattered points every window of the
-    span they cover.
+    retaining fewer than 2*max_lag observations are dropped.  ``demean``
+    subtracts from each observation the kernel-weighted mean of the window
+    centred on it.  ``points`` defaults to every index.  The window sums
+    of a selection are taken from the lowest to the highest point at the
+    gcd of their spacings (``demean`` also needs the local mean at every
+    point): evenly spaced points, in any order, cost only their own
+    windows, and scattered points every window of the span they cover.
     """
     ts = as_series(ts).require_length()
     kernel = get_kernel(kernel)
@@ -258,14 +263,18 @@ def windowed_lpacf(
         x = x - sums[1] / sums[0]
     for tau in range(max_lag + 1):
         np.multiply(x[: T - tau], x[tau:], out=rows[1 + tau, L : L + T - tau])
-    # the windows lo, lo + step, ..., hi, the coarsest progression holding
-    # every point (none for an empty selection); the points in increasing
-    # order, each once, are the whole progression and need no gather
-    lo, hi = pts.min(initial=T), pts.max(initial=-1)
-    step = int(np.gcd.reduce(pts - lo)) or 1
-    sums = _window_sums(rows, weights, first + lo, first + hi + 1, step)
-    if not np.array_equal(pts, np.arange(lo, hi + 1, step)):
-        sums = sums[:, (pts - lo) // step]
+    if points is None:
+        sums = _window_sums(rows, weights, first, first + T)
+    else:
+        # the windows lo, lo + step, ..., hi, the coarsest progression
+        # holding every point (none for an empty selection); the points in
+        # increasing order, each once, are the whole progression and need
+        # no gather
+        lo, hi = pts.min(initial=T), pts.max(initial=-1)
+        step = int(np.gcd.reduce(pts - lo)) or 1
+        sums = _window_sums(rows, weights, first + lo, first + hi + 1, step)
+        if not np.array_equal(pts, np.arange(lo, hi + 1, step)):
+            sums = sums[:, (pts - lo) // step]
     gamma = sums[1:]
     gamma /= sums[0]
 
@@ -506,10 +515,13 @@ def wavelet_lpacf(
     ridge, one stack per ridge level.  ``prediction_system`` runs the same
     stage at one point.
 
-    ``points`` defaults to every index; the plug-in stage solves only
-    their systems, and the spectral stage covers the whole series.  Points
-    failing numerically are dropped and reported, not fatal, in increasing
-    order in ``dropped_points``, a repeated point as often as requested.
+    ``demean`` subtracts the mean of the whole series before the spectral
+    stage, not a local mean.  ``points`` defaults to every index; the
+    plug-in stage solves only their systems, and the spectral stage covers
+    the whole series.  Points too near the end of the grid, or failing
+    numerically, are dropped and reported, not fatal: ``points`` and
+    ``dropped_points`` each keep the order requested, a repeated point as
+    often as requested.
     """
     ts = as_series(ts).require_length()
     T = ts.T
@@ -537,7 +549,7 @@ def wavelet_lpacf(
         margin = max_lag
     pts = _select_points(T, points)
     keep = (pts + max_lag <= lacv.T - 1) & (lacv.values[0, pts] > 0)
-    usable, dropped = pts[keep], pts[~keep]
+    usable = pts[keep]
 
     G = _midpoint_stack(lacv.values, usable, max_lag + 1)  # times zT..zT+max_lag
     scale = np.maximum(lacv.values[0, usable], 1e-300)
@@ -548,8 +560,8 @@ def wavelet_lpacf(
         ok &= ~np.isnan(ridge).any(axis=0) & _mspe_ok(mb, mf)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             estimates[:, tau - 1] = phi[:, -1] * np.sqrt(mb / mf)
-    dropped = np.concatenate([dropped, usable[~ok]])
-    usable = usable[ok]
+    keep[keep] = ok
+    usable = pts[keep]
     estimates = estimates[ok]
     clamp_count = int(np.sum(np.abs(estimates) > 1.0))
     estimates = np.clip(estimates, -1.0, 1.0)
@@ -562,5 +574,42 @@ def wavelet_lpacf(
         bandwidth=None,
         ci_halfwidth=None,
         clamp_count=clamp_count,
-        dropped_points=np.sort(dropped),
+        dropped_points=pts[~keep],
     )
+
+
+@dataclass(frozen=True)
+class EstimatorConfig:
+    """Which estimator to run, and with which knobs.
+
+    ``binwidth`` (the window width L, default ``default_bandwidth(T)``) and
+    ``kernel`` belong to the windowed estimator, ``smooth_span`` and
+    ``max_scale`` to the wavelet estimator; the other method ignores them.
+    """
+
+    method: str  # "windowed" | "wavelet"
+    binwidth: int | None = None
+    kernel: str = "epanechnikov"
+    smooth_span: int | None = None
+    max_scale: int | None = None
+    max_lag: int = 4
+
+    def __post_init__(self):
+        if self.method not in ("windowed", "wavelet"):
+            raise InvalidArgumentError(f"unknown method {self.method!r}")
+
+    def estimate(self, ts, points=None, demean=False, pad=False) -> LpacfGrid:
+        """The configured estimator's grid of ``ts`` at ``points``.
+
+        ``points`` and ``demean`` go to either estimator; ``pad``
+        reflect-pads a non-dyadic series for the wavelet estimator and has
+        nothing to do for the windowed estimator, which takes any length.
+        The grid's ``bandwidth`` is the window width used, None for the
+        wavelet estimator.
+        """
+        common = {"max_lag": self.max_lag, "points": points, "demean": demean}
+        if self.method == "windowed":
+            return windowed_lpacf(ts, L=self.binwidth, kernel=self.kernel, **common)
+        return wavelet_lpacf(
+            ts, max_scale=self.max_scale, span=self.smooth_span, pad=pad, **common
+        )

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DataError, InvalidArgumentError
-from .estimators import wavelet_lpacf, windowed_lpacf
+from .estimators import EstimatorConfig
 from .series import TimeSeries
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "ar_autocovariances",
     "true_tv_pacf",
     "true_pacf_curve",
-    "EstimatorConfig",
     "RmseRow",
     "RmseReport",
     "monte_carlo_rmse",
@@ -257,31 +256,6 @@ def _pacf_rows(k: np.ndarray, lags: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class EstimatorConfig:
-    """Which estimator the benchmark runs, and with which knobs."""
-
-    method: str  # "windowed" | "wavelet"
-    binwidth: int | None = None
-    kernel: str = "epanechnikov"
-    smooth_span: int | None = None
-    max_scale: int | None = None
-    max_lag: int = 4
-
-    def __post_init__(self):
-        if self.method not in ("windowed", "wavelet"):
-            raise InvalidArgumentError(f"unknown method {self.method!r}")
-
-    def estimate(self, ts: TimeSeries):
-        if self.method == "windowed":
-            return windowed_lpacf(
-                ts, L=self.binwidth, kernel=self.kernel, max_lag=self.max_lag
-            )
-        return wavelet_lpacf(
-            ts, max_scale=self.max_scale, span=self.smooth_span, max_lag=self.max_lag
-        )
-
-
-@dataclass(frozen=True)
 class RmseRow:
     estimator: str
     lag: int
@@ -319,7 +293,8 @@ def monte_carlo_rmse(
     or in which the estimator fails at more than 10% of points, is
     excluded and counted; when every replicate is, the DataError counts
     each reason.  The report holds one row per requested lag, in the order
-    given.
+    given; its ``bandwidth`` is the window width L the estimator used, None
+    for the wavelet estimator.
     """
     if reps < 2:
         raise InvalidArgumentError(f"reps={reps} must be >= 2")
@@ -375,7 +350,7 @@ def monte_carlo_rmse(
                 stderr=float(np.std(vals, ddof=1) / np.sqrt(used)),
                 replicates=used,
                 excluded=excluded,
-                bandwidth=config.binwidth,
+                bandwidth=grid.bandwidth,
                 elapsed_seconds=elapsed,
             )
         )

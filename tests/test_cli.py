@@ -9,7 +9,15 @@ import numpy as np
 import pytest
 
 import locpacf
-from locpacf import DataError, TimeSeries, read_series, write_series
+from locpacf import (
+    DataError,
+    TimeSeries,
+    read_series,
+    wavelet_lpacf,
+    windowed_lpacf,
+    write_long_csv,
+    write_series,
+)
 from locpacf.cli import main
 from locpacf.io import LONG_HEADER
 
@@ -123,6 +131,53 @@ def test_cli_estimate_wavelet_empty_ci(tmp_path):
     for line in Path(est).read_text().splitlines()[1:3]:
         parts = line.split(",")
         assert parts[4] == "" and parts[5] == ""
+
+
+# every estimator flag set; the other method's knobs are ignored
+_OTHER_KNOBS = ["--binwidth", "40", "--kernel", "rectangular"]
+
+
+@pytest.mark.parametrize(
+    "T, flags, direct",
+    [
+        pytest.param(
+            1000,
+            ["--method", "windowed", "--binwidth", "40", "--kernel", "rectangular",
+             "--max-lag", "3", "--max-scale", "5", "--smooth-span", "3", "--demean",
+             "--points", "5,900,17,17"],
+            lambda ts: windowed_lpacf(
+                ts, L=40, kernel="rectangular", max_lag=3, points=[5, 900, 17, 17],
+                demean=True,
+            ),
+            id="windowed-points",
+        ),
+        pytest.param(
+            1024,
+            ["--method", "wavelet", "--max-scale", "5", "--smooth-span", "3",
+             "--max-lag", "3", "--demean", "--stride", "7"] + _OTHER_KNOBS,
+            lambda ts: wavelet_lpacf(
+                ts, max_scale=5, span=3, max_lag=3, points=np.arange(0, 1024, 7),
+                demean=True,
+            ),
+            id="wavelet-stride",
+        ),
+        pytest.param(
+            1000,
+            ["--method", "wavelet", "--max-scale", "5", "--smooth-span", "3",
+             "--max-lag", "2", "--pad"] + _OTHER_KNOBS,
+            lambda ts: wavelet_lpacf(ts, max_scale=5, span=3, max_lag=2, pad=True),
+            id="wavelet-pad",
+        ),
+    ],
+)
+def test_cli_estimate_writes_the_direct_call_bytes(tmp_path, T, flags, direct):
+    sim = str(tmp_path / "x.csv")
+    write_series(sim, TimeSeries(np.random.default_rng(T).standard_normal(T)))
+    out = tmp_path / "cli.csv"
+    assert main(["estimate", "--input", sim, "--output", str(out)] + flags) == 0
+    ref = tmp_path / "ref.csv"
+    write_long_csv(str(ref), direct(read_series(sim)), T)
+    assert out.read_bytes() == ref.read_bytes()
 
 
 def test_cli_determinism_byte_identical(tmp_path):
@@ -268,6 +323,24 @@ def test_cli_benchmark_small(tmp_path):
     lines = Path(out).read_text().splitlines()
     assert lines[0].startswith("estimator,lag,rmse")
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize(
+    "flags, bandwidth",
+    [
+        (["--method", "windowed", "--binwidth", "40"], "40"),
+        (["--method", "windowed"], "148"),  # default_bandwidth(512)
+        (["--method", "wavelet", "--max-scale", "6", "--binwidth", "40"], ""),
+    ],
+    ids=["windowed-binwidth", "windowed-default", "wavelet-binwidth"],
+)
+def test_cli_benchmark_reports_the_window_used(tmp_path, flags, bandwidth):
+    out = str(tmp_path / "rmse.csv")
+    argv = ["benchmark", "--reps", "2", "--max-lag", "1", "--output", out] + flags
+    assert main(argv) == 0
+    rows = [line.split(",") for line in Path(out).read_text().splitlines()]
+    assert rows[0][6] == "bandwidth"
+    assert [row[6] for row in rows[1:]] == [bandwidth]
 
 
 def test_cli_benchmark_every_replicate_excluded(tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""Every exported name resolves, so a stale ``__all__`` entry fails, and
-every private module-level name has a user, so a dead helper fails.
+"""Every exported name resolves, so a stale ``__all__`` entry fails,
+every private module-level name has a user, so a dead helper fails, and
+no module but ``estimators.py`` calls an estimator directly.
 
 The demos are not run by the tests, so their ``locpacf`` imports are
 resolved here from the source text.
@@ -77,3 +78,19 @@ def test_every_private_name_is_used_in_the_package():
         if name.startswith("_") and not name.startswith("__") and name not in used
     ]
     assert unused == []
+
+
+def test_only_the_estimators_module_calls_an_estimator():
+    # EstimatorConfig.estimate is the package's one way into an estimator
+    callers = sorted(
+        {
+            path.name
+            for path in SOURCES
+            if path.name != "estimators.py"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+            in ("windowed_lpacf", "wavelet_lpacf")
+        }
+    )
+    assert callers == []

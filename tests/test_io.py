@@ -2,13 +2,14 @@
 
 import os
 import tracemalloc
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locpacf import DataError, TimeSeries, read_series, write_series
+from locpacf import DataError, TimeSeries, read_series, svg_plot, write_series
 from locpacf.estimators import LpacfGrid
 from locpacf.io import _CHUNK_POINTS, _CHUNK_VALUES, LONG_HEADER, write_long_csv
 
@@ -196,3 +197,20 @@ def test_write_long_csv_memory_is_bounded_by_the_chunk(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_svg_plot_escapes_its_title(tmp_path):
+    grid = LpacfGrid(
+        kind="windowed",
+        points=np.arange(4),
+        estimates=np.array([[0.1], [0.2], [-0.3], [0.0]]),
+        boundary=np.zeros(4, dtype=np.uint8),
+        bandwidth=None,
+        ci_halfwidth=None,
+        clamp_count=0,
+    )
+    path = tmp_path / "plot.svg"
+    title = "AR(1) & TVAR <ramp>"
+    svg_plot(str(path), grid, 4, title=title)
+    root = ET.parse(path).getroot()
+    assert title in [node.text for node in root.iter("{http://www.w3.org/2000/svg}text")]

@@ -212,11 +212,13 @@ def test_piecewise_table_matches_searchsorted_at_edges():
 
 def _reference_rmse(spec, config, reps, lags, seed, T):
     """(rmse, stderr, replicates, excluded) per lag from a plain loop over
-    simulate_tvar, the estimator and true_pacf_curve."""
+    simulate_tvar, the estimator and true_pacf_curve, and the set of the
+    grids' bandwidths."""
     truth = true_pacf_curve(spec, T, lags)
-    per_rep, excluded = [], 0
+    per_rep, excluded, bandwidths = [], 0, set()
     for r in range(reps):
         grid = config.estimate(simulate_tvar(spec, T, seed + r))
+        bandwidths.add(grid.bandwidth)
         interior = grid.boundary == 0
         pts = grid.points[interior]
         n_dropped = len(grid.dropped_points)
@@ -230,7 +232,7 @@ def _reference_rmse(spec, config, reps, lags, seed, T):
         per_rep.append(errs)
     per_rep = np.asarray(per_rep)
     used = len(per_rep)
-    return [
+    rows = [
         (
             float(np.mean(per_rep[:, i])),
             float(np.std(per_rep[:, i], ddof=1) / np.sqrt(used)),
@@ -239,6 +241,7 @@ def _reference_rmse(spec, config, reps, lags, seed, T):
         )
         for i in range(len(lags))
     ]
+    return rows, bandwidths
 
 
 @pytest.mark.parametrize(
@@ -251,6 +254,10 @@ def _reference_rmse(spec, config, reps, lags, seed, T):
         pytest.param(
             PIECEWISE_STUDY, EstimatorConfig("windowed", binwidth=48, max_lag=2),
             5, [1, 2], 1000, 256, 0, id="piecewise-windowed",
+        ),
+        pytest.param(
+            TVAR_STUDY, EstimatorConfig("windowed", max_lag=2),
+            3, [1, 2], 7, 256, 0, id="tvar-windowed-default-width",
         ),
         pytest.param(
             TVAR_STUDY,
@@ -273,9 +280,10 @@ def test_monte_carlo_rmse_matches_per_replicate_reference(
 ):
     report = monte_carlo_rmse(spec, config, reps, lags, seed, T)
     got = [(r.rmse, r.stderr, r.replicates, r.excluded) for r in report.rows]
-    ref = _reference_rmse(spec, config, reps, lags, seed, T)
+    ref, (bandwidth,) = _reference_rmse(spec, config, reps, lags, seed, T)
     assert np.array(got).tobytes() == np.array(ref).tobytes()
     assert [r.lag for r in report.rows] == lags
+    assert [r.bandwidth for r in report.rows] == [bandwidth] * len(lags)
     assert report.rows[0].excluded == excluded
 
 
