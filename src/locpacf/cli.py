@@ -15,6 +15,7 @@ numerical failure, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -369,14 +370,22 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser of every call without ``--config``: parsing leaves it as
+    it was, and building it costs about twenty times a parse."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-        # flags override config-file values, which override defaults
+        args = _shared_parser().parse_args(argv)
+        # flags override config-file values, which override defaults; the
+        # config's defaults go on a parser of this call's own
         if args.config:
-            args = _apply_config(parser, args, argv)
+            parser = build_parser()
+            args = _apply_config(parser, parser.parse_args(argv), argv)
         return args.run(args)
     except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,12 @@ representation
 with the wavelet local autocovariance estimate, solving a local
 Yule-Walker system for phi and two prediction systems for the MSPEs.
 
+Every estimator, ``classical_pacf`` too, first scales the series by the
+power of two that brings its largest magnitude into [0.5, 1).  A partial
+autocorrelation does not depend on scale, and the scaling commutes with
+every rounding, so the estimates keep their bits while no product or sum
+of the series can overflow or go subnormal.
+
 Both assume mean-zero input.  ``demean=True`` subtracts a mean first: the
 windowed estimator subtracts from each observation the kernel-weighted
 mean of the window centred on it, the wavelet estimator the mean of the
@@ -118,6 +124,13 @@ def levinson_pacf(gamma: np.ndarray) -> np.ndarray:
     return pacf[:, 0] if squeeze else pacf
 
 
+def _unit_scaled(x: np.ndarray) -> np.ndarray:
+    """x times the power of two that brings max |x| into [0.5, 1): exact,
+    and scale-free for the estimators (see the module docstring)."""
+    _, e = np.frexp(np.max(np.abs(x)))
+    return np.ldexp(x, -e)
+
+
 def classical_pacf(ts, max_lag: int, demean: bool = False) -> np.ndarray:
     """Sample partial autocorrelation of the whole series at lags 1..max_lag.
 
@@ -128,7 +141,9 @@ def classical_pacf(ts, max_lag: int, demean: bool = False) -> np.ndarray:
     T = ts.T
     if not 1 <= max_lag < T // 2:
         raise InvalidArgumentError(f"max_lag={max_lag} outside [1, T/2) for T={T}")
-    x = ts.values - ts.values.mean() if demean else ts.values
+    x = _unit_scaled(ts.values)
+    if demean:
+        x = x - x.mean()
     gamma = np.array([np.dot(x[: T - k], x[k:]) / T for k in range(max_lag + 1)])
     if gamma[0] <= 0.0:
         raise DegenerateInputError("series has zero sample variance")
@@ -228,7 +243,8 @@ def windowed_lpacf(
     window centred there, then the classical order-recursive partial
     autocorrelation.  Window clipping at the series ends is flagged and
     the effective window length is used for the CI half-width; points
-    retaining fewer than 2*max_lag observations are dropped.  ``demean``
+    retaining fewer than 2*max_lag observations, or whose lag sums are not
+    finite, are dropped.  ``demean``
     subtracts from each observation the kernel-weighted mean of the window
     centred on it.  ``points`` defaults to every index.  The window sums
     of a selection are taken from the lowest to the highest point at the
@@ -256,7 +272,7 @@ def windowed_lpacf(
     rows = np.zeros((max_lag + 2, T + 2 * L))
     rows[0, L : L + T] = 1.0
     first = L + offs[0]  # start of point 0's window in the padded rows
-    x = ts.values
+    x = _unit_scaled(ts.values)
     if demean:
         rows[1, L : L + T] = x
         sums = _window_sums(rows[:2], weights[:2], first, first + T)
@@ -281,6 +297,7 @@ def windowed_lpacf(
     # in-bounds window points, an exact count
     eff = np.minimum(pts + offs[-1], T - 1) - np.maximum(pts + offs[0], 0) + 1
     keep_mask = (eff >= 2 * max_lag) & (gamma[0] > 0.0)
+    keep_mask &= np.isfinite(gamma).all(axis=0)
     kept = pts[keep_mask]
     dropped = pts[~keep_mask]
 
@@ -532,7 +549,9 @@ def wavelet_lpacf(
             max_scale = default_max_scale(T)
         if span is None:
             span = default_smoothing_span(T)
-        x = ts.values - ts.values.mean() if demean else ts.values
+        x = _unit_scaled(ts.values)
+        if demean:
+            x = x - x.mean()
         raw = raw_wavelet_periodogram(x, max_scale, pad=pad)
         ews = smooth_and_correct(raw, span)
         lacv = local_autocovariance(ews, max(max_lag, 1))

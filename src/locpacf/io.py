@@ -8,11 +8,16 @@ reproduce every value; estimate output is the long format
 with one record per (point, lag) and empty ci fields exactly when the
 estimator provides no confidence band.
 
-Output is formatted in chunks: each chunk of ``_CHUNK_POINTS`` points
-(``_CHUNK_VALUES`` series values) becomes one string built by a single
-``%`` call, so the per-row Python loop is gone while every byte is the
-same as formatting each value with ``format(v, ".17g")``, and memory
-stays bounded by the chunk size rather than by the length of the file.
+The long CSV is written in chunks of ``_CHUNK_POINTS`` points, so memory
+stays bounded by the chunk rather than by the length of the file.  Each
+chunk is one uint8 matrix with a row per record and every field at a
+fixed width, 0 bytes wherever nothing is printed; dropping the 0 bytes
+(no text byte is 0) leaves the chunk's text, written with one call.
+Every float field carries the bytes of ``format(v, ".17g")``: values with
+|v| in [1e-4, 1), which covers z = t/T, the CI bounds and nearly every
+estimate, are formatted exactly in numpy from Dekker's error-free
+product, and every other value by ``format`` itself.  Series output
+formats each chunk of ``_CHUNK_VALUES`` values with one ``%`` call.
 Reading parses every line with ``float`` in one pass and falls back to a
 line-by-line scan only to skip a header or to name a bad line.
 """
@@ -47,8 +52,6 @@ def _fmt(x: float) -> str:
 # times max_lag rows) and values per chunk of a written series.
 _CHUNK_POINTS = 2048
 _CHUNK_VALUES = 8192
-# One long-CSV row: "t,z," + "lag," + estimate + ",lo,hi,flag\n".
-_ROW = "%s%s%.17g%s"
 
 
 def read_series(path: str) -> TimeSeries:
@@ -117,47 +120,157 @@ def write_series(path: str, ts: TimeSeries) -> None:
             fh.write(("%.17g\n" * len(chunk)) % tuple(chunk))
 
 
-def _ci_suffix(hw, flag) -> str:
-    ci = ",," if hw is None else f",{_fmt(-hw)},{_fmt(hw)}"
-    return f"{ci},{int(flag)}\n"
+# Widest ``%.17g`` text, "-1.2345678901234567e-308"; every float field of
+# a row is laid out at this width, zero-padded.
+_FIELD = 24
+# Veltkamp's splitter for float64: a = hi + lo with 26-bit halves.
+_SPLIT = 134217729.0  # 2**27 + 1
+
+
+def _split(a):
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+# 10**(17 + k) for k = -1 - e = 0..3: exact doubles (5**20 < 2**53).
+_SCALE = 10.0 ** np.arange(17, 21)
+_SCALE_HI, _SCALE_LO = _split(_SCALE)
+
+
+# A fast field is 8 prefix bytes "[-]0." + k zeros (0 bytes for the rest
+# of three) + the lead digit + a 0 byte, then four groups of four digits.
+_PREFIX = np.frombuffer(
+    b"".join(
+        sign + b"0." + b"0" * k + bytes(3 - k) + bytes([48 + lead, 0])
+        for sign in (b"\0", b"-")
+        for k in range(4)
+        for lead in range(10)
+    ),
+    np.uint64,
+)
+
+
+def _digit_table() -> np.ndarray:
+    """Every 0000..9999 as four ASCII bytes in one uint32, then each again
+    with its trailing zeros as 0 bytes."""
+    g = np.arange(10000)[:, None]
+    text = g // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    trailing = g % np.array([10000, 1000, 100, 10]) == 0  # digits from here on all 0
+    text = np.concatenate([text, np.where(trailing, 0, text)]).astype(np.uint8)
+    return text.view(np.uint32)[:, 0]
+
+
+_DIGITS4 = _digit_table()
+
+
+def _format17(x) -> np.ndarray:
+    """``format(v, ".17g")`` of every v in x, as an (n, _FIELD) uint8
+    matrix: the nonzero bytes of row i, in order, are the text of x[i].
+
+    A value with |v| in [1e-4, 1) prints as "0.", -e-1 zeros and the 17
+    digits of |v| * 10**(16-e) rounded half to even, trailing zeros
+    dropped, where e = floor(log10 |v|).  Comparing |v| with the doubles
+    0.1, 0.01 and 0.001, each just above its power of ten, gives e
+    exactly.  Dekker's two-product gives the scaled value exactly as
+    hi + lo, and hi >= 1e16 > 2**53 is an even integer, so the digits are
+    int(hi) + rint(lo).  Every other value, and one whose digits would
+    round up to 10**17, is formatted by ``format`` itself.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1.0)
+    a[~fast] = 0.5  # any in-range value: no overflow, no NaN, no warning
+    k = (a < 0.1).astype(np.intp)
+    k += a < 0.01
+    k += a < 0.001
+    hi = a * _SCALE[k]
+    ah, al = _split(a)
+    sh, sl = _SCALE_HI[k], _SCALE_LO[k]
+    lo = ((ah * sh - hi) + ah * sl + al * sh) + al * sl
+    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    fast &= digits < 10**17
+
+    upper = digits // 10**8  # the lead digit and the next eight
+    lower = (digits - upper * 10**8).astype(np.uint32)
+    upper = upper.astype(np.uint32)
+    lead = upper // 10**8
+    upper -= lead * 10**8
+    g1, g2 = np.divmod(upper, 10000)
+    g3, g4 = np.divmod(lower, 10000)
+    out = np.empty((x.size, 3), np.uint64)
+    out[:, 0] = _PREFIX[(x < 0.0) * 40 + k * 10 + lead]
+    # a group's trailing zeros are blanked when every later digit is 0
+    words = out.view(np.uint32)
+    words[:, 2] = _DIGITS4[g1 + 10000 * ((g2 == 0) & (lower == 0))]
+    words[:, 3] = _DIGITS4[g2 + 10000 * (lower == 0)]
+    words[:, 4] = _DIGITS4[g3 + 10000 * (g4 == 0)]
+    words[:, 5] = _DIGITS4[g4 + 10000]
+    out = out.view(np.uint8)
+
+    slow = ~fast
+    if slow.any():
+        text = [format(v, ".17g").encode() for v in x[slow].tolist()]
+        out[slow] = np.array(text, f"S{_FIELD}").view(np.uint8).reshape(-1, _FIELD)
+    return out
+
+
+def _format_int(v) -> np.ndarray:
+    """``"%d" % k`` of every k in v, as an (n, 1, width) uint8 matrix
+    whose nonzero bytes are the text."""
+    v = np.asarray(v, dtype=np.int64).ravel()
+    a = np.abs(v)
+    width = len(str(a.max(initial=0)))
+    out = np.zeros((v.size, 1, width + 1), np.uint8)
+    out[:, 0, 0] = (v < 0) * ord("-")
+    for j in range(width):
+        place = 10 ** (width - 1 - j)
+        digit = a // place % 10 + ord("0")
+        out[:, 0, j + 1] = digit if place == 1 else np.where(a >= place, digit, 0)
+    return out
+
+
+def _rows(n: int, m: int, *fields) -> bytearray:
+    """The text of n x m rows: the fields side by side, each an (n or 1,
+    m or 1, width) uint8 matrix or a bytes constant, with the 0 bytes
+    dropped."""
+    parts = [
+        np.frombuffer(f, np.uint8)[None, None] if isinstance(f, bytes) else f
+        for f in fields
+    ]
+    width = sum(f.shape[-1] for f in parts)
+    rows = bytearray(n * m * width)  # the matrix is built in place, not copied
+    np.concatenate(
+        [np.broadcast_to(f, (n, m, f.shape[-1])) for f in parts],
+        axis=2,
+        out=np.frombuffer(rows, np.uint8).reshape(n, m, width),
+    )
+    return rows.translate(None, b"\0")
 
 
 def write_long_csv(path: str, grid: LpacfGrid, T: int) -> None:
     """One record per (point, lag), ordered by point then lag."""
-    lag_fields = ["%d," % lag for lag in grid.lags.tolist()]
+    m = grid.max_lag
+    lags = _format_int(grid.lags).transpose(1, 0, 2)
     points = np.asarray(grid.points)
-    z = points / T
     hw = grid.ci_halfwidth
-    # ",lo,hi,flag\n" is formatted once per distinct (half-width, flag);
-    # the sign bit is part of the key because 0.0 == -0.0 format apart.
-    suffixes: dict = {}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(LONG_HEADER + "\n")
+    with open(path, "wb") as fh:
+        fh.write(LONG_HEADER.encode() + b"\n")
         for start in range(0, points.size, _CHUNK_POINTS):
-            stop = start + _CHUNK_POINTS
-            flags = grid.boundary[start:stop].tolist()
-            if hw is None:
-                halves = signs = [None] * len(flags)
-            else:
-                halves = hw[start:stop].tolist()
-                signs = np.signbit(hw[start:stop]).tolist()
-            sfx = []
-            for key in zip(halves, signs, flags):
-                s = suffixes.get(key)
-                if s is None:
-                    s = suffixes[key] = _ci_suffix(key[0], key[2])
-                sfx.append(s)
-            pre = [
-                "%d,%.17g," % tz
-                for tz in zip(points[start:stop].tolist(), z[start:stop].tolist())
-            ]
-            rows = len(pre) * len(lag_fields)
-            args = [None] * (4 * rows)
-            args[0::4] = [p for p in pre for _ in lag_fields]
-            args[1::4] = lag_fields * len(pre)
-            args[2::4] = grid.estimates[start:stop].ravel().tolist()
-            args[3::4] = [s for s in sfx for _ in lag_fields]
-            fh.write((_ROW * rows) % tuple(args))
+            chunk = slice(start, start + _CHUNK_POINTS)
+            t = points[chunk]
+            bounds = [] if hw is None else [-hw[chunk], hw[chunk]]
+            # one formatter call per chunk: z, the CI bounds, the estimates
+            values = np.column_stack([t / T, *bounds, grid.estimates[chunk]])
+            text = _format17(values).reshape(t.size, -1, _FIELD)
+            ci = [b",,"] if hw is None else [b",", text[:, 1:2], b",", text[:, 2:3]]
+            estimates = text[:, 1 + len(bounds) :]
+            fh.write(
+                _rows(
+                    t.size, m, _format_int(t), b",", text[:, :1], b",", lags, b",",
+                    estimates, *ci, b",", _format_int(grid.boundary[chunk]), b"\n",
+                )
+            )
 
 
 def write_rmse_csv(path: str, report) -> None:

@@ -202,6 +202,30 @@ def test_cli_pacf_subcommand(tmp_path):
     assert len(lines) == 7
 
 
+@pytest.mark.parametrize(
+    "argv, factor",
+    [(["estimate", "--method", "windowed", "--binwidth", "40"], 1e160),
+     (["pacf", "--max-lag", "6"], 1e-200)],
+    ids=["windowed-1e160", "pacf-1e-200"],
+)
+def test_cli_estimates_of_a_huge_or_tiny_series_match_the_unit_series(
+    tmp_path, capsys, argv, factor
+):
+    sim = str(tmp_path / "unit.txt")
+    main(["simulate", "tvar", "--T", "512", "--seed", "1", "--output", sim])
+    scaled = str(tmp_path / "scaled.txt")
+    write_series(scaled, TimeSeries(read_series(sim).values * factor))
+    estimates = []
+    for path in (sim, scaled):
+        out = tmp_path / "est.csv"
+        assert main(argv + ["--input", path, "--output", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        estimates.append(np.array([float(r.split(",")[3]) for r in rows]))
+    assert capsys.readouterr().err == ""
+    assert np.all(np.isfinite(estimates[1]))
+    np.testing.assert_allclose(estimates[1], estimates[0], rtol=0, atol=1e-9)
+
+
 def test_cli_sweep_bandwidth(tmp_path):
     sim = str(tmp_path / "sim.csv")
     main(["simulate", "tvar", "--T", "512", "--seed", "4", "--output", sim])
@@ -279,6 +303,19 @@ def test_cli_flag_with_equals_overrides_config(tmp_path):
                  "--binwidth", "64", "--stride=64"]) == 0
     points = {r.split(",")[0] for r in Path(est).read_text().splitlines()[1:]}
     assert points == {"0", "64", "128", "192"}
+
+
+def test_cli_config_defaults_do_not_outlive_their_call(tmp_path):
+    sim = str(tmp_path / "sim.csv")
+    main(["simulate", "tvar", "--T", "256", "--seed", "5", "--output", sim])
+    cfg = _write(tmp_path, "run.cfg", "max-lag=2\nbinwidth=64\n")
+    est = tmp_path / "e.csv"
+    assert main(["--config", cfg, "estimate", "--input", sim, "--output", str(est)]) == 0
+    assert {r.split(",")[2] for r in est.read_text().splitlines()[1:]} == {"1", "2"}
+    assert main(["estimate", "--input", sim, "--output", str(est)]) == 0
+    ref = tmp_path / "ref.csv"
+    write_long_csv(str(ref), windowed_lpacf(read_series(sim)), 256)
+    assert est.read_bytes() == ref.read_bytes()
 
 
 def test_cli_bad_config_value_is_usage_error(tmp_path, capsys):

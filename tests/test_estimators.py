@@ -869,6 +869,26 @@ def test_wavelet_lpacf_tracks_tvar_ramp():
     assert corr > 0.75
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([96, 128]), st.booleans(), st.data())
+def test_estimates_do_not_depend_on_a_power_of_two_scale(seed, T, demean, data):
+    x = simulate_tvar(ArPathSpec.linear_ramp([0.9], [-0.9]), T, seed).values
+    # every k for which x * 2**k is exact: finite, and no value subnormal
+    lowest = -1021 - int(np.frexp(np.min(np.abs(x)))[1])
+    highest = 1024 - int(np.frexp(np.max(np.abs(x)))[1])
+    y = np.ldexp(x, data.draw(st.integers(lowest, highest)))
+    for estimate in (
+        lambda v: windowed_lpacf(v, L=24, max_lag=3, demean=demean),
+        lambda v: wavelet_lpacf(v, max_scale=4, max_lag=2, demean=demean, pad=T != 128),
+    ):
+        a, b = estimate(x), estimate(y)
+        assert b.points.tobytes() == a.points.tobytes()
+        assert b.dropped_points.tobytes() == a.dropped_points.tobytes()
+        assert b.estimates.tobytes() == a.estimates.tobytes()
+    a, b = classical_pacf(x, 5, demean=demean), classical_pacf(y, 5, demean=demean)
+    assert b.tobytes() == a.tobytes()
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.floats(-0.9, 0.9), st.integers(2, 6))
 def test_true_ar1_accessor_cutoff_property(rho, tau):

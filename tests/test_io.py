@@ -1,7 +1,8 @@
-"""The chunked CSV writers and the one-pass reader against per-row references."""
+"""The CSV writers and the one-pass reader against per-value and per-row references."""
 
 import os
 import tracemalloc
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -9,9 +10,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locpacf import DataError, TimeSeries, read_series, svg_plot, write_series
+from locpacf import (
+    ArPathSpec,
+    DataError,
+    TimeSeries,
+    read_series,
+    simulate_tvar,
+    svg_plot,
+    wavelet_lpacf,
+    windowed_lpacf,
+    write_series,
+)
 from locpacf.estimators import LpacfGrid
-from locpacf.io import _CHUNK_POINTS, _CHUNK_VALUES, LONG_HEADER, write_long_csv
+from locpacf.io import (
+    _CHUNK_POINTS,
+    _CHUNK_VALUES,
+    LONG_HEADER,
+    _format17,
+    write_long_csv,
+)
 
 
 def _fmt(x):
@@ -89,7 +106,7 @@ def grids(draw):
     )
     max_lag = draw(st.integers(1, 3))
     spacing = draw(st.integers(1, 9))
-    points = draw(st.integers(0, 20)) + spacing * np.arange(n)
+    points = draw(st.integers(-20, 20)) + spacing * np.arange(n)
     T = draw(st.integers(1, 10 * (n + 1) * spacing + 13))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     estimates = rng.uniform(-1.0, 1.0, (n, max_lag))
@@ -122,6 +139,87 @@ def test_write_long_csv_matches_per_row_reference(tmp_path_factory, case):
     reference_long_csv(str(d / "ref.csv"), grid, T)
     write_long_csv(str(d / "new.csv"), grid, T)
     assert (d / "new.csv").read_bytes() == (d / "ref.csv").read_bytes()
+
+
+def _formatted(x):
+    return [bytes(row[row != 0]).decode() for row in _format17(np.asarray(x))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+def test_format17_matches_format_on_any_bit_pattern(bits):
+    x = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert _formatted(x) == [_fmt(v) for v in x]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(1e-4, 1.0, exclude_max=True), min_size=1, max_size=40),
+       st.booleans())
+def test_format17_matches_format_on_the_fast_range(values, negate):
+    x = -np.array(values) if negate else np.array(values)
+    assert _formatted(x) == [_fmt(v) for v in x]
+
+
+def _edge_values():
+    powers = 10.0 ** np.arange(-8, 18)
+    fixed = [1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1), np.nextafter(1.0, 0),
+             0.0, -0.0, 5e-324, np.nan, np.inf, -np.inf]
+    ticks = [np.arange(T) / T for T in (1024, 2560, 4096, 32768)]
+    # odd multiples of 2**(e-17) in [10**e, 10**(e+1)) have 18 significant
+    # digits, the last a 5: exact ties at 17 digits
+    ties = []
+    for e in range(-4, 0):
+        unit = 2.0 ** (e - 17)
+        odd = np.linspace(np.ceil(10.0**e / unit), 10.0 ** (e + 1) / unit - 2, 100)
+        ties.append((odd.astype(np.int64) | 1) * unit)
+    neighbours = [np.nextafter(powers, 0), np.nextafter(powers, np.inf)]
+    x = np.concatenate([powers, *neighbours, fixed, *ticks, *ties])
+    return np.concatenate([x, -x])
+
+
+def test_format17_matches_format_on_edge_values():
+    x = _edge_values()
+    assert _formatted(x) == [_fmt(v) for v in x]
+
+
+def _tvar(T):
+    return simulate_tvar(ArPathSpec.linear_ramp([0.9], [-0.9]), T, 0)
+
+
+@pytest.mark.parametrize(
+    "T, estimate",
+    [
+        (4096, lambda ts: wavelet_lpacf(ts, max_lag=4)),
+        (32768, lambda ts: windowed_lpacf(ts, L=64)),
+        (32768, lambda ts: windowed_lpacf(ts, L=64, points=np.arange(0, 32768, 64))),
+    ],
+    ids=["wavelet-4096", "windowed-32768", "windowed-32768-stride-64"],
+)
+def test_write_long_csv_of_estimator_grids_matches_per_row_reference(
+    tmp_path, T, estimate
+):
+    grid = estimate(_tvar(T))
+    reference_long_csv(str(tmp_path / "ref.csv"), grid, T)
+    write_long_csv(str(tmp_path / "new.csv"), grid, T)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_write_long_csv_of_out_of_range_values_warns_nothing(tmp_path):
+    special = np.array([1e308, -1e308, 5e-324, np.nan, -0.0, np.inf])
+    grid = LpacfGrid(
+        kind="windowed",
+        points=np.arange(special.size),
+        estimates=special[:, None],
+        boundary=np.zeros(special.size, dtype=np.uint8),
+        bandwidth=None,
+        ci_halfwidth=special[::-1].copy(),
+        clamp_count=0,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_long_csv(str(tmp_path / "new.csv"), grid, 1)
+    reference_long_csv(str(tmp_path / "ref.csv"), grid, 1)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, _CHUNK_VALUES - 1, _CHUNK_VALUES, _CHUNK_VALUES + 1])
