@@ -21,14 +21,19 @@ Both assume mean-zero input.  ``demean=True`` subtracts a mean first: the
 windowed estimator subtracts from each observation the kernel-weighted
 mean of the window centred on it, the wavelet estimator the mean of the
 whole series.  ``EstimatorConfig`` names an estimator and its knobs, and
-its ``estimate`` is the one place that picks an estimator and calls it.
-Estimation at distinct time points is independent; the implementations
-vectorize over points and produce deterministic output ordering.  The
-windowed estimator sums its windows on the coarsest evenly spaced
-progression that holds the requested points, with one ``np.vecdot`` over
-a read-only sliding view of the zero-padded rows, and runs one batched
-Levinson recursion for them: evenly spaced points cost only their own
-windows, scattered points the span they cover.  All three plug-in
+its ``estimate_stack`` is the one place that picks an estimator and calls
+it, for a stack of series of one length; ``estimate`` is its one-series
+case.  Estimation at distinct time points is independent; the
+implementations vectorize over points and produce deterministic output
+ordering.  The windowed estimator sums its windows on the coarsest evenly
+spaced progression that holds the requested points, with one
+``np.vecdot`` over a read-only sliding view of the zero-padded rows, and
+runs one batched Levinson recursion for them: evenly spaced points cost
+only their own windows, scattered points the span they cover.  It takes a
+whole stack in that one pass, the rows of every series in one window-sum
+call and the kept points of every series in one recursion; every row and
+column is computed on its own, so each series keeps the bits of a call on
+it alone, and ``windowed_lpacf`` is the one-series case.  All three plug-in
 systems at a point read one covariance block, the times zT..zT+tau of
 the local autocovariance surface.  The plug-in stage assembles that
 block for a stack of points by indexing the grid, slices each lag's
@@ -125,9 +130,10 @@ def levinson_pacf(gamma: np.ndarray) -> np.ndarray:
 
 
 def _unit_scaled(x: np.ndarray) -> np.ndarray:
-    """x times the power of two that brings max |x| into [0.5, 1): exact,
-    and scale-free for the estimators (see the module docstring)."""
-    _, e = np.frexp(np.max(np.abs(x)))
+    """Each series (the last axis of x) times the power of two that brings
+    its max |x| into [0.5, 1): exact, and scale-free for the estimators
+    (see the module docstring)."""
+    _, e = np.frexp(np.max(np.abs(x), axis=-1, keepdims=True))
     return np.ldexp(x, -e)
 
 
@@ -251,34 +257,63 @@ def windowed_lpacf(
     gcd of their spacings (``demean`` also needs the local mean at every
     point): evenly spaced points, in any order, cost only their own
     windows, and scattered points every window of the span they cover.
+
+    This is the one-series case of the stack routine that
+    ``EstimatorConfig.estimate_stack`` runs on many series of one length
+    with one window-sum call and one Levinson pass.
     """
-    ts = as_series(ts).require_length()
+    return _windowed_stack([ts], L, kernel, max_lag, points, demean)[0]
+
+
+def _windowed_stack(series, L, kernel, max_lag, points, demean) -> list[LpacfGrid]:
+    """``windowed_lpacf`` of each of R series of one length, in one pass.
+
+    The R·(max_lag+2) zero-padded rows of the stack are summed by one
+    ``_window_sums`` call and the kept points of every series go through
+    one ``levinson_pacf``; every row and column is computed on its own, so
+    each grid has the bits of a call on its series alone.
+    """
+    xs = [as_series(s).require_length().values for s in series]
+    if not xs:
+        return []
+    T = len(xs[0])
+    if any(len(x) != T for x in xs):
+        raise InvalidArgumentError(
+            f"a stack holds series of one length, not {sorted({len(x) for x in xs})}"
+        )
     kernel = get_kernel(kernel)
-    T = ts.T
     if L is None:
         L = default_bandwidth(T)
     _check_bandwidth(T, L, max_lag)
     pts = _select_points(T, points)
+    R, K = len(xs), max_lag + 2
 
-    # Zero-padded rows: the ones (weight mass) and the pair products at
-    # lags 0..max_lag, each summed against its weights over the window.
-    # Pairs must lie fully inside the window: weight on the left index,
-    # last tau window slots carry none.
+    # Zero-padded rows, K per series: the ones (weight mass) and the pair
+    # products at lags 0..max_lag, each summed against its weights over
+    # the window.  Pairs must lie fully inside the window: weight on the
+    # left index, last tau window slots carry none.
     offs = np.arange(-L // 2 + 1, L // 2 + 1)
     w = kernel.h((offs + L / 2) / L)
-    weights = w[None, :].repeat(max_lag + 2, axis=0)
+    weights = w[None, :].repeat(K, axis=0)
     for tau in range(1, max_lag + 1):
         weights[1 + tau, L - tau :] = 0.0
-    rows = np.zeros((max_lag + 2, T + 2 * L))
-    rows[0, L : L + T] = 1.0
+    weights = np.tile(weights, (R, 1))
+    rows = np.zeros((R * K, T + 2 * L))
+    by_series = rows.reshape(R, K, -1)  # a view: row k of series r
+    by_series[:, 0, L : L + T] = 1.0
     first = L + offs[0]  # start of point 0's window in the padded rows
-    x = _unit_scaled(ts.values)
+    x = _unit_scaled(np.stack(xs))
     if demean:
-        rows[1, L : L + T] = x
-        sums = _window_sums(rows[:2], weights[:2], first, first + T)
-        x = x - sums[1] / sums[0]
+        # the mass row once, then the series
+        local = np.zeros((R + 1, T + 2 * L))
+        local[0, L : L + T] = 1.0
+        local[1:, L : L + T] = x
+        sums = _window_sums(local, w[None, :].repeat(R + 1, axis=0), first, first + T)
+        x = x - sums[1:] / sums[0]
     for tau in range(max_lag + 1):
-        np.multiply(x[: T - tau], x[tau:], out=rows[1 + tau, L : L + T - tau])
+        np.multiply(
+            x[:, : T - tau], x[:, tau:], out=by_series[:, 1 + tau, L : L + T - tau]
+        )
     if points is None:
         sums = _window_sums(rows, weights, first, first + T)
     else:
@@ -291,32 +326,41 @@ def windowed_lpacf(
         sums = _window_sums(rows, weights, first + lo, first + hi + 1, step)
         if not np.array_equal(pts, np.arange(lo, hi + 1, step)):
             sums = sums[:, (pts - lo) // step]
-    gamma = sums[1:]
-    gamma /= sums[0]
+    del rows, by_series  # free the padded rows before the Levinson pass
+    sums = sums.reshape(R, K, -1)
+    gamma = sums[:, 1:]
+    gamma /= sums[:, :1]
 
     # in-bounds window points, an exact count
     eff = np.minimum(pts + offs[-1], T - 1) - np.maximum(pts + offs[0], 0) + 1
-    keep_mask = (eff >= 2 * max_lag) & (gamma[0] > 0.0)
-    keep_mask &= np.isfinite(gamma).all(axis=0)
-    kept = pts[keep_mask]
-    dropped = pts[~keep_mask]
+    keep = (eff >= 2 * max_lag) & (gamma[:, 0] > 0.0)
+    keep &= np.isfinite(gamma).all(axis=1)
 
-    pacf = levinson_pacf(gamma[:, keep_mask]) if kept.size else np.zeros((max_lag, 0))
-    clamp_count = int(np.sum(np.abs(pacf) >= 1.0))
-    eff = eff[keep_mask]
+    # the kept points of every series, series by series, as columns
+    kept = gamma.transpose(1, 0, 2).reshape(max_lag + 1, -1)[:, keep.ravel()]
+    pacf = levinson_pacf(kept) if kept.size else np.zeros((max_lag, 0))
+    clamped = np.abs(pacf) >= 1.0
+    estimates = pacf.T.copy()
     boundary = (eff < L).astype(np.uint8)
     ci = confidence_halfwidth(eff.astype(float))
-    return LpacfGrid(
-        kind="windowed",
-        points=kept,
-        estimates=pacf.T.copy(),
-        boundary=boundary,
-        bandwidth=int(L),
-        ci_halfwidth=ci,
-        clamp_count=clamp_count,
-        dropped_points=dropped,
-        effective_length=eff,
-    )
+    grids = []
+    end = 0
+    for mask in keep:
+        start, end = end, end + int(np.count_nonzero(mask))
+        grids.append(
+            LpacfGrid(
+                kind="windowed",
+                points=pts[mask],
+                estimates=estimates[start:end],
+                boundary=boundary[mask],
+                bandwidth=int(L),
+                ci_halfwidth=ci[mask],
+                clamp_count=int(np.count_nonzero(clamped[:, start:end])),
+                dropped_points=pts[~mask],
+                effective_length=eff[mask],
+            )
+        )
+    return grids
 
 
 @dataclass(frozen=True)
@@ -626,9 +670,21 @@ class EstimatorConfig:
         The grid's ``bandwidth`` is the window width used, None for the
         wavelet estimator.
         """
-        common = {"max_lag": self.max_lag, "points": points, "demean": demean}
+        return self.estimate_stack([ts], points, demean, pad)[0]
+
+    def estimate_stack(self, xs, points=None, demean=False, pad=False) -> list[LpacfGrid]:
+        """``[self.estimate(x, points, demean, pad) for x in xs]``, bit for
+        bit, for a stack ``xs`` of series of one length.
+
+        The windowed estimator takes the whole stack in one pass (one
+        window-sum call and one Levinson recursion) and refuses series of
+        different lengths; the wavelet estimator runs once per series.
+        """
         if self.method == "windowed":
-            return windowed_lpacf(ts, L=self.binwidth, kernel=self.kernel, **common)
-        return wavelet_lpacf(
-            ts, max_scale=self.max_scale, span=self.smooth_span, pad=pad, **common
-        )
+            L, kernel = self.binwidth, self.kernel
+            return _windowed_stack(xs, L, kernel, self.max_lag, points, demean)
+        knobs = {"max_scale": self.max_scale, "span": self.smooth_span, "pad": pad}
+        return [
+            wavelet_lpacf(x, max_lag=self.max_lag, points=points, demean=demean, **knobs)
+            for x in xs
+        ]

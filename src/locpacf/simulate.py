@@ -10,14 +10,15 @@ coefficients phi(t/T).  ``simulate_tvar`` builds that table for one series;
 a Monte-Carlo study builds it, and takes its truth from its reflection
 coefficients, once for all replicates.  Replicates are independent and
 seeded as ``seed + replicate_index``, so results are identical however
-the work is partitioned.
+the work is partitioned: a study estimates its replicates in batches of a
+fixed memory budget, one ``EstimatorConfig.estimate_stack`` call each.
 """
 
 from __future__ import annotations
 
 import time
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, repeat
 from typing import Callable, Sequence
 
@@ -269,8 +270,27 @@ class RmseRow:
 
 @dataclass(frozen=True)
 class RmseReport:
+    """The rows of a Monte-Carlo RMSE study, the replicates it excluded by
+    reason, and the wall seconds its replicates spent in each stage."""
+
     rows: tuple[RmseRow, ...]
     seed: int
+    no_interior: int  # no retained point outside the boundary margin
+    too_many_dropped: int  # the estimator dropped more than 10% of points
+    simulate_seconds: float
+    estimate_seconds: float
+    score_seconds: float
+
+    @property
+    def excluded(self) -> int:
+        return self.no_interior + self.too_many_dropped
+
+
+# Replicates per batch of a study: a batch holds its series, its grids
+# and, for the windowed estimator, max_lag + 2 zero-padded rows of
+# T + 2L < 3T entries per replicate; those rows stay under this many
+# entries (one replicate at the least).
+_BATCH_ENTRIES = 2**20
 
 
 def monte_carlo_rmse(
@@ -291,10 +311,18 @@ def monte_carlo_rmse(
     then average over replicates (standard error = sample s.d. /
     sqrt(reps)).  A replicate with no point outside the boundary margin,
     or in which the estimator fails at more than 10% of points, is
-    excluded and counted; when every replicate is, the DataError counts
-    each reason.  The report holds one row per requested lag, in the order
+    excluded and counted by reason; when every replicate is, or every one
+    but one (which leaves no standard error), the DataError gives each
+    count.  The report holds one row per requested lag, in the order
     given; its ``bandwidth`` is the window width L the estimator used, None
     for the wavelet estimator.
+
+    The replicates run in batches of a fixed memory budget
+    (``_BATCH_ENTRIES``; the benchmark's studies fit in one): a batch's
+    series are simulated one by one, estimated by one
+    ``EstimatorConfig.estimate_stack`` call, which for the windowed
+    estimator is one pass over the whole batch, and scored one by one.
+    The estimates are those of one call per replicate, bit for bit.
     """
     if reps < 2:
         raise InvalidArgumentError(f"reps={reps} must be >= 2")
@@ -309,32 +337,44 @@ def monte_carlo_rmse(
         raise InvalidArgumentError(f"T={T} must be positive")
     table, k = _checked_table(spec, T)
     truth = _pacf_rows(k, np.array(lags))
+    batch = max(1, _BATCH_ENTRIES // ((config.max_lag + 2) * 3 * T))
     t0 = time.perf_counter()
     per_rep = []
     no_interior = too_many_dropped = 0
-    for r in range(reps):
-        x = _ar_recursion(table, spec.burn_in, spec.sigma, seed + r)
-        grid = config.estimate(TimeSeries(x))
-        interior = grid.boundary == 0
-        pts = grid.points[interior]
-        n_dropped = len(grid.dropped_points)
-        if pts.size == 0:
-            no_interior += 1
-            continue
-        if n_dropped > 0.1 * (len(grid.points) + n_dropped):
-            too_many_dropped += 1
-            continue
-        errs = []
-        for i, tau in enumerate(lags):
-            e = grid.estimates[interior, tau - 1] - truth[i, pts]
-            errs.append(np.sqrt(np.mean(e * e)))
-        per_rep.append(errs)
-    excluded = no_interior + too_many_dropped
-    if not per_rep:
+    seconds = np.zeros(3)  # simulate, estimate, score
+    for first in range(0, reps, batch):
+        stamps = [time.perf_counter()]
+        xs = [
+            _ar_recursion(table, spec.burn_in, spec.sigma, seed + r)
+            for r in range(first, min(first + batch, reps))
+        ]
+        stamps.append(time.perf_counter())
+        grids = config.estimate_stack(xs)
+        stamps.append(time.perf_counter())
+        for grid in grids:
+            interior = grid.boundary == 0
+            pts = grid.points[interior]
+            n_dropped = len(grid.dropped_points)
+            if pts.size == 0:
+                no_interior += 1
+                continue
+            if n_dropped > 0.1 * (len(grid.points) + n_dropped):
+                too_many_dropped += 1
+                continue
+            errs = []
+            for i, tau in enumerate(lags):
+                e = grid.estimates[interior, tau - 1] - truth[i, pts]
+                errs.append(np.sqrt(np.mean(e * e)))
+            per_rep.append(errs)
+        stamps.append(time.perf_counter())
+        seconds += np.diff(stamps)
+    report = RmseReport((), seed, no_interior, too_many_dropped, *seconds.tolist())
+    if len(per_rep) < 2:  # no RMSE, or no standard error
         raise DataError(
-            f"all {excluded} of {reps} replicates were excluded: {no_interior} with no"
-            f" point outside the boundary margin, {too_many_dropped} with more than"
-            " 10% of points dropped"
+            f"{'' if per_rep else 'all '}{report.excluded} of {reps} replicates were"
+            f" excluded: {report.no_interior} with no point outside the boundary margin,"
+            f" {report.too_many_dropped} with more than 10% of points dropped"
+            + ("; the standard error needs 2 replicates" if per_rep else "")
         )
     elapsed = time.perf_counter() - t0
     per_rep = np.asarray(per_rep)
@@ -349,9 +389,9 @@ def monte_carlo_rmse(
                 rmse=float(np.mean(vals)),
                 stderr=float(np.std(vals, ddof=1) / np.sqrt(used)),
                 replicates=used,
-                excluded=excluded,
+                excluded=report.excluded,
                 bandwidth=grid.bandwidth,
                 elapsed_seconds=elapsed,
             )
         )
-    return RmseReport(tuple(rows), seed)
+    return replace(report, rows=tuple(rows))

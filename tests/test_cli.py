@@ -1,12 +1,17 @@
 """CSV ingestion, long-format output, SVG plotting, and the CLI surface."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import locpacf
 from locpacf import (
@@ -564,3 +569,152 @@ def test_cli_verify_imports_no_scipy():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]"
+
+
+# A fuzz of the data commands: small argv drawn around each flag's valid
+# range, on series that include huge, tiny, constant and all-zero ones.
+
+
+@st.composite
+def _fuzz_series(draw):
+    T = draw(st.integers(1, 160), label="T")
+    kind = draw(
+        st.sampled_from(["normal", "huge", "tiny", "subnormal", "constant", "zeros", "spike"]),
+        label="series",
+    )
+    x = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed")).standard_normal(T)
+    if kind in ("huge", "tiny", "subnormal"):
+        x *= {"huge": 1e300, "tiny": 1e-300, "subnormal": 1e-315}[kind]
+    elif kind in ("constant", "zeros"):
+        x[:] = x[0] if kind == "constant" else 0.0
+    elif kind == "spike":
+        x[:] = 0.0
+        x[T // 2] = 1.0
+    return x
+
+
+# mostly the small lags the commands take, now and then 0 or one too many
+_FUZZ_MAX_LAG = st.sampled_from([0, 1, 1, 2, 2, 3, 4, 6])
+
+
+def _maybe(draw, flag, strategy, label):
+    value = draw(st.none() | strategy, label=label)
+    return [] if value is None else [flag, str(value)]
+
+
+@st.composite
+def _fuzz_case(draw):
+    """(argv without --input/--output, series or None, command)."""
+    command = draw(
+        st.sampled_from(["estimate", "sweep-bandwidth", "pacf", "benchmark"]), label="command"
+    )
+    if command == "benchmark":
+        study = draw(st.sampled_from(["tvar", "piecewise-ar"]), label="study")
+        argv = ["benchmark", "--study", study, "--reps", str(draw(st.integers(2, 5)))]
+        argv += ["--seed", str(draw(st.integers(0, 1000), label="seed"))]
+        argv += ["--max-lag", str(draw(_FUZZ_MAX_LAG, label="max_lag"))]
+        if study == "tvar":
+            argv += ["--T", str(draw(st.integers(4, 192), label="bench T"))]
+        if draw(st.booleans(), label="wavelet"):
+            argv += ["--method", "wavelet"] + _maybe(
+                draw, "--max-scale", st.integers(1, 8), "max_scale"
+            )
+        else:
+            argv += _maybe(draw, "--binwidth", st.integers(2, 130), "binwidth")
+            argv += ["--kernel", draw(st.sampled_from(["rectangular", "epanechnikov"]))]
+        return argv, None, command
+    x = draw(_fuzz_series())
+    T = len(x)
+    demean = ["--demean"] if draw(st.booleans(), label="demean") else []
+    if command == "pacf":
+        max_lag = draw(st.integers(0, T // 2 + 1), label="max_lag")
+        return ["pacf", "--max-lag", str(max_lag)] + demean, x, command
+    kernel = ["--kernel", draw(st.sampled_from(["rectangular", "epanechnikov"]))]
+    max_lag = ["--max-lag", str(draw(_FUZZ_MAX_LAG, label="max_lag"))]
+    if command == "sweep-bandwidth":
+        widths = draw(st.lists(st.integers(1, T + 2), min_size=1, max_size=3), label="widths")
+        argv = ["sweep-bandwidth", "--widths", ",".join(map(str, widths))]
+        return argv + kernel + max_lag + demean, x, command
+    argv = ["estimate"] + max_lag + demean
+    if draw(st.booleans(), label="wavelet"):
+        argv += ["--method", "wavelet"]
+        argv += _maybe(draw, "--max-scale", st.integers(0, 8), "max_scale")
+        argv += _maybe(draw, "--smooth-span", st.integers(0, 12), "span")
+        argv += ["--pad"] if draw(st.booleans(), label="pad") else []
+    else:
+        argv += kernel + _maybe(draw, "--binwidth", st.integers(-1, T + 2), "binwidth")
+    selection = draw(st.sampled_from(["all", "stride", "points"]), label="selection")
+    if selection == "stride":
+        argv += ["--stride", str(draw(st.integers(-1, T + 2), label="stride"))]
+    elif selection == "points":
+        picked = draw(st.lists(st.integers(-2, T + 2), min_size=1, max_size=8), label="points")
+        argv += ["--points", ",".join(map(str, picked))]
+    return argv, x, command
+
+
+def _flag(argv, name, default):
+    return argv[argv.index(name) + 1] if name in argv else default
+
+
+def _check_long_csv(path, max_lag, requested, windowed):
+    """Blocks of max_lag rows, lags 1..max_lag, at requested points, with
+    every estimate finite and in [-1, 1]."""
+    lines = Path(path).read_text().splitlines()
+    assert lines[0] == LONG_HEADER
+    rows = [line.split(",") for line in lines[1:]]
+    assert rows and len(rows) % max_lag == 0
+    assert len(rows) // max_lag <= len(requested)
+    for start in range(0, len(rows), max_lag):
+        block = rows[start : start + max_lag]
+        assert {row[0] for row in block} == {block[0][0]}
+        assert int(block[0][0]) in requested
+        assert [int(row[2]) for row in block] == list(range(1, max_lag + 1))
+    values = np.array([[float(v) for v in row[3:6] if v != ""] for row in rows])
+    assert np.all(np.isfinite(values))
+    assert np.all(np.abs(values[:, 0]) <= 1.0)
+    assert values.shape[1] == (3 if windowed else 1)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fuzz_case())
+def test_cli_fuzz_exits_cleanly_with_finite_estimates(fuzz_dir, case):
+    argv, x, command = case
+    with tempfile.TemporaryDirectory(dir=fuzz_dir) as work:
+        out = os.path.join(work, "out.csv")
+        if x is not None:
+            series = os.path.join(work, "x.txt")
+            write_series(series, TimeSeries(x))
+            argv = argv + ["--input", series]
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(argv + ["--output", out])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in stderr.getvalue()
+        if code != 0:
+            return
+        max_lag = int(_flag(argv, "--max-lag", 10 if command == "pacf" else 4))
+        if command == "benchmark":
+            lines = Path(out).read_text().splitlines()
+            rows = [line.split(",") for line in lines[1:]]
+            assert [int(row[1]) for row in rows] == list(range(1, max_lag + 1))
+            stats = np.array([[float(row[2]), float(row[3])] for row in rows])
+            assert np.all(np.isfinite(stats)) and np.all(stats >= 0.0)
+            return
+        T = len(x)
+        if command == "pacf":
+            _check_long_csv(out, max_lag, {T // 2}, True)
+        elif command == "sweep-bandwidth":
+            for L in set(_flag(argv, "--widths", "").split(",")):
+                path = os.path.join(work, f"out_L{L}.csv")
+                _check_long_csv(path, max_lag, set(range(T)), True)
+        else:
+            requested = set(range(0, T, int(_flag(argv, "--stride", 1))))
+            if "--points" in argv:
+                requested = [int(v) for v in _flag(argv, "--points", "").split(",")]
+            windowed = "wavelet" not in argv
+            _check_long_csv(out, max_lag, requested, windowed)

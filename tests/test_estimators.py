@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from locpacf import (
     DegenerateInputError,
+    EstimatorConfig,
     InvalidArgumentError,
     LocalAcvGrid,
     PredictionSystem,
@@ -496,6 +497,85 @@ def test_windowed_lpacf_memory_at_sparse_points_is_bounded(pts):
         tracemalloc.stop()
     assert len(grid.points) == 512
     assert peak < 16 * 2**20
+
+
+_GRID_FIELDS = (
+    "points", "dropped_points", "estimates", "boundary", "ci_halfwidth", "effective_length"
+)
+
+
+def _assert_same_grid(got, want):
+    """Every field of two grids, arrays bit for bit and with their dtypes."""
+    for name in _GRID_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        if b is None:
+            assert a is None, name
+        else:
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert (got.kind, got.bandwidth, got.clamp_count) == (
+        want.kind, want.bandwidth, want.clamp_count
+    )
+
+
+@st.composite
+def _stack_case(draw):
+    """A stack of one to five series of one length, each standard normal,
+    all zeros, constant, or scaled by a huge or tiny power of two, with a
+    window on either side of numpy's 11-tap unrolled correlate."""
+    T = draw(st.integers(8, 120), label="T")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    xs = []
+    for kind in draw(
+        st.lists(st.sampled_from(["normal", "zeros", "constant", "scaled"]), min_size=1,
+                 max_size=5),
+        label="rows",
+    ):
+        x = rng.standard_normal(T)
+        if kind == "zeros":
+            x[:] = 0.0
+        elif kind == "constant":
+            x[:] = x[0]
+        elif kind == "scaled":
+            # 2**1018 keeps |x| < 2**1023; 2**-1074 leaves a few subnormals
+            x = np.ldexp(x, draw(st.sampled_from([1018, 600, -600, -1060, -1074])))
+        xs.append(x)
+    if draw(st.booleans(), label="short kernel") or T < 13:
+        L = draw(st.integers(3, min(11, T - 1)), label="L")
+    else:
+        L = draw(st.integers(12, T - 1), label="L")
+    max_lag = draw(st.integers(1, (L - 1) // 2), label="max_lag")
+    kernel = draw(st.sampled_from(["rectangular", "epanechnikov"]), label="kernel")
+    points = draw(
+        st.none()
+        | st.integers(1, T).map(lambda n: np.arange(0, T, n))
+        | st.lists(st.integers(0, T - 1), min_size=0, max_size=12).map(np.array),
+        label="points",
+    )
+    return xs, EstimatorConfig("windowed", L, kernel, max_lag=max_lag), points
+
+
+@settings(max_examples=150, deadline=None)
+@given(_stack_case(), st.booleans())
+def test_estimate_stack_equals_one_estimate_per_series(case, demean):
+    xs, config, points = case
+    grids = config.estimate_stack(xs, points, demean)
+    assert len(grids) == len(xs)
+    for grid, x in zip(grids, xs):
+        _assert_same_grid(grid, config.estimate(x, points, demean))
+
+
+def test_estimate_stack_of_the_wavelet_estimator_is_one_call_per_series():
+    xs = [simulate_tvar(ArPathSpec.linear_ramp([0.9], [-0.9]), 128, s).values for s in (0, 1)]
+    config = EstimatorConfig("wavelet", max_scale=4, max_lag=2)
+    for grid, x in zip(config.estimate_stack(xs, demean=True), xs):
+        _assert_same_grid(grid, wavelet_lpacf(x, max_scale=4, max_lag=2, demean=True))
+
+
+def test_windowed_estimate_stack_takes_series_of_one_length():
+    config = EstimatorConfig("windowed", binwidth=8, max_lag=2)
+    assert config.estimate_stack([]) == []
+    with pytest.raises(InvalidArgumentError, match=r"one length, not \[32, 33\]"):
+        config.estimate_stack([np.ones(32), np.ones(33)])
 
 
 def _constant_grid(c_values, T=32):

@@ -1,5 +1,6 @@
 """Simulators, the frozen-coefficient truth oracle, and the RMSE harness."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from locpacf import (
     ArPathSpec,
+    DataError,
     EstimatorConfig,
     InvalidArgumentError,
     ar_autocovariances,
@@ -21,6 +23,7 @@ from locpacf import (
     true_tv_pacf,
     windowed_lpacf,
 )
+from locpacf import estimators
 from locpacf.simulate import _ar_recursion, validate_stability
 
 TVAR_STUDY = ArPathSpec.linear_ramp([0.9], [-0.9])
@@ -212,18 +215,23 @@ def test_piecewise_table_matches_searchsorted_at_edges():
 
 def _reference_rmse(spec, config, reps, lags, seed, T):
     """(rmse, stderr, replicates, excluded) per lag from a plain loop over
-    simulate_tvar, the estimator and true_pacf_curve, and the set of the
-    grids' bandwidths."""
+    simulate_tvar, the estimator and true_pacf_curve, the set of the
+    grids' bandwidths, and the replicates excluded for having no interior
+    point and for more than 10% of points dropped."""
     truth = true_pacf_curve(spec, T, lags)
-    per_rep, excluded, bandwidths = [], 0, set()
+    per_rep, bandwidths = [], set()
+    no_interior = too_many_dropped = 0
     for r in range(reps):
         grid = config.estimate(simulate_tvar(spec, T, seed + r))
         bandwidths.add(grid.bandwidth)
         interior = grid.boundary == 0
         pts = grid.points[interior]
         n_dropped = len(grid.dropped_points)
-        if pts.size == 0 or n_dropped > 0.1 * (len(grid.points) + n_dropped):
-            excluded += 1
+        if pts.size == 0:
+            no_interior += 1
+            continue
+        if n_dropped > 0.1 * (len(grid.points) + n_dropped):
+            too_many_dropped += 1
             continue
         errs = []
         for i, tau in enumerate(lags):
@@ -237,54 +245,134 @@ def _reference_rmse(spec, config, reps, lags, seed, T):
             float(np.mean(per_rep[:, i])),
             float(np.std(per_rep[:, i], ddof=1) / np.sqrt(used)),
             used,
-            excluded,
+            no_interior + too_many_dropped,
         )
         for i in range(len(lags))
     ]
-    return rows, bandwidths
+    return rows, bandwidths, (no_interior, too_many_dropped)
 
 
 @pytest.mark.parametrize(
-    "spec, config, reps, lags, seed, T, excluded",
+    "spec, config, reps, lags, seed, T, excluded, batches",
     [
         pytest.param(
             TVAR_STUDY, EstimatorConfig("windowed", binwidth=40, max_lag=2),
-            5, [1, 2], 0, 512, 0, id="tvar-windowed",
+            5, [1, 2], 0, 512, 0, [5], id="tvar-windowed",
         ),
         pytest.param(
             PIECEWISE_STUDY, EstimatorConfig("windowed", binwidth=48, max_lag=2),
-            5, [1, 2], 1000, 256, 0, id="piecewise-windowed",
+            5, [1, 2], 1000, 256, 0, [5], id="piecewise-windowed",
         ),
         pytest.param(
             TVAR_STUDY, EstimatorConfig("windowed", max_lag=2),
-            3, [1, 2], 7, 256, 0, id="tvar-windowed-default-width",
+            3, [1, 2], 7, 256, 0, [3], id="tvar-windowed-default-width",
         ),
         pytest.param(
             TVAR_STUDY,
             EstimatorConfig("windowed", binwidth=33, kernel="rectangular", max_lag=3),
-            3, [3, 1], 33, 300, 0, id="tvar-rectangular-unordered-lags",
+            3, [3, 1], 33, 300, 0, [3], id="tvar-rectangular-unordered-lags",
         ),
         pytest.param(
             TVAR_STUDY, EstimatorConfig("wavelet", max_scale=4, max_lag=2),
-            3, [1, 2], 5, 128, 0, id="tvar-wavelet",
+            3, [1, 2], 5, 128, 0, [3], id="tvar-wavelet",
         ),
         # max_lag 10 at T=128 drops more than 10% of the points in some replicates
         pytest.param(
             TVAR_STUDY, EstimatorConfig("wavelet", max_scale=4, max_lag=10),
-            6, [1, 2], 0, 128, 3, id="tvar-wavelet-excluded",
+            6, [1, 2], 0, 128, 3, [6], id="tvar-wavelet-excluded",
+        ),
+        # at T=8192 and max_lag 1 a batch holds 14 replicates
+        pytest.param(
+            TVAR_STUDY, EstimatorConfig("windowed", max_lag=1),
+            16, [1], 3, 8192, 0, [14, 2], id="tvar-windowed-batches",
+        ),
+        # windows of at most _SMALL_KERNEL taps take the unrolled sums
+        pytest.param(
+            TVAR_STUDY, EstimatorConfig("windowed", binwidth=10, max_lag=4),
+            4, [4, 2], 11, 256, 0, [4], id="tvar-windowed-small-kernel",
+        ),
+        # innovations of the least subnormal round to 0 or a few of its
+        # multiples, so some windows hold only zeros and drop their point
+        pytest.param(
+            ArPathSpec.constant([0.0], sigma=5e-324),
+            EstimatorConfig("windowed", binwidth=3, kernel="rectangular", max_lag=1),
+            8, [1], 0, 32, 2, [8], id="zeros-windowed-excluded",
         ),
     ],
 )
 def test_monte_carlo_rmse_matches_per_replicate_reference(
-    spec, config, reps, lags, seed, T, excluded
+    spec, config, reps, lags, seed, T, excluded, batches, monkeypatch
 ):
+    sizes = []
+
+    def spy(self, xs, *args):
+        sizes.append(len(xs))
+        return estimate_stack(self, xs, *args)
+
+    estimate_stack = EstimatorConfig.estimate_stack
+    monkeypatch.setattr(EstimatorConfig, "estimate_stack", spy)
     report = monte_carlo_rmse(spec, config, reps, lags, seed, T)
+    monkeypatch.undo()
     got = [(r.rmse, r.stderr, r.replicates, r.excluded) for r in report.rows]
-    ref, (bandwidth,) = _reference_rmse(spec, config, reps, lags, seed, T)
+    ref, (bandwidth,), reasons = _reference_rmse(spec, config, reps, lags, seed, T)
     assert np.array(got).tobytes() == np.array(ref).tobytes()
     assert [r.lag for r in report.rows] == lags
     assert [r.bandwidth for r in report.rows] == [bandwidth] * len(lags)
-    assert report.rows[0].excluded == excluded
+    assert report.rows[0].excluded == report.excluded == excluded
+    assert (report.no_interior, report.too_many_dropped) == reasons
+    # one estimate_stack call per batch
+    assert sizes == batches
+    stages = (report.simulate_seconds, report.estimate_seconds, report.score_seconds)
+    assert min(stages) > 0.0
+    assert sum(stages) <= report.rows[0].elapsed_seconds
+
+
+def test_monte_carlo_rmse_needs_two_kept_replicates():
+    # the tvar-wavelet-excluded study: at seed 2 it excludes the second of
+    # two replicates, which leaves no standard error, and at seed 3 both
+    config = EstimatorConfig("wavelet", max_scale=4, max_lag=10)
+    with pytest.raises(
+        DataError,
+        match=r"^1 of 2 replicates were excluded: 0 with no point outside the boundary"
+        r" margin, 1 with more than 10% of points dropped; the standard error needs 2",
+    ):
+        monte_carlo_rmse(TVAR_STUDY, config, 2, [1], 2, 128)
+    with pytest.raises(DataError, match=r"^all 2 of 2 replicates were excluded: 0 with"):
+        monte_carlo_rmse(TVAR_STUDY, config, 2, [1], 3, 128)
+
+
+def test_monte_carlo_rmse_estimates_a_windowed_batch_in_one_pass(monkeypatch):
+    # the benchmark's tvar study: one window-sum call and one Levinson
+    # recursion for all 20 replicates
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, name, wrapper)
+
+    spy("_window_sums", estimators._window_sums)
+    spy("levinson_pacf", estimators.levinson_pacf)
+    config = EstimatorConfig("windowed", binwidth=40, max_lag=2)
+    report = monte_carlo_rmse(TVAR_STUDY, config, 20, [1, 2], 0, 512)
+    assert report.rows[0].replicates == 20
+    assert calls == ["_window_sums", "levinson_pacf"]
+
+
+def test_monte_carlo_rmse_memory_does_not_grow_with_reps():
+    # 10 replicates at T=8192 and max_lag 10 run in batches of 3, each
+    # peaking at about 16 MB; one batch of all 10 peaks at about 44 MB
+    config = EstimatorConfig("windowed", max_lag=10)
+    tracemalloc.start()
+    try:
+        report = monte_carlo_rmse(TVAR_STUDY, config, 10, [1], 0, 8192)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.rows[0].replicates == 10
+    assert peak < 24 * 2**20
 
 
 def test_single_segment_equals_constant_tvar():
