@@ -319,6 +319,10 @@ def _cmd_benchmark(args) -> int:
                 f"--T applies to the tvar study only (piecewise-ar has T={T})"
             )
         spec = ArPathSpec.piecewise(segments)
+    if args.method == "wavelet" and T & (T - 1):
+        raise InvalidArgumentError(
+            f"--T={T} is not a power of two, as the wavelet estimator needs"
+        )
     lags = list(range(1, args.max_lag + 1))
     report = monte_carlo_rmse(spec, _estimator(args), args.reps, lags, args.seed, T)
     _io.write_rmse_csv(args.output, report)

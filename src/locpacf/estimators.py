@@ -26,14 +26,14 @@ it, for a stack of series of one length; ``estimate`` is its one-series
 case.  Estimation at distinct time points is independent; the
 implementations vectorize over points and produce deterministic output
 ordering.  The windowed estimator sums its windows on the coarsest evenly
-spaced progression that holds the requested points, with one
-``np.vecdot`` over a read-only sliding view of the zero-padded rows, and
-runs one batched Levinson recursion for them: evenly spaced points cost
-only their own windows, scattered points the span they cover.  It takes a
-whole stack in that one pass, the rows of every series in one window-sum
-call and the kept points of every series in one recursion; every row and
-column is computed on its own, so each series keeps the bits of a call on
-it alone, and ``windowed_lpacf`` is the one-series case.  All three plug-in
+spaced progression that holds the requested points with the package's
+one moving sum, ``kernels._window_sums``, and runs one batched Levinson
+recursion for them: evenly spaced points cost only their own windows,
+scattered points the span they cover.  It takes a whole stack in that
+one pass, the zero-padded rows of every series in one window-sum call
+and the kept points of every series in one recursion; every row and
+column is computed on its own, so each series keeps the bits of a call
+on it alone, and ``windowed_lpacf`` is the one-series case.  All three plug-in
 systems at a point read one covariance block, the times zT..zT+tau of
 the local autocovariance surface.  The plug-in stage assembles that
 block for a stack of points by indexing the grid, slices each lag's
@@ -48,14 +48,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     DegenerateInputError,
     InvalidArgumentError,
     NumericalError,
 )
-from .kernels import EPANECHNIKOV, get_kernel
+from .kernels import EPANECHNIKOV, _window_sums, get_kernel
 from .series import as_series
 from .spectral import (
     LocalAcvGrid,
@@ -197,42 +196,11 @@ def _select_points(T: int, points) -> np.ndarray:
     return pts
 
 
-# numpy's correlate sums kernels of at most this many taps in an unrolled
-# left-to-right loop instead of the BLAS dot it uses for longer ones
-_SMALL_KERNEL = 11
-
-
 def _check_bandwidth(T: int, L: int, max_lag: int) -> None:
     if not 1 < L < T:
         raise InvalidArgumentError(f"bandwidth L={L} must lie in (1, T={T})")
     if not 1 <= max_lag < L / 2:
         raise InvalidArgumentError(f"max_lag={max_lag} outside [1, L/2) for L={L}")
-
-
-def _window_sums(
-    rows: np.ndarray, weights: np.ndarray, start: int, stop: int, step: int = 1
-) -> np.ndarray:
-    """sums[i, j] = sum_k rows[i, start + j*step + k] * weights[i, k].
-
-    Only the windows starting at start, start + step, ... below stop are
-    summed, each in the bits of ``np.correlate(rows[i], weights[i],
-    "valid")`` at its start: vecdot calls the BLAS dot that correlate calls
-    per entry, and short kernels repeat correlate's unrolled sum.  The
-    windows are a read-only view of ``rows``, never a copy.
-    """
-    L = weights.shape[1]
-    n, m = rows.shape
-    # every length-L window of every row, as sliding_window_view builds it
-    # but without its per-call checks
-    windows = as_strided(
-        rows, (n, m - L + 1, L), rows.strides + rows.strides[1:], writeable=False
-    )[:, start:stop:step]
-    if L > _SMALL_KERNEL:
-        return np.vecdot(windows, weights[:, None, :])
-    sums = np.zeros(windows.shape[:2])
-    for k in range(L):
-        sums += windows[..., k] * weights[:, None, k]
-    return sums
 
 
 def windowed_lpacf(
@@ -268,10 +236,11 @@ def windowed_lpacf(
 def _windowed_stack(series, L, kernel, max_lag, points, demean) -> list[LpacfGrid]:
     """``windowed_lpacf`` of each of R series of one length, in one pass.
 
-    The R·(max_lag+2) zero-padded rows of the stack are summed by one
-    ``_window_sums`` call and the kept points of every series go through
-    one ``levinson_pacf``; every row and column is computed on its own, so
-    each grid has the bits of a call on its series alone.
+    The (R, max_lag+2, T+2L) zero-padded rows are summed by one
+    ``_window_sums`` call against weights shared by every series, and the
+    kept points of every series go through one ``levinson_pacf``; every
+    row and column is computed on its own, so each grid has the bits of a
+    call on its series alone.
     """
     xs = [as_series(s).require_length().values for s in series]
     if not xs:
@@ -294,40 +263,28 @@ def _windowed_stack(series, L, kernel, max_lag, points, demean) -> list[LpacfGri
     # left index, last tau window slots carry none.
     offs = np.arange(-L // 2 + 1, L // 2 + 1)
     w = kernel.h((offs + L / 2) / L)
-    weights = w[None, :].repeat(K, axis=0)
-    for tau in range(1, max_lag + 1):
-        weights[1 + tau, L - tau :] = 0.0
-    weights = np.tile(weights, (R, 1))
-    rows = np.zeros((R * K, T + 2 * L))
-    by_series = rows.reshape(R, K, -1)  # a view: row k of series r
-    by_series[:, 0, L : L + T] = 1.0
+    lag = np.arange(-1, max_lag + 1)[:, None]  # -1: the mass row, every slot
+    weights = np.where(np.arange(L) < L - lag, w, 0.0)
+    rows = np.zeros((R, K, T + 2 * L))
+    rows[:, 0, L : L + T] = 1.0
     first = L + offs[0]  # start of point 0's window in the padded rows
     x = _unit_scaled(np.stack(xs))
     if demean:
-        # the mass row once, then the series
-        local = np.zeros((R + 1, T + 2 * L))
-        local[0, L : L + T] = 1.0
-        local[1:, L : L + T] = x
-        sums = _window_sums(local, w[None, :].repeat(R + 1, axis=0), first, first + T)
-        x = x - sums[1:] / sums[0]
+        # each series in its lag-0 row, which its products overwrite below
+        rows[:, 1, L : L + T] = x
+        sums = _window_sums(rows[:, :2], w, first, first + T)
+        x = x - sums[:, 1] / sums[:, 0]
     for tau in range(max_lag + 1):
-        np.multiply(
-            x[:, : T - tau], x[:, tau:], out=by_series[:, 1 + tau, L : L + T - tau]
-        )
-    if points is None:
-        sums = _window_sums(rows, weights, first, first + T)
-    else:
-        # the windows lo, lo + step, ..., hi, the coarsest progression
-        # holding every point (none for an empty selection); the points in
-        # increasing order, each once, are the whole progression and need
-        # no gather
-        lo, hi = pts.min(initial=T), pts.max(initial=-1)
-        step = int(np.gcd.reduce(pts - lo)) or 1
-        sums = _window_sums(rows, weights, first + lo, first + hi + 1, step)
-        if not np.array_equal(pts, np.arange(lo, hi + 1, step)):
-            sums = sums[:, (pts - lo) // step]
-    del rows, by_series  # free the padded rows before the Levinson pass
-    sums = sums.reshape(R, K, -1)
+        np.multiply(x[:, : T - tau], x[:, tau:], out=rows[:, 1 + tau, L : L + T - tau])
+    # the windows lo, lo + step, ..., hi, the coarsest progression holding
+    # every point (none for an empty selection); the points in increasing
+    # order, each once, are the whole progression and need no gather
+    lo, hi = pts.min(initial=T), pts.max(initial=-1)
+    step = int(np.gcd.reduce(pts - lo)) or 1
+    sums = _window_sums(rows, weights, first + lo, first + hi + 1, step)
+    if not np.array_equal(pts, np.arange(lo, hi + 1, step)):
+        sums = sums[..., (pts - lo) // step]
+    del rows  # free the padded rows before the Levinson pass
     gamma = sums[:, 1:]
     gamma /= sums[:, :1]
 
@@ -337,8 +294,7 @@ def _windowed_stack(series, L, kernel, max_lag, points, demean) -> list[LpacfGri
     keep &= np.isfinite(gamma).all(axis=1)
 
     # the kept points of every series, series by series, as columns
-    kept = gamma.transpose(1, 0, 2).reshape(max_lag + 1, -1)[:, keep.ravel()]
-    pacf = levinson_pacf(kept) if kept.size else np.zeros((max_lag, 0))
+    pacf = levinson_pacf(np.moveaxis(gamma, 1, 0)[:, keep])
     clamped = np.abs(pacf) >= 1.0
     estimates = pacf.T.copy()
     boundary = (eff < L).astype(np.uint8)

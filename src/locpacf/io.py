@@ -17,7 +17,8 @@ Every float field carries the bytes of ``format(v, ".17g")``: values with
 |v| in [1e-4, 1), which covers z = t/T, the CI bounds and nearly every
 estimate, are formatted exactly in numpy from Dekker's error-free
 product, and every other value by ``format`` itself.  Series output
-formats each chunk of ``_CHUNK_VALUES`` values with one ``%`` call.
+goes through the same formatter, one value per row and ``_CHUNK_POINTS``
+values per chunk.
 Reading parses every line with ``float`` in one pass and falls back to a
 line-by-line scan only to skip a header or to name a bad line.
 """
@@ -51,7 +52,6 @@ def _fmt(x: float) -> str:
 # Points per chunk of the long CSV (the chunk's string holds this many
 # times max_lag rows) and values per chunk of a written series.
 _CHUNK_POINTS = 2048
-_CHUNK_VALUES = 8192
 
 
 def read_series(path: str) -> TimeSeries:
@@ -114,10 +114,10 @@ def _scan_lines(path: str, lines) -> list[float]:
 
 def write_series(path: str, ts: TimeSeries) -> None:
     values = np.asarray(ts.values)
-    with open(path, "w", encoding="utf-8") as fh:
-        for start in range(0, values.size, _CHUNK_VALUES):
-            chunk = values[start : start + _CHUNK_VALUES].tolist()
-            fh.write(("%.17g\n" * len(chunk)) % tuple(chunk))
+    with open(path, "wb") as fh:
+        for start in range(0, values.size, _CHUNK_POINTS):
+            chunk = values[start : start + _CHUNK_POINTS]
+            fh.write(_rows(chunk.size, 1, _format17(chunk)[:, None], b"\n"))
 
 
 # Widest ``%.17g`` text, "-1.2345678901234567e-308"; every float field of

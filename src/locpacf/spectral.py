@@ -3,6 +3,7 @@
 Pipeline: non-decimated Haar transform -> raw periodogram (squared
 coefficients) -> running-mean smoothing over time -> inverse-A correction
 -> local autocovariance synthesis c_hat(z, tau) = sum_j S_hat_j(z) Psi_j(tau).
+One ``kernels._window_sums`` call gives the running mean of every scale.
 
 Boundary policy: the non-decimated transform wraps periodically (dyadic
 convention); tapered local periodograms near the series ends clip the
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import BoundaryError, InvalidArgumentError
 from .haar import a_matrix, haar_coefficients, psi_auto
-from .kernels import RECTANGULAR, TaperKernel
+from .kernels import RECTANGULAR, TaperKernel, _window_sums
 from .series import TimeSeries, as_series
 
 __all__ = [
@@ -186,12 +187,11 @@ def smooth_and_correct(raw: np.ndarray, span: int | None = None) -> EwsGrid:
         span = default_smoothing_span(T)
     if span < 0:
         raise InvalidArgumentError(f"span={span} must be nonnegative")
+    sm = raw
     if span > 0:
         ker = np.full(2 * span + 1, 1.0 / (2 * span + 1))
         padded = np.pad(raw, ((0, 0), (span, span)), mode="reflect")
-        sm = np.vstack([np.convolve(padded[r], ker, "valid") for r in range(J)])
-    else:
-        sm = raw.copy()
+        sm = _window_sums(padded, ker, 0, T)  # every scale in one call
     A = a_matrix(J)
     spectrum = np.linalg.solve(A, sm)
     spectrum.setflags(write=False)

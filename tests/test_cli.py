@@ -465,6 +465,36 @@ def test_cli_bad_seed_or_sigma_is_usage_error(tmp_path, capsys, argv, needle):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, sigma",
+    [
+        (["simulate", "tvar", "--T", "64", "--sigma", "1e308"], "1e+308"),
+        (["simulate", "tvar", "--T", "64", "--sigma", "1.7e308"], "1.7e+308"),
+        # the innovations are finite and the recursion reaches inf
+        (["simulate", "piecewise-ar", "--segments", "64:1.9,-0.95", "--sigma", "1e307"],
+         "1e+307"),
+    ],
+)
+def test_cli_simulate_refuses_a_sigma_whose_path_overflows(tmp_path, capsys, argv, sigma):
+    # a usage error naming sigma, with no RuntimeWarning (an error under
+    # this suite's warning filter) and no file
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: sigma={sigma} is too large: the path overflows\n"
+    assert not out.exists()
+
+
+def test_cli_benchmark_wavelet_refuses_a_non_dyadic_T(tmp_path, capsys):
+    # benchmark has no --pad, so the refusal names --T, not padding
+    out = tmp_path / "rmse.csv"
+    argv = ["benchmark", "--method", "wavelet", "--T", "100", "--reps", "2"]
+    assert main(argv + ["--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: --T=100 is not a power of two, as the wavelet estimator needs\n"
+    assert not out.exists()
+
+
 def test_cli_stride_one_is_every_point_and_overrides_config_points(tmp_path, capsys):
     sim = str(tmp_path / "sim.csv")
     main(["simulate", "tvar", "--T", "256", "--seed", "5", "--output", sim])
@@ -571,8 +601,9 @@ def test_cli_verify_imports_no_scipy():
     assert run.stdout.splitlines()[-1] == "[]"
 
 
-# A fuzz of the data commands: small argv drawn around each flag's valid
-# range, on series that include huge, tiny, constant and all-zero ones.
+# A fuzz of the data commands and of simulate: small argv drawn around each
+# flag's valid range, on series that include huge, tiny, constant and
+# all-zero ones.
 
 
 @st.composite
@@ -593,6 +624,11 @@ def _fuzz_series(draw):
     return x
 
 
+# innovation scales from subnormal to overflowing, and the invalid ones
+_FUZZ_SIGMAS = [
+    "1e-320", "1e-300", "1", "1e150", "1e300", "1e307", "1e308", "0", "-1", "inf", "nan",
+]
+
 # mostly the small lags the commands take, now and then 0 or one too many
 _FUZZ_MAX_LAG = st.sampled_from([0, 1, 1, 2, 2, 3, 4, 6])
 
@@ -606,8 +642,25 @@ def _maybe(draw, flag, strategy, label):
 def _fuzz_case(draw):
     """(argv without --input/--output, series or None, command)."""
     command = draw(
-        st.sampled_from(["estimate", "sweep-bandwidth", "pacf", "benchmark"]), label="command"
+        st.sampled_from(["estimate", "sweep-bandwidth", "pacf", "benchmark", "simulate"]),
+        label="command",
     )
+    if command == "simulate":
+        sigma = draw(st.sampled_from(_FUZZ_SIGMAS), label="sigma")
+        argv = ["simulate"]
+        if draw(st.booleans(), label="tvar"):
+            coef = st.floats(-1.2, 1.2)
+            argv += ["tvar", "--T", str(draw(st.integers(1, 192), label="T"))]
+            argv += ["--phi-start", str(draw(coef, label="phi_start"))]
+            argv += ["--phi-end", str(draw(coef, label="phi_end"))]
+        else:
+            # bounded lengths: the coefficient table has a row per step
+            segment = st.tuples(st.integers(1, 64), st.lists(st.floats(-1.2, 1.2), max_size=3))
+            segments = draw(st.lists(segment, min_size=1, max_size=3), label="segments")
+            text = ";".join(f"{n}:{','.join(map(str, c))}" for n, c in segments)
+            argv += ["piecewise-ar", "--segments", text]
+        argv += ["--sigma", sigma, "--seed", str(draw(st.integers(-1, 1000), label="seed"))]
+        return argv, None, command
     if command == "benchmark":
         study = draw(st.sampled_from(["tvar", "piecewise-ar"]), label="study")
         argv = ["benchmark", "--study", study, "--reps", str(draw(st.integers(2, 5)))]
@@ -680,7 +733,7 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=360, deadline=None)
 @given(_fuzz_case())
 def test_cli_fuzz_exits_cleanly_with_finite_estimates(fuzz_dir, case):
     argv, x, command = case
@@ -696,6 +749,15 @@ def test_cli_fuzz_exits_cleanly_with_finite_estimates(fuzz_dir, case):
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in stderr.getvalue()
         if code != 0:
+            return
+        if command == "simulate":
+            if "tvar" in argv:
+                T = int(_flag(argv, "--T", ""))
+            else:
+                segments = _flag(argv, "--segments", "").split(";")
+                T = sum(int(part.split(":")[0]) for part in segments)
+            # read_series rejects a non-finite value
+            assert read_series(out).values.shape == (T,)
             return
         max_lag = int(_flag(argv, "--max-lag", 10 if command == "pacf" else 4))
         if command == "benchmark":

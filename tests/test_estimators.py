@@ -30,9 +30,8 @@ from locpacf.estimators import (
     _RIDGE_START,
     _RIDGE_STOP,
     _solve_stack,
-    _window_sums,
 )
-from locpacf.kernels import EPANECHNIKOV, get_kernel
+from locpacf.kernels import EPANECHNIKOV, _window_sums, get_kernel
 from locpacf.series import as_series
 
 
@@ -387,11 +386,16 @@ def test_windowed_sums_are_bit_identical_to_full_correlate(case):
     x, L, kernel, max_lag, demean, select, pts = case
     T = len(x)
     full, weights, xd = _correlate_window_sums(x, L, kernel, max_lag, demean)
+
+    def padded_rows(xd):
+        rows = np.zeros((max_lag + 2, T + 2 * L))
+        rows[0, L : L + T] = 1.0
+        for tau in range(max_lag + 1):
+            rows[1 + tau, L : L + T - tau] = xd[: T - tau] * xd[tau:]
+        return rows
+
     # the routine on the estimator's padded rows, at the selected windows
-    rows = np.zeros((max_lag + 2, T + 2 * L))
-    rows[0, L : L + T] = 1.0
-    for tau in range(max_lag + 1):
-        rows[1 + tau, L : L + T - tau] = xd[: T - tau] * xd[tau:]
+    rows = padded_rows(xd)
     offs = np.arange(-L // 2 + 1, L // 2 + 1)
     first = L + offs[0]
     lo, hi = pts.min(), pts.max()
@@ -399,6 +403,13 @@ def test_windowed_sums_are_bit_identical_to_full_correlate(case):
     sums = _window_sums(rows, weights, first + lo, first + hi + 1, step)
     sums = sums[:, (pts - lo) // step]
     assert sums.tobytes() == full[:, pts].tobytes()
+    # a stack of the rows of x and of x reversed, as (R, K, m), against the
+    # (K, L) weights of both
+    full_rev, _, xr = _correlate_window_sums(x[::-1], L, kernel, max_lag, demean)
+    stack = np.stack([rows, padded_rows(xr)])
+    stacked = _window_sums(stack, weights, first + lo, first + hi + 1, step)
+    stacked = stacked[..., (pts - lo) // step]
+    assert stacked.tobytes() == np.stack([full[:, pts], full_rev[:, pts]]).tobytes()
     # and the estimator built on them
     gamma = full[1:, pts] / full[0, pts]
     eff = np.minimum(pts + offs[-1], T - 1) - np.maximum(pts + offs[0], 0) + 1
@@ -472,8 +483,9 @@ def test_windowed_lpacf_sums_only_the_windows_of_evenly_spaced_points(monkeypatc
     x = np.random.default_rng(0).standard_normal(32768)
     grid = windowed_lpacf(x, max_lag=4, points=np.arange(0, 32768, 64))
     assert len(grid.points) == 512
-    # the 6 summed rows at the 512 points, not at the 32705 windows of their span
-    assert shapes == [(6, 512)]
+    # the 6 summed rows of the one series at the 512 points, not at the
+    # 32705 windows of their span
+    assert shapes == [(1, 6, 512)]
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Every exported name resolves, so a stale ``__all__`` entry fails,
-every private module-level name has a user, so a dead helper fails, and
-no module but ``estimators.py`` calls an estimator directly.
+every private module-level name has a user, so a dead helper fails, no
+module but ``estimators.py`` calls an estimator directly, and no module
+but ``kernels.py`` builds a moving sum of its own.
 
 The demos are not run by the tests, so their ``locpacf`` imports are
 resolved here from the source text.
@@ -95,3 +96,26 @@ def test_only_the_estimators_module_calls_an_estimator():
         }
     )
     assert callers == []
+
+
+def test_only_the_kernels_module_builds_a_moving_sum():
+    # kernels._window_sums is the package's one moving sum: no other module
+    # builds strided windows or calls np.convolve
+    builders = sorted(
+        {
+            path.name
+            for path in SOURCES
+            if path.name != "kernels.py"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "numpy.lib.stride_tricks"
+            )
+            or (
+                isinstance(node, ast.Import)
+                and any(a.name.startswith("numpy.lib.stride_tricks") for a in node.names)
+            )
+            or (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "convolve")
+        }
+    )
+    assert builders == []

@@ -24,7 +24,6 @@ from locpacf import (
 from locpacf.estimators import LpacfGrid
 from locpacf.io import (
     _CHUNK_POINTS,
-    _CHUNK_VALUES,
     LONG_HEADER,
     _format17,
     write_long_csv,
@@ -222,7 +221,10 @@ def test_write_long_csv_of_out_of_range_values_warns_nothing(tmp_path):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-@pytest.mark.parametrize("n", [1, 2, _CHUNK_VALUES - 1, _CHUNK_VALUES, _CHUNK_VALUES + 1])
+# around the end of the first chunk and of the fourth
+@pytest.mark.parametrize(
+    "n", [1, 2] + [k * _CHUNK_POINTS + d for k in (1, 4) for d in (-1, 0, 1)]
+)
 def test_write_series_matches_per_value_format(tmp_path, n):
     rng = np.random.default_rng(n)
     values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, size=n)

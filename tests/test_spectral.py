@@ -203,6 +203,20 @@ def test_smooth_and_correct_matches_reflected_running_mean(data, T, J, seed):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("span", [1, 2, 5, 6, 8, 20])
+def test_smooth_and_correct_is_the_per_scale_convolve_bit_for_bit(span):
+    # spans up to 5 (at most 11 taps) take the unrolled sums, longer ones
+    # the BLAS dot; a span of T or more reflects more than once
+    rng = np.random.default_rng(span)
+    ker = np.full(2 * span + 1, 1.0 / (2 * span + 1))
+    for T, J in ((2, 1), (3, 2), (8, 3), (33, 4), (64, 6), (257, 8), (4096, 8)):
+        raw = rng.standard_normal((J, T)) ** 2 * 10.0 ** rng.integers(-8, 8)
+        padded = np.pad(raw, ((0, 0), (span, span)), mode="reflect")
+        sm = np.vstack([np.convolve(row, ker, "valid") for row in padded])
+        ref = np.linalg.solve(a_matrix(J), sm)
+        assert smooth_and_correct(raw, span=span).spectrum.tobytes() == ref.tobytes()
+
+
 def test_constant_grid_correction_is_direct_solve():
     mu = 2.5
     raw = np.full((4, 16), mu)
