@@ -39,7 +39,12 @@ the local autocovariance surface.  The plug-in stage assembles that
 block for a stack of points by indexing the grid, slices each lag's
 systems from it, and solves each kind with one stacked solve; the
 systems that need a ridge are solved again as one stack per ridge level.
-``wavelet_lpacf`` runs it on the requested points, and
+Every system is gated by numpy's Cholesky verdict, but only one numpy
+Cholesky per point, of the whole block less a margin, is computed at
+ridge 0: by Demmel's bound it proves that LAPACK's Cholesky passes every
+system sliced from the block, and only the points it leaves unproved go
+to LAPACK.  A 1x1 system is solved by division, with numpy's verdict and
+bits.  ``wavelet_lpacf`` runs it on the requested points, and
 ``prediction_system`` on one.
 """
 
@@ -81,6 +86,9 @@ __all__ = [
 _RIDGE_START = 1e-8
 _RIDGE_STOP = 1e-2
 _PACF_SLACK = 1e-6
+# how far the smallest eigenvalue of a unit-diagonal scaling must clear 0
+# for ``_certify``: far above Demmel's bound of about 1.5e-14
+_CERTIFICATE_MARGIN = 1e-8
 
 
 def confidence_halfwidth(L: int | np.ndarray) -> float | np.ndarray:
@@ -376,15 +384,20 @@ def prediction_system(lacv: LocalAcvGrid, zT: int, tau: int) -> PredictionSystem
     z = np.array([zT])
     G = _midpoint_stack(lacv.values, z, tau + 1)
     scale = np.maximum(lacv.values[0, z], 1e-300)
-    phi, bb, bf, mb, mf, ridge = _plug_in_stack(G, scale, tau)
+    phi, bb, bf, mb, mf, ridge = _plug_in_stack(G, scale, tau, _certify(G))
     C = G[0]
     rev = slice(tau - 1, None, -1)
     inner = C[1:tau, 1:tau]  # the predictors of the backcast and the forecast
-    for exhausted, B in zip(np.isnan(ridge[:, 0]), (C[rev, rev], inner, inner)):
+    systems = zip(
+        ("Yule-Walker", "backcast", "forecast"),
+        np.isnan(ridge[:, 0]),
+        (C[rev, rev], inner, inner),
+    )
+    for name, exhausted, B in systems:
         if exhausted:
             cond = float(np.linalg.cond(B)) if np.all(np.isfinite(B)) else np.inf
             raise NumericalError(
-                f"Yule-Walker system unusable after ridge {_RIDGE_STOP}", condition=cond
+                f"{name} system unusable after ridge {_RIDGE_STOP}", condition=cond
             )
     if not _mspe_ok(mb, mf)[0]:
         raise NumericalError(
@@ -414,42 +427,110 @@ def _midpoint_stack(values: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
     return G
 
 
-def _gated_solve(M: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _certify(G: np.ndarray) -> np.ndarray:
+    """Where ``np.linalg.cholesky`` is proved to pass on every principal
+    submatrix of the symmetric G[i], its rows and columns in any order.
+
+    Cholesky of a symmetric n x n matrix completes in floating point, in
+    any order of operations, when the smallest eigenvalue of its
+    unit-diagonal scaling D^-1/2 A D^-1/2 exceeds n g/(1 - n g), g =
+    (n+1)u/(1 - (n+1)u), about 1.5e-14 for n <= 11 (Demmel, LAPACK Working
+    Note 14, 1989; Higham, Accuracy and Stability of Numerical Algorithms,
+    Thm 10.7).  G[i] is certified when its entries are finite, its
+    diagonal is normal (with headroom below the largest float, so no
+    partial sum of a factorization overflows) and a column-wise Cholesky
+    of its scaling less ``_CERTIFICATE_MARGIN`` * I finds only positive
+    pivots.  The scaling's smallest eigenvalue then exceeds the margin,
+    less about 1e-14 for the rounding of this check, far above the bound.
+    Every principal submatrix, reordered or not, has as its scaling a
+    principal submatrix of G[i]'s scaling, whose smallest eigenvalue is
+    at least as large (eigenvalue interlacing).
+    """
+    n = G.shape[-1]
+    A = np.moveaxis(G, 0, -1).copy()  # (n, n, points): each entry contiguous
+    diag = (np.arange(n), np.arange(n))
+    d = A[diag]
+    finfo = np.finfo(float)
+    ok = np.isfinite(A).all(axis=(0, 1))
+    ok &= ((d >= finfo.tiny) & (d <= finfo.max / 4)).all(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = 1.0 / np.sqrt(d)
+        A *= s[:, None]
+        A *= s[None, :]
+        A[diag] -= _CERTIFICATE_MARGIN
+        for j in range(n):
+            ok &= A[j, j] > 0.0
+            col = A[j + 1 :, j] / np.sqrt(A[j, j])
+            A[j + 1 :, j + 1 :] -= col[:, None] * col[None, :]
+    return ok
+
+
+def _gated_solve(
+    M: np.ndarray, r: np.ndarray, certified: np.ndarray | None = None
+) -> np.ndarray:
     """Solve every system M[i] x[i] = r[i] whose matrix passes the Cholesky
     positive-definiteness gate; x[i] is NaN where either step fails.
 
-    A stacked Cholesky or solve raises for the whole stack when one member
-    fails, and rounding can let a singular matrix pass Cholesky, so only a
-    stack that raises is redone member by member.
+    The gate's verdict is numpy's.  A 1x1 system is solved by division,
+    r / m, gated by not (m <= 0): numpy's Cholesky fails 0.0, -0.0 and
+    negative m and passes NaN, +inf and subnormals, and its solve of a 1x1
+    system has the bits of the quotient.  A larger member that
+    ``certified`` marks passes without a factorization: ``_certify`` has
+    proved that LAPACK's Cholesky completes on it, by Demmel's bound
+    (LAPACK Working Note 14; Higham, Thm 10.7) with a margin of 1e-8 on
+    the smallest eigenvalue of its unit-diagonal scaling.  Only the rest go
+    to ``np.linalg.cholesky``, and the members that pass are solved by
+    ``np.linalg.solve``.  A stacked Cholesky or solve raises for the whole
+    stack when one member fails, and rounding can let a singular matrix
+    pass Cholesky, so only a stack that raises is redone member by member.
     """
+    if M.shape[-1] == 1:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return np.where(M[:, 0] <= 0.0, np.nan, r / M[:, 0])
+    passed = np.zeros(len(M), dtype=bool) if certified is None else certified.copy()
+    doubt = np.flatnonzero(~passed)
+    if doubt.size:
+        try:
+            np.linalg.cholesky(M[doubt])
+            passed[doubt] = True
+        except np.linalg.LinAlgError:
+            for i in doubt:
+                try:
+                    np.linalg.cholesky(M[i])
+                    passed[i] = True
+                except np.linalg.LinAlgError:
+                    pass
+    sub = slice(None) if passed.all() else passed  # a view, not a copy, if all
+    x = np.full(r.shape, np.nan)
     try:
-        np.linalg.cholesky(M)
-        return np.linalg.solve(M, r[..., None])[..., 0]
+        x[sub] = np.linalg.solve(M[sub], r[sub, :, None])[..., 0]
     except np.linalg.LinAlgError:
-        x = np.full(r.shape, np.nan)
-        for i, (m, v) in enumerate(zip(M, r)):
+        for i in np.flatnonzero(passed):
             try:
-                np.linalg.cholesky(m)
-                x[i] = np.linalg.solve(m, v)
+                x[i] = np.linalg.solve(M[i], r[i])
             except np.linalg.LinAlgError:
                 pass
-        return x
+    return x
 
 
-def _solve_stack(B: np.ndarray, r: np.ndarray, scale: np.ndarray):
+def _solve_stack(
+    B: np.ndarray, r: np.ndarray, scale: np.ndarray, certified: np.ndarray | None
+):
     """Solve the stack of systems B[i] phi[i] = r[i], escalating a ridge.
 
     A system is accepted when B[i] + ridge * I passes the gate of
     ``_gated_solve`` and phi[i] is finite with |phi[i, -1]| <= 1 +
     ``_PACF_SLACK``.  Every system tries ridge 0, then eps * scale[i] for
     eps doubling from ``_RIDGE_START`` while it is at most ``_RIDGE_STOP``;
-    each level solves the systems still rejected as one stack.  Returns
-    (phi, ridge) with the accepted ridge of each system; both are NaN
-    where the ridge ran out.
+    each level solves the systems still rejected as one stack.
+    ``certified`` (see ``_certify``, or None for no member) vouches for
+    the gate at ridge 0 only.
+    Returns (phi, ridge) with the accepted ridge of each system; both are
+    NaN where the ridge ran out.
     """
     # B + 0.0 as B + 0*I: a -0.0 entry becomes 0.0, and can change the
     # sign of a zero solution
-    x = phi = _gated_solve(B + 0.0, r)
+    x = phi = _gated_solve(B + 0.0, r, certified)
     ridge = np.zeros(len(B))
     eye = np.eye(B.shape[-1])
     eps = _RIDGE_START
@@ -478,7 +559,7 @@ def _mspe_ok(mb: np.ndarray, mf: np.ndarray) -> np.ndarray:
     return (mb > 0.0) & (mf > 0.0) & np.isfinite(mb) & np.isfinite(mf)
 
 
-def _plug_in_stack(G: np.ndarray, scale: np.ndarray, tau: int):
+def _plug_in_stack(G: np.ndarray, scale: np.ndarray, tau: int, certified: np.ndarray):
     """The three plug-in systems at lag tau of every point, solved.
 
     ``G[i, a, b]`` is the covariance of the times z_i+a and z_i+b, for
@@ -488,17 +569,19 @@ def _plug_in_stack(G: np.ndarray, scale: np.ndarray, tau: int):
     targets z_i and z_i+tau.  Returns (phi, backcast, forecast, backward
     MSPE, forward MSPE, ridge); ``ridge[k, i]`` is the accepted ridge of
     the Yule-Walker (k=0), backcast (1) and forecast (2) system of point i,
-    NaN where it ran out.
+    NaN where it ran out.  Every matrix is a principal submatrix of G[i],
+    reordered, so ``certified`` = ``_certify(G)`` vouches for each ridge-0
+    gate.
     """
     ridge = np.zeros((3, len(G)))
     rev = slice(tau - 1, None, -1)  # predictors z+tau-1 down to z
-    phi, ridge[0] = _solve_stack(G[:, rev, rev], G[:, tau, rev], scale)
+    phi, ridge[0] = _solve_stack(G[:, rev, rev], G[:, tau, rev], scale, certified)
     bb = np.full((len(G), tau), -1.0)
     bf = bb.copy()
     if tau > 1:
         inner = G[:, 1:tau, 1:tau]
-        bb[:, 1:], ridge[1] = _solve_stack(inner, G[:, 1:tau, 0], scale)
-        bf[:, :-1], ridge[2] = _solve_stack(inner, G[:, 1:tau, tau], scale)
+        bb[:, 1:], ridge[1] = _solve_stack(inner, G[:, 1:tau, 0], scale, certified)
+        bf[:, :-1], ridge[2] = _solve_stack(inner, G[:, 1:tau, tau], scale, certified)
     mb = _mspe_stack(G[:, :tau, :tau], bb)  # backcast span z..z+tau-1
     mf = _mspe_stack(G[:, 1 : tau + 1, 1 : tau + 1], bf)  # forecast span, one later
     return phi, bb, bf, mb, mf, ridge
@@ -531,6 +614,17 @@ def wavelet_lpacf(
     the Cholesky or |phi| <= 1 gate are solved again with an escalating
     ridge, one stack per ridge level.  ``prediction_system`` runs the same
     stage at one point.
+
+    The Cholesky gate keeps numpy's verdict with little LAPACK work.  One
+    certificate per point (``_certify``) factors the block's unit-diagonal
+    scaling less 1e-8 * I in numpy; where it succeeds, the scaling of every
+    system sliced from the block has its smallest eigenvalue above Demmel's
+    bound (LAPACK Working Note 14, 1989; Higham, Accuracy and Stability of
+    Numerical Algorithms, Thm 10.7), so every ridge-0 gate of every lag
+    passes without a call.  Only uncertified points, and ridge levels
+    above 0, go to ``np.linalg.cholesky``.  The 1x1 systems (Yule-Walker at
+    lag 1, backcast and forecast at lag 2) are solved by division at every
+    ridge level, with numpy's verdict and bits (``_gated_solve``).
 
     ``demean`` subtracts the mean of the whole series before the spectral
     stage, not a local mean.  ``points`` defaults to every index; the
@@ -572,10 +666,11 @@ def wavelet_lpacf(
 
     G = _midpoint_stack(lacv.values, usable, max_lag + 1)  # times zT..zT+max_lag
     scale = np.maximum(lacv.values[0, usable], 1e-300)
+    certified = _certify(G)  # vouches for the ridge-0 gate of every lag
     estimates = np.empty((len(usable), max_lag))
     ok = np.ones(len(usable), dtype=bool)
     for tau in range(1, max_lag + 1):
-        phi, _, _, mb, mf, ridge = _plug_in_stack(G, scale, tau)
+        phi, _, _, mb, mf, ridge = _plug_in_stack(G, scale, tau, certified)
         ok &= ~np.isnan(ridge).any(axis=0) & _mspe_ok(mb, mf)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             estimates[:, tau - 1] = phi[:, -1] * np.sqrt(mb / mf)

@@ -25,10 +25,13 @@ from locpacf import (
 )
 from locpacf import estimators
 from locpacf.errors import NumericalError
+from locpacf.cli import TVAR_STUDY
 from locpacf.estimators import (
     _PACF_SLACK,
     _RIDGE_START,
     _RIDGE_STOP,
+    _certify,
+    _gated_solve,
     _solve_stack,
 )
 from locpacf.kernels import EPANECHNIKOV, _window_sums, get_kernel
@@ -129,9 +132,10 @@ def _pair_cov_matrix(lacv: LocalAcvGrid, times: np.ndarray) -> np.ndarray:
     return M
 
 
-def _solve_regularized(B: np.ndarray, r: np.ndarray, scale: float):
+def _solve_regularized(B: np.ndarray, r: np.ndarray, scale: float, system: str):
     """Solve B phi = r, escalating ridge regularization until the system is
-    positive definite and the trailing coefficient is a valid correlation."""
+    positive definite and the trailing coefficient is a valid correlation;
+    ``system`` names it in the error raised when the ridge runs out."""
     ridge = 0.0
     eps = _RIDGE_START
     eye = np.eye(B.shape[0])
@@ -147,7 +151,7 @@ def _solve_regularized(B: np.ndarray, r: np.ndarray, scale: float):
         if eps > _RIDGE_STOP:
             cond = float(np.linalg.cond(B)) if np.all(np.isfinite(B)) else np.inf
             raise NumericalError(
-                f"Yule-Walker system unusable after ridge {_RIDGE_STOP}", condition=cond
+                f"{system} system unusable after ridge {_RIDGE_STOP}", condition=cond
             )
         ridge = eps * scale
         eps *= 2.0
@@ -158,7 +162,7 @@ def _scalar_prediction_system(lacv: LocalAcvGrid, zT: int, tau: int) -> Predicti
     C = _pair_cov_matrix(lacv, np.arange(zT, zT + tau + 1))
     scale = max(lacv.at(zT, 0), 1e-300)
     rev = slice(tau - 1, None, -1)  # predictors zT+tau-1 down to zT
-    phi, _ = _solve_regularized(C[rev, rev], C[tau, rev], scale)
+    phi, _ = _solve_regularized(C[rev, rev], C[tau, rev], scale, "Yule-Walker")
     Bb = C[:-1, :-1]  # backcast span zT..zT+tau-1, target first
     Bf = C[1:, 1:]  # forecast span zT+1..zT+tau, target last
     if tau == 1:
@@ -166,8 +170,8 @@ def _scalar_prediction_system(lacv: LocalAcvGrid, zT: int, tau: int) -> Predicti
         bf = np.array([-1.0])
         mb, mf = float(Bb[0, 0]), float(Bf[0, 0])
     else:
-        beta_b, _ = _solve_regularized(Bb[1:, 1:], Bb[1:, 0], scale)
-        beta_f, _ = _solve_regularized(Bf[:-1, :-1], Bf[:-1, -1], scale)
+        beta_b, _ = _solve_regularized(Bb[1:, 1:], Bb[1:, 0], scale, "backcast")
+        beta_f, _ = _solve_regularized(Bf[:-1, :-1], Bf[:-1, -1], scale, "forecast")
         bb = np.concatenate([[-1.0], beta_b])
         bf = np.concatenate([beta_f, [-1.0]])
         mb = float(bb @ Bb @ bb)
@@ -824,7 +828,7 @@ def test_wavelet_lpacf_ridge_fallback_matches_scalar_loop():
     lacv = LocalAcvGrid(vals, 0)
     times = np.array([2, 1])
     r = np.array([lacv.midpoint(3, t) for t in times])
-    _, ridge = _solve_regularized(_pair_cov_matrix(lacv, times), r, vals[0, 1])
+    _, ridge = _solve_regularized(_pair_cov_matrix(lacv, times), r, vals[0, 1], "Yule-Walker")
     assert ridge > 0.0
     grid = _assert_matches_scalar_loop(lacv, 2)
     assert 1 in grid.points
@@ -853,12 +857,20 @@ _SINGULAR_PASSING_CHOLESKY = np.array(
 )
 
 
+# 1x1 cells that numpy's gate and solve treat apart: its Cholesky fails
+# 0.0, -0.0 and negatives and passes NaN, +inf and subnormals
+_ODD_CELLS = np.array(
+    [np.nan, 0.0, -0.0, -1.0, -1e-9, 5e-324, 2.5e-310, 1e-300, np.inf, -np.inf, 1e308]
+)
+
+
 @st.composite
 def _system_stack(draw):
     """0-6 systems of one size 1-10: Gram matrices of too few or enough
     columns, some with symmetric noise that breaks positive definiteness,
     signed zeros in both sides, the singular matrix that passes Cholesky,
-    and per-system scales 1e-3..1e3."""
+    1x1 cells and right-hand sides from ``_ODD_CELLS``, and per-system
+    scales 1e-3..1e3."""
     k = draw(st.integers(1, 10))
     n = draw(st.integers(0, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -878,23 +890,136 @@ def _system_stack(draw):
             B[i][hit] = zeros[hit]
             B[i].T[hit] = zeros[hit]
             r[i][rng.random(k) < 0.5] = rng.choice([-0.0, 0.0])
+        if k == 1 and rng.random() < 0.5:
+            B[i] = rng.choice(_ODD_CELLS)
+            r[i] = rng.choice(_ODD_CELLS) if rng.random() < 0.5 else r[i]
     scale = 10.0 ** rng.uniform(-3.0, 3.0, n)
     return B, r, scale
+
+
+def _assert_solve_stack_matches_scalar_oracle(B, r, scale):
+    """``_solve_stack`` with and without ``_certify``'s verdict has the bits
+    of ``_solve_regularized`` on every system; returns the ridges."""
+    want = []
+    for i in range(len(B)):
+        try:
+            want.append(_solve_regularized(B[i], r[i], scale[i], "Yule-Walker"))
+        except NumericalError:
+            want.append((np.full(r.shape[1], np.nan), np.nan))
+    for certified in (None, _certify(B)):
+        phi, ridge = _solve_stack(B, r, scale, certified)
+        for i, (want_phi, want_ridge) in enumerate(want):
+            # bytes, so that signed zeros and the NaN of an exhausted ridge count
+            assert phi[i].tobytes() == want_phi.tobytes()
+            assert ridge[i].tobytes() == np.float64(want_ridge).tobytes()
+    return ridge
 
 
 @settings(max_examples=150, deadline=None)
 @given(_system_stack())
 def test_solve_stack_accepts_the_ridge_of_the_scalar_oracle(stack):
-    B, r, scale = stack
-    phi, ridge = _solve_stack(B, r, scale)
+    _assert_solve_stack_matches_scalar_oracle(*stack)
+
+
+def test_solve_stack_of_1x1_systems_divides_with_numpys_gate_and_bits():
+    # every odd cell against every odd right-hand side and a plain one
+    m, v = np.meshgrid(_ODD_CELLS, np.append(_ODD_CELLS, [0.3, -2e-10]))
+    B, r = m.reshape(-1, 1, 1), v.reshape(-1, 1)
+    ridge = _assert_solve_stack_matches_scalar_oracle(B, r, np.ones(len(B)))
+    # both a ridge above 0 and an exhausted ridge occur
+    assert np.nanmax(ridge) > 0.0 and np.isnan(ridge).any()
+    # and the quotient is numpy's gate and solve, member by member
+    x = _gated_solve(B, r)
     for i in range(len(B)):
-        try:
-            want_phi, want_ridge = _solve_regularized(B[i], r[i], scale[i])
-        except NumericalError:
-            want_phi, want_ridge = np.full(r.shape[1], np.nan), np.nan
-        # bytes, so that signed zeros and the NaN of an exhausted ridge count
-        assert phi[i].tobytes() == want_phi.tobytes()
-        assert ridge[i].tobytes() == np.float64(want_ridge).tobytes()
+        want = np.linalg.solve(B[i], r[i]) if _passes_cholesky(B[i]) else [np.nan]
+        assert x[i].tobytes() == np.asarray(want).tobytes()
+
+
+def _near_singular_batch(rng, n, count):
+    """``count`` symmetric n x n matrices whose unit-diagonal scaling has
+    its smallest eigenvalue within 1e-16..1e-4 of 0, on either side,
+    scaled by diagonals of 1e-320..1e308, with some entries replaced by
+    signed zeros, tiny, subnormal, huge, NaN or infinite values."""
+    Q = np.linalg.qr(rng.standard_normal((count, n, n)))[0]
+    S = (Q * 10.0 ** rng.uniform(-3.0, 1.0, (count, 1, n))) @ Q.transpose(0, 2, 1)
+    ds = np.sqrt(np.diagonal(S, axis1=1, axis2=2))
+    H = S / ds[:, :, None] / ds[:, None, :]
+    shift = np.linalg.eigvalsh(H)[:, 0] - rng.choice([-1.0, 1.0], count) * 10.0 ** (
+        rng.uniform(-16.0, -4.0, count)
+    )
+    H -= shift[:, None, None] * np.eye(n)
+    D = 10.0 ** rng.uniform(-160.0, 154.0, (count, n, 1))
+    A = np.tril(H * D * D.transpose(0, 2, 1))
+    odd = np.array([0.0, -0.0, 1e-300, 5e-324, 3e-310, 1e300, np.nan, np.inf, -np.inf])
+    hit = (rng.random(A.shape) < 0.02) & np.tri(n, dtype=bool)
+    A[hit] = rng.choice(odd, hit.sum()) * rng.choice([-1.0, 1.0], hit.sum())
+    return A + np.tril(A, -1).transpose(0, 2, 1)
+
+
+def _passes_cholesky(M):
+    try:
+        np.linalg.cholesky(M)
+        return True
+    except np.linalg.LinAlgError:
+        return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 11), st.integers(0, 2**32 - 1))
+def test_certificate_is_sound_for_every_principal_submatrix(n, seed):
+    rng = np.random.default_rng(seed)
+    A = _near_singular_batch(rng, n, 64)
+    certified = _certify(A)
+    d = np.diagonal(A, axis1=1, axis2=2)
+    odd = ~np.isfinite(A).all(axis=(1, 2)) | ~(d >= np.finfo(float).tiny).all(axis=1)
+    assert not (certified & odd).any()
+    for M in A[certified]:
+        assert _passes_cholesky(M)
+        # and a principal submatrix, its rows and columns in any order
+        sub = rng.permutation(n)[: rng.integers(1, n + 1)]
+        assert _passes_cholesky(M[np.ix_(sub, sub)])
+
+
+def test_certificate_decides_both_ways_on_near_singular_matrices():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 5, 11):
+        certified = _certify(_near_singular_batch(rng, n, 400))
+        assert certified.any() and not certified.all()
+
+
+def test_wavelet_lpacf_calls_no_lapack_gate_at_ridge_0_and_no_1x1_solve(monkeypatch):
+    spec = ArPathSpec.linear_ramp(TVAR_STUDY["phi_start"], TVAR_STUDY["phi_end"], sigma=1.0)
+    x = simulate_tvar(spec, 1024, 0)
+    want = wavelet_lpacf(x, max_lag=4)
+    level = [None]  # the ridge level of the _gated_solve call under way
+    gates, solves = [], []
+    real_solve_stack, real_gated_solve = estimators._solve_stack, estimators._gated_solve
+    real_cholesky, real_solve = np.linalg.cholesky, np.linalg.solve
+
+    def solve_stack(*args):
+        level[0] = -1
+        return real_solve_stack(*args)
+
+    def gated_solve(*args):
+        level[0] += 1
+        return real_gated_solve(*args)
+
+    def cholesky(M, *args, **kwargs):
+        gates.append(level[0])
+        return real_cholesky(M, *args, **kwargs)
+
+    def solve(M, *args, **kwargs):
+        solves.append(M.shape[-1])
+        return real_solve(M, *args, **kwargs)
+
+    monkeypatch.setattr(estimators, "_solve_stack", solve_stack)
+    monkeypatch.setattr(estimators, "_gated_solve", gated_solve)
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    grid = wavelet_lpacf(x, max_lag=4)
+    assert grid.estimates.tobytes() == want.estimates.tobytes()
+    assert 0 not in gates  # escalations above ridge 0 may still gate
+    assert solves and 1 not in solves  # the n >= 2 solves ran, no 1x1 one
 
 
 def test_wavelet_lpacf_keeps_the_sign_of_a_zero_estimate():
