@@ -5,8 +5,10 @@ The stationarity check and the truth share the reflection coefficients k_m
 of the step-down (reverse Durbin-Levinson) recursion: an AR(p) model is
 stationary iff all |k_m| < 1, and k_tau is its PACF at lag tau.
 
-One private routine runs the AR recursion, over a checked (T, p) table of
-coefficients phi(t/T).  ``simulate_tvar`` builds that table for one series;
+A coefficient path is a function of the whole rescaled-time grid: the
+(T, p) table of coefficients phi(t/T) takes one call of each path, on
+the array of every t/T.  One private routine runs the AR recursion over
+that table once it is checked.  ``simulate_tvar`` builds it for one series;
 a Monte-Carlo study builds it, and takes its truth from its reflection
 coefficients, once for all replicates.  Replicates are independent and
 seeded as ``seed + replicate_index``, so results are identical however
@@ -17,7 +19,6 @@ fixed memory budget, one ``EstimatorConfig.estimate_stack`` call each.
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import chain, repeat
 from typing import Callable, Sequence
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import DataError, InvalidArgumentError
 from .estimators import EstimatorConfig
-from .series import TimeSeries
+from .series import MIN_LENGTH, TimeSeries
 
 __all__ = [
     "ArPathSpec",
@@ -47,12 +48,13 @@ DEFAULT_BURN_IN = 500
 class ArPathSpec:
     """Coefficient path(s) of a time-varying AR(p) process.
 
-    ``paths[i]`` maps rescaled time z = t/T to the lag-(i+1) coefficient.
+    ``paths[i]`` maps an array of rescaled times z = t/T to the lag-(i+1)
+    coefficients at those times; a scalar result broadcasts to every z.
     Every instantaneous coefficient vector must define a stationary AR
     model: all its step-down reflection coefficients have |k_m| < 1.
     """
 
-    paths: tuple[Callable[[float], float], ...]
+    paths: tuple[Callable[[np.ndarray], np.ndarray | float], ...]
     sigma: float = 1.0
     burn_in: int = DEFAULT_BURN_IN
 
@@ -68,8 +70,15 @@ class ArPathSpec:
     def order(self) -> int:
         return len(self.paths)
 
-    def coefficients(self, z: float) -> np.ndarray:
-        return np.array([p(z) for p in self.paths], dtype=float)
+    def coefficients(self, z: float | np.ndarray) -> np.ndarray:
+        """phi(z): the p coefficients at a scalar z, or a (len(z), p) table
+        for an array of z, with one call of each path."""
+        out = np.empty(np.shape(z) + (self.order,))
+        # a non-finite coefficient is left for the stationarity check to refuse
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, path in enumerate(self.paths):
+                out[..., i] = path(z)
+        return out
 
     @classmethod
     def constant(cls, coefs: Sequence[float], sigma: float = 1.0) -> "ArPathSpec":
@@ -85,7 +94,7 @@ class ArPathSpec:
         end = np.atleast_1d(np.asarray(end, dtype=float))
         if start.shape != end.shape:
             raise InvalidArgumentError("start and end must have the same length")
-        paths = tuple(  # Python floats: same bits as numpy scalars, faster
+        paths = tuple(
             (lambda z, a=a, b=b: a + (b - a) * z)
             for a, b in zip(start.tolist(), end.tolist())
         )
@@ -103,23 +112,19 @@ class ArPathSpec:
         """
         if not segments:
             raise InvalidArgumentError("need at least one segment")
-        lengths = np.array([int(n) for n, _ in segments])
-        if np.any(lengths <= 0):
-            raise InvalidArgumentError("segment lengths must be positive")
-        total = int(lengths.sum())
         p = max(len(c) for _, c in segments)
         coef_table = np.zeros((len(segments), p))
-        for row, (_, c) in enumerate(segments):
+        for row, (n, c) in enumerate(segments):
+            if not isinstance(n, (int, np.integer)) or n <= 0:
+                raise InvalidArgumentError(f"segment length {n!r} must be an integer >= 1")
             coef_table[row, : len(c)] = np.asarray(c, dtype=float)
-        edges = (np.cumsum(lengths) / total).tolist()  # right edges in rescaled time
-
-        def make(i):
-            def path(z, edges=edges, col=coef_table[:, i].tolist()):
-                return col[min(bisect_right(edges, z), len(col) - 1)]
-
-            return path
-
-        return cls(tuple(make(i) for i in range(p)), sigma=sigma)
+        ends = np.cumsum([n for n, _ in segments])
+        # the inner edges in rescaled time; segment k > 0 starts at z = joins[k - 1]
+        joins = ends[:-1] / ends[-1]
+        paths = tuple(
+            (lambda z, c=c: c[np.searchsorted(joins, z, "right")]) for c in coef_table.T
+        )
+        return cls(paths, sigma=sigma)
 
 
 def _reflection_coefficients(coefs: np.ndarray, where: str) -> np.ndarray:
@@ -146,9 +151,7 @@ def _reflection_coefficients(coefs: np.ndarray, where: str) -> np.ndarray:
 def _checked_table(spec: ArPathSpec, T: int) -> tuple[np.ndarray, np.ndarray]:
     """phi(t/T) as a (T, p) table, and its reflection coefficients once the
     stationarity check at every t has passed."""
-    table = np.array(
-        [[f(t / T) for f in spec.paths] for t in range(T)], dtype=float
-    ).reshape(T, spec.order)
+    table = spec.coefficients(np.arange(T) / T)
     return table, _reflection_coefficients(table, "t={}")
 
 
@@ -209,7 +212,7 @@ def simulate_piecewise_ar(
     coefficients switch at the joins.
     """
     spec = ArPathSpec.piecewise(segments, sigma=sigma)
-    T = int(sum(n for n, _ in segments))
+    T = sum(n for n, _ in segments)
     return simulate_tvar(spec, T, seed)
 
 
@@ -341,6 +344,8 @@ def monte_carlo_rmse(
         raise InvalidArgumentError(f"lags {lags} must be >= 1")
     if T < 1:
         raise InvalidArgumentError(f"T={T} must be positive")
+    if T < MIN_LENGTH:
+        raise InvalidArgumentError(f"T={T} is too short for estimation: T < {MIN_LENGTH}")
     table, k = _checked_table(spec, T)
     truth = _pacf_rows(k, np.array(lags))
     batch = max(1, _BATCH_ENTRIES // ((config.max_lag + 2) * 3 * T))

@@ -6,9 +6,11 @@ coefficients) -> running-mean smoothing over time -> inverse-A correction
 One ``kernels._window_sums`` call gives the running mean of every scale.
 
 Boundary policy: the non-decimated transform wraps periodically (dyadic
-convention); tapered local periodograms near the series ends clip the
-window and recompute the normalizer over retained points.  Per-time-point
-computations are independent; all grids are write-once.
+convention).  A tapered local periodogram whose window leaves the series
+raises BoundaryError by default (``boundary="strict"``); with the opt-in
+``boundary="clip"`` it clips the window and recomputes the normalizer over
+the retained points.  Per-time-point computations are independent; all
+grids are write-once.
 """
 
 from __future__ import annotations

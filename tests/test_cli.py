@@ -485,6 +485,32 @@ def test_cli_simulate_refuses_a_sigma_whose_path_overflows(tmp_path, capsys, arg
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv", [["--phi-start", "1e308", "--phi-end=-1e308"], ["--phi-start", "inf"]]
+)
+def test_cli_simulate_refuses_a_non_finite_coefficient_path(tmp_path, capsys, argv):
+    # the path evaluates to nan at t=0 (inf * 0); the stationarity check
+    # refuses it with no RuntimeWarning (an error under this suite's filter)
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "tvar", *argv, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: coefficient path is not instantaneously stationary at t=0: phi=[nan]\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("T, method", [("1", "windowed"), ("7", "windowed"), ("4", "wavelet")])
+def test_cli_benchmark_refuses_a_T_too_short_to_estimate(tmp_path, capsys, T, method):
+    # a usage error before any replicate is simulated, like --T 0
+    out = tmp_path / "rmse.csv"
+    argv = ["benchmark", "--T", T, "--method", method, "--reps", "2"]
+    assert main(argv + ["--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: T={T} is too short for estimation: T < 8\n"
+    assert not out.exists()
+
+
 def test_cli_benchmark_wavelet_refuses_a_non_dyadic_T(tmp_path, capsys):
     # benchmark has no --pad, so the refusal names --T, not padding
     out = tmp_path / "rmse.csv"

@@ -1,5 +1,6 @@
 """Simulators, the frozen-coefficient truth oracle, and the RMSE harness."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -191,8 +192,46 @@ def test_ar_recursion_matches_numpy_scalar_reference(ends, T, burn_in, sigma, se
     assert got.tobytes() == _numpy_scalar_recursion(table, burn_in, sigma, seed).tobytes()
 
 
+TABLE_TS = (1, 2, 3, 7, 255, 256, 4097)
+
+
+def _scalar_table(spec, T):
+    """phi(t/T) evaluated one time point at a time, the reference for the
+    table that ArPathSpec.coefficients builds from one call of each path."""
+    return np.array(
+        [[f(t / T) for f in spec.paths] for t in range(T)], dtype=float
+    ).reshape(T, spec.order)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        pytest.param(TVAR_STUDY, id="ramp"),
+        pytest.param(ArPathSpec.linear_ramp([0.3, -0.2], [0.3, -0.2]), id="flat-ramp"),
+        pytest.param(
+            ArPathSpec.linear_ramp([-0.0, 0.5, -0.0], [-0.0, -0.0, 0.4]), id="signed-zero-ramp"
+        ),
+        pytest.param(ArPathSpec.constant([0.5, -0.0, 0.2]), id="constant"),
+        pytest.param(ArPathSpec.constant([]), id="constant-order-0"),
+        pytest.param(PIECEWISE_STUDY, id="piecewise"),
+        pytest.param(ArPathSpec.piecewise([(10, []), (20, [])]), id="piecewise-order-0"),
+    ],
+)
+def test_path_table_matches_per_time_scalar_evaluation(spec):
+    for T in TABLE_TS:
+        ref = _scalar_table(spec, T)
+        z = np.arange(T) / T
+        assert validate_stability(spec, T).tobytes() == ref.tobytes()
+        assert spec.coefficients(z).shape == (T, spec.order)
+        assert spec.coefficients(z).tobytes() == ref.tobytes()
+        for t in {0, T // 2, T - 1}:
+            assert spec.coefficients(t / T).tobytes() == ref[t].tobytes()
+
+
 def test_piecewise_table_matches_searchsorted_at_edges():
-    segments = [(85, [-0.2]), (86, [0.5, 0.2]), (1, [0.7, -0.1, 0.3]), (84, [-0.2])]
+    segments = [
+        (85, [-0.2]), (1, []), (86, [0.5, 0.2]), (1, [0.7, -0.1, 0.3]), (84, [-0.2]), (2, [])
+    ]
     spec = ArPathSpec.piecewise(segments)
     lengths = np.array([n for n, _ in segments])
     edges = np.cumsum(lengths) / lengths.sum()
@@ -206,11 +245,52 @@ def test_piecewise_table_matches_searchsorted_at_edges():
     for z in zs:
         seg = min(int(np.searchsorted(edges, z, side="right")), last)
         assert spec.coefficients(z).tobytes() == table[seg].tobytes()
-    T = int(lengths.sum())
-    ref = np.array(
-        [table[min(int(np.searchsorted(edges, t / T, side="right")), last)] for t in range(T)]
-    )
-    assert validate_stability(spec, T).tobytes() == ref.tobytes()
+    assert spec.coefficients(np.array(zs)).tobytes() == np.array(
+        [table[min(int(np.searchsorted(edges, z, side="right")), last)] for z in zs]
+    ).tobytes()
+    for T in TABLE_TS + (int(lengths.sum()),):
+        ref = np.array(
+            [table[min(int(np.searchsorted(edges, t / T, side="right")), last)] for t in range(T)]
+        )
+        assert validate_stability(spec, T).tobytes() == ref.tobytes()
+        assert _scalar_table(spec, T).tobytes() == ref.tobytes()
+
+
+def test_each_path_is_called_once_per_table():
+    calls = [0, 0]
+
+    def counted(i, path):
+        def wrapper(z):
+            calls[i] += 1
+            return path(z)
+
+        return wrapper
+
+    study = ArPathSpec.linear_ramp([0.5, 0.1], [-0.5, 0.2])
+    spec = ArPathSpec(tuple(counted(i, f) for i, f in enumerate(study.paths)))
+    config = EstimatorConfig("windowed", binwidth=16, max_lag=1)
+    for T in (1, 512):
+        for table in (
+            lambda: validate_stability(spec, T),
+            lambda: true_pacf_curve(spec, T, [1, 2]),
+            lambda: simulate_tvar(spec, T, 0),
+            lambda: monte_carlo_rmse(spec, config, 2, [1], 0, max(T, 64)),
+        ):
+            calls[:] = [0, 0]
+            table()
+            assert calls == [1, 1]
+
+
+@pytest.mark.parametrize("length", [2.6, 3.0, np.float64(4.0), "3", 0, -2])
+def test_piecewise_refuses_a_segment_length_that_is_not_a_positive_integer(length):
+    segments = [(length, [0.5]), (3, [-0.5])]
+    needle = f"segment length {length!r} must be an integer >= 1"
+    with pytest.raises(InvalidArgumentError, match=re.escape(needle)):
+        ArPathSpec.piecewise(segments)
+    with pytest.raises(InvalidArgumentError, match=re.escape(needle)):
+        simulate_piecewise_ar(segments, 0)
+    # numpy integers are integers
+    assert simulate_piecewise_ar([(np.int64(3), [0.5]), (2, [-0.5])], 0).T == 5
 
 
 def _reference_rmse(spec, config, reps, lags, seed, T):
