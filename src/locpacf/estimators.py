@@ -19,21 +19,31 @@ of the series can overflow or go subnormal.
 
 Both assume mean-zero input.  ``demean=True`` subtracts a mean first: the
 windowed estimator subtracts from each observation the kernel-weighted
-mean of the window centred on it, the wavelet estimator the mean of the
-whole series.  ``EstimatorConfig`` names an estimator and its knobs, and
-its ``estimate_stack`` is the one place that picks an estimator and calls
-it, for a stack of series of one length; ``estimate`` is its one-series
-case.  Estimation at distinct time points is independent; the
-implementations vectorize over points and produce deterministic output
-ordering.  The windowed estimator sums its windows on the coarsest evenly
-spaced progression that holds the requested points with the package's
-one moving sum, ``kernels._window_sums``, and runs one batched Levinson
+mean of the window centred on it, and drops a point whose demeaned lag-0
+sum is within the rounding of that mean (a constant series), the wavelet
+estimator the mean of the whole series.  ``EstimatorConfig`` names an
+estimator and its knobs, and its ``estimate_stack`` is the one place that
+picks an estimator and calls it, for a stack of series of one length;
+``estimate`` is its one-series case.  Each estimator has one stack
+routine, and its public function is that routine's one-series case.  Both
+read their series through one intake (one length, each scaled) and build
+their grids through one per-series split.  Every series of a stack keeps
+the bits of a call on it alone: every row, column and point is computed
+on its own.
+
+Estimation at distinct time points is independent; the implementations
+vectorize over points and produce deterministic output ordering.  The
+windowed estimator sums its windows on the coarsest evenly spaced
+progression that holds the requested points with the package's one
+moving sum, ``kernels._window_sums``, and runs one batched Levinson
 recursion for them: evenly spaced points cost only their own windows,
-scattered points the span they cover.  It takes a whole stack in that
-one pass, the zero-padded rows of every series in one window-sum call
-and the kept points of every series in one recursion; every row and
-column is computed on its own, so each series keeps the bits of a call
-on it alone, and ``windowed_lpacf`` is the one-series case.  All three plug-in
+scattered points the span they cover.  A stack takes that one pass, the
+zero-padded rows of every series in one window-sum call and the kept
+points of every series in one recursion.
+
+The wavelet estimator runs its spectral stage once on the whole stack,
+and its plug-in stage once on the kept points of every series, with the
+stack's lacv grids laid side by side along time.  All three plug-in
 systems at a point read one covariance block, the times zT..zT+tau of
 the local autocovariance surface.  The plug-in stage assembles that
 block for a stack of points by indexing the grid, slices each lag's
@@ -44,8 +54,8 @@ Cholesky per point, of the whole block less a margin, is computed at
 ridge 0: by Demmel's bound it proves that LAPACK's Cholesky passes every
 system sliced from the block, and only the points it leaves unproved go
 to LAPACK.  A 1x1 system is solved by division, with numpy's verdict and
-bits.  ``wavelet_lpacf`` runs it on the requested points, and
-``prediction_system`` on one.
+bits.  The wavelet stack runs it on the requested points of every
+series, and ``prediction_system`` on one.
 """
 
 from __future__ import annotations
@@ -94,6 +104,7 @@ _CERTIFICATE_MARGIN = 1e-8
 def confidence_halfwidth(L: int | np.ndarray) -> float | np.ndarray:
     """Approximate 95% half-width 1.96/sqrt(L) for a window of L points;
     L may be an array of window lengths."""
+    L = np.asarray(L)
     if np.any(L < 1):
         raise InvalidArgumentError(f"L={L} must be >= 1")
     return 1.96 / np.sqrt(L)
@@ -195,6 +206,45 @@ class LpacfGrid:
         return np.arange(1, self.max_lag + 1)
 
 
+def _intake(series) -> np.ndarray:
+    """The (R, T) stack of R series of one length, each ``_unit_scaled``;
+    shape (0, 0) for no series."""
+    xs = [as_series(s).require_length().values for s in series]
+    if len({len(x) for x in xs}) > 1:
+        raise InvalidArgumentError(
+            f"a stack holds series of one length, not {sorted({len(x) for x in xs})}"
+        )
+    return _unit_scaled(np.stack(xs)) if xs else np.empty((0, 0))
+
+
+def _split(kind, pts, keep, estimates, clamped, boundary, bandwidth=None, ci=None, eff=None):
+    """One ``LpacfGrid`` per series of a stack.
+
+    ``keep[r]`` marks the points of series r that were kept, and the rows
+    of ``estimates`` and ``clamped`` (where an estimate was clamped) hold
+    the kept points series by series; ``boundary``, ``ci`` and ``eff`` are
+    per requested point, shared by every series.
+    """
+    grids = []
+    end = 0
+    for mask in keep:
+        start, end = end, end + int(np.count_nonzero(mask))
+        grids.append(
+            LpacfGrid(
+                kind=kind,
+                points=pts[mask],
+                estimates=estimates[start:end],
+                boundary=boundary[mask],
+                bandwidth=bandwidth,
+                ci_halfwidth=None if ci is None else ci[mask],
+                clamp_count=int(np.count_nonzero(clamped[start:end])),
+                dropped_points=pts[~mask],
+                effective_length=None if eff is None else eff[mask],
+            )
+        )
+    return grids
+
+
 def _select_points(T: int, points) -> np.ndarray:
     if points is None:
         return np.arange(T)
@@ -226,9 +276,11 @@ def windowed_lpacf(
     autocorrelation.  Window clipping at the series ends is flagged and
     the effective window length is used for the CI half-width; points
     retaining fewer than 2*max_lag observations, or whose lag sums are not
-    finite, are dropped.  ``demean``
-    subtracts from each observation the kernel-weighted mean of the window
-    centred on it.  ``points`` defaults to every index.  The window sums
+    finite, are dropped.  ``demean`` subtracts from each observation the
+    kernel-weighted mean of the window centred on it, and then also drops
+    a point whose lag-0 sum is within the rounding of those means, at most
+    ((2L+2) eps)^2 times the local mean square (all of a constant series).
+    ``points`` defaults to every index.  The window sums
     of a selection are taken from the lowest to the highest point at the
     gcd of their spacings (``demean`` also needs the local mean at every
     point): evenly spaced points, in any order, cost only their own
@@ -250,20 +302,15 @@ def _windowed_stack(series, L, kernel, max_lag, points, demean) -> list[LpacfGri
     row and column is computed on its own, so each grid has the bits of a
     call on its series alone.
     """
-    xs = [as_series(s).require_length().values for s in series]
-    if not xs:
+    x = _intake(series)
+    if not len(x):
         return []
-    T = len(xs[0])
-    if any(len(x) != T for x in xs):
-        raise InvalidArgumentError(
-            f"a stack holds series of one length, not {sorted({len(x) for x in xs})}"
-        )
+    (R, T), K = x.shape, max_lag + 2
     kernel = get_kernel(kernel)
     if L is None:
         L = default_bandwidth(T)
     _check_bandwidth(T, L, max_lag)
     pts = _select_points(T, points)
-    R, K = len(xs), max_lag + 2
 
     # Zero-padded rows, K per series: the ones (weight mass) and the pair
     # products at lags 0..max_lag, each summed against its weights over
@@ -276,12 +323,19 @@ def _windowed_stack(series, L, kernel, max_lag, points, demean) -> list[LpacfGri
     rows = np.zeros((R, K, T + 2 * L))
     rows[:, 0, L : L + T] = 1.0
     first = L + offs[0]  # start of point 0's window in the padded rows
-    x = _unit_scaled(np.stack(xs))
+    floor = 0.0  # what a kept point's lag-0 sum must exceed
     if demean:
-        # each series in its lag-0 row, which its products overwrite below
+        # each series and its square in its lag-0 and lag-1 rows, which its
+        # products overwrite below (the lag-1 products all but the last)
         rows[:, 1, L : L + T] = x
-        sums = _window_sums(rows[:, :2], w, first, first + T)
+        rows[:, 2, L : L + T] = x * x
+        sums = _window_sums(rows[:, :3], w, first, first + T)
+        rows[:, 2, L + T - 1] = 0.0
         x = x - sums[:, 1] / sums[:, 0]
+        # a local mean of L terms errs by less than (2L+1)u relative to the
+        # root local second moment, so a demeaned series within that of 0
+        # (a constant one) has a lag-0 sum below this floor: rounding noise
+        floor = ((2 * L + 2) * np.finfo(float).eps) ** 2 * (sums[:, 2] / sums[:, 0])[:, pts]
     for tau in range(max_lag + 1):
         np.multiply(x[:, : T - tau], x[:, tau:], out=rows[:, 1 + tau, L : L + T - tau])
     # the windows lo, lo + step, ..., hi, the coarsest progression holding
@@ -298,33 +352,15 @@ def _windowed_stack(series, L, kernel, max_lag, points, demean) -> list[LpacfGri
 
     # in-bounds window points, an exact count
     eff = np.minimum(pts + offs[-1], T - 1) - np.maximum(pts + offs[0], 0) + 1
-    keep = (eff >= 2 * max_lag) & (gamma[:, 0] > 0.0)
+    keep = (eff >= 2 * max_lag) & (gamma[:, 0] > floor)
     keep &= np.isfinite(gamma).all(axis=1)
 
     # the kept points of every series, series by series, as columns
-    pacf = levinson_pacf(np.moveaxis(gamma, 1, 0)[:, keep])
-    clamped = np.abs(pacf) >= 1.0
-    estimates = pacf.T.copy()
+    estimates = levinson_pacf(np.moveaxis(gamma, 1, 0)[:, keep]).T.copy()
     boundary = (eff < L).astype(np.uint8)
     ci = confidence_halfwidth(eff.astype(float))
-    grids = []
-    end = 0
-    for mask in keep:
-        start, end = end, end + int(np.count_nonzero(mask))
-        grids.append(
-            LpacfGrid(
-                kind="windowed",
-                points=pts[mask],
-                estimates=estimates[start:end],
-                boundary=boundary[mask],
-                bandwidth=int(L),
-                ci_halfwidth=ci[mask],
-                clamp_count=int(np.count_nonzero(clamped[:, start:end])),
-                dropped_points=pts[~mask],
-                effective_length=eff[mask],
-            )
-        )
-    return grids
+    clamped = np.abs(estimates) >= 1.0
+    return _split("windowed", pts, keep, estimates, clamped, boundary, int(L), ci, eff)
 
 
 @dataclass(frozen=True)
@@ -381,9 +417,10 @@ def prediction_system(lacv: LocalAcvGrid, zT: int, tau: int) -> PredictionSystem
         raise InvalidArgumentError(
             f"point zT={zT} with tau={tau} needs entries up to time {zT + tau}"
         )
+    values = lacv._one_series()
     z = np.array([zT])
-    G = _midpoint_stack(lacv.values, z, tau + 1)
-    scale = np.maximum(lacv.values[0, z], 1e-300)
+    G = _midpoint_stack(values, z, tau + 1)
+    scale = np.maximum(values[0, z], 1e-300)
     phi, bb, bf, mb, mf, ridge = _plug_in_stack(G, scale, tau, _certify(G))
     C = G[0]
     rev = slice(tau - 1, None, -1)
@@ -633,9 +670,31 @@ def wavelet_lpacf(
     numerically, are dropped and reported, not fatal: ``points`` and
     ``dropped_points`` each keep the order requested, a repeated point as
     often as requested.
+
+    This is the one-series case of the stack routine that
+    ``EstimatorConfig.estimate_stack`` runs on many series of one length
+    with one spectral stage and one plug-in stage.
     """
-    ts = as_series(ts).require_length()
-    T = ts.T
+    return _wavelet_stack([ts], max_scale, span, max_lag, points, demean, pad, lacv)[0]
+
+
+def _wavelet_stack(
+    series, max_scale, span, max_lag, points, demean, pad, lacv=None
+) -> list[LpacfGrid]:
+    """``wavelet_lpacf`` of each of R series of one length, in one pass.
+
+    The spectral stage runs once on the (R, T) stack.  The plug-in stage
+    lays the R lacv grids side by side as one (max_lag+1, R*T) grid and
+    solves the systems of every kept point of every series as one stack: a
+    kept point's block, the times zT..zT+max_lag, lies inside its own
+    series.  Every point is computed on its own, so each grid has the bits
+    of a call on its series alone.  A given ``lacv`` (one series' grid)
+    stands in for the spectral stage of a one-series stack.
+    """
+    x = _intake(series)
+    if not len(x):
+        return []
+    R, T = x.shape
     if not 1 <= max_lag <= 10:
         raise InvalidArgumentError(f"max_lag={max_lag} outside [1, 10]")
     if lacv is None:
@@ -643,12 +702,10 @@ def wavelet_lpacf(
             max_scale = default_max_scale(T)
         if span is None:
             span = default_smoothing_span(T)
-        x = _unit_scaled(ts.values)
         if demean:
-            x = x - x.mean()
-        raw = raw_wavelet_periodogram(x, max_scale, pad=pad)
-        ews = smooth_and_correct(raw, span)
-        lacv = local_autocovariance(ews, max(max_lag, 1))
+            x = x - x.mean(axis=-1, keepdims=True)
+        ews = smooth_and_correct(raw_wavelet_periodogram(x, max_scale, pad=pad), span)
+        values = local_autocovariance(ews, max_lag).values
         margin = (1 << (max_scale - 1)) + max_lag
     else:
         if lacv.T < T:
@@ -659,37 +716,29 @@ def wavelet_lpacf(
             raise InvalidArgumentError(
                 f"lacv grid holds lags up to {lacv.max_lag} < max_lag={max_lag}"
             )
+        values = lacv._one_series()[None]
         margin = max_lag
+    Tg = values.shape[-1]  # the grid's times, at least T
     pts = _select_points(T, points)
-    keep = (pts + max_lag <= lacv.T - 1) & (lacv.values[0, pts] > 0)
-    usable = pts[keep]
+    keep = (pts + max_lag <= Tg - 1) & (values[:, 0, pts] > 0)
+    z = (np.arange(R)[:, None] * Tg + pts)[keep]  # kept points, series by series
+    side = np.moveaxis(values, 0, 1).reshape(values.shape[1], R * Tg)
 
-    G = _midpoint_stack(lacv.values, usable, max_lag + 1)  # times zT..zT+max_lag
-    scale = np.maximum(lacv.values[0, usable], 1e-300)
+    G = _midpoint_stack(side, z, max_lag + 1)  # times zT..zT+max_lag
+    scale = np.maximum(side[0, z], 1e-300)
     certified = _certify(G)  # vouches for the ridge-0 gate of every lag
-    estimates = np.empty((len(usable), max_lag))
-    ok = np.ones(len(usable), dtype=bool)
+    estimates = np.empty((len(z), max_lag))
+    ok = np.ones(len(z), dtype=bool)
     for tau in range(1, max_lag + 1):
         phi, _, _, mb, mf, ridge = _plug_in_stack(G, scale, tau, certified)
         ok &= ~np.isnan(ridge).any(axis=0) & _mspe_ok(mb, mf)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             estimates[:, tau - 1] = phi[:, -1] * np.sqrt(mb / mf)
     keep[keep] = ok
-    usable = pts[keep]
     estimates = estimates[ok]
-    clamp_count = int(np.sum(np.abs(estimates) > 1.0))
-    estimates = np.clip(estimates, -1.0, 1.0)
-    boundary = ((usable < margin) | (usable > T - 1 - margin)).astype(np.uint8)
-    return LpacfGrid(
-        kind="wavelet",
-        points=usable,
-        estimates=estimates,
-        boundary=boundary,
-        bandwidth=None,
-        ci_halfwidth=None,
-        clamp_count=clamp_count,
-        dropped_points=pts[~keep],
-    )
+    clamped = np.abs(estimates) > 1.0
+    boundary = ((pts < margin) | (pts > T - 1 - margin)).astype(np.uint8)
+    return _split("wavelet", pts, keep, np.clip(estimates, -1.0, 1.0), clamped, boundary)
 
 
 @dataclass(frozen=True)
@@ -727,15 +776,13 @@ class EstimatorConfig:
         """``[self.estimate(x, points, demean, pad) for x in xs]``, bit for
         bit, for a stack ``xs`` of series of one length.
 
-        The windowed estimator takes the whole stack in one pass (one
-        window-sum call and one Levinson recursion) and refuses series of
-        different lengths; the wavelet estimator runs once per series.
+        Either estimator takes the whole stack in one pass and refuses
+        series of different lengths: the windowed one with one window-sum
+        call and one Levinson recursion, the wavelet one with one spectral
+        stage and one plug-in stage.
         """
         if self.method == "windowed":
             L, kernel = self.binwidth, self.kernel
             return _windowed_stack(xs, L, kernel, self.max_lag, points, demean)
-        knobs = {"max_scale": self.max_scale, "span": self.smooth_span, "pad": pad}
-        return [
-            wavelet_lpacf(x, max_lag=self.max_lag, points=points, demean=demean, **knobs)
-            for x in xs
-        ]
+        scale, span = self.max_scale, self.smooth_span
+        return _wavelet_stack(xs, scale, span, self.max_lag, points, demean, pad)

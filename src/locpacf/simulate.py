@@ -13,7 +13,8 @@ a Monte-Carlo study builds it, and takes its truth from its reflection
 coefficients, once for all replicates.  Replicates are independent and
 seeded as ``seed + replicate_index``, so results are identical however
 the work is partitioned: a study estimates its replicates in batches of a
-fixed memory budget, one ``EstimatorConfig.estimate_stack`` call each.
+fixed memory budget, one ``EstimatorConfig.estimate_stack`` call each,
+which either estimator runs as one pass over the batch.
 """
 
 from __future__ import annotations
@@ -293,12 +294,17 @@ class RmseReport:
         return self.no_interior + self.too_many_dropped
 
 
-# Replicates per batch of a study: for the windowed estimator, the
-# max_lag + 2 zero-padded rows of T + 2L < 3T entries per replicate stay
-# under this many entries (one replicate at the least).  The window sums
-# and the Levinson temporaries are of the rows' size, so a batch peaks at
-# about 4x the rows: 13.7 MB under tracemalloc for 3.1 MB of rows (3
-# replicates at T=8192, max_lag 10).
+# Replicates per batch of a study: the largest arrays of a replicate's
+# estimate stay under this many entries for the whole batch (one replicate
+# at the least).  For the windowed estimator they are its max_lag + 2
+# zero-padded rows of T + 2L < 3T entries; the window sums and the Levinson
+# temporaries are of the rows' size, so a batch peaks at about 4x the rows:
+# 13.7 MB under tracemalloc for 3.1 MB of rows (3 replicates at T=8192,
+# max_lag 10).  For the wavelet estimator they are the (max_lag+1)^2
+# covariance block of every point and, at 16 per point, the spectral
+# stage's scales; the certificate and the solves copy the blocks, so a
+# batch peaks at about 3x those entries: 26 MB for one replicate at T=8192,
+# max_lag 10.
 _BATCH_ENTRIES = 2**20
 
 
@@ -327,10 +333,10 @@ def monte_carlo_rmse(
     for the wavelet estimator.
 
     The replicates run in batches of a fixed memory budget
-    (``_BATCH_ENTRIES``; the benchmark's studies fit in one): a batch's
-    series are simulated one by one, estimated by one
-    ``EstimatorConfig.estimate_stack`` call, which for the windowed
-    estimator is one pass over the whole batch, and scored one by one.
+    (``_BATCH_ENTRIES``, sized per estimator; the benchmark's studies fit
+    in one): a batch's series are simulated one by one, estimated by one
+    ``EstimatorConfig.estimate_stack`` call, which is one pass over the
+    whole batch, and scored one by one.
     The estimates are those of one call per replicate, bit for bit.
     """
     if reps < 2:
@@ -348,7 +354,9 @@ def monte_carlo_rmse(
         raise InvalidArgumentError(f"T={T} is too short for estimation: T < {MIN_LENGTH}")
     table, k = _checked_table(spec, T)
     truth = _pacf_rows(k, np.array(lags))
-    batch = max(1, _BATCH_ENTRIES // ((config.max_lag + 2) * 3 * T))
+    lag = config.max_lag
+    per_time = (lag + 2) * 3 if config.method == "windowed" else (lag + 1) ** 2 + 16
+    batch = max(1, _BATCH_ENTRIES // (per_time * T))
     t0 = time.perf_counter()
     per_rep = []
     no_interior = too_many_dropped = 0

@@ -3,7 +3,12 @@
 Pipeline: non-decimated Haar transform -> raw periodogram (squared
 coefficients) -> running-mean smoothing over time -> inverse-A correction
 -> local autocovariance synthesis c_hat(z, tau) = sum_j S_hat_j(z) Psi_j(tau).
-One ``kernels._window_sums`` call gives the running mean of every scale.
+Each stage takes a stack of series along leading axes, time the last axis,
+and treats every series on its own, so a series keeps the bits of a run on
+it alone: one ``kernels._window_sums`` call gives the running mean of every
+scale of every series, one stacked solve the inverse-A correction and one
+broadcasting matmul the synthesis.  The grids of a stack keep its leading
+axes.
 
 Boundary policy: the non-decimated transform wraps periodically (dyadic
 convention).  A tapered local periodogram whose window leaves the series
@@ -19,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryError, InvalidArgumentError
+from .errors import BoundaryError, DataError, InvalidArgumentError
 from .haar import a_matrix, haar_coefficients, psi_auto
 from .kernels import RECTANGULAR, TaperKernel, _window_sums
-from .series import TimeSeries, as_series
+from .series import as_series
 
 __all__ = [
     "nondecimated_haar_transform",
@@ -48,38 +53,39 @@ def default_smoothing_span(T: int) -> int:
     return int(np.ceil(T ** (1.0 / 3.0)))
 
 
-def _dyadic_series(ts, pad: bool) -> tuple[TimeSeries, int]:
-    ts = as_series(ts)
-    if ts.is_dyadic():
-        return ts, ts.T
-    if not pad:
-        raise InvalidArgumentError(
-            f"series length T={ts.T} is not a power of two; enable padding"
-        )
-    return ts.pad_to_dyadic()
-
-
 def nondecimated_haar_transform(ts, max_scale: int | None = None, pad: bool = False):
     """Coefficients d_{j,k} = sum_t X_t psi_{j,(t-k) mod T}, scales 1..max_scale.
 
-    Returns an array of shape (max_scale, T).  Linear in the input;
-    periodic boundary.
+    ``ts`` is a series, or an array of series of one length along its last
+    axis; returns an array of shape (..., max_scale, T).  Linear in the
+    input; periodic boundary.  ``pad`` reflect-pads a non-dyadic T to the
+    next power of two as ``TimeSeries.pad_to_dyadic`` does; the
+    coefficients are reported at the original T times only.
     """
-    ts, orig_T = _dyadic_series(ts, pad)
-    T = ts.T
-    J = int(np.log2(T))
+    x = np.asarray(getattr(ts, "values", ts), dtype=float)
+    if x.ndim < 1 or x.shape[-1] < 1 or not np.isfinite(x).all():
+        raise DataError(f"series must be non-empty and finite, got shape {x.shape}")
+    T = x.shape[-1]
+    N = 1 << (T - 1).bit_length()  # the least power of two >= T
+    if N != T:
+        if not pad:
+            raise InvalidArgumentError(
+                f"series length T={T} is not a power of two; enable padding"
+            )
+        x = np.concatenate([x, x[..., -2 : -2 - (N - T) : -1]], axis=-1)
+    J = N.bit_length() - 1
     if max_scale is None:
-        max_scale = default_max_scale(T)
+        max_scale = default_max_scale(N)
     if not 1 <= max_scale <= J:
-        raise InvalidArgumentError(f"max_scale={max_scale} outside [1, {J}] for T={T}")
-    X = np.fft.rfft(ts.values)
-    d = np.empty((max_scale, T))
+        raise InvalidArgumentError(f"max_scale={max_scale} outside [1, {J}] for T={N}")
+    X = np.fft.rfft(x)
+    d = np.empty(x.shape[:-1] + (max_scale, N))
     for j in range(1, max_scale + 1):
-        p = np.zeros(T)
+        p = np.zeros(N)
         p[: 1 << j] = haar_coefficients(j)
-        # circular cross-correlation: d[k] = sum_t X_t p[(t-k) mod T]
-        d[j - 1] = np.fft.irfft(X * np.conj(np.fft.rfft(p)), T)
-    return d[:, :orig_T]
+        # circular cross-correlation: d[k] = sum_t X_t p[(t-k) mod N]
+        d[..., j - 1, :] = np.fft.irfft(X * np.conj(np.fft.rfft(p)), N)
+    return d[..., :T]
 
 
 def raw_wavelet_periodogram(ts, max_scale: int | None = None, pad: bool = False):
@@ -160,9 +166,10 @@ def integrated_periodogram(
 class EwsGrid:
     """Evolutionary wavelet spectrum estimates on a scale x time grid.
 
-    ``spectrum[j-1, k]`` holds S_hat_j(k/T).  Entries may be negative after
-    the inverse-A correction; ``negative_cells`` counts them.  Synthesis
-    into autocovariances floors them at zero.
+    ``spectrum[..., j-1, k]`` holds S_hat_j(k/T), the leading axes those of
+    a stack of series.  Entries may be negative after the inverse-A
+    correction; ``negative_cells`` counts them, over the whole stack.
+    Synthesis into autocovariances floors them at zero.
     """
 
     spectrum: np.ndarray
@@ -170,21 +177,22 @@ class EwsGrid:
 
     @property
     def max_scale(self) -> int:
-        return self.spectrum.shape[0]
+        return self.spectrum.shape[-2]
 
     @property
     def T(self) -> int:
-        return self.spectrum.shape[1]
+        return self.spectrum.shape[-1]
 
 
 def smooth_and_correct(raw: np.ndarray, span: int | None = None) -> EwsGrid:
     """Running-mean smooth each scale over 2*span+1 neighbors, then apply A^{-1}.
 
+    ``raw`` is (..., J, T): one (J, T) periodogram, or a stack of them.
     Edges are reflected for the smoothing.  span=0 leaves the raw values
     untouched before correction.
     """
     raw = np.asarray(raw, dtype=float)
-    J, T = raw.shape
+    J, T = raw.shape[-2:]
     if span is None:
         span = default_smoothing_span(T)
     if span < 0:
@@ -192,10 +200,9 @@ def smooth_and_correct(raw: np.ndarray, span: int | None = None) -> EwsGrid:
     sm = raw
     if span > 0:
         ker = np.full(2 * span + 1, 1.0 / (2 * span + 1))
-        padded = np.pad(raw, ((0, 0), (span, span)), mode="reflect")
+        padded = np.pad(raw, [(0, 0)] * (raw.ndim - 1) + [(span, span)], mode="reflect")
         sm = _window_sums(padded, ker, 0, T)  # every scale in one call
-    A = a_matrix(J)
-    spectrum = np.linalg.solve(A, sm)
+    spectrum = np.linalg.solve(a_matrix(J), sm)  # A against every (J, T) matrix
     spectrum.setflags(write=False)
     return EwsGrid(spectrum, int(np.sum(spectrum < 0.0)))
 
@@ -204,9 +211,11 @@ def smooth_and_correct(raw: np.ndarray, span: int | None = None) -> EwsGrid:
 class LocalAcvGrid:
     """Local autocovariance estimates c_hat(z, tau) on a time x lag grid.
 
-    ``values[tau, k]`` holds c_hat(k/T, tau) for tau = 0..max_lag.  Negative
-    lags follow by symmetry.  ``floored_cells`` counts spectrum cells set to
-    zero before synthesis.
+    ``values[..., tau, k]`` holds c_hat(k/T, tau) for tau = 0..max_lag, the
+    leading axes those of a stack of series.  Negative lags follow by
+    symmetry.  ``floored_cells`` counts spectrum cells set to zero before
+    synthesis, over the whole stack.  ``at`` and ``midpoint`` read the grid
+    of one series, and refuse a stacked grid.
     """
 
     values: np.ndarray
@@ -214,14 +223,22 @@ class LocalAcvGrid:
 
     @property
     def max_lag(self) -> int:
-        return self.values.shape[0] - 1
+        return self.values.shape[-2] - 1
 
     @property
     def T(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
+
+    def _one_series(self) -> np.ndarray:
+        """``values`` of a one-series grid; a stacked grid is refused."""
+        if self.values.ndim != 2:
+            raise InvalidArgumentError(
+                f"a stacked grid of shape {self.values.shape} is not one series' grid"
+            )
+        return self.values
 
     def at(self, k: int, tau: int) -> float:
-        return float(self.values[abs(int(tau)), int(k)])
+        return float(self._one_series()[abs(int(tau)), int(k)])
 
     def midpoint(self, ta: int, tb: int) -> float:
         """c_hat at the rescaled midpoint of the index pair (ta, tb).
@@ -229,16 +246,18 @@ class LocalAcvGrid:
         The lag is |ta - tb|; a half-integer midpoint averages the two
         adjacent integer-time entries.
         """
+        values = self._one_series()
         lag = abs(int(ta) - int(tb))
         twice = int(ta) + int(tb)
         if twice % 2 == 0:
-            return float(self.values[lag, twice // 2])
+            return float(values[lag, twice // 2])
         lo = twice // 2
-        return 0.5 * float(self.values[lag, lo] + self.values[lag, lo + 1])
+        return 0.5 * float(values[lag, lo] + values[lag, lo + 1])
 
 
 def local_autocovariance(ews: EwsGrid, max_lag: int) -> LocalAcvGrid:
-    """Synthesize c_hat(z, tau) = sum_j max(S_hat_j(z), 0) Psi_j(tau)."""
+    """Synthesize c_hat(z, tau) = sum_j max(S_hat_j(z), 0) Psi_j(tau), for one
+    spectrum or a stack of them."""
     if not 0 <= max_lag < (1 << ews.max_scale):
         raise InvalidArgumentError(
             f"max_lag={max_lag} must satisfy 0 <= max_lag < 2^max_scale"

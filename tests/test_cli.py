@@ -580,6 +580,18 @@ def test_cli_failed_plot_writes_no_csv(tmp_path, capsys, command):
     assert sorted(os.listdir(tmp_path)) == ["flat.csv"]
 
 
+@pytest.mark.parametrize("command", ["estimate", "sweep-bandwidth"])
+@pytest.mark.parametrize("c", ["1.5", "0.3", "-7.25", "1e-3", "1e300"])
+def test_cli_demeaned_constant_series_writes_nothing(tmp_path, capsys, command, c):
+    # the demeaned series is rounding noise at every window width
+    sim = _write(tmp_path, "flat.csv", f"{c}\n" * 128)
+    argv = [command, "--input", sim, "--output", str(tmp_path / "e.csv"), "--demean"]
+    argv += ["--binwidth", "28"] if command == "estimate" else ["--widths", "10,28,32"]
+    assert main(argv) == 2
+    assert "no estimate to write: all points were dropped (128)" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["flat.csv"]
+
+
 @pytest.mark.parametrize("plot", [False, True], ids=["csv", "plot"])
 @pytest.mark.parametrize(
     "argv",

@@ -1,6 +1,7 @@
 """Classical and local partial autocorrelation estimators."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,9 @@ from locpacf import (
     wavelet_lpacf,
     windowed_lpacf,
     ArPathSpec,
+    local_autocovariance,
+    raw_wavelet_periodogram,
+    smooth_and_correct,
 )
 from locpacf import estimators
 from locpacf.errors import NumericalError
@@ -36,6 +40,7 @@ from locpacf.estimators import (
 )
 from locpacf.kernels import EPANECHNIKOV, _window_sums, get_kernel
 from locpacf.series import as_series
+from locpacf.spectral import default_max_scale, default_smoothing_span
 
 
 # Scalar reference implementations.  The library computes these quantities
@@ -196,6 +201,10 @@ def test_confidence_halfwidth_values():
     assert np.array_equal(confidence_halfwidth(lengths), 1.96 / np.sqrt(lengths))
     with pytest.raises(InvalidArgumentError, match="must be >= 1"):
         confidence_halfwidth(np.array([40, 0]))
+    # a list of window lengths is taken as an array
+    assert np.array_equal(confidence_halfwidth([4, 9]), [0.98, 1.96 / 3])
+    with pytest.raises(InvalidArgumentError, match="must be >= 1"):
+        confidence_halfwidth([4, 0])
 
 
 def test_levinson_on_exact_ar2_autocovariances():
@@ -295,6 +304,21 @@ def test_windowed_boundary_flags_and_effective_length():
     assert np.allclose(
         grid.ci_halfwidth, 1.96 / np.sqrt(grid.effective_length.astype(float))
     )
+
+
+@pytest.mark.parametrize("L", [8, 28], ids=["unrolled", "vecdot"])
+@pytest.mark.parametrize("kernel", ["rectangular", "epanechnikov"])
+@pytest.mark.parametrize("c", [1.5, 0.3, -7.25, 1e-3, 1e300, 1.0])
+def test_windowed_demean_drops_every_point_of_a_constant_series(c, kernel, L):
+    # a local mean of a constant is c only up to rounding; what is left
+    # after subtracting it is noise, not variance
+    grid = windowed_lpacf(np.full(128, c), L=L, kernel=kernel, max_lag=2, demean=True)
+    assert len(grid.points) == 0
+    assert np.array_equal(grid.dropped_points, np.arange(128))
+    # a small variation about a large mean is variance, and kept
+    x = c + abs(c) * 1e-9 * np.random.default_rng(0).standard_normal(128)
+    grid = windowed_lpacf(x, L=L, kernel=kernel, max_lag=2, demean=True)
+    assert len(grid.points) == 128
 
 
 def test_windowed_stride_and_explicit_points():
@@ -533,12 +557,9 @@ def _assert_same_grid(got, want):
     )
 
 
-@st.composite
-def _stack_case(draw):
-    """A stack of one to five series of one length, each standard normal,
-    all zeros, constant, or scaled by a huge or tiny power of two, with a
-    window on either side of numpy's 11-tap unrolled correlate."""
-    T = draw(st.integers(8, 120), label="T")
+def _stack_rows(draw, T):
+    """One to five series of length T, each standard normal, all zeros,
+    constant, or scaled by a huge or tiny power of two."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     xs = []
     for kind in draw(
@@ -555,40 +576,114 @@ def _stack_case(draw):
             # 2**1018 keeps |x| < 2**1023; 2**-1074 leaves a few subnormals
             x = np.ldexp(x, draw(st.sampled_from([1018, 600, -600, -1060, -1074])))
         xs.append(x)
+    return xs
+
+
+def _draw_points(draw, T):
+    """Every point, an evenly spaced stride, or up to 12 scattered points,
+    repeats allowed."""
+    return draw(
+        st.none()
+        | st.integers(1, T).map(lambda n: np.arange(0, T, n))
+        | st.lists(st.integers(0, T - 1), min_size=0, max_size=12).map(np.array),
+        label="points",
+    )
+
+
+@st.composite
+def _stack_case(draw, method=None):
+    """A stack of series of one length (``_stack_rows``) with a config of
+    either estimator, the points, and the wavelet ``pad``.
+
+    A windowed config has a window on either side of numpy's 11-tap
+    unrolled correlate.  A wavelet config has a dyadic or a padded length,
+    a scale and a span drawn or left to their defaults (span 0 too), and
+    lags up to 10 below 2^max_scale; the points near the end, and every
+    point of a zero or constant row, are dropped.
+    """
+    method = method or draw(st.sampled_from(["windowed", "wavelet"]), label="method")
+    if method == "wavelet":
+        T = draw(st.sampled_from([8, 16, 64]) | st.integers(9, 120), label="T")
+        pad = T & (T - 1) != 0 or draw(st.booleans(), label="pad")
+        J = (T - 1).bit_length()  # log2 of the padded length
+        max_scale = draw(st.none() | st.integers(1, min(J, 5)), label="max_scale")
+        span = draw(st.none() | st.integers(0, 6), label="span")
+        top = 1 << (max_scale or default_max_scale(T))
+        max_lag = draw(st.integers(1, min(10, top - 1, T - 1)), label="max_lag")
+        config = EstimatorConfig(
+            "wavelet", smooth_span=span, max_scale=max_scale, max_lag=max_lag
+        )
+        return _stack_rows(draw, T), config, _draw_points(draw, T), pad
+    T = draw(st.integers(8, 120), label="T")
+    xs = _stack_rows(draw, T)
     if draw(st.booleans(), label="short kernel") or T < 13:
         L = draw(st.integers(3, min(11, T - 1)), label="L")
     else:
         L = draw(st.integers(12, T - 1), label="L")
     max_lag = draw(st.integers(1, (L - 1) // 2), label="max_lag")
     kernel = draw(st.sampled_from(["rectangular", "epanechnikov"]), label="kernel")
-    points = draw(
-        st.none()
-        | st.integers(1, T).map(lambda n: np.arange(0, T, n))
-        | st.lists(st.integers(0, T - 1), min_size=0, max_size=12).map(np.array),
-        label="points",
-    )
-    return xs, EstimatorConfig("windowed", L, kernel, max_lag=max_lag), points
+    config = EstimatorConfig("windowed", L, kernel, max_lag=max_lag)
+    return xs, config, _draw_points(draw, T), False
 
 
 @settings(max_examples=150, deadline=None)
 @given(_stack_case(), st.booleans())
 def test_estimate_stack_equals_one_estimate_per_series(case, demean):
-    xs, config, points = case
-    grids = config.estimate_stack(xs, points, demean)
+    xs, config, points, pad = case
+    grids = config.estimate_stack(xs, points, demean, pad)
     assert len(grids) == len(xs)
     for grid, x in zip(grids, xs):
-        _assert_same_grid(grid, config.estimate(x, points, demean))
+        _assert_same_grid(grid, config.estimate(x, points, demean, pad))
 
 
-def test_estimate_stack_of_the_wavelet_estimator_is_one_call_per_series():
-    xs = [simulate_tvar(ArPathSpec.linear_ramp([0.9], [-0.9]), 128, s).values for s in (0, 1)]
-    config = EstimatorConfig("wavelet", max_scale=4, max_lag=2)
-    for grid, x in zip(config.estimate_stack(xs, demean=True), xs):
-        _assert_same_grid(grid, wavelet_lpacf(x, max_scale=4, max_lag=2, demean=True))
+@settings(max_examples=100, deadline=None)
+@given(_stack_case("wavelet"), st.booleans())
+def test_wavelet_stack_is_the_public_pipeline_per_series(case, demean):
+    # each series through raw_wavelet_periodogram, smooth_and_correct,
+    # local_autocovariance and wavelet_lpacf on the grid, bit for bit; a
+    # given grid has the margin max_lag, the spectral stage 2^(J*-1) more
+    xs, config, points, pad = case
+    T = len(xs[0])
+    max_scale = config.max_scale or default_max_scale(T)
+    span = default_smoothing_span(T) if config.smooth_span is None else config.smooth_span
+    margin = (1 << (max_scale - 1)) + config.max_lag
+    grids = config.estimate_stack(xs, points, demean, pad)
+    assert len(grids) == len(xs)
+    for grid, x in zip(grids, xs):
+        y = np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])  # max |y| in [0.5, 1)
+        if demean:
+            y = y - y.mean()
+        raw = raw_wavelet_periodogram(y, max_scale, pad=pad)
+        lacv = local_autocovariance(smooth_and_correct(raw, span), config.max_lag)
+        want = wavelet_lpacf(x, max_lag=config.max_lag, points=points, lacv=lacv)
+        edge = (want.points < margin) | (want.points > T - 1 - margin)
+        _assert_same_grid(grid, replace(want, boundary=edge.astype(np.uint8)))
 
 
-def test_windowed_estimate_stack_takes_series_of_one_length():
-    config = EstimatorConfig("windowed", binwidth=8, max_lag=2)
+def test_wavelet_stack_runs_one_spectral_stage_and_one_certificate(monkeypatch):
+    calls = []
+
+    def spy(name):
+        fn = getattr(estimators, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, name, wrapper)
+
+    stages = ["raw_wavelet_periodogram", "smooth_and_correct", "local_autocovariance"]
+    for name in stages + ["_certify"]:
+        spy(name)
+    xs = [simulate_tvar(ArPathSpec.linear_ramp([0.9], [-0.9]), 128, s).values for s in range(4)]
+    grids = EstimatorConfig("wavelet", max_scale=4, max_lag=2).estimate_stack(xs, demean=True)
+    assert calls == stages + ["_certify"]
+    assert [len(g.points) for g in grids] == [126] * 4
+
+
+@pytest.mark.parametrize("method", ["windowed", "wavelet"])
+def test_estimate_stack_takes_series_of_one_length(method):
+    config = EstimatorConfig(method, binwidth=8, max_lag=2)
     assert config.estimate_stack([]) == []
     with pytest.raises(InvalidArgumentError, match=r"one length, not \[32, 33\]"):
         config.estimate_stack([np.ones(32), np.ones(33)])
@@ -1053,6 +1148,14 @@ def test_wavelet_lpacf_rejects_grid_with_too_few_lags():
     lacv = _constant_grid([1.0, 0.5, 0.25], T=32)
     with pytest.raises(InvalidArgumentError, match="lags up to 2 < max_lag=3"):
         wavelet_lpacf(np.ones(32), max_lag=3, lacv=lacv)
+
+
+def test_prediction_system_and_wavelet_lpacf_refuse_a_stacked_grid():
+    lacv = LocalAcvGrid(np.ones((2, 3, 32)), 0)
+    with pytest.raises(InvalidArgumentError, match="not one series' grid"):
+        prediction_system(lacv, 3, 2)
+    with pytest.raises(InvalidArgumentError, match="not one series' grid"):
+        wavelet_lpacf(np.ones(32), max_lag=2, lacv=lacv)
 
 
 def test_prediction_system_rejects_lag_beyond_grid():

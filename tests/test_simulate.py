@@ -455,6 +455,20 @@ def test_monte_carlo_rmse_memory_does_not_grow_with_reps():
     assert peak < 24 * 2**20
 
 
+def test_monte_carlo_rmse_wavelet_memory_does_not_grow_with_reps():
+    # 4 replicates at T=4096 and max_lag 10 run one at a time, each peaking
+    # at about 13 MB; one batch of all 4 peaks at about 52 MB
+    config = EstimatorConfig("wavelet", max_lag=10)
+    tracemalloc.start()
+    try:
+        report = monte_carlo_rmse(TVAR_STUDY, config, 4, [1], 0, 4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.rows[0].replicates == 4
+    assert peak < 20 * 2**20
+
+
 def test_single_segment_equals_constant_tvar():
     seg = simulate_piecewise_ar([(120, [0.5])], 9)
     ref = simulate_tvar(ArPathSpec.constant([0.5]), 120, 9)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from locpacf import (
     BoundaryError,
+    DataError,
     EPANECHNIKOV,
     EwsGrid,
     InvalidArgumentError,
@@ -43,6 +44,9 @@ def test_transform_recovers_unit_coefficient():
 def test_transform_requires_dyadic_length():
     with pytest.raises(InvalidArgumentError):
         nondecimated_haar_transform(np.ones(20), 2)
+    for bad in ([], [1.0, np.nan, 0.0, 2.0], np.ones((2, 0))):
+        with pytest.raises(DataError, match="non-empty and finite"):
+            nondecimated_haar_transform(bad, 1, pad=True)
     d = nondecimated_haar_transform(np.arange(20.0), 2, pad=True)
     assert d.shape == (2, 20)  # reported on original indices only
 
@@ -253,3 +257,43 @@ def test_negative_spectrum_cells_are_floored_and_counted():
     lacv = local_autocovariance(EwsGrid(spectrum, 8), 1)
     assert lacv.floored_cells == 8
     assert np.allclose(lacv.values[0], 1.0)  # only the positive scale remains
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(8, 80),
+    st.integers(1, 4),
+    st.integers(0, 5),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+)
+def test_spectral_stage_of_a_stack_is_the_stage_of_each_series(T, R, span, max_lag, seed):
+    # leading axes hold series: every stage of a stack has the bits of the
+    # same stage run on each series alone
+    x = np.random.default_rng(seed).standard_normal((R, T))
+    raw = raw_wavelet_periodogram(x, 3, pad=True)
+    ews = smooth_and_correct(raw, span)
+    lacv = local_autocovariance(ews, max_lag)
+    assert (raw.shape, ews.T, ews.max_scale, lacv.T, lacv.max_lag) == (
+        (R, 3, T), T, 3, T, max_lag
+    )
+    negative = floored = 0
+    for r in range(R):
+        raw_r = raw_wavelet_periodogram(x[r], 3, pad=True)
+        ews_r = smooth_and_correct(raw_r, span)
+        lacv_r = local_autocovariance(ews_r, max_lag)
+        assert raw[r].tobytes() == raw_r.tobytes()
+        assert ews.spectrum[r].tobytes() == ews_r.spectrum.tobytes()
+        assert lacv.values[r].tobytes() == lacv_r.values.tobytes()
+        negative += ews_r.negative_cells
+        floored += lacv_r.floored_cells
+    assert (ews.negative_cells, lacv.floored_cells) == (negative, floored)
+
+
+def test_stacked_lacv_grid_refuses_one_series_accessors():
+    spectrum = np.random.default_rng(7).random((2, 3, 16))
+    lacv = local_autocovariance(EwsGrid(spectrum, 0), 2)
+    assert lacv.values.shape == (2, 3, 16)
+    for read in (lambda: lacv.at(0, 1), lambda: lacv.midpoint(0, 1)):
+        with pytest.raises(InvalidArgumentError, match="not one series' grid"):
+            read()
