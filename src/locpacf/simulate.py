@@ -8,13 +8,17 @@ stationary iff all |k_m| < 1, and k_tau is its PACF at lag tau.
 A coefficient path is a function of the whole rescaled-time grid: the
 (T, p) table of coefficients phi(t/T) takes one call of each path, on
 the array of every t/T.  One private routine runs the AR recursion over
-that table once it is checked.  ``simulate_tvar`` builds it for one series;
-a Monte-Carlo study builds it, and takes its truth from its reflection
-coefficients, once for all replicates.  Replicates are independent and
-seeded as ``seed + replicate_index``, so results are identical however
-the work is partitioned: a study estimates its replicates in batches of a
-fixed memory budget, one ``EstimatorConfig.estimate_stack`` call each,
-which either estimator runs as one pass over the batch.
+that table once it is checked, for one seed or many.  ``simulate_tvar``
+builds it for one series; a Monte-Carlo study builds it, and takes its
+truth from its reflection coefficients, once for all replicates.
+Replicates are independent and seeded as ``seed + replicate_index``, so
+results are identical however the work is partitioned: a study runs its
+replicates in batches of a fixed memory budget, one recursion call and one
+``EstimatorConfig.estimate_stack`` call each.  The recursion runs a few
+seeds one by one on Python floats and steps a larger batch as one array,
+a multiply and an add over all replicates per lag term per time step,
+with the same roundings in the same order, so each series has the same
+bits either way; either estimator runs a batch as one pass.
 """
 
 from __future__ import annotations
@@ -45,6 +49,11 @@ __all__ = [
 DEFAULT_BURN_IN = 500
 
 
+def _check_sigma(sigma: float) -> None:
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise InvalidArgumentError(f"sigma={sigma} must be finite and > 0")
+
+
 @dataclass(frozen=True)
 class ArPathSpec:
     """Coefficient path(s) of a time-varying AR(p) process.
@@ -60,8 +69,7 @@ class ArPathSpec:
     burn_in: int = DEFAULT_BURN_IN
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise InvalidArgumentError(f"sigma={self.sigma} must be finite and > 0")
+        _check_sigma(self.sigma)
         if not isinstance(self.burn_in, (int, np.integer)) or self.burn_in < 0:
             raise InvalidArgumentError(
                 f"burn_in={self.burn_in!r} must be an integer >= 0"
@@ -161,34 +169,75 @@ def validate_stability(spec: ArPathSpec, T: int) -> np.ndarray:
     return _checked_table(spec, T)[0]
 
 
-def _ar_recursion(table: np.ndarray, burn_in: int, sigma: float, seed: int) -> np.ndarray:
-    """X_t = sum_i phi_i X_{t-i} + sigma eps_t over the rows of a checked
-    (T, p) table, after burn_in samples (discarded) with row 0 frozen.
+# Seeds from which the AR recursion steps all replicates as one array.  The
+# stack pays a multiply and an add call, about 1.2 us each, per lag term
+# per step whatever the number of replicates R; the per-seed loop pays
+# about 0.4 us per step per replicate.  So the loop wins for few seeds and
+# the stack for many: at T=512 and T=4096 (with 500 burn-in steps) the two
+# break even at about 8 replicates for p=1 and 10 to 11 for p=2 (medians of
+# 15 and 7 alternated calls in one process on a 2-core x86-64 host).
+_STACK_SEEDS = 10
 
-    Runs on Python floats: each step adds the lag terms i = 1..min(p, t) in
-    order to the innovation, so every rounding is that of float64 array
-    arithmetic and the output is bit-identical for identical inputs.
-    """
-    if seed < 0:
-        raise InvalidArgumentError(f"seed={seed} must be >= 0")
-    p = table.shape[1]
-    eps = np.random.default_rng(seed).standard_normal(len(table) + burn_in)
-    with np.errstate(over="ignore"):  # an overflow is refused below
-        x = (eps * sigma).tolist()
+
+def _steps(table: np.ndarray, burn_in: int):
+    """(t, coefficients) for every step of the recursion: row 0 frozen over
+    the burn-in, then the table's rows as tuples of Python floats."""
     # one row tuple per step from the columns, so no list of rows is held;
-    # order 0 has no columns: the loop stops early, leaving the innovations
-    steps = chain(repeat(tuple(table[0].tolist()), burn_in), zip(*table.T.tolist()))
-    for t, c in enumerate(steps):
-        v = x[t]
-        k = t
-        for ci in c if t >= p else c[:t]:  # phi_i * X_{t-i}, i = 1..min(p, t)
-            k -= 1
-            v += ci * x[k]
-        x[t] = v
-    path = np.array(x[burn_in:])
-    if not np.isfinite(path).all():
+    # order 0 has no columns: the steps stop early, leaving the innovations
+    return enumerate(chain(repeat(tuple(table[0].tolist()), burn_in), zip(*table.T.tolist())))
+
+
+def _ar_recursion(
+    table: np.ndarray, burn_in: int, sigma: float, seeds: Sequence[int]
+) -> np.ndarray:
+    """X_t = sum_i phi_i X_{t-i} + sigma eps_t over the rows of a checked
+    (T, p) table, after burn_in samples (discarded) with row 0 frozen, for
+    the innovations of each seed; shape (len(seeds), T).
+
+    Each step adds the lag terms i = 1..min(p, t) in order to the
+    innovation, one multiply and one add per term, each rounded as in
+    float64 array arithmetic, so every path is bit-identical for identical
+    inputs whatever seeds run beside it.  Fewer than ``_STACK_SEEDS`` seeds
+    run one by one on Python floats; R >= ``_STACK_SEEDS`` seeds run as one
+    (T + burn_in, R) array, stepped a row of R replicates at a time.
+    """
+    for seed in seeds:
+        if seed < 0:
+            raise InvalidArgumentError(f"seed={seed} must be >= 0")
+    p = table.shape[1]
+    n = len(table) + burn_in
+    draws = (np.random.default_rng(seed).standard_normal(n) for seed in seeds)
+    # an overflow is refused below; inf - inf warns in numpy, not on floats
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(seeds) < _STACK_SEEDS:
+            paths = np.empty((len(seeds), len(table)))
+            for path, eps in zip(paths, draws):
+                x = (eps * sigma).tolist()
+                for t, c in _steps(table, burn_in):
+                    v = x[t]
+                    k = t
+                    for ci in c if t >= p else c[:t]:  # phi_i * X_{t-i}, i = 1..min(p, t)
+                        k -= 1
+                        v += ci * x[k]
+                    x[t] = v
+                path[:] = x[burn_in:]
+        else:
+            x = np.empty((n, len(seeds)))  # step t is the contiguous row x[t]
+            for col, eps in zip(x.T, draws):
+                np.multiply(eps, sigma, col)
+            rows = list(x)
+            buf = np.empty(len(seeds))
+            for t, c in _steps(table, burn_in):
+                row = rows[t]
+                k = t
+                for ci in c if t >= p else c[:t]:
+                    k -= 1
+                    np.multiply(rows[k], ci, buf)
+                    np.add(row, buf, row)
+            paths = np.ascontiguousarray(x[burn_in:].T)
+    if not np.isfinite(paths).all():
         raise InvalidArgumentError(f"sigma={sigma} is too large: the path overflows")
-    return path
+    return paths
 
 
 def simulate_tvar(spec: ArPathSpec, T: int, seed: int) -> TimeSeries:
@@ -200,8 +249,8 @@ def simulate_tvar(spec: ArPathSpec, T: int, seed: int) -> TimeSeries:
     """
     if T < 1:
         raise InvalidArgumentError(f"T={T} must be positive")
-    x = _ar_recursion(validate_stability(spec, T), spec.burn_in, spec.sigma, seed)
-    return TimeSeries(x)
+    table = validate_stability(spec, T)
+    return TimeSeries(_ar_recursion(table, spec.burn_in, spec.sigma, [seed])[0])
 
 
 def simulate_piecewise_ar(
@@ -224,17 +273,24 @@ def ar_autocovariances(phi: Sequence[float], sigma: float, max_lag: int) -> np.n
     gamma(k) = sum_i phi_i gamma(k-i) + sigma^2 delta_{k0} for gamma(0..p),
     then extends recursively.
     """
+    _check_sigma(sigma)
+    try:
+        variance = float(sigma) ** 2
+    except OverflowError:
+        raise InvalidArgumentError(f"sigma={sigma} is too large: sigma**2 overflows") from None
     phi = np.asarray(phi, dtype=float)
     p = len(phi)
     _reflection_coefficients(phi, "constant coefficients")
     # unknowns gamma(0..p)
     A = np.eye(p + 1)
     b = np.zeros(p + 1)
-    b[0] = sigma**2
+    b[0] = variance
     for k in range(p + 1):
         for i in range(1, p + 1):
             A[k, abs(k - i)] -= phi[i - 1]
     gam = np.linalg.solve(A, b)
+    if not np.isfinite(gam).all():  # sigma^2 is finite, gamma(0) > sigma^2 is not
+        raise InvalidArgumentError(f"sigma={sigma} is too large: the autocovariances overflow")
     out = np.empty(max_lag + 1)
     out[: p + 1] = gam[: max_lag + 1]
     for k in range(p + 1, max_lag + 1):
@@ -244,15 +300,21 @@ def ar_autocovariances(phi: Sequence[float], sigma: float, max_lag: int) -> np.n
 
 def true_tv_pacf(spec: ArPathSpec, t: int, tau: int, T: int) -> float:
     """PACF at lag tau of the AR model frozen at the instantaneous
-    coefficients phi(t/T); exactly zero for tau beyond the order."""
+    coefficients phi(t/T), 0 <= t < T; exactly zero for tau beyond the order."""
     if tau < 1:
         raise InvalidArgumentError(f"tau={tau} must be >= 1")
+    if T < 1:
+        raise InvalidArgumentError(f"T={T} must be positive")
+    if not 0 <= t < T:
+        raise InvalidArgumentError(f"t={t} must be in [0, T - 1] = [0, {T - 1}]")
     k = _reflection_coefficients(spec.coefficients(t / T), f"t={t}")[0]
     return float(k[tau - 1]) if tau <= len(k) else 0.0
 
 
 def true_pacf_curve(spec: ArPathSpec, T: int, lags: Sequence[int]) -> np.ndarray:
     """true_tv_pacf evaluated on the full grid; shape (len(lags), T)."""
+    if T < 1:
+        raise InvalidArgumentError(f"T={T} must be positive")
     lags = np.asarray(lags, dtype=int)
     if np.any(lags < 1):
         raise InvalidArgumentError(f"lags {lags.tolist()} must be >= 1")
@@ -304,7 +366,12 @@ class RmseReport:
 # covariance block of every point and, at 16 per point, the spectral
 # stage's scales; the certificate and the solves copy the blocks, so a
 # batch peaks at about 3x those entries: 26 MB for one replicate at T=8192,
-# max_lag 10.
+# max_lag 10.  A batch simulated as one stack holds its (T + burn_in, R)
+# path array and the (R, T) copy of its series, T + burn_in + T entries a
+# replicate, which the budget bounds too (it binds only for T below about
+# burn_in / 7); the stack's coefficients are Python floats, one row per
+# step, never a (p, T + burn_in, R) broadcast (13.8 MB at T=512, R=170
+# and p=10).
 _BATCH_ENTRIES = 2**20
 
 
@@ -334,9 +401,10 @@ def monte_carlo_rmse(
 
     The replicates run in batches of a fixed memory budget
     (``_BATCH_ENTRIES``, sized per estimator; the benchmark's studies fit
-    in one): a batch's series are simulated one by one, estimated by one
-    ``EstimatorConfig.estimate_stack`` call, which is one pass over the
-    whole batch, and scored one by one.
+    in one): a batch's series are simulated by one ``_ar_recursion`` call,
+    which steps a batch of ``_STACK_SEEDS`` or more replicates as one
+    array, estimated by one ``EstimatorConfig.estimate_stack`` call, which
+    is one pass over the whole batch, and scored one by one.
     The estimates are those of one call per replicate, bit for bit.
     """
     if reps < 2:
@@ -356,17 +424,15 @@ def monte_carlo_rmse(
     truth = _pacf_rows(k, np.array(lags))
     lag = config.max_lag
     per_time = (lag + 2) * 3 if config.method == "windowed" else (lag + 1) ** 2 + 16
-    batch = max(1, _BATCH_ENTRIES // (per_time * T))
+    batch = max(1, _BATCH_ENTRIES // max(per_time * T, 2 * T + spec.burn_in))
     t0 = time.perf_counter()
     per_rep = []
     no_interior = too_many_dropped = 0
     seconds = np.zeros(3)  # simulate, estimate, score
     for first in range(0, reps, batch):
         stamps = [time.perf_counter()]
-        xs = [
-            _ar_recursion(table, spec.burn_in, spec.sigma, seed + r)
-            for r in range(first, min(first + batch, reps))
-        ]
+        seeds = range(seed + first, seed + min(first + batch, reps))
+        xs = _ar_recursion(table, spec.burn_in, spec.sigma, seeds)
         stamps.append(time.perf_counter())
         grids = config.estimate_stack(xs)
         stamps.append(time.perf_counter())

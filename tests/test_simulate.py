@@ -25,7 +25,7 @@ from locpacf import (
     windowed_lpacf,
 )
 from locpacf import estimators
-from locpacf.simulate import _ar_recursion, validate_stability
+from locpacf.simulate import _STACK_SEEDS, _ar_recursion, validate_stability
 
 TVAR_STUDY = ArPathSpec.linear_ramp([0.9], [-0.9])
 PIECEWISE_STUDY = ArPathSpec.piecewise([(85, [-0.2]), (86, [0.5, 0.2]), (85, [-0.2])])
@@ -167,6 +167,19 @@ def _numpy_scalar_recursion(table, burn_in, sigma, seed):
     return x[burn_in:]
 
 
+def _assert_rows_match_reference(table, burn_in, sigma, seeds):
+    got = _ar_recursion(table, burn_in, sigma, seeds)
+    assert got.shape == (len(seeds), len(table))
+    for row, seed in zip(got, seeds):
+        ref = _numpy_scalar_recursion(table, burn_in, sigma, seed)
+        assert row.tobytes() == ref.tobytes()
+
+
+# seed lists on either side of the switch from the per-seed loop to the stack
+LOOP_SEEDS = [3, 8]
+STACK_SEEDS = list(range(_STACK_SEEDS))
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(0, 3).flatmap(
@@ -179,17 +192,63 @@ def _numpy_scalar_recursion(table, burn_in, sigma, seed):
     st.integers(1, 300),
     st.integers(0, 600),
     st.floats(0.01, 10.0),
-    st.integers(0, 2**32 - 1),
+    st.integers(1, _STACK_SEEDS + 4).flatmap(
+        lambda R: st.lists(st.integers(0, 2**32 - 1), min_size=R, max_size=R)
+    ),
 )
-@example([[0.95, -0.5], [-0.9, 0.3]], 1, 0, 1.0, 0)
-@example([[0.9, 0.1, -0.8], [0.2, -0.7, 0.6]], 300, 0, 2.5, 7)
-def test_ar_recursion_matches_numpy_scalar_reference(ends, T, burn_in, sigma, seed):
+@example([[0.95, -0.5], [-0.9, 0.3]], 1, 0, 1.0, [0])
+@example([[0.95, -0.5], [-0.9, 0.3]], 1, 0, 1.0, STACK_SEEDS)
+@example([[0.9, 0.1, -0.8], [0.2, -0.7, 0.6]], 300, 0, 2.5, [7])
+@example([[0.9, 0.1, -0.8], [0.2, -0.7, 0.6]], 300, 0, 2.5, STACK_SEEDS)
+def test_ar_recursion_matches_numpy_scalar_reference(ends, T, burn_in, sigma, seeds):
     # the reflection coefficients move linearly inside (-1, 1), so every row is stable
     ka, kb = np.array(ends[0]), np.array(ends[1])
     table = np.array([_step_up(ka + (kb - ka) * t / T) for t in range(T)])
-    table = table.reshape(T, len(ka))
-    got = _ar_recursion(table, burn_in, sigma, seed)
-    assert got.tobytes() == _numpy_scalar_recursion(table, burn_in, sigma, seed).tobytes()
+    _assert_rows_match_reference(table.reshape(T, len(ka)), burn_in, sigma, seeds)
+
+
+@pytest.mark.parametrize("seeds", [LOOP_SEEDS, STACK_SEEDS], ids=["loop", "stack"])
+@pytest.mark.parametrize(
+    "spec, T, burn_in",
+    [
+        pytest.param(ArPathSpec.constant([]), 50, 20, id="order-0"),
+        # the first p steps of the series add only the lags they have
+        pytest.param(ArPathSpec.constant([0.5, -0.3, 0.2, 0.1]), 9, 0, id="warm-up"),
+        pytest.param(ArPathSpec.constant([0.5, -0.3]), 1, 0, id="one-sample"),
+        pytest.param(ArPathSpec.piecewise([(10, []), (20, [])]), 30, 5, id="piecewise-order-0"),
+        pytest.param(
+            ArPathSpec.piecewise([(7, []), (6, [0.5, 0.2]), (5, [])]), 18, 0, id="piecewise-empty"
+        ),
+    ],
+)
+def test_ar_recursion_edge_cases_match_reference(spec, T, burn_in, seeds):
+    _assert_rows_match_reference(validate_stability(spec, T), burn_in, spec.sigma, seeds)
+
+
+@pytest.mark.parametrize(
+    "seeds, needle",
+    [
+        ([4, -1], "seed=-1"),
+        ([-5, 0, -1], "seed=-5"),
+        ([0] * _STACK_SEEDS + [-3, -1], "seed=-3"),
+        ([-2] + [0] * _STACK_SEEDS, "seed=-2"),
+    ],
+)
+def test_ar_recursion_names_the_first_negative_seed(seeds, needle):
+    table = validate_stability(TVAR_STUDY, 16)
+    with pytest.raises(InvalidArgumentError, match=f"^{needle} must be >= 0$"):
+        _ar_recursion(table, 5, 1.0, seeds)
+
+
+@pytest.mark.parametrize("seeds", [[0], LOOP_SEEDS, STACK_SEEDS], ids=["one", "loop", "stack"])
+def test_ar_recursion_refuses_an_overflowing_sigma_without_warnings(seeds):
+    spec = ArPathSpec.constant([0.9], sigma=1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            InvalidArgumentError, match=r"^sigma=1e\+308 is too large: the path overflows$"
+        ):
+            _ar_recursion(validate_stability(spec, 64), spec.burn_in, spec.sigma, seeds)
 
 
 TABLE_TS = (1, 2, 3, 7, 255, 256, 4097)
@@ -343,6 +402,15 @@ def _reference_rmse(spec, config, reps, lags, seed, T):
             PIECEWISE_STUDY, EstimatorConfig("windowed", binwidth=48, max_lag=2),
             5, [1, 2], 1000, 256, 0, [5], id="piecewise-windowed",
         ),
+        # the benchmark's two studies, simulated as one stack of 20 replicates
+        pytest.param(
+            TVAR_STUDY, EstimatorConfig("windowed", binwidth=40, max_lag=2),
+            20, [1, 2], 0, 512, 0, [20], id="tvar-benchmark",
+        ),
+        pytest.param(
+            PIECEWISE_STUDY, EstimatorConfig("windowed", binwidth=48, max_lag=2),
+            20, [1, 2], 1000, 256, 0, [20], id="piecewise-benchmark",
+        ),
         pytest.param(
             TVAR_STUDY, EstimatorConfig("windowed", max_lag=2),
             3, [1, 2], 7, 256, 0, [3], id="tvar-windowed-default-width",
@@ -365,6 +433,13 @@ def _reference_rmse(spec, config, reps, lags, seed, T):
         pytest.param(
             TVAR_STUDY, EstimatorConfig("windowed", max_lag=1),
             16, [1], 3, 8192, 0, [14, 2], id="tvar-windowed-batches",
+        ),
+        # a long burn-in: the simulation's T + burn_in + T entries per
+        # replicate, not the estimate's, set the batch of 3
+        pytest.param(
+            ArPathSpec(TVAR_STUDY.paths, burn_in=2**18),
+            EstimatorConfig("windowed", binwidth=16, max_lag=1),
+            4, [1], 5, 64, 0, [3, 1], id="long-burn-in-batches",
         ),
         # windows of at most _SMALL_KERNEL taps take the unrolled sums
         pytest.param(
@@ -517,6 +592,45 @@ def test_ar_autocovariances_match_simulation():
     for k in range(4):
         emp = np.dot(x[: len(x) - k], x[k:]) / len(x)
         assert emp == pytest.approx(gam[k], rel=0.05)
+
+
+@pytest.mark.parametrize(
+    "t, T, needle",
+    [
+        (0, 0, "T=0 must be positive"),
+        (0, -4, "T=-4 must be positive"),
+        (-1, 64, "t=-1 must be in [0, T - 1] = [0, 63]"),
+        (64, 64, "t=64 must be in [0, T - 1] = [0, 63]"),
+    ],
+)
+def test_true_tv_pacf_refuses_a_time_outside_the_series(t, T, needle):
+    with pytest.raises(InvalidArgumentError, match=re.escape(needle)):
+        true_tv_pacf(TVAR_STUDY, t, 1, T)
+    if T < 1:  # the curve over no time refuses alike
+        with pytest.raises(InvalidArgumentError, match=re.escape(needle)):
+            true_pacf_curve(TVAR_STUDY, T, [1])
+
+
+@pytest.mark.parametrize(
+    "sigma, needle",
+    [
+        (-1.0, "sigma=-1.0 must be finite and > 0"),
+        (0.0, "sigma=0.0 must be finite and > 0"),
+        (float("nan"), "sigma=nan must be finite and > 0"),
+        (float("inf"), "sigma=inf must be finite and > 0"),
+        (1e200, "sigma=1e+200 is too large: sigma**2 overflows"),
+        (np.float64(1e200), "sigma=1e+200 is too large: sigma**2 overflows"),
+        # sigma^2 is finite, but gamma(0) = sigma^2 / (1 - 0.999999^2) is not
+        (1e154, "sigma=1e+154 is too large: the autocovariances overflow"),
+    ],
+)
+def test_ar_autocovariances_refuses_a_bad_sigma(sigma, needle):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgumentError, match=re.escape(needle)):
+            ar_autocovariances([0.999999], sigma, 2)
+    # a sigma whose square is just below the largest float is accepted
+    assert np.isfinite(ar_autocovariances([0.5], 1e154, 2)).all()
 
 
 def test_piecewise_truth_segments():
