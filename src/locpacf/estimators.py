@@ -248,10 +248,13 @@ def _split(kind, pts, keep, estimates, clamped, boundary, bandwidth=None, ci=Non
 def _select_points(T: int, points) -> np.ndarray:
     if points is None:
         return np.arange(T)
-    pts = np.asarray(points, dtype=int)
+    pts = np.asarray(points)
+    # whole-valued floats are points too; NaN is not whole, +-inf is out of range
+    if not (pts.dtype.kind in "iu" or pts.dtype.kind == "f" and np.all(np.trunc(pts) == pts)):
+        raise InvalidArgumentError("points must be whole numbers")
     if pts.size and (pts.min() < 0 or pts.max() > T - 1):
         raise InvalidArgumentError(f"points outside [0, {T - 1}]")
-    return pts
+    return pts.astype(int, copy=False)
 
 
 def _check_bandwidth(T: int, L: int, max_lag: int) -> None:

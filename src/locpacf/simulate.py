@@ -14,11 +14,12 @@ truth from its reflection coefficients, once for all replicates.
 Replicates are independent and seeded as ``seed + replicate_index``, so
 results are identical however the work is partitioned: a study runs its
 replicates in batches of a fixed memory budget, one recursion call and one
-``EstimatorConfig.estimate_stack`` call each.  The recursion runs a few
-seeds one by one on Python floats and steps a larger batch as one array,
-a multiply and an add over all replicates per lag term per time step,
-with the same roundings in the same order, so each series has the same
-bits either way; either estimator runs a batch as one pass.
+``EstimatorConfig.estimate_stack`` call each.  The recursion is one loop,
+a multiply and an add per lag term per time step; the number of seeds
+chooses only what it steps, one seed's Python floats at a time for a few
+seeds and the rows of one array over all replicates for a larger batch.
+The roundings are the same in the same order, so each series has the
+same bits either way; either estimator runs a batch as one pass.
 """
 
 from __future__ import annotations
@@ -52,6 +53,17 @@ DEFAULT_BURN_IN = 500
 def _check_sigma(sigma: float) -> None:
     if not (np.isfinite(sigma) and sigma > 0):
         raise InvalidArgumentError(f"sigma={sigma} must be finite and > 0")
+
+
+def _check_int(value, low: int, what: str, rule: str = "", high: float = np.inf) -> int:
+    """value as an int if it is a Python or numpy integer (not a bool) in
+    [low, high]; otherwise the error reads "{what} must be an integer" or
+    "{what} must be {rule}", the rule ">= low" by default."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidArgumentError(f"{what} must be an integer")
+    if not low <= value <= high:
+        raise InvalidArgumentError(f"{what} must be {rule or f'>= {low}'}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -169,22 +181,18 @@ def validate_stability(spec: ArPathSpec, T: int) -> np.ndarray:
     return _checked_table(spec, T)[0]
 
 
-# Seeds from which the AR recursion steps all replicates as one array.  The
-# stack pays a multiply and an add call, about 1.2 us each, per lag term
-# per step whatever the number of replicates R; the per-seed loop pays
-# about 0.4 us per step per replicate.  So the loop wins for few seeds and
-# the stack for many: at T=512 and T=4096 (with 500 burn-in steps) the two
-# break even at about 8 replicates for p=1 and 10 to 11 for p=2 (medians of
-# 15 and 7 alternated calls in one process on a 2-core x86-64 host).
+# Seeds from which the AR recursion steps the rows of all replicates
+# rather than one seed's floats at a time.  A row step pays a multiply and
+# an add call, about 1.2 us each, per lag term per step whatever the number
+# of replicates R; a float step pays about 0.4 us per step per replicate.
+# So floats win for few seeds and rows for many: at T=512 and T=4096 (with
+# 500 burn-in steps) the two break even at about 8 replicates for p=1 and
+# 10 to 11 for p=2 (medians of 15 and 7 alternated calls in one process on
+# a 2-core x86-64 host).  The row cost grows faster with p than the float
+# cost: at p=3 they break even near 12 seeds, so a p=3 batch of 10 or 11
+# replicates takes the slower layout (3.80 against 3.34 ms for 10 seeds at
+# T=512).  No study of the benchmark has p > 2, so one constant serves.
 _STACK_SEEDS = 10
-
-
-def _steps(table: np.ndarray, burn_in: int):
-    """(t, coefficients) for every step of the recursion: row 0 frozen over
-    the burn-in, then the table's rows as tuples of Python floats."""
-    # one row tuple per step from the columns, so no list of rows is held;
-    # order 0 has no columns: the steps stop early, leaving the innovations
-    return enumerate(chain(repeat(tuple(table[0].tolist()), burn_in), zip(*table.T.tolist())))
 
 
 def _ar_recursion(
@@ -194,47 +202,42 @@ def _ar_recursion(
     (T, p) table, after burn_in samples (discarded) with row 0 frozen, for
     the innovations of each seed; shape (len(seeds), T).
 
-    Each step adds the lag terms i = 1..min(p, t) in order to the
-    innovation, one multiply and one add per term, each rounded as in
-    float64 array arithmetic, so every path is bit-identical for identical
-    inputs whatever seeds run beside it.  Fewer than ``_STACK_SEEDS`` seeds
-    run one by one on Python floats; R >= ``_STACK_SEEDS`` seeds run as one
-    (T + burn_in, R) array, stepped a row of R replicates at a time.
+    One loop steps a path: each step adds the lag terms i = 1..min(p, t),
+    lag 1 first, to the innovation, one multiply and one add per term.  The
+    seed count chooses only the path: below ``_STACK_SEEDS``, a list of one
+    seed's Python floats, a seed at a time; from it on, the rows of a
+    (T + burn_in, R) array, a step a row of R replicates.  Floats and
+    float64 arrays round alike, so every series is bit-identical for
+    identical inputs whatever seeds run beside it.
     """
     for seed in seeds:
-        if seed < 0:
-            raise InvalidArgumentError(f"seed={seed} must be >= 0")
+        _check_int(seed, 0, f"seed={seed}")
     p = table.shape[1]
     n = len(table) + burn_in
-    draws = (np.random.default_rng(seed).standard_normal(n) for seed in seeds)
-    # an overflow is refused below; inf - inf warns in numpy, not on floats
+    x = np.empty((n, len(seeds)))  # step t is the row x[t]
+    stacked = len(seeds) >= _STACK_SEEDS
+    # an overflow, of sigma * eps too, is refused below; inf - inf warns in
+    # numpy, not on floats
     with np.errstate(over="ignore", invalid="ignore"):
-        if len(seeds) < _STACK_SEEDS:
-            paths = np.empty((len(seeds), len(table)))
-            for path, eps in zip(paths, draws):
-                x = (eps * sigma).tolist()
-                for t, c in _steps(table, burn_in):
-                    v = x[t]
-                    k = t
-                    for ci in c if t >= p else c[:t]:  # phi_i * X_{t-i}, i = 1..min(p, t)
-                        k -= 1
-                        v += ci * x[k]
-                    x[t] = v
-                path[:] = x[burn_in:]
-        else:
-            x = np.empty((n, len(seeds)))  # step t is the contiguous row x[t]
-            for col, eps in zip(x.T, draws):
-                np.multiply(eps, sigma, col)
-            rows = list(x)
-            buf = np.empty(len(seeds))
-            for t, c in _steps(table, burn_in):
-                row = rows[t]
+        for col, seed in zip(x.T, seeds):
+            np.multiply(np.random.default_rng(seed).standard_normal(n), sigma, col)
+        for col in [x] if stacked else x.T:
+            path = list(col) if stacked else col.tolist()
+            # each step's coefficients as Python floats: row 0 frozen over the burn-in,
+            # then the table's rows; order 0 has none, so the steps stop early
+            for t, c in enumerate(
+                chain(repeat(tuple(table[0].tolist()), burn_in), zip(*table.T.tolist()))
+            ):
+                v = path[t]
                 k = t
-                for ci in c if t >= p else c[:t]:
+                for ci in c if t >= p else c[:t]:  # phi_i * X_{t-i}, i = 1..min(p, t)
                     k -= 1
-                    np.multiply(rows[k], ci, buf)
-                    np.add(row, buf, row)
-            paths = np.ascontiguousarray(x[burn_in:].T)
+                    v += path[k] * ci
+                path[t] = v
+            if not stacked:
+                col[:] = path
+            del path  # one seed's floats at a time, and none beside the copy below
+        paths = np.ascontiguousarray(x[burn_in:].T)
     if not np.isfinite(paths).all():
         raise InvalidArgumentError(f"sigma={sigma} is too large: the path overflows")
     return paths
@@ -247,8 +250,7 @@ def simulate_tvar(spec: ArPathSpec, T: int, seed: int) -> TimeSeries:
     coefficients frozen; innovations are standard normal and the output is
     bit-identical for identical (spec, T, seed).
     """
-    if T < 1:
-        raise InvalidArgumentError(f"T={T} must be positive")
+    _check_int(T, 1, f"T={T}", "positive")
     table = validate_stability(spec, T)
     return TimeSeries(_ar_recursion(table, spec.burn_in, spec.sigma, [seed])[0])
 
@@ -301,24 +303,23 @@ def ar_autocovariances(phi: Sequence[float], sigma: float, max_lag: int) -> np.n
 def true_tv_pacf(spec: ArPathSpec, t: int, tau: int, T: int) -> float:
     """PACF at lag tau of the AR model frozen at the instantaneous
     coefficients phi(t/T), 0 <= t < T; exactly zero for tau beyond the order."""
-    if tau < 1:
-        raise InvalidArgumentError(f"tau={tau} must be >= 1")
-    if T < 1:
-        raise InvalidArgumentError(f"T={T} must be positive")
-    if not 0 <= t < T:
-        raise InvalidArgumentError(f"t={t} must be in [0, T - 1] = [0, {T - 1}]")
+    _check_int(tau, 1, f"tau={tau}")
+    _check_int(T, 1, f"T={T}", "positive")
+    _check_int(t, 0, f"t={t}", f"in [0, T - 1] = [0, {T - 1}]", T - 1)
     k = _reflection_coefficients(spec.coefficients(t / T), f"t={t}")[0]
     return float(k[tau - 1]) if tau <= len(k) else 0.0
 
 
 def true_pacf_curve(spec: ArPathSpec, T: int, lags: Sequence[int]) -> np.ndarray:
     """true_tv_pacf evaluated on the full grid; shape (len(lags), T)."""
-    if T < 1:
-        raise InvalidArgumentError(f"T={T} must be positive")
-    lags = np.asarray(lags, dtype=int)
-    if np.any(lags < 1):
-        raise InvalidArgumentError(f"lags {lags.tolist()} must be >= 1")
+    _check_int(T, 1, f"T={T}", "positive")
+    lags = np.array(_checked_lags(lags), dtype=int)
     return _pacf_rows(_checked_table(spec, T)[1], lags)
+
+
+def _checked_lags(lags: Sequence[int]) -> list[int]:
+    what = f"lags {np.asarray(lags).tolist()}"
+    return [_check_int(tau, 1, what) for tau in lags]
 
 
 def _pacf_rows(k: np.ndarray, lags: np.ndarray) -> np.ndarray:
@@ -366,12 +367,13 @@ class RmseReport:
 # covariance block of every point and, at 16 per point, the spectral
 # stage's scales; the certificate and the solves copy the blocks, so a
 # batch peaks at about 3x those entries: 26 MB for one replicate at T=8192,
-# max_lag 10.  A batch simulated as one stack holds its (T + burn_in, R)
-# path array and the (R, T) copy of its series, T + burn_in + T entries a
-# replicate, which the budget bounds too (it binds only for T below about
-# burn_in / 7); the stack's coefficients are Python floats, one row per
-# step, never a (p, T + burn_in, R) broadcast (13.8 MB at T=512, R=170
-# and p=10).
+# max_lag 10.  The simulation of a batch holds its (T + burn_in, R) path
+# array and the (R, T) copy of its series, T + burn_in + T entries a
+# replicate, in either layout, which the budget bounds too (it binds only
+# for T below about burn_in / 7); below ``_STACK_SEEDS`` it holds one
+# seed's list of T + burn_in floats beside them.  The coefficients are
+# Python floats, one tuple per step, never a (p, T + burn_in, R) broadcast
+# (13.8 MB at T=512, R=170 and p=10).
 _BATCH_ENTRIES = 2**20
 
 
@@ -402,22 +404,20 @@ def monte_carlo_rmse(
     The replicates run in batches of a fixed memory budget
     (``_BATCH_ENTRIES``, sized per estimator; the benchmark's studies fit
     in one): a batch's series are simulated by one ``_ar_recursion`` call,
-    which steps a batch of ``_STACK_SEEDS`` or more replicates as one
-    array, estimated by one ``EstimatorConfig.estimate_stack`` call, which
-    is one pass over the whole batch, and scored one by one.
+    whose one loop steps the rows of all replicates for a batch of
+    ``_STACK_SEEDS`` or more and one seed's floats at a time below that,
+    estimated by one ``EstimatorConfig.estimate_stack`` call, which is one
+    pass over the whole batch, and scored one by one.
     The estimates are those of one call per replicate, bit for bit.
     """
-    if reps < 2:
-        raise InvalidArgumentError(f"reps={reps} must be >= 2")
-    lags = [int(v) for v in lags]
+    _check_int(reps, 2, f"reps={reps}")
+    _check_int(seed, 0, f"seed={seed}")
+    lags = _checked_lags(lags)
     if not lags:
         raise InvalidArgumentError("no lags requested")
     if max(lags) > config.max_lag:
         raise InvalidArgumentError("requested lag exceeds config.max_lag")
-    if min(lags) < 1:
-        raise InvalidArgumentError(f"lags {lags} must be >= 1")
-    if T < 1:
-        raise InvalidArgumentError(f"T={T} must be positive")
+    _check_int(T, 1, f"T={T}", "positive")
     if T < MIN_LENGTH:
         raise InvalidArgumentError(f"T={T} is too short for estimation: T < {MIN_LENGTH}")
     table, k = _checked_table(spec, T)

@@ -331,6 +331,27 @@ def test_windowed_stride_and_explicit_points():
         windowed_lpacf(x, L=64, max_lag=2, points=[999])
 
 
+@pytest.mark.parametrize("points", [[10.7], [float("nan")], [10, 12.5], ["10"], [True]])
+def test_estimators_refuse_points_that_are_not_whole_numbers(points):
+    x = np.random.default_rng(12).standard_normal(256)
+    for estimate in (
+        lambda: windowed_lpacf(x, L=8, max_lag=1, points=points),
+        lambda: wavelet_lpacf(x, max_lag=1, points=points),
+    ):
+        with pytest.raises(InvalidArgumentError, match="^points must be whole numbers$"):
+            estimate()
+
+
+def test_estimators_take_whole_valued_float_points():
+    x = np.random.default_rng(12).standard_normal(256)
+    for estimate in (windowed_lpacf, wavelet_lpacf):
+        kw = {"L": 8} if estimate is windowed_lpacf else {}
+        whole = estimate(x, max_lag=1, points=np.array([10.0, 12.0]), **kw)
+        ints = estimate(x, max_lag=1, points=[10, 12], **kw)
+        assert whole.points.tobytes() == ints.points.tobytes()
+        assert whole.estimates.tobytes() == ints.estimates.tobytes()
+
+
 def test_windowed_no_clamping_on_stationary_ar1():
     spec = ArPathSpec.constant([0.9])
     ts = simulate_tvar(spec, 1024, 42)

@@ -92,6 +92,54 @@ def test_negative_seed_is_invalid_argument():
         monte_carlo_rmse(TVAR_STUDY, config, 2, [1], -2, 128)
 
 
+WINDOWED_LAG_1 = EstimatorConfig("windowed", binwidth=32, max_lag=1)
+
+
+@pytest.mark.parametrize(
+    "call, needle",
+    [
+        (lambda: simulate_tvar(TVAR_STUDY, 5.5, 0), "T=5.5 must be an integer"),
+        (lambda: simulate_tvar(TVAR_STUDY, True, 0), "T=True must be an integer"),
+        (lambda: simulate_tvar(TVAR_STUDY, 8, 1.5), "seed=1.5 must be an integer"),
+        (lambda: true_pacf_curve(TVAR_STUDY, 5.5, [1]), "T=5.5 must be an integer"),
+        (lambda: true_pacf_curve(TVAR_STUDY, 8, [1.5]), "lags [1.5] must be an integer"),
+        (lambda: true_tv_pacf(TVAR_STUDY, 2, 1.5, 8), "tau=1.5 must be an integer"),
+        (lambda: true_tv_pacf(TVAR_STUDY, 2.5, 1, 8), "t=2.5 must be an integer"),
+        (lambda: true_tv_pacf(TVAR_STUDY, 2, 1, np.float64(8)), "T=8.0 must be an integer"),
+        (
+            lambda: monte_carlo_rmse(TVAR_STUDY, WINDOWED_LAG_1, 2, [1.5], 0, 128),
+            "lags [1.5] must be an integer",
+        ),
+        (
+            lambda: monte_carlo_rmse(TVAR_STUDY, WINDOWED_LAG_1, 2, [1], 0, 64.5),
+            "T=64.5 must be an integer",
+        ),
+        (
+            lambda: monte_carlo_rmse(TVAR_STUDY, WINDOWED_LAG_1, 2.0, [1], 0, 128),
+            "reps=2.0 must be an integer",
+        ),
+        (
+            lambda: monte_carlo_rmse(TVAR_STUDY, WINDOWED_LAG_1, 2, [1], 1.5, 128),
+            "seed=1.5 must be an integer",
+        ),
+    ],
+)
+def test_integer_arguments_refuse_non_integers(call, needle):
+    with pytest.raises(InvalidArgumentError, match=f"^{re.escape(needle)}$"):
+        call()
+
+
+def test_integer_arguments_take_numpy_integers():
+    T, t, tau, seed = np.int64(64), np.int32(5), np.int64(1), np.uint32(3)
+    assert np.array_equal(simulate_tvar(TVAR_STUDY, T, seed).values,
+                          simulate_tvar(TVAR_STUDY, 64, 3).values)
+    assert true_tv_pacf(TVAR_STUDY, t, tau, T) == true_tv_pacf(TVAR_STUDY, 5, 1, 64)
+    lags = np.array([1, 2])
+    assert true_pacf_curve(TVAR_STUDY, T, lags).shape == (2, 64)
+    report = monte_carlo_rmse(TVAR_STUDY, WINDOWED_LAG_1, np.int64(2), [tau], seed, 2 * T)
+    assert report.rows[0].lag == 1
+
+
 def _accepted(phi):
     """Stationarity verdict of every public route to the step-down check,
     which must agree."""
@@ -249,6 +297,21 @@ def test_ar_recursion_refuses_an_overflowing_sigma_without_warnings(seeds):
             InvalidArgumentError, match=r"^sigma=1e\+308 is too large: the path overflows$"
         ):
             _ar_recursion(validate_stability(spec, 64), spec.burn_in, spec.sigma, seeds)
+
+
+def test_ar_recursion_holds_one_seeds_floats_at_a_time():
+    # 9 seeds at T=2^15 take the loop layout: the (T + burn_in, 9) array, its
+    # (9, T) copy and one seed's list of floats peak at about 4.8 MB; a list
+    # for every seed at once would peak at about 16 MB
+    table = validate_stability(ArPathSpec.constant([0.5]), 2**15)
+    tracemalloc.start()
+    try:
+        paths = _ar_recursion(table, 500, 1.0, range(_STACK_SEEDS - 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert paths.shape == (_STACK_SEEDS - 1, 2**15)
+    assert peak < 8 * 2**20
 
 
 TABLE_TS = (1, 2, 3, 7, 255, 256, 4097)
