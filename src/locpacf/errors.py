@@ -6,6 +6,15 @@ NumericalError -> 3.  Verification failures raise nothing: ``locpacf
 verify`` returns 4 itself.
 """
 
+__all__ = [
+    "LocpacfError",
+    "InvalidArgumentError",
+    "DataError",
+    "BoundaryError",
+    "DegenerateInputError",
+    "NumericalError",
+]
+
 
 class LocpacfError(Exception):
     """Base class for all package errors."""

@@ -116,7 +116,8 @@ def default_bandwidth(T: int) -> int:
 
 
 def levinson_pacf(gamma: np.ndarray) -> np.ndarray:
-    """Order-recursive Yule-Walker solve; returns pacf at lags 1..len-1.
+    """Order-recursive Yule-Walker solve; returns pacf at lags 1..len-1,
+    clipped to [-1, 1].
 
     ``gamma`` holds autocovariances at lags 0..max_lag.  The input may be
     batched with shape (max_lag+1, npoints); the recursion then runs for
@@ -126,10 +127,18 @@ def levinson_pacf(gamma: np.ndarray) -> np.ndarray:
     squeeze = gamma.ndim == 1
     if squeeze:
         gamma = gamma[:, None]
-    max_lag = gamma.shape[0] - 1
-    npts = gamma.shape[1]
     if np.any(gamma[0] <= 0.0):
         raise DegenerateInputError("zero sample variance at lag 0")
+    pacf = np.clip(_levinson(gamma), -1.0, 1.0)
+    return pacf[:, 0] if squeeze else pacf
+
+
+def _levinson(gamma: np.ndarray) -> np.ndarray:
+    """The reflection coefficients at lags 1..max_lag of the columns of a
+    (max_lag+1, npoints) autocovariance table, unclipped; a column with a
+    vanishing prediction error gets 0 from there on."""
+    max_lag = gamma.shape[0] - 1
+    npts = gamma.shape[1]
     pacf = np.zeros((max_lag, npts))
     phi = np.zeros((max_lag, npts))
     v = gamma[0].copy()
@@ -143,8 +152,7 @@ def levinson_pacf(gamma: np.ndarray) -> np.ndarray:
         phi[: k - 1] = phi[: k - 1] - refl * phi[: k - 1][::-1]
         phi[k - 1] = refl
         v = v * (1.0 - refl * refl)
-    pacf = np.clip(pacf, -1.0, 1.0)
-    return pacf[:, 0] if squeeze else pacf
+    return pacf
 
 
 def _unit_scaled(x: np.ndarray) -> np.ndarray:
@@ -185,6 +193,9 @@ class LpacfGrid:
     for the wavelet estimator (no distributional band is defined for it).
     Points dropped for having too little data or failing numerically are
     listed separately; every retained estimate is finite and in [-1, 1].
+    Both estimators clip to [-1, 1] by one rule: ``clamp_count`` counts
+    the estimates with |estimate| > 1 before the clip, so an exact +-1 is
+    not counted.
     """
 
     kind: str
@@ -217,14 +228,17 @@ def _intake(series) -> np.ndarray:
     return _unit_scaled(np.stack(xs)) if xs else np.empty((0, 0))
 
 
-def _split(kind, pts, keep, estimates, clamped, boundary, bandwidth=None, ci=None, eff=None):
+def _split(kind, pts, keep, estimates, boundary, bandwidth=None, ci=None, eff=None):
     """One ``LpacfGrid`` per series of a stack.
 
     ``keep[r]`` marks the points of series r that were kept, and the rows
-    of ``estimates`` and ``clamped`` (where an estimate was clamped) hold
-    the kept points series by series; ``boundary``, ``ci`` and ``eff`` are
-    per requested point, shared by every series.
+    of ``estimates`` hold the kept points series by series; they are
+    clipped to [-1, 1] in place, and an estimate with |estimate| > 1 counts
+    as clamped.  ``boundary``, ``ci`` and ``eff`` are per requested point,
+    shared by every series.
     """
+    clamped = np.abs(estimates) > 1.0
+    np.clip(estimates, -1.0, 1.0, out=estimates)
     grids = []
     end = 0
     for mask in keep:
@@ -249,6 +263,8 @@ def _select_points(T: int, points) -> np.ndarray:
     if points is None:
         return np.arange(T)
     pts = np.asarray(points)
+    if pts.ndim > 1:
+        raise InvalidArgumentError(f"points must be one-dimensional, not of shape {pts.shape}")
     # whole-valued floats are points too; NaN is not whole, +-inf is out of range
     if not (pts.dtype.kind in "iu" or pts.dtype.kind == "f" and np.all(np.trunc(pts) == pts)):
         raise InvalidArgumentError("points must be whole numbers")
@@ -301,9 +317,9 @@ def _windowed_stack(series, L, kernel, max_lag, points, demean) -> list[LpacfGri
 
     The (R, max_lag+2, T+2L) zero-padded rows are summed by one
     ``_window_sums`` call against weights shared by every series, and the
-    kept points of every series go through one ``levinson_pacf``; every
-    row and column is computed on its own, so each grid has the bits of a
-    call on its series alone.
+    kept points of every series go through one ``_levinson`` recursion;
+    every row and column is computed on its own, so each grid has the bits
+    of a call on its series alone.
     """
     x = _intake(series)
     if not len(x):
@@ -359,11 +375,10 @@ def _windowed_stack(series, L, kernel, max_lag, points, demean) -> list[LpacfGri
     keep &= np.isfinite(gamma).all(axis=1)
 
     # the kept points of every series, series by series, as columns
-    estimates = levinson_pacf(np.moveaxis(gamma, 1, 0)[:, keep]).T.copy()
+    estimates = _levinson(np.moveaxis(gamma, 1, 0)[:, keep]).T.copy()
     boundary = (eff < L).astype(np.uint8)
     ci = confidence_halfwidth(eff.astype(float))
-    clamped = np.abs(estimates) >= 1.0
-    return _split("windowed", pts, keep, estimates, clamped, boundary, int(L), ci, eff)
+    return _split("windowed", pts, keep, estimates, boundary, int(L), ci, eff)
 
 
 @dataclass(frozen=True)
@@ -738,10 +753,8 @@ def _wavelet_stack(
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             estimates[:, tau - 1] = phi[:, -1] * np.sqrt(mb / mf)
     keep[keep] = ok
-    estimates = estimates[ok]
-    clamped = np.abs(estimates) > 1.0
     boundary = ((pts < margin) | (pts > T - 1 - margin)).astype(np.uint8)
-    return _split("wavelet", pts, keep, np.clip(estimates, -1.0, 1.0), clamped, boundary)
+    return _split("wavelet", pts, keep, estimates[ok], boundary)
 
 
 @dataclass(frozen=True)

@@ -56,10 +56,7 @@ def haar_coefficients(j: int) -> np.ndarray:
     for pointwise evaluation at deep scales.
     """
     j = _check_scale(j)
-    n = 1 << j
-    out = np.full(n, 2.0 ** (-j / 2))
-    out[n // 2 :] *= -1.0
-    return out
+    return haar_value(j, np.arange(1 << j))
 
 
 def haar_value(j: int, k) -> np.ndarray:

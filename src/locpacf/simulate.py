@@ -55,11 +55,16 @@ def _check_sigma(sigma: float) -> None:
         raise InvalidArgumentError(f"sigma={sigma} must be finite and > 0")
 
 
+def _is_int(value) -> bool:
+    """A Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_int(value, low: int, what: str, rule: str = "", high: float = np.inf) -> int:
-    """value as an int if it is a Python or numpy integer (not a bool) in
-    [low, high]; otherwise the error reads "{what} must be an integer" or
+    """value as an int if it is an integer (``_is_int``) in [low, high];
+    otherwise the error reads "{what} must be an integer" or
     "{what} must be {rule}", the rule ">= low" by default."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not _is_int(value):
         raise InvalidArgumentError(f"{what} must be an integer")
     if not low <= value <= high:
         raise InvalidArgumentError(f"{what} must be {rule or f'>= {low}'}")
@@ -82,7 +87,7 @@ class ArPathSpec:
 
     def __post_init__(self):
         _check_sigma(self.sigma)
-        if not isinstance(self.burn_in, (int, np.integer)) or self.burn_in < 0:
+        if not _is_int(self.burn_in) or self.burn_in < 0:
             raise InvalidArgumentError(
                 f"burn_in={self.burn_in!r} must be an integer >= 0"
             )
@@ -136,7 +141,7 @@ class ArPathSpec:
         p = max(len(c) for _, c in segments)
         coef_table = np.zeros((len(segments), p))
         for row, (n, c) in enumerate(segments):
-            if not isinstance(n, (int, np.integer)) or n <= 0:
+            if not _is_int(n) or n <= 0:
                 raise InvalidArgumentError(f"segment length {n!r} must be an integer >= 1")
             coef_table[row, : len(c)] = np.asarray(c, dtype=float)
         ends = np.cumsum([n for n, _ in segments])
@@ -174,11 +179,6 @@ def _checked_table(spec: ArPathSpec, T: int) -> tuple[np.ndarray, np.ndarray]:
     stationarity check at every t has passed."""
     table = spec.coefficients(np.arange(T) / T)
     return table, _reflection_coefficients(table, "t={}")
-
-
-def validate_stability(spec: ArPathSpec, T: int) -> np.ndarray:
-    """Stationarity check at every t; returns phi(t/T) as a (T, p) table."""
-    return _checked_table(spec, T)[0]
 
 
 # Seeds from which the AR recursion steps the rows of all replicates
@@ -251,7 +251,7 @@ def simulate_tvar(spec: ArPathSpec, T: int, seed: int) -> TimeSeries:
     bit-identical for identical (spec, T, seed).
     """
     _check_int(T, 1, f"T={T}", "positive")
-    table = validate_stability(spec, T)
+    table, _ = _checked_table(spec, T)
     return TimeSeries(_ar_recursion(table, spec.burn_in, spec.sigma, [seed])[0])
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryError, DataError, InvalidArgumentError
-from .haar import a_matrix, haar_coefficients, psi_auto
+from .haar import a_matrix, haar_value, psi_auto
 from .kernels import RECTANGULAR, TaperKernel, _window_sums
 from .series import as_series
 
@@ -81,8 +81,7 @@ def nondecimated_haar_transform(ts, max_scale: int | None = None, pad: bool = Fa
     X = np.fft.rfft(x)
     d = np.empty(x.shape[:-1] + (max_scale, N))
     for j in range(1, max_scale + 1):
-        p = np.zeros(N)
-        p[: 1 << j] = haar_coefficients(j)
+        p = haar_value(j, np.arange(N))  # psi_{j,.} zero-padded to N
         # circular cross-correlation: d[k] = sum_t X_t p[(t-k) mod N]
         d[..., j - 1, :] = np.fft.irfft(X * np.conj(np.fft.rfft(p)), N)
     return d[..., :T]
@@ -134,9 +133,7 @@ def local_wavelet_periodogram_tapered(
         if not np.any(keep):
             raise BoundaryError(f"window around zT={zT} has no overlap with the series")
     h = kernel.h(t / N)[keep]
-    full = np.zeros(N)
-    full[: 1 << j] = haar_coefficients(j)
-    wav = full[(t - N // 2 + 1) % N][keep]
+    wav = haar_value(j, (t - N // 2 + 1) % N)[keep]
     hn = float(np.sum(h * h))
     if hn <= 0.0:
         raise BoundaryError("no taper mass left after clipping")
@@ -257,16 +254,15 @@ class LocalAcvGrid:
 
 def local_autocovariance(ews: EwsGrid, max_lag: int) -> LocalAcvGrid:
     """Synthesize c_hat(z, tau) = sum_j max(S_hat_j(z), 0) Psi_j(tau), for one
-    spectrum or a stack of them."""
+    spectrum or a stack of them; the floored cells are ``ews.negative_cells``."""
     if not 0 <= max_lag < (1 << ews.max_scale):
         raise InvalidArgumentError(
             f"max_lag={max_lag} must satisfy 0 <= max_lag < 2^max_scale"
         )
-    floored = int(np.sum(ews.spectrum < 0.0))
     S = np.maximum(ews.spectrum, 0.0)
     psi = np.array(
         [psi_auto(j, np.arange(max_lag + 1)) for j in range(1, ews.max_scale + 1)]
     )
     values = psi.T @ S
     values.setflags(write=False)
-    return LocalAcvGrid(values, floored)
+    return LocalAcvGrid(values, ews.negative_cells)

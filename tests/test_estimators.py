@@ -342,6 +342,20 @@ def test_estimators_refuse_points_that_are_not_whole_numbers(points):
             estimate()
 
 
+def test_estimators_refuse_a_two_dimensional_points_array():
+    x = np.random.default_rng(12).standard_normal(256)
+    for estimate in (
+        lambda points: windowed_lpacf(x, L=8, max_lag=1, points=points),
+        lambda points: wavelet_lpacf(x, max_lag=1, points=points),
+    ):
+        with pytest.raises(
+            InvalidArgumentError, match=r"^points must be one-dimensional, not of shape \(1, 2\)$"
+        ):
+            estimate([[10, 12]])
+        # a scalar point is one point
+        assert estimate(10).points.tolist() == [10]
+
+
 def test_estimators_take_whole_valued_float_points():
     x = np.random.default_rng(12).standard_normal(256)
     for estimate in (windowed_lpacf, wavelet_lpacf):
@@ -350,6 +364,23 @@ def test_estimators_take_whole_valued_float_points():
         ints = estimate(x, max_lag=1, points=[10, 12], **kw)
         assert whole.points.tobytes() == ints.points.tobytes()
         assert whole.estimates.tobytes() == ints.estimates.tobytes()
+
+
+def test_both_estimators_count_only_estimates_beyond_one_as_clamped(monkeypatch):
+    # an exact +-1 is clipped to itself and not counted; 1.5 is counted
+    T = 64
+    for rho in (1.0, -1.0):
+        lacv = LocalAcvGrid(np.vstack([np.ones(T), np.full(T, rho)]), 0)
+        grid = wavelet_lpacf(np.ones(T), max_lag=1, points=[10, 20], lacv=lacv)
+        assert grid.estimates.tolist() == [[rho], [rho]]
+        assert grid.clamp_count == 0
+    # the windowed estimator's unclipped Levinson reflections, replaced
+    raw = np.array([[1.0, -1.0], [1.5, -1.0], [0.5, -1.5]])
+    monkeypatch.setattr(estimators, "_levinson", lambda gamma: raw.T.copy())
+    x = np.random.default_rng(13).standard_normal(256)
+    grid = windowed_lpacf(x, L=16, max_lag=2, points=[40, 50, 60])
+    assert grid.estimates.tolist() == [[1.0, -1.0], [1.0, -1.0], [0.5, -1.0]]
+    assert grid.clamp_count == 2
 
 
 def test_windowed_no_clamping_on_stationary_ar1():

@@ -1,7 +1,9 @@
-"""Every exported name resolves, so a stale ``__all__`` entry fails,
-every private module-level name has a user, so a dead helper fails, no
-module but ``estimators.py`` calls an estimator directly, and no module
-but ``kernels.py`` builds a moving sum of its own.
+"""The package exports the union of its library modules' ``__all__``, and
+each of those lists every public function and class of its module.  Every
+exported name resolves, so a stale ``__all__`` entry fails, every private
+module-level name has a user, so a dead helper fails, no module but
+``estimators.py`` calls an estimator directly, and no module but
+``kernels.py`` builds a moving sum of its own.
 
 The demos are not run by the tests, so their ``locpacf`` imports are
 resolved here from the source text.
@@ -9,6 +11,7 @@ resolved here from the source text.
 
 import ast
 import importlib
+import inspect
 import pathlib
 import pkgutil
 
@@ -19,6 +22,8 @@ import locpacf
 MODULES = ["locpacf"] + [
     f"locpacf.{m.name}" for m in pkgutil.iter_modules(locpacf.__path__)
 ]
+# every module but the command line and the verification suite
+LIBRARY = [m for m in MODULES[1:] if m not in ("locpacf.cli", "locpacf.verify")]
 DEMOS = sorted((pathlib.Path(__file__).parents[1] / "demos").glob("*.py"))
 SOURCES = sorted(pathlib.Path(locpacf.__file__).parent.glob("*.py"))
 
@@ -28,6 +33,26 @@ def test_every_name_in_all_resolves(name):
     module = importlib.import_module(name)
     exported = getattr(module, "__all__", [])
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_the_package_exports_the_concatenated_all_of_the_library_modules():
+    assert sorted(m.__name__ for m in locpacf._LIBRARY) == sorted(LIBRARY)
+    names = [n for m in locpacf._LIBRARY for n in m.__all__]
+    assert locpacf.__all__ == names
+    assert len(set(names)) == len(names)
+
+
+@pytest.mark.parametrize("name", LIBRARY)
+def test_every_public_function_and_class_is_in_its_modules_all(name):
+    module = importlib.import_module(name)
+    public = [
+        n
+        for n, obj in vars(module).items()
+        if not n.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == name
+    ]
+    assert [n for n in public if n not in module.__all__] == []
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)

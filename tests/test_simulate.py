@@ -25,7 +25,7 @@ from locpacf import (
     windowed_lpacf,
 )
 from locpacf import estimators
-from locpacf.simulate import _STACK_SEEDS, _ar_recursion, validate_stability
+from locpacf.simulate import _STACK_SEEDS, _ar_recursion, _checked_table
 
 TVAR_STUDY = ArPathSpec.linear_ramp([0.9], [-0.9])
 PIECEWISE_STUDY = ArPathSpec.piecewise([(85, [-0.2]), (86, [0.5, 0.2]), (85, [-0.2])])
@@ -77,6 +77,7 @@ def test_unstable_path_rejected():
         ({"sigma": -1.0}, "sigma=-1.0"),
         ({"burn_in": -3}, "burn_in=-3"),
         ({"burn_in": 2.5}, "burn_in=2.5"),
+        ({"burn_in": True}, "burn_in=True must be an integer >= 0"),
     ],
 )
 def test_path_spec_rejects_bad_sigma_and_burn_in(kwargs, needle):
@@ -145,7 +146,7 @@ def _accepted(phi):
     which must agree."""
     verdicts = set()
     for check in (
-        lambda: validate_stability(ArPathSpec.constant(phi), 1),
+        lambda: _checked_table(ArPathSpec.constant(phi), 1)[0],
         lambda: true_pacf_curve(ArPathSpec.constant(phi), 1, [1]),
         lambda: true_tv_pacf(ArPathSpec.constant(phi), 0, 1, 1),
         lambda: ar_autocovariances(phi, 1.0, 1),
@@ -270,7 +271,7 @@ def test_ar_recursion_matches_numpy_scalar_reference(ends, T, burn_in, sigma, se
     ],
 )
 def test_ar_recursion_edge_cases_match_reference(spec, T, burn_in, seeds):
-    _assert_rows_match_reference(validate_stability(spec, T), burn_in, spec.sigma, seeds)
+    _assert_rows_match_reference(_checked_table(spec, T)[0], burn_in, spec.sigma, seeds)
 
 
 @pytest.mark.parametrize(
@@ -283,7 +284,7 @@ def test_ar_recursion_edge_cases_match_reference(spec, T, burn_in, seeds):
     ],
 )
 def test_ar_recursion_names_the_first_negative_seed(seeds, needle):
-    table = validate_stability(TVAR_STUDY, 16)
+    table = _checked_table(TVAR_STUDY, 16)[0]
     with pytest.raises(InvalidArgumentError, match=f"^{needle} must be >= 0$"):
         _ar_recursion(table, 5, 1.0, seeds)
 
@@ -296,14 +297,14 @@ def test_ar_recursion_refuses_an_overflowing_sigma_without_warnings(seeds):
         with pytest.raises(
             InvalidArgumentError, match=r"^sigma=1e\+308 is too large: the path overflows$"
         ):
-            _ar_recursion(validate_stability(spec, 64), spec.burn_in, spec.sigma, seeds)
+            _ar_recursion(_checked_table(spec, 64)[0], spec.burn_in, spec.sigma, seeds)
 
 
 def test_ar_recursion_holds_one_seeds_floats_at_a_time():
     # 9 seeds at T=2^15 take the loop layout: the (T + burn_in, 9) array, its
     # (9, T) copy and one seed's list of floats peak at about 4.8 MB; a list
     # for every seed at once would peak at about 16 MB
-    table = validate_stability(ArPathSpec.constant([0.5]), 2**15)
+    table = _checked_table(ArPathSpec.constant([0.5]), 2**15)[0]
     tracemalloc.start()
     try:
         paths = _ar_recursion(table, 500, 1.0, range(_STACK_SEEDS - 1))
@@ -343,7 +344,7 @@ def test_path_table_matches_per_time_scalar_evaluation(spec):
     for T in TABLE_TS:
         ref = _scalar_table(spec, T)
         z = np.arange(T) / T
-        assert validate_stability(spec, T).tobytes() == ref.tobytes()
+        assert _checked_table(spec, T)[0].tobytes() == ref.tobytes()
         assert spec.coefficients(z).shape == (T, spec.order)
         assert spec.coefficients(z).tobytes() == ref.tobytes()
         for t in {0, T // 2, T - 1}:
@@ -374,7 +375,7 @@ def test_piecewise_table_matches_searchsorted_at_edges():
         ref = np.array(
             [table[min(int(np.searchsorted(edges, t / T, side="right")), last)] for t in range(T)]
         )
-        assert validate_stability(spec, T).tobytes() == ref.tobytes()
+        assert _checked_table(spec, T)[0].tobytes() == ref.tobytes()
         assert _scalar_table(spec, T).tobytes() == ref.tobytes()
 
 
@@ -393,7 +394,7 @@ def test_each_path_is_called_once_per_table():
     config = EstimatorConfig("windowed", binwidth=16, max_lag=1)
     for T in (1, 512):
         for table in (
-            lambda: validate_stability(spec, T),
+            lambda: _checked_table(spec, T)[0],
             lambda: true_pacf_curve(spec, T, [1, 2]),
             lambda: simulate_tvar(spec, T, 0),
             lambda: monte_carlo_rmse(spec, config, 2, [1], 0, max(T, 64)),
@@ -403,7 +404,7 @@ def test_each_path_is_called_once_per_table():
             assert calls == [1, 1]
 
 
-@pytest.mark.parametrize("length", [2.6, 3.0, np.float64(4.0), "3", 0, -2])
+@pytest.mark.parametrize("length", [2.6, 3.0, np.float64(4.0), "3", True, 0, -2])
 def test_piecewise_refuses_a_segment_length_that_is_not_a_positive_integer(length):
     segments = [(length, [0.5]), (3, [-0.5])]
     needle = f"segment length {length!r} must be an integer >= 1"
@@ -572,11 +573,11 @@ def test_monte_carlo_rmse_estimates_a_windowed_batch_in_one_pass(monkeypatch):
         monkeypatch.setattr(estimators, name, wrapper)
 
     spy("_window_sums", estimators._window_sums)
-    spy("levinson_pacf", estimators.levinson_pacf)
+    spy("_levinson", estimators._levinson)
     config = EstimatorConfig("windowed", binwidth=40, max_lag=2)
     report = monte_carlo_rmse(TVAR_STUDY, config, 20, [1, 2], 0, 512)
     assert report.rows[0].replicates == 20
-    assert calls == ["_window_sums", "levinson_pacf"]
+    assert calls == ["_window_sums", "_levinson"]
 
 
 def test_monte_carlo_rmse_memory_does_not_grow_with_reps():
