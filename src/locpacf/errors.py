@@ -1,10 +1,13 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the integer rule
+that its argument checks share.
 
 The CLI maps these onto process exit codes: InvalidArgumentError -> 1,
 DataError and its subclasses BoundaryError and DegenerateInputError -> 2,
 NumericalError -> 3.  Verification failures raise nothing: ``locpacf
 verify`` returns 4 itself.
 """
+
+import numbers
 
 __all__ = [
     "LocpacfError",
@@ -42,3 +45,9 @@ class NumericalError(LocpacfError):
     def __init__(self, message, condition=None):
         super().__init__(message)
         self.condition = condition
+
+
+def _is_int(value) -> bool:
+    """A Python or numpy integer (each a ``numbers.Integral``); a bool is not
+    one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)

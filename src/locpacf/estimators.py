@@ -46,12 +46,14 @@ and its plug-in stage once on the kept points of every series, with the
 stack's lacv grids laid side by side along time.  All three plug-in
 systems at a point read one covariance block, the times zT..zT+tau of
 the local autocovariance surface.  The plug-in stage assembles that
-block for a stack of points by indexing the grid, slices each lag's
-systems from it, and solves each kind with one stacked solve; the
-systems that need a ridge are solved again as one stack per ridge level.
-Every system is gated by numpy's Cholesky verdict, but only one numpy
-Cholesky per point, of the whole block less a margin, is computed at
-ridge 0: by Demmel's bound it proves that LAPACK's Cholesky passes every
+block for a stack of points by indexing the grid, points last (each
+cell one contiguous row), and takes one points-first copy of it, from
+which it slices each lag's systems and solves each kind with one stacked
+solve; the systems that need a ridge are solved again in rounds, each
+round a stack of several ridge levels.  Every system is gated by numpy's
+Cholesky verdict, but only one numpy Cholesky per point, of the whole
+block less a margin, is computed at ridge 0, in place on the points-last
+block: by Demmel's bound it proves that LAPACK's Cholesky passes every
 system sliced from the block, and only the points it leaves unproved go
 to LAPACK.  A 1x1 system is solved by division, with numpy's verdict and
 bits.  The wavelet stack runs it on the requested points of every
@@ -96,6 +98,10 @@ __all__ = [
 _RIDGE_START = 1e-8
 _RIDGE_STOP = 1e-2
 _PACF_SLACK = 1e-6
+# the ridge levels above 0: eps doubling from _RIDGE_START while at most
+# _RIDGE_STOP, each exact, as a scalar doubling would give them
+_RIDGE_EPS = _RIDGE_START * 2.0 ** np.arange(64)
+_RIDGE_EPS = _RIDGE_EPS[_RIDGE_EPS <= _RIDGE_STOP]
 # how far the smallest eigenvalue of a unit-diagonal scaling must clear 0
 # for ``_certify``: far above Demmel's bound of about 1.5e-14
 _CERTIFICATE_MARGIN = 1e-8
@@ -270,7 +276,7 @@ def _select_points(T: int, points) -> np.ndarray:
         raise InvalidArgumentError("points must be whole numbers")
     if pts.size and (pts.min() < 0 or pts.max() > T - 1):
         raise InvalidArgumentError(f"points outside [0, {T - 1}]")
-    return pts.astype(int, copy=False)
+    return pts.astype(int, copy=False).reshape(-1)  # a scalar is one point
 
 
 def _check_bandwidth(T: int, L: int, max_lag: int) -> None:
@@ -437,9 +443,9 @@ def prediction_system(lacv: LocalAcvGrid, zT: int, tau: int) -> PredictionSystem
         )
     values = lacv._one_series()
     z = np.array([zT])
-    G = _midpoint_stack(values, z, tau + 1)
+    G, certified = _blocks(values, z, tau + 1)
     scale = np.maximum(values[0, z], 1e-300)
-    phi, bb, bf, mb, mf, ridge = _plug_in_stack(G, scale, tau, _certify(G))
+    phi, bb, bf, mb, mf, ridge = _plug_in_stack(G, scale, tau, certified)
     C = G[0]
     rev = slice(tau - 1, None, -1)
     inner = C[1:tau, 1:tau]  # the predictors of the backcast and the forecast
@@ -464,59 +470,81 @@ def prediction_system(lacv: LocalAcvGrid, zT: int, tau: int) -> PredictionSystem
     )
 
 
-def _midpoint_stack(values: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
-    """G[i, a, b] = ``LocalAcvGrid.midpoint(z[i] + a, z[i] + b)`` for a, b < n.
+def _blocks(values: np.ndarray, z: np.ndarray, n: int):
+    """The covariance blocks of the times z[i]..z[i]+n-1, points first, and
+    ``_certify``'s verdict on each.
 
-    A half-integer midpoint averages the two adjacent entries with the same
-    operations as ``midpoint``, so every entry carries the same bits.  One
-    cell at a time, so no temporary holds more than one entry per point.
+    The blocks are built points last (``_midpoint_stack``) and copied once,
+    points first, as the solves and the MSPE products read them: a stacked
+    matmul has the bits of BLAS only where the rows of each matrix are
+    contiguous in memory.  The certificate then runs in place on the points-last blocks,
+    so two stacks of blocks are the most ever held.
     """
-    G = np.empty((len(z), n, n))
+    G = _midpoint_stack(values, z, n)
+    blocks = np.moveaxis(G, -1, 0).copy()  # (points, n, n)
+    return blocks, _certify(G)
+
+
+def _midpoint_stack(values: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
+    """G[a, b, i] = ``LocalAcvGrid.midpoint(z[i] + a, z[i] + b)`` for a, b < n.
+
+    Points last: each cell G[a, b] is one contiguous row over the points.
+    A half-integer midpoint averages the two adjacent entries with the same
+    operations as ``midpoint``, so every entry carries the same bits.  Each
+    cell is written in place, so no temporary holds more than one entry
+    per point.
+    """
+    G = np.empty((n, n, len(z)))
     for a in range(n):
         for b in range(a, n):
             lo, odd = divmod(a + b, 2)
-            cell = values[b - a, z + lo]
+            cell = G[a, b]
+            np.take(values[b - a], z + lo, out=cell)
             if odd:
-                cell = 0.5 * (cell + values[b - a, z + lo + 1])
-            G[:, a, b] = G[:, b, a] = cell
+                cell += values[b - a, z + lo + 1]
+                cell *= 0.5
+            G[b, a] = cell
     return G
 
 
 def _certify(G: np.ndarray) -> np.ndarray:
     """Where ``np.linalg.cholesky`` is proved to pass on every principal
-    submatrix of the symmetric G[i], its rows and columns in any order.
+    submatrix of the symmetric G[:, :, i], its rows and columns in any
+    order.
 
-    Cholesky of a symmetric n x n matrix completes in floating point, in
-    any order of operations, when the smallest eigenvalue of its
-    unit-diagonal scaling D^-1/2 A D^-1/2 exceeds n g/(1 - n g), g =
-    (n+1)u/(1 - (n+1)u), about 1.5e-14 for n <= 11 (Demmel, LAPACK Working
-    Note 14, 1989; Higham, Accuracy and Stability of Numerical Algorithms,
-    Thm 10.7).  G[i] is certified when its entries are finite, its
-    diagonal is normal (with headroom below the largest float, so no
-    partial sum of a factorization overflows) and a column-wise Cholesky
-    of its scaling less ``_CERTIFICATE_MARGIN`` * I finds only positive
-    pivots.  The scaling's smallest eigenvalue then exceeds the margin,
-    less about 1e-14 for the rounding of this check, far above the bound.
-    Every principal submatrix, reordered or not, has as its scaling a
-    principal submatrix of G[i]'s scaling, whose smallest eigenvalue is
-    at least as large (eigenvalue interlacing).
+    G is a points-last (n, n, points) stack, as ``_midpoint_stack`` builds
+    it, and is overwritten: the check works in place, each entry one
+    contiguous row over the points.  Cholesky of a symmetric n x n matrix
+    completes in floating point, in any order of operations, when the
+    smallest eigenvalue of its unit-diagonal scaling D^-1/2 A D^-1/2
+    exceeds n g/(1 - n g), g = (n+1)u/(1 - (n+1)u), about 1.5e-14 for
+    n <= 11 (Demmel, LAPACK Working Note 14, 1989; Higham, Accuracy and
+    Stability of Numerical Algorithms, Thm 10.7).  G[:, :, i] is certified
+    when its entries are finite, its diagonal is normal (with headroom
+    below the largest float, so no partial sum of a factorization
+    overflows) and a column-wise Cholesky of its scaling less
+    ``_CERTIFICATE_MARGIN`` * I finds only positive pivots.  The scaling's
+    smallest eigenvalue then exceeds the margin, less about 1e-14 for the
+    rounding of this check, far above the bound.  Every principal
+    submatrix, reordered or not, has as its scaling a principal submatrix
+    of G[:, :, i]'s scaling, whose smallest eigenvalue is at least as large
+    (eigenvalue interlacing).
     """
-    n = G.shape[-1]
-    A = np.moveaxis(G, 0, -1).copy()  # (n, n, points): each entry contiguous
+    n = G.shape[0]
     diag = (np.arange(n), np.arange(n))
-    d = A[diag]
+    d = G[diag]
     finfo = np.finfo(float)
-    ok = np.isfinite(A).all(axis=(0, 1))
+    ok = np.isfinite(G).all(axis=(0, 1))
     ok &= ((d >= finfo.tiny) & (d <= finfo.max / 4)).all(axis=0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s = 1.0 / np.sqrt(d)
-        A *= s[:, None]
-        A *= s[None, :]
-        A[diag] -= _CERTIFICATE_MARGIN
+        G *= s[:, None]
+        G *= s[None, :]
+        G[diag] -= _CERTIFICATE_MARGIN
         for j in range(n):
-            ok &= A[j, j] > 0.0
-            col = A[j + 1 :, j] / np.sqrt(A[j, j])
-            A[j + 1 :, j + 1 :] -= col[:, None] * col[None, :]
+            ok &= G[j, j] > 0.0
+            col = G[j + 1 :, j] / np.sqrt(G[j, j])
+            G[j + 1 :, j + 1 :] -= col[:, None] * col[None, :]
     return ok
 
 
@@ -576,31 +604,57 @@ def _solve_stack(
     A system is accepted when B[i] + ridge * I passes the gate of
     ``_gated_solve`` and phi[i] is finite with |phi[i, -1]| <= 1 +
     ``_PACF_SLACK``.  Every system tries ridge 0, then eps * scale[i] for
-    eps doubling from ``_RIDGE_START`` while it is at most ``_RIDGE_STOP``;
-    each level solves the systems still rejected as one stack.
+    eps doubling from ``_RIDGE_START`` while it is at most ``_RIDGE_STOP``
+    (20 levels), and keeps the first level it is accepted at.  The ridge-0
+    solve is one stack.  The systems it rejects are solved again in
+    rounds, each one ``_gated_solve`` call on a stack of every rejected
+    system at several levels: each round tries as many levels as all
+    rounds before it together, plus one (1, 2, 4, 8, then the last 5), so
+    a system that runs out of ridge costs 6 calls, not 21.  A round holds
+    at most len(B) systems, the size of the ridge-0 stack, so it tries
+    fewer levels while more than an eighth of the stack is rejected.
+    Every system at every level is solved on its own, so each keeps the
+    bits of a solve at its accepted level alone.
     ``certified`` (see ``_certify``, or None for no member) vouches for
     the gate at ridge 0 only.
     Returns (phi, ridge) with the accepted ridge of each system; both are
     NaN where the ridge ran out.
     """
-    # B + 0.0 as B + 0*I: a -0.0 entry becomes 0.0, and can change the
-    # sign of a zero solution
-    x = phi = _gated_solve(B + 0.0, r, certified)
+    # ridge 0 as B + 0*I: a -0.0 entry becomes 0.0, which can change the
+    # sign of a zero solution; B + 0.0 is B itself where no entry is zero
+    phi = _gated_solve(B + 0.0 if (B == 0.0).any() else B, r, certified)
     ridge = np.zeros(len(B))
-    eye = np.eye(B.shape[-1])
-    eps = _RIDGE_START
-    todo = np.arange(len(B))  # the systems solved last, x their solutions
-    while True:
-        todo = todo[
-            ~np.all(np.isfinite(x), axis=1) | (np.abs(x[:, -1]) > 1.0 + _PACF_SLACK)
-        ]
-        if not todo.size or eps > _RIDGE_STOP:
-            break
-        ridge[todo] = eps * scale[todo]
-        x = phi[todo] = _gated_solve(B[todo] + ridge[todo, None, None] * eye, r[todo])
-        eps *= 2.0
+    todo = np.flatnonzero(~_accepted(phi))
+    n, tried = B.shape[-1], 0  # the levels above 0 tried so far
+    while todo.size and tried < len(_RIDGE_EPS):
+        width = min(tried + 1, len(_RIDGE_EPS) - tried, len(B) // todo.size)
+        levels = _RIDGE_EPS[tried : tried + width, None] * scale[todo]  # (width, todo)
+        M = B[todo] + levels[..., None, None] * np.eye(n)
+        x = _gated_solve(M.reshape(-1, n, n), np.tile(r[todo], (width, 1)))
+        x = x.reshape(width, todo.size, n)
+        good = _accepted(x)
+        hit = good.any(axis=0)
+        first = good.argmax(axis=0)[hit]  # each hit system's first accepted level
+        phi[todo[hit]] = x[first, hit]
+        ridge[todo[hit]] = levels[first, hit]
+        todo = todo[~hit]
+        tried += width
     phi[todo] = ridge[todo] = np.nan
     return phi, ridge
+
+
+def _accepted(x: np.ndarray) -> np.ndarray:
+    """Where the solutions x[..., :] are finite with |x[..., -1]| <= 1 +
+    ``_PACF_SLACK``, the acceptance test of ``_solve_stack``.
+
+    The bound fails a NaN or infinite x[..., -1]; the other entries are
+    checked a column at a time, which is several times faster than a
+    reduction over the short last axis.
+    """
+    ok = np.abs(x[..., -1]) <= 1.0 + _PACF_SLACK
+    for j in range(x.shape[-1] - 1):
+        ok &= np.isfinite(x[..., j])
+    return ok
 
 
 def _mspe_stack(B: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -625,8 +679,8 @@ def _plug_in_stack(G: np.ndarray, scale: np.ndarray, tau: int, certified: np.nda
     MSPE, forward MSPE, ridge); ``ridge[k, i]`` is the accepted ridge of
     the Yule-Walker (k=0), backcast (1) and forecast (2) system of point i,
     NaN where it ran out.  Every matrix is a principal submatrix of G[i],
-    reordered, so ``certified`` = ``_certify(G)`` vouches for each ridge-0
-    gate.
+    reordered, so ``certified``, ``_certify``'s verdict on the blocks (see
+    ``_blocks``), vouches for each ridge-0 gate.
     """
     ridge = np.zeros((3, len(G)))
     rev = slice(tau - 1, None, -1)  # predictors z+tau-1 down to z
@@ -667,8 +721,9 @@ def wavelet_lpacf(
     the grid, and per lag the Yule-Walker, backcast and forecast systems
     are slices of it, each solved by one stacked solve.  Systems that fail
     the Cholesky or |phi| <= 1 gate are solved again with an escalating
-    ridge, one stack per ridge level.  ``prediction_system`` runs the same
-    stage at one point.
+    ridge, in rounds that each stack several ridge levels (see
+    ``_solve_stack``).  ``prediction_system`` runs the same stage at one
+    point.
 
     The Cholesky gate keeps numpy's verdict with little LAPACK work.  One
     certificate per point (``_certify``) factors the block's unit-diagonal
@@ -694,6 +749,14 @@ def wavelet_lpacf(
     with one spectral stage and one plug-in stage.
     """
     return _wavelet_stack([ts], max_scale, span, max_lag, points, demean, pad, lacv)[0]
+
+
+def _wavelet_margin(max_scale: int, max_lag: int) -> int:
+    """The wavelet estimator's boundary margin: a point closer than this to
+    either end of the series is flagged as boundary.  It is half the
+    support of the deepest Haar wavelet, 2^(max_scale-1) times, plus the
+    max_lag times that a point's block reaches past it."""
+    return (1 << (max_scale - 1)) + max_lag
 
 
 def _wavelet_stack(
@@ -724,7 +787,7 @@ def _wavelet_stack(
             x = x - x.mean(axis=-1, keepdims=True)
         ews = smooth_and_correct(raw_wavelet_periodogram(x, max_scale, pad=pad), span)
         values = local_autocovariance(ews, max_lag).values
-        margin = (1 << (max_scale - 1)) + max_lag
+        margin = _wavelet_margin(max_scale, max_lag)
     else:
         if lacv.T < T:
             raise InvalidArgumentError(
@@ -742,9 +805,10 @@ def _wavelet_stack(
     z = (np.arange(R)[:, None] * Tg + pts)[keep]  # kept points, series by series
     side = np.moveaxis(values, 0, 1).reshape(values.shape[1], R * Tg)
 
-    G = _midpoint_stack(side, z, max_lag + 1)  # times zT..zT+max_lag
+    # the blocks of the times zT..zT+max_lag, and the certificate that
+    # vouches for the ridge-0 gate of every lag
+    G, certified = _blocks(side, z, max_lag + 1)
     scale = np.maximum(side[0, z], 1e-300)
-    certified = _certify(G)  # vouches for the ridge-0 gate of every lag
     estimates = np.empty((len(z), max_lag))
     ok = np.ones(len(z), dtype=bool)
     for tau in range(1, max_lag + 1):

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _is_int
 from .kernels import RECTANGULAR, TaperKernel
 
 __all__ = [
@@ -42,10 +42,13 @@ MAX_SCALE = 30
 
 
 def _check_scale(j: int, name: str = "j", limit: int = MAX_SCALE) -> int:
-    j = int(j)
+    """j as an int if it is an integer (``_is_int``: not a float, not a
+    bool) in [1, limit]."""
+    if not _is_int(j):
+        raise InvalidArgumentError(f"scale {name}={j!r} must be an integer")
     if not 1 <= j <= limit:
         raise InvalidArgumentError(f"scale {name}={j} outside [1, {limit}]")
-    return j
+    return int(j)
 
 
 def haar_coefficients(j: int) -> np.ndarray:

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DataError, InvalidArgumentError
+from .errors import DataError, InvalidArgumentError, _is_int
 from .estimators import EstimatorConfig
 from .series import MIN_LENGTH, TimeSeries
 
@@ -53,11 +53,6 @@ DEFAULT_BURN_IN = 500
 def _check_sigma(sigma: float) -> None:
     if not (np.isfinite(sigma) and sigma > 0):
         raise InvalidArgumentError(f"sigma={sigma} must be finite and > 0")
-
-
-def _is_int(value) -> bool:
-    """A Python or numpy integer; a bool is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_int(value, low: int, what: str, rule: str = "", high: float = np.inf) -> int:

@@ -23,6 +23,7 @@ from locpacf import (
     write_long_csv,
     write_series,
 )
+from locpacf import cli
 from locpacf.cli import main
 from locpacf.io import LONG_HEADER
 
@@ -386,28 +387,57 @@ def test_cli_benchmark_reports_the_window_used(tmp_path, flags, bandwidth):
 
 
 def test_cli_benchmark_every_replicate_excluded(tmp_path, capsys):
-    # max-lag 10 on T=64 leaves the wavelet estimator too few points
+    # max-lag 10 on T=64 drops the last 10 points, more than 10% of them;
+    # J*=4 keeps the boundary margin, 2^3 + 10, clear of the middle
     out = str(tmp_path / "rmse.csv")
     assert main(
         ["benchmark", "--T", "64", "--method", "wavelet", "--max-lag", "10",
-         "--reps", "3", "--output", out]
+         "--max-scale", "4", "--reps", "3", "--output", out]
     ) == 2
-    assert "all 3 of 3 replicates were excluded" in capsys.readouterr().err
+    assert (
+        "all 3 of 3 replicates were excluded: 0 with no point outside the boundary"
+        " margin, 3 with more than 10% of points dropped"
+    ) in capsys.readouterr().err
 
 
-def test_cli_benchmark_piecewise_wavelet_needs_a_smaller_max_scale(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "flags, margin, fits",
+    [
+        ([], 129, 7),
+        (["--max-lag", "4"], 132, 7),
+        (["--study", "tvar", "--T", "128", "--max-scale", "7", "--max-lag", "2"], 66, 6),
+    ],
+    ids=["piecewise-default", "piecewise-max-lag-4", "tvar-128"],
+)
+def test_cli_benchmark_wavelet_refuses_a_margin_that_covers_every_point(
+    tmp_path, capsys, monkeypatch, flags, margin, fits
+):
     # at T=256 the default J*=8 gives the margin 2^7 + max_lag >= T/2, so
-    # no point lies outside it; J*=7 leaves an interior
+    # no point lies outside it: refused before a replicate is simulated,
+    # naming the largest J* that leaves an interior point
     out = str(tmp_path / "rmse.csv")
     argv = ["benchmark", "--study", "piecewise-ar", "--method", "wavelet",
-            "--max-lag", "1", "--reps", "2", "--output", out]
-    assert main(argv) == 2
-    assert (
-        "all 2 of 2 replicates were excluded: 2 with no point outside the boundary"
-        " margin, 0 with more than 10% of points dropped"
-    ) in capsys.readouterr().err
-    assert main(argv + ["--max-scale", "7"]) == 0
+            "--max-lag", "1", "--reps", "2", "--output", out] + flags
+    simulated = []
+    monkeypatch.setattr(cli, "monte_carlo_rmse", lambda *a: simulated.append(a))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"gives a boundary margin of {margin} points at each end" in err
+    assert f"--max-scale {fits} is the largest that leaves an interior point" in err
+    assert not simulated and not os.path.exists(out)
+    monkeypatch.undo()
+    assert main(argv + ["--max-scale", str(fits)]) == 0
     assert Path(out).read_text().splitlines()[1].startswith("wavelet,1,")
+
+
+def test_cli_benchmark_wavelet_refuses_a_max_lag_no_scale_fits(tmp_path, capsys):
+    # T=16: even J*=1 gives the margin 1 + 8, which covers every point
+    out = str(tmp_path / "rmse.csv")
+    argv = ["benchmark", "--T", "16", "--method", "wavelet", "--max-lag", "8",
+            "--reps", "2", "--output", out]
+    assert main(argv) == 1
+    assert "no --max-scale leaves an interior point at --max-lag 8" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_cli_benchmark_max_lag_zero_is_usage_error(tmp_path, capsys):

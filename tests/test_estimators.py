@@ -1044,6 +1044,12 @@ def _system_stack(draw):
     return B, r, scale
 
 
+def _points_last(A):
+    """A points-first (points, n, n) stack as the points-last (n, n, points)
+    copy that ``_certify`` takes and overwrites."""
+    return np.moveaxis(A, 0, -1).copy()
+
+
 def _assert_solve_stack_matches_scalar_oracle(B, r, scale):
     """``_solve_stack`` with and without ``_certify``'s verdict has the bits
     of ``_solve_regularized`` on every system; returns the ridges."""
@@ -1053,7 +1059,7 @@ def _assert_solve_stack_matches_scalar_oracle(B, r, scale):
             want.append(_solve_regularized(B[i], r[i], scale[i], "Yule-Walker"))
         except NumericalError:
             want.append((np.full(r.shape[1], np.nan), np.nan))
-    for certified in (None, _certify(B)):
+    for certified in (None, _certify(_points_last(B))):
         phi, ridge = _solve_stack(B, r, scale, certified)
         for i, (want_phi, want_ridge) in enumerate(want):
             # bytes, so that signed zeros and the NaN of an exhausted ridge count
@@ -1080,6 +1086,121 @@ def test_solve_stack_of_1x1_systems_divides_with_numpys_gate_and_bits():
     for i in range(len(B)):
         want = np.linalg.solve(B[i], r[i]) if _passes_cholesky(B[i]) else [np.nan]
         assert x[i].tobytes() == np.asarray(want).tobytes()
+
+
+# the ridge levels above 0 as ``_solve_regularized`` walks them
+_LEVELS = [_RIDGE_START * 2.0**k for k in range(64) if _RIDGE_START * 2.0**k <= _RIDGE_STOP]
+
+
+def _escalating_systems(n):
+    """n x n systems that ``_solve_regularized`` accepts at each ridge level
+    1..20, two per level: one whose |phi[-1]| stays above 1 + slack until
+    that level, and one whose matrix fails Cholesky until it; then two that
+    run out of ridge, one each way.  Returns (B, r, scale, level), level -1
+    where the ridge runs out."""
+    B, r, scale, level = [], [], [], []
+    for k, eps in enumerate(_LEVELS, start=1):
+        for kind, s in (("ratio", 0.5 + k / 8), ("gate", 3.0 - k / 16)):
+            M, v = np.eye(n), np.zeros(n)
+            if kind == "ratio":
+                # phi[-1] = c / (1 + ridge): above 1 + slack at eps / 2, not at eps
+                v[-1] = (1.0 + _PACF_SLACK) * (1.0 + 0.75 * eps * s)
+            else:
+                # a last pivot of m + ridge: 0 at eps / 2, positive at eps
+                M[-1, -1] = -0.5 * eps * s
+                v[-1] = 0.25 * eps * s
+            B.append(M)
+            r.append(v)
+            scale.append(s)
+            level.append(k)
+    for m, c in ((1.0, 2.0), (-1.0, 0.5)):
+        M, v = np.eye(n), np.zeros(n)
+        M[-1, -1], v[-1] = m, c
+        B.append(M)
+        r.append(v)
+        scale.append(1.0)
+        level.append(-1)
+    return np.array(B), np.array(r), np.array(scale), np.array(level)
+
+
+def _spy_gated_solve(monkeypatch):
+    """The stack sizes of the ``_gated_solve`` calls made from now on."""
+    sizes = []
+    real = estimators._gated_solve
+
+    def gated_solve(M, *args):
+        sizes.append(len(M))
+        return real(M, *args)
+
+    monkeypatch.setattr(estimators, "_gated_solve", gated_solve)
+    return sizes
+
+
+def _assert_levels(ridge, scale, level):
+    for i, k in enumerate(level):
+        if k < 0:
+            assert np.isnan(ridge[i])
+        else:
+            want = _LEVELS[k - 1] * scale[i] if k else 0.0
+            assert ridge[i].tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_solve_stack_takes_each_systems_first_level_in_doubling_rounds(monkeypatch, n):
+    B, r, scale, level = _escalating_systems(n)
+    assert sorted(set(level)) == [-1, *range(1, 21)]
+    # beside systems accepted at ridge 0, eight for each that escalates, so
+    # no round is cut short: 1, 2, 4, 8 and the last 5 levels
+    ok = 8 * len(B)
+    B = np.concatenate([B, np.broadcast_to(2.0 * np.eye(n), (ok, n, n))])
+    r = np.concatenate([r, np.full((ok, n), 0.5)])
+    scale = np.concatenate([scale, np.ones(ok)])
+    level = np.concatenate([level, np.zeros(ok, dtype=int)])
+    sizes = _spy_gated_solve(monkeypatch)
+    ridge = _assert_solve_stack_matches_scalar_oracle(B, r, scale)
+    _assert_levels(ridge, scale, level)
+    # two runs of _solve_stack (without and with the certificate), each a
+    # ridge-0 stack and 5 rounds of every rejected system at 1, 2, 4, 8, 5 levels
+    esc = ok // 8
+    assert sizes == 2 * [len(B), esc, 2 * (esc - 2), 4 * (esc - 6), 8 * (esc - 14), 5 * (esc - 30)]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_solve_stack_rounds_never_outgrow_the_ridge_0_stack(monkeypatch, n):
+    # every system escalates, so a round may try only as many levels as
+    # the ridge-0 stack has room for: the 20 levels take 15 rounds, not 20
+    B, r, scale, level = _escalating_systems(n)
+    sizes = _spy_gated_solve(monkeypatch)
+    ridge = _assert_solve_stack_matches_scalar_oracle(B, r, scale)
+    _assert_levels(ridge, scale, level)
+    assert max(sizes) == len(B) and len(sizes) == 2 * 16
+
+
+def test_wavelet_lpacf_escalates_in_at_most_6_gated_solves_per_stack(monkeypatch):
+    spec = ArPathSpec.linear_ramp(TVAR_STUDY["phi_start"], TVAR_STUDY["phi_end"], sigma=1.0)
+    x = simulate_tvar(spec, 4096, 0)
+    want = wavelet_lpacf(x, max_lag=4)
+    calls = []  # per _solve_stack call: its stack size and its _gated_solve sizes
+    real_solve_stack, real_gated_solve = estimators._solve_stack, estimators._gated_solve
+
+    def solve_stack(B, *args):
+        calls.append((len(B), []))
+        return real_solve_stack(B, *args)
+
+    def gated_solve(M, *args):
+        calls[-1][1].append(len(M))
+        return real_gated_solve(M, *args)
+
+    monkeypatch.setattr(estimators, "_solve_stack", solve_stack)
+    monkeypatch.setattr(estimators, "_gated_solve", gated_solve)
+    grid = wavelet_lpacf(x, max_lag=4)
+    assert grid.estimates.tobytes() == want.estimates.tobytes()
+    # lag 1 solves a Yule-Walker stack, lags 2-4 a Yule-Walker, a backcast
+    # and a forecast stack each; on this input some forecast systems run
+    # out of ridge, which takes the ridge-0 solve and 5 rounds
+    assert len(calls) == 10 and max(len(sizes) for _, sizes in calls) == 6
+    for size, sizes in calls:
+        assert len(sizes) <= 6 and max(sizes) <= size
 
 
 def _near_singular_batch(rng, n, count):
@@ -1116,7 +1237,7 @@ def _passes_cholesky(M):
 def test_certificate_is_sound_for_every_principal_submatrix(n, seed):
     rng = np.random.default_rng(seed)
     A = _near_singular_batch(rng, n, 64)
-    certified = _certify(A)
+    certified = _certify(_points_last(A))
     d = np.diagonal(A, axis1=1, axis2=2)
     odd = ~np.isfinite(A).all(axis=(1, 2)) | ~(d >= np.finfo(float).tiny).all(axis=1)
     assert not (certified & odd).any()
@@ -1130,7 +1251,7 @@ def test_certificate_is_sound_for_every_principal_submatrix(n, seed):
 def test_certificate_decides_both_ways_on_near_singular_matrices():
     rng = np.random.default_rng(7)
     for n in (1, 2, 5, 11):
-        certified = _certify(_near_singular_batch(rng, n, 400))
+        certified = _certify(_points_last(_near_singular_batch(rng, n, 400)))
         assert certified.any() and not certified.all()
 
 

@@ -48,6 +48,24 @@ def test_haar_scale_validation():
         haar_coefficients(31)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [haar_coefficients, lambda j: psi_auto(j, 0), lambda j: haar_value(j, 1)],
+    ids=["haar_coefficients", "psi_auto", "haar_value"],
+)
+@pytest.mark.parametrize("j", [2.7, 1.5, 3.0, True, np.float64(2.0), np.bool_(True)])
+def test_haar_scale_must_be_an_integer(call, j):
+    # a float scale was truncated, and a bool taken for 0 or 1
+    with pytest.raises(InvalidArgumentError, match="must be an integer"):
+        call(j)
+
+
+def test_haar_scale_may_be_a_numpy_integer():
+    j = np.int64(3)
+    assert haar_coefficients(j).tobytes() == haar_coefficients(3).tobytes()
+    assert psi_auto(j, 2) == psi_auto(3, 2)
+
+
 def test_psi_cross_bruteforce_examples():
     # j=l, tau=0 is the energy
     assert psi_cross_bruteforce(3, 3, 0) == pytest.approx(1.0, abs=1e-15)
