@@ -1,5 +1,5 @@
 """Exception hierarchy shared across the package, and the integer rule
-that its argument checks share.
+and integer check that its argument checks share.
 
 The CLI maps these onto process exit codes: InvalidArgumentError -> 1,
 DataError and its subclasses BoundaryError and DegenerateInputError -> 2,
@@ -7,6 +7,7 @@ NumericalError -> 3.  Verification failures raise nothing: ``locpacf
 verify`` returns 4 itself.
 """
 
+import math
 import numbers
 
 __all__ = [
@@ -51,3 +52,16 @@ def _is_int(value) -> bool:
     """A Python or numpy integer (each a ``numbers.Integral``); a bool is not
     one."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_int(
+    value, what: str, low: float = -math.inf, high: float = math.inf, rule: str = ""
+) -> int:
+    """value as an int if it is an integer (``_is_int``) in [low, high];
+    otherwise the error reads "{what} must be an integer" or "{what} {rule}",
+    the rule "must be >= low" by default."""
+    if not _is_int(value):
+        raise InvalidArgumentError(f"{what} must be an integer")
+    if not low <= value <= high:
+        raise InvalidArgumentError(f"{what} {rule or f'must be >= {low}'}")
+    return int(value)

@@ -48,16 +48,20 @@ systems at a point read one covariance block, the times zT..zT+tau of
 the local autocovariance surface.  The plug-in stage assembles that
 block for a stack of points by indexing the grid, points last (each
 cell one contiguous row), and takes one points-first copy of it, from
-which it slices each lag's systems and solves each kind with one stacked
-solve; the systems that need a ridge are solved again in rounds, each
-round a stack of several ridge levels.  Every system is gated by numpy's
-Cholesky verdict, but only one numpy Cholesky per point, of the whole
-block less a margin, is computed at ridge 0, in place on the points-last
-block: by Demmel's bound it proves that LAPACK's Cholesky passes every
-system sliced from the block, and only the points it leaves unproved go
-to LAPACK.  A 1x1 system is solved by division, with numpy's verdict and
-bits.  The wavelet stack runs it on the requested points of every
-series, and ``prediction_system`` on one.
+which it slices each lag's systems and solves each kind as one stack;
+the systems that need a ridge are solved again in rounds, each round a
+stack of as many ridge levels as fit in the size of the first.  Every
+system is gated by numpy's Cholesky verdict, but only one numpy Cholesky
+per point, of the whole block less a margin, is computed at ridge 0, in
+place on the points-last block: by Demmel's bound it proves that
+LAPACK's Cholesky passes every system sliced from the block, and only
+the points it leaves unproved go to LAPACK.  A stack goes to LAPACK in
+at most two calls, one Cholesky and one solve, each the gufunc that
+numpy's public function wraps: it returns every member's own result, NaN
+where that member fails, so no member is ever redone on its own.  A 1x1
+system is solved by division, with numpy's verdict and bits.  The
+wavelet stack runs it on the requested points of every series, and
+``prediction_system`` on one.
 """
 
 from __future__ import annotations
@@ -65,11 +69,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     DegenerateInputError,
     InvalidArgumentError,
     NumericalError,
+    _check_int,
 )
 from .kernels import EPANECHNIKOV, _window_sums, get_kernel
 from .series import as_series
@@ -177,8 +183,7 @@ def classical_pacf(ts, max_lag: int, demean: bool = False) -> np.ndarray:
     """
     ts = as_series(ts)
     T = ts.T
-    if not 1 <= max_lag < T // 2:
-        raise InvalidArgumentError(f"max_lag={max_lag} outside [1, T/2) for T={T}")
+    _check_int(max_lag, f"max_lag={max_lag}", 1, T // 2 - 1, f"outside [1, T/2) for T={T}")
     x = _unit_scaled(ts.values)
     if demean:
         x = x - x.mean()
@@ -280,10 +285,8 @@ def _select_points(T: int, points) -> np.ndarray:
 
 
 def _check_bandwidth(T: int, L: int, max_lag: int) -> None:
-    if not 1 < L < T:
-        raise InvalidArgumentError(f"bandwidth L={L} must lie in (1, T={T})")
-    if not 1 <= max_lag < L / 2:
-        raise InvalidArgumentError(f"max_lag={max_lag} outside [1, L/2) for L={L}")
+    _check_int(L, f"bandwidth L={L}", 2, T - 1, f"must lie in (1, T={T})")
+    _check_int(max_lag, f"max_lag={max_lag}", 1, (L - 1) // 2, f"outside [1, L/2) for L={L}")
 
 
 def windowed_lpacf(
@@ -433,19 +436,16 @@ def prediction_system(lacv: LocalAcvGrid, zT: int, tau: int) -> PredictionSystem
     the order Yule-Walker, backcast, forecast) or when an MSPE does not
     come out positive.
     """
-    if not 1 <= tau <= lacv.max_lag:
-        raise InvalidArgumentError(
-            f"tau={tau} outside [1, {lacv.max_lag}], the lags of the lacv grid"
-        )
-    if zT < 0 or zT + tau > lacv.T - 1:
+    lags = f"outside [1, {lacv.max_lag}], the lags of the lacv grid"
+    _check_int(tau, f"tau={tau}", 1, lacv.max_lag, lags)
+    if _check_int(zT, f"point zT={zT}") < 0 or zT + tau > lacv.T - 1:
         raise InvalidArgumentError(
             f"point zT={zT} with tau={tau} needs entries up to time {zT + tau}"
         )
     values = lacv._one_series()
     z = np.array([zT])
     G, certified = _blocks(values, z, tau + 1)
-    scale = np.maximum(values[0, z], 1e-300)
-    phi, bb, bf, mb, mf, ridge = _plug_in_stack(G, scale, tau, certified)
+    phi, bb, bf, mb, mf, ridge = _plug_in_stack(G, tau, certified)
     C = G[0]
     rev = slice(tau - 1, None, -1)
     inner = C[1:tau, 1:tau]  # the predictors of the backcast and the forecast
@@ -561,38 +561,29 @@ def _gated_solve(
     ``certified`` marks passes without a factorization: ``_certify`` has
     proved that LAPACK's Cholesky completes on it, by Demmel's bound
     (LAPACK Working Note 14; Higham, Thm 10.7) with a margin of 1e-8 on
-    the smallest eigenvalue of its unit-diagonal scaling.  Only the rest go
-    to ``np.linalg.cholesky``, and the members that pass are solved by
-    ``np.linalg.solve``.  A stacked Cholesky or solve raises for the whole
-    stack when one member fails, and rounding can let a singular matrix
-    pass Cholesky, so only a stack that raises is redone member by member.
+    the smallest eigenvalue of its unit-diagonal scaling.  The rest go to
+    LAPACK in one call, and the members that pass are solved in one more.
+    Each call is the gufunc that ``np.linalg.cholesky`` or
+    ``np.linalg.solve`` wraps, run once on the stack: it factors or solves
+    every member on its own and fills the whole result of a member whose
+    LAPACK call fails with NaN, where the public function raises for the
+    whole stack.  A factor that passes has zeros above its diagonal, even
+    where NaN in its matrix leaves NaN below, so a member passes exactly
+    where the corner L[0, -1] is not NaN.  Rounding can let a singular
+    matrix pass Cholesky; its LU solve then fails and leaves x[i] NaN.
+    Every verdict and solution is that of the public function called on
+    the member alone.
     """
-    if M.shape[-1] == 1:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(all="ignore"):
+        if M.shape[-1] == 1:
             return np.where(M[:, 0] <= 0.0, np.nan, r / M[:, 0])
-    passed = np.zeros(len(M), dtype=bool) if certified is None else certified.copy()
-    doubt = np.flatnonzero(~passed)
-    if doubt.size:
-        try:
-            np.linalg.cholesky(M[doubt])
-            passed[doubt] = True
-        except np.linalg.LinAlgError:
-            for i in doubt:
-                try:
-                    np.linalg.cholesky(M[i])
-                    passed[i] = True
-                except np.linalg.LinAlgError:
-                    pass
-    sub = slice(None) if passed.all() else passed  # a view, not a copy, if all
-    x = np.full(r.shape, np.nan)
-    try:
-        x[sub] = np.linalg.solve(M[sub], r[sub, :, None])[..., 0]
-    except np.linalg.LinAlgError:
-        for i in np.flatnonzero(passed):
-            try:
-                x[i] = np.linalg.solve(M[i], r[i])
-            except np.linalg.LinAlgError:
-                pass
+        passed = np.zeros(len(M), dtype=bool) if certified is None else certified.copy()
+        doubt = np.flatnonzero(~passed)
+        if doubt.size:
+            passed[doubt] = ~np.isnan(_umath_linalg.cholesky_lo(M[doubt])[:, 0, -1])
+        sub = slice(None) if passed.all() else passed  # a view, not a copy, if all
+        x = np.full(r.shape, np.nan)
+        x[sub] = _umath_linalg.solve(M[sub], r[sub, :, None])[..., 0]
     return x
 
 
@@ -608,13 +599,12 @@ def _solve_stack(
     (20 levels), and keeps the first level it is accepted at.  The ridge-0
     solve is one stack.  The systems it rejects are solved again in
     rounds, each one ``_gated_solve`` call on a stack of every rejected
-    system at several levels: each round tries as many levels as all
-    rounds before it together, plus one (1, 2, 4, 8, then the last 5), so
-    a system that runs out of ridge costs 6 calls, not 21.  A round holds
-    at most len(B) systems, the size of the ridge-0 stack, so it tries
-    fewer levels while more than an eighth of the stack is rejected.
-    Every system at every level is solved on its own, so each keeps the
-    bits of a solve at its accepted level alone.
+    system at several levels: a round takes as many of the levels left as
+    fit in len(B) systems, the size of the ridge-0 stack.  So while at most
+    a twentieth of the stack is rejected, one round tries every level, and
+    a system that runs out of ridge costs 2 calls.  Every system at every
+    level is solved on its own, so each keeps the bits of a solve at its
+    accepted level alone.
     ``certified`` (see ``_certify``, or None for no member) vouches for
     the gate at ridge 0 only.
     Returns (phi, ridge) with the accepted ridge of each system; both are
@@ -627,7 +617,7 @@ def _solve_stack(
     todo = np.flatnonzero(~_accepted(phi))
     n, tried = B.shape[-1], 0  # the levels above 0 tried so far
     while todo.size and tried < len(_RIDGE_EPS):
-        width = min(tried + 1, len(_RIDGE_EPS) - tried, len(B) // todo.size)
+        width = min(len(_RIDGE_EPS) - tried, len(B) // todo.size)
         levels = _RIDGE_EPS[tried : tried + width, None] * scale[todo]  # (width, todo)
         M = B[todo] + levels[..., None, None] * np.eye(n)
         x = _gated_solve(M.reshape(-1, n, n), np.tile(r[todo], (width, 1)))
@@ -668,7 +658,7 @@ def _mspe_ok(mb: np.ndarray, mf: np.ndarray) -> np.ndarray:
     return (mb > 0.0) & (mf > 0.0) & np.isfinite(mb) & np.isfinite(mf)
 
 
-def _plug_in_stack(G: np.ndarray, scale: np.ndarray, tau: int, certified: np.ndarray):
+def _plug_in_stack(G: np.ndarray, tau: int, certified: np.ndarray):
     """The three plug-in systems at lag tau of every point, solved.
 
     ``G[i, a, b]`` is the covariance of the times z_i+a and z_i+b, for
@@ -680,8 +670,10 @@ def _plug_in_stack(G: np.ndarray, scale: np.ndarray, tau: int, certified: np.nda
     the Yule-Walker (k=0), backcast (1) and forecast (2) system of point i,
     NaN where it ran out.  Every matrix is a principal submatrix of G[i],
     reordered, so ``certified``, ``_certify``'s verdict on the blocks (see
-    ``_blocks``), vouches for each ridge-0 gate.
+    ``_blocks``), vouches for each ridge-0 gate.  Every ridge of point i
+    scales with its lag-0 entry G[i, 0, 0], floored at 1e-300.
     """
+    scale = np.maximum(G[:, 0, 0], 1e-300)
     ridge = np.zeros((3, len(G)))
     rev = slice(tau - 1, None, -1)  # predictors z+tau-1 down to z
     phi, ridge[0] = _solve_stack(G[:, rev, rev], G[:, tau, rev], scale, certified)
@@ -719,11 +711,11 @@ def wavelet_lpacf(
     The plug-in stage is batched: the covariance block of the times
     zT..zT+max_lag is assembled once for every usable point by indexing
     the grid, and per lag the Yule-Walker, backcast and forecast systems
-    are slices of it, each solved by one stacked solve.  Systems that fail
+    are slices of it, each kind solved as one stack.  Systems that fail
     the Cholesky or |phi| <= 1 gate are solved again with an escalating
-    ridge, in rounds that each stack several ridge levels (see
-    ``_solve_stack``).  ``prediction_system`` runs the same stage at one
-    point.
+    ridge, in rounds that each stack as many ridge levels as fit in the
+    size of the first stack (see ``_solve_stack``).  ``prediction_system``
+    runs the same stage at one point.
 
     The Cholesky gate keeps numpy's verdict with little LAPACK work.  One
     certificate per point (``_certify``) factors the block's unit-diagonal
@@ -732,9 +724,12 @@ def wavelet_lpacf(
     bound (LAPACK Working Note 14, 1989; Higham, Accuracy and Stability of
     Numerical Algorithms, Thm 10.7), so every ridge-0 gate of every lag
     passes without a call.  Only uncertified points, and ridge levels
-    above 0, go to ``np.linalg.cholesky``.  The 1x1 systems (Yule-Walker at
-    lag 1, backcast and forecast at lag 2) are solved by division at every
-    ridge level, with numpy's verdict and bits (``_gated_solve``).
+    above 0, are factored in LAPACK, and each stack is factored in one call
+    and solved in one more: the gufuncs that ``np.linalg.cholesky`` and
+    ``np.linalg.solve`` wrap, which give each member numpy's own verdict
+    and bits, NaN where it fails (``_gated_solve``).  The 1x1 systems
+    (Yule-Walker at lag 1, backcast and forecast at lag 2) are solved by
+    division at every ridge level, with numpy's verdict and bits.
 
     ``demean`` subtracts the mean of the whole series before the spectral
     stage, not a local mean.  ``points`` defaults to every index; the
@@ -776,8 +771,7 @@ def _wavelet_stack(
     if not len(x):
         return []
     R, T = x.shape
-    if not 1 <= max_lag <= 10:
-        raise InvalidArgumentError(f"max_lag={max_lag} outside [1, 10]")
+    _check_int(max_lag, f"max_lag={max_lag}", 1, 10, "outside [1, 10]")
     if lacv is None:
         if max_scale is None:
             max_scale = default_max_scale(T)
@@ -808,11 +802,10 @@ def _wavelet_stack(
     # the blocks of the times zT..zT+max_lag, and the certificate that
     # vouches for the ridge-0 gate of every lag
     G, certified = _blocks(side, z, max_lag + 1)
-    scale = np.maximum(side[0, z], 1e-300)
     estimates = np.empty((len(z), max_lag))
     ok = np.ones(len(z), dtype=bool)
     for tau in range(1, max_lag + 1):
-        phi, _, _, mb, mf, ridge = _plug_in_stack(G, scale, tau, certified)
+        phi, _, _, mb, mf, ridge = _plug_in_stack(G, tau, certified)
         ok &= ~np.isnan(ridge).any(axis=0) & _mspe_ok(mb, mf)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             estimates[:, tau - 1] = phi[:, -1] * np.sqrt(mb / mf)

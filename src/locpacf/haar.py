@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidArgumentError, _is_int
+from .errors import InvalidArgumentError, _check_int, _is_int
 from .kernels import RECTANGULAR, TaperKernel
 
 __all__ = [
@@ -88,7 +88,7 @@ def psi_cross_bruteforce(j: int, l: int, tau: int) -> float:
     """Psi_{j,l}(tau) = sum_k psi_{j,k} psi_{l,k+tau} by exact summation."""
     j = _check_scale(j, "j")
     l = _check_scale(l, "l")
-    tau = int(tau)
+    tau = _check_int(tau, f"lag tau={tau}")
     lo = max(0, -tau)
     hi = min(1 << j, (1 << l) - tau)
     if hi <= lo:
@@ -105,9 +105,7 @@ def omega_core(i: int, u: float) -> float:
     (for i >= 1 the intervals are disjoint, so summing equals taking the
     single match).
     """
-    i = int(i)
-    if not 0 <= i <= MAX_SCALE:
-        raise InvalidArgumentError(f"order i={i} outside [0, {MAX_SCALE}]")
+    i = _check_int(i, f"order i={i}", 0, MAX_SCALE, f"outside [0, {MAX_SCALE}]")
     u = float(u)
     half = 2.0 ** (i - 1)
     full = 2.0**i
@@ -191,20 +189,29 @@ def psi_cross_closed(j: int, l: int, tau: int) -> float:
     l = _check_scale(l, "l")
     if j == l:
         raise InvalidArgumentError("psi_cross_closed requires j != l; use psi_auto")
-    tau = int(tau)
+    tau = _check_int(tau, f"lag tau={tau}")
     if l < j:
         return _xcorr_closed_lower(j, l, -tau)
     return _xcorr_closed_upper(j, l, -tau)
 
 
+def _check_window(N: int, zT: int) -> tuple[int, int]:
+    """N and zT as ints if N is a positive even integer and zT an integer."""
+    if not _is_int(N) or N <= 0 or N % 2:
+        raise InvalidArgumentError(f"window length N={N} must be a positive even integer")
+    return int(N), _check_int(zT, f"zT={zT}")
+
+
 def i_windowed_support(N: int, zT: int, l: int) -> tuple[int, int]:
     """Smallest and largest k with possibly nonzero i_{N,z}(., l, k)."""
-    return zT - N // 2 + 1, zT + N // 2 + (1 << l) - 1
+    N, zT = _check_window(N, zT)
+    return zT - N // 2 + 1, zT + N // 2 + (1 << _check_scale(l, "l")) - 1
 
 
 def lemma_bound_thresholds(N: int, zT: int, l: int) -> tuple[int, int]:
     """Thresholds b1 = zT + N/2 + 1 and b2 = zT + N/2 + N_l - 1."""
-    return zT + N // 2 + 1, zT + N // 2 + (1 << l) - 1
+    N, zT = _check_window(N, zT)
+    return zT + N // 2 + 1, zT + N // 2 + (1 << _check_scale(l, "l")) - 1
 
 
 def i_windowed(
@@ -221,11 +228,10 @@ def i_windowed(
     sum_{s=zT-N+1}^{zT} psi_{j,s} psi_{l,s+k-2*zT+N/2-1} h((zT-s)/N)
     over the window of N positions ending at zT.
     """
-    if N <= 0 or N % 2:
-        raise InvalidArgumentError(f"window length N={N} must be a positive even integer")
+    N, zT = _check_window(N, zT)
     j = _check_scale(j, "j")
     l = _check_scale(l, "l")
-    zT, k = int(zT), int(k)
+    k = _check_int(k, f"k={k}")
     r = k - 2 * zT + N // 2 - 1
     lo = max(zT - N + 1, 0, -r)
     hi = min(zT, (1 << j) - 1, (1 << l) - 1 - r)

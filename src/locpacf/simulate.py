@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DataError, InvalidArgumentError, _is_int
+from .errors import DataError, InvalidArgumentError, _check_int, _is_int
 from .estimators import EstimatorConfig
 from .series import MIN_LENGTH, TimeSeries
 
@@ -53,17 +53,6 @@ DEFAULT_BURN_IN = 500
 def _check_sigma(sigma: float) -> None:
     if not (np.isfinite(sigma) and sigma > 0):
         raise InvalidArgumentError(f"sigma={sigma} must be finite and > 0")
-
-
-def _check_int(value, low: int, what: str, rule: str = "", high: float = np.inf) -> int:
-    """value as an int if it is an integer (``_is_int``) in [low, high];
-    otherwise the error reads "{what} must be an integer" or
-    "{what} must be {rule}", the rule ">= low" by default."""
-    if not _is_int(value):
-        raise InvalidArgumentError(f"{what} must be an integer")
-    if not low <= value <= high:
-        raise InvalidArgumentError(f"{what} must be {rule or f'>= {low}'}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -206,7 +195,7 @@ def _ar_recursion(
     identical inputs whatever seeds run beside it.
     """
     for seed in seeds:
-        _check_int(seed, 0, f"seed={seed}")
+        _check_int(seed, f"seed={seed}", 0)
     p = table.shape[1]
     n = len(table) + burn_in
     x = np.empty((n, len(seeds)))  # step t is the row x[t]
@@ -245,7 +234,7 @@ def simulate_tvar(spec: ArPathSpec, T: int, seed: int) -> TimeSeries:
     coefficients frozen; innovations are standard normal and the output is
     bit-identical for identical (spec, T, seed).
     """
-    _check_int(T, 1, f"T={T}", "positive")
+    _check_int(T, f"T={T}", 1, rule="must be positive")
     table, _ = _checked_table(spec, T)
     return TimeSeries(_ar_recursion(table, spec.burn_in, spec.sigma, [seed])[0])
 
@@ -298,23 +287,23 @@ def ar_autocovariances(phi: Sequence[float], sigma: float, max_lag: int) -> np.n
 def true_tv_pacf(spec: ArPathSpec, t: int, tau: int, T: int) -> float:
     """PACF at lag tau of the AR model frozen at the instantaneous
     coefficients phi(t/T), 0 <= t < T; exactly zero for tau beyond the order."""
-    _check_int(tau, 1, f"tau={tau}")
-    _check_int(T, 1, f"T={T}", "positive")
-    _check_int(t, 0, f"t={t}", f"in [0, T - 1] = [0, {T - 1}]", T - 1)
+    _check_int(tau, f"tau={tau}", 1)
+    _check_int(T, f"T={T}", 1, rule="must be positive")
+    _check_int(t, f"t={t}", 0, T - 1, f"must be in [0, T - 1] = [0, {T - 1}]")
     k = _reflection_coefficients(spec.coefficients(t / T), f"t={t}")[0]
     return float(k[tau - 1]) if tau <= len(k) else 0.0
 
 
 def true_pacf_curve(spec: ArPathSpec, T: int, lags: Sequence[int]) -> np.ndarray:
     """true_tv_pacf evaluated on the full grid; shape (len(lags), T)."""
-    _check_int(T, 1, f"T={T}", "positive")
+    _check_int(T, f"T={T}", 1, rule="must be positive")
     lags = np.array(_checked_lags(lags), dtype=int)
     return _pacf_rows(_checked_table(spec, T)[1], lags)
 
 
 def _checked_lags(lags: Sequence[int]) -> list[int]:
     what = f"lags {np.asarray(lags).tolist()}"
-    return [_check_int(tau, 1, what) for tau in lags]
+    return [_check_int(tau, what, 1) for tau in lags]
 
 
 def _pacf_rows(k: np.ndarray, lags: np.ndarray) -> np.ndarray:
@@ -405,14 +394,14 @@ def monte_carlo_rmse(
     pass over the whole batch, and scored one by one.
     The estimates are those of one call per replicate, bit for bit.
     """
-    _check_int(reps, 2, f"reps={reps}")
-    _check_int(seed, 0, f"seed={seed}")
+    _check_int(reps, f"reps={reps}", 2)
+    _check_int(seed, f"seed={seed}", 0)
     lags = _checked_lags(lags)
     if not lags:
         raise InvalidArgumentError("no lags requested")
     if max(lags) > config.max_lag:
         raise InvalidArgumentError("requested lag exceeds config.max_lag")
-    _check_int(T, 1, f"T={T}", "positive")
+    _check_int(T, f"T={T}", 1, rule="must be positive")
     if T < MIN_LENGTH:
         raise InvalidArgumentError(f"T={T} is too short for estimation: T < {MIN_LENGTH}")
     table, k = _checked_table(spec, T)

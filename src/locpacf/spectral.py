@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryError, DataError, InvalidArgumentError
-from .haar import a_matrix, haar_value, psi_auto
+from .errors import BoundaryError, DataError, InvalidArgumentError, _check_int
+from .haar import _check_window, a_matrix, haar_value, psi_auto
 from .kernels import RECTANGULAR, TaperKernel, _window_sums
 from .series import as_series
 
@@ -76,8 +76,7 @@ def nondecimated_haar_transform(ts, max_scale: int | None = None, pad: bool = Fa
     J = N.bit_length() - 1
     if max_scale is None:
         max_scale = default_max_scale(N)
-    if not 1 <= max_scale <= J:
-        raise InvalidArgumentError(f"max_scale={max_scale} outside [1, {J}] for T={N}")
+    _check_int(max_scale, f"max_scale={max_scale}", 1, J, f"outside [1, {J}] for T={N}")
     X = np.fft.rfft(x)
     d = np.empty(x.shape[:-1] + (max_scale, N))
     for j in range(1, max_scale + 1):
@@ -114,8 +113,7 @@ def local_wavelet_periodogram_tapered(
     """
     ts = as_series(ts)
     T = ts.T
-    if N <= 0 or N % 2:
-        raise InvalidArgumentError(f"N={N} must be a positive even integer")
+    N, zT = _check_window(N, zT)
     if not 1 <= j <= int(np.log2(N)):
         raise InvalidArgumentError(f"scale j={j} needs 2^j <= N={N}")
     if boundary not in ("strict", "clip"):
@@ -192,8 +190,7 @@ def smooth_and_correct(raw: np.ndarray, span: int | None = None) -> EwsGrid:
     J, T = raw.shape[-2:]
     if span is None:
         span = default_smoothing_span(T)
-    if span < 0:
-        raise InvalidArgumentError(f"span={span} must be nonnegative")
+    _check_int(span, f"span={span}", 0, rule="must be nonnegative")
     sm = raw
     if span > 0:
         ker = np.full(2 * span + 1, 1.0 / (2 * span + 1))
@@ -234,18 +231,32 @@ class LocalAcvGrid:
             )
         return self.values
 
+    def _time(self, k, name: str) -> int:
+        """k if it is an integer time of the grid."""
+        return _check_int(k, f"time {name}={k}", 0, self.T - 1, f"outside [0, {self.T - 1}]")
+
     def at(self, k: int, tau: int) -> float:
-        return float(self._one_series()[abs(int(tau)), int(k)])
+        """c_hat(k/T, tau) at an integer time k of the grid and an integer
+        lag tau of either sign, |tau| <= ``max_lag``."""
+        values, m = self._one_series(), self.max_lag
+        tau = _check_int(tau, f"lag tau={tau}", -m, m, f"outside [-{m}, {m}]")
+        return float(values[abs(tau), self._time(k, "k")])
 
     def midpoint(self, ta: int, tb: int) -> float:
         """c_hat at the rescaled midpoint of the index pair (ta, tb).
 
         The lag is |ta - tb|; a half-integer midpoint averages the two
-        adjacent integer-time entries.
+        adjacent integer-time entries.  Both are integer times of the grid,
+        at most ``max_lag`` apart.
         """
         values = self._one_series()
-        lag = abs(int(ta) - int(tb))
-        twice = int(ta) + int(tb)
+        ta, tb = self._time(ta, "ta"), self._time(tb, "tb")
+        lag = abs(ta - tb)
+        if lag > self.max_lag:
+            raise InvalidArgumentError(
+                f"times ta={ta} and tb={tb} lie {lag} apart, beyond max_lag={self.max_lag}"
+            )
+        twice = ta + tb
         if twice % 2 == 0:
             return float(values[lag, twice // 2])
         lo = twice // 2
@@ -255,10 +266,8 @@ class LocalAcvGrid:
 def local_autocovariance(ews: EwsGrid, max_lag: int) -> LocalAcvGrid:
     """Synthesize c_hat(z, tau) = sum_j max(S_hat_j(z), 0) Psi_j(tau), for one
     spectrum or a stack of them; the floored cells are ``ews.negative_cells``."""
-    if not 0 <= max_lag < (1 << ews.max_scale):
-        raise InvalidArgumentError(
-            f"max_lag={max_lag} must satisfy 0 <= max_lag < 2^max_scale"
-        )
+    rule = "must satisfy 0 <= max_lag < 2^max_scale"
+    _check_int(max_lag, f"max_lag={max_lag}", 0, (1 << ews.max_scale) - 1, rule)
     S = np.maximum(ews.spectrum, 0.0)
     psi = np.array(
         [psi_auto(j, np.arange(max_lag + 1)) for j in range(1, ews.max_scale + 1)]

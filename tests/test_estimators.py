@@ -1,7 +1,9 @@
 """Classical and local partial autocorrelation estimators."""
 
+import re
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -354,6 +356,54 @@ def test_estimators_refuse_a_two_dimensional_points_array():
             estimate([[10, 12]])
         # a scalar point is one point
         assert estimate(10).points.tolist() == [10]
+
+
+_AR1_LACV = LocalAcvGrid(np.vstack([np.ones(16), np.full(16, 0.5), np.full(16, 0.25)]), 0)
+
+
+@pytest.mark.parametrize(
+    "estimate, needle",
+    [
+        (lambda x: windowed_lpacf(x, L=40.5), "bandwidth L=40.5 must be an integer"),
+        (lambda x: windowed_lpacf(x, L=True), "bandwidth L=True must be an integer"),
+        (lambda x: windowed_lpacf(x, L=40, max_lag=2.5), "max_lag=2.5 must be an integer"),
+        (lambda x: windowed_lpacf(x, L=40, max_lag=True), "max_lag=True must be an integer"),
+        (lambda x: wavelet_lpacf(x, max_lag=2.5), "max_lag=2.5 must be an integer"),
+        (lambda x: wavelet_lpacf(x, max_lag=True), "max_lag=True must be an integer"),
+        (lambda x: wavelet_lpacf(x, max_scale=2.5), "max_scale=2.5 must be an integer"),
+        (lambda x: wavelet_lpacf(x, max_scale=True), "max_scale=True must be an integer"),
+        (lambda x: wavelet_lpacf(x, span=1.5), "span=1.5 must be an integer"),
+        (lambda x: wavelet_lpacf(x, span=False), "span=False must be an integer"),
+        (lambda x: classical_pacf(x, 2.5), "max_lag=2.5 must be an integer"),
+        (lambda x: classical_pacf(x, True), "max_lag=True must be an integer"),
+        (lambda x: prediction_system(_AR1_LACV, 3, 1.5), "tau=1.5 must be an integer"),
+        (lambda x: prediction_system(_AR1_LACV, 3.5, 1), "point zT=3.5 must be an integer"),
+        (lambda x: prediction_system(_AR1_LACV, None, 1), "point zT=None must be an integer"),
+    ],
+)
+def test_estimators_refuse_integer_arguments_that_are_not_integers(estimate, needle):
+    # each raised TypeError, or went on with the value truncated
+    x = np.random.default_rng(12).standard_normal(256)
+    with pytest.raises(InvalidArgumentError, match=f"^{re.escape(needle)}$"):
+        estimate(x)
+
+
+def test_estimators_take_numpy_integer_arguments():
+    x = np.random.default_rng(12).standard_normal(256)
+    i = np.int64
+    pairs = [
+        (windowed_lpacf(x, L=i(40), max_lag=i(3)), windowed_lpacf(x, L=40, max_lag=3)),
+        (
+            wavelet_lpacf(x, max_scale=i(5), span=i(4), max_lag=i(3)),
+            wavelet_lpacf(x, max_scale=5, span=4, max_lag=3),
+        ),
+    ]
+    for got, want in pairs:
+        assert got.estimates.tobytes() == want.estimates.tobytes()
+    assert classical_pacf(x, i(3)).tobytes() == classical_pacf(x, 3).tobytes()
+    assert prediction_system(_AR1_LACV, i(3), i(2)).estimate == prediction_system(
+        _AR1_LACV, 3, 2
+    ).estimate
 
 
 def test_estimators_take_whole_valued_float_points():
@@ -1146,12 +1196,14 @@ def _assert_levels(ridge, scale, level):
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
-def test_solve_stack_takes_each_systems_first_level_in_doubling_rounds(monkeypatch, n):
+@pytest.mark.parametrize("pad, widths", [(8, [9, 11]), (19, [20])])
+def test_solve_stack_takes_each_systems_first_level_in_rounds_as_wide_as_fit(
+    monkeypatch, n, pad, widths
+):
     B, r, scale, level = _escalating_systems(n)
     assert sorted(set(level)) == [-1, *range(1, 21)]
-    # beside systems accepted at ridge 0, eight for each that escalates, so
-    # no round is cut short: 1, 2, 4, 8 and the last 5 levels
-    ok = 8 * len(B)
+    # beside systems accepted at ridge 0, ``pad`` for each that escalates
+    ok = pad * len(B)
     B = np.concatenate([B, np.broadcast_to(2.0 * np.eye(n), (ok, n, n))])
     r = np.concatenate([r, np.full((ok, n), 0.5)])
     scale = np.concatenate([scale, np.ones(ok)])
@@ -1160,9 +1212,12 @@ def test_solve_stack_takes_each_systems_first_level_in_doubling_rounds(monkeypat
     ridge = _assert_solve_stack_matches_scalar_oracle(B, r, scale)
     _assert_levels(ridge, scale, level)
     # two runs of _solve_stack (without and with the certificate), each a
-    # ridge-0 stack and 5 rounds of every rejected system at 1, 2, 4, 8, 5 levels
-    esc = ok // 8
-    assert sizes == 2 * [len(B), esc, 2 * (esc - 2), 4 * (esc - 6), 8 * (esc - 14), 5 * (esc - 30)]
+    # ridge-0 stack and rounds of as many levels as fit in it: with 8 for
+    # each that escalates, 9 levels (42 systems, 18 accepted), then the 11
+    # left (24 systems); with 19, all 20 levels in one round
+    esc = len(B) // (pad + 1)
+    todo = [esc, esc - 18]
+    assert sizes == 2 * [len(B), *(w * t for w, t in zip(widths, todo))]
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -1176,7 +1231,7 @@ def test_solve_stack_rounds_never_outgrow_the_ridge_0_stack(monkeypatch, n):
     assert max(sizes) == len(B) and len(sizes) == 2 * 16
 
 
-def test_wavelet_lpacf_escalates_in_at_most_6_gated_solves_per_stack(monkeypatch):
+def test_wavelet_lpacf_escalates_in_at_most_2_gated_solves_per_stack(monkeypatch):
     spec = ArPathSpec.linear_ramp(TVAR_STUDY["phi_start"], TVAR_STUDY["phi_end"], sigma=1.0)
     x = simulate_tvar(spec, 4096, 0)
     want = wavelet_lpacf(x, max_lag=4)
@@ -1197,10 +1252,11 @@ def test_wavelet_lpacf_escalates_in_at_most_6_gated_solves_per_stack(monkeypatch
     assert grid.estimates.tobytes() == want.estimates.tobytes()
     # lag 1 solves a Yule-Walker stack, lags 2-4 a Yule-Walker, a backcast
     # and a forecast stack each; on this input some forecast systems run
-    # out of ridge, which takes the ridge-0 solve and 5 rounds
-    assert len(calls) == 10 and max(len(sizes) for _, sizes in calls) == 6
+    # out of ridge, which takes the ridge-0 solve and one round of all 20
+    # levels, as they are far fewer than a twentieth of the stack
+    assert len(calls) == 10 and max(len(sizes) for _, sizes in calls) == 2
     for size, sizes in calls:
-        assert len(sizes) <= 6 and max(sizes) <= size
+        assert len(sizes) <= 2 and max(sizes) <= size
 
 
 def _near_singular_batch(rng, n, count):
@@ -1255,6 +1311,23 @@ def test_certificate_decides_both_ways_on_near_singular_matrices():
         assert certified.any() and not certified.all()
 
 
+def _spy_lapack(monkeypatch, record):
+    """Report every call of the plug-in stage's LAPACK gufuncs, with its
+    result, to ``record(name, M, result)`` before returning that result."""
+    real = estimators._umath_linalg
+
+    def spied(name):
+        def call(M, *args):
+            out = getattr(real, name)(M, *args)
+            record(name, M, out)
+            return out
+
+        return call
+
+    gufuncs = SimpleNamespace(cholesky_lo=spied("cholesky_lo"), solve=spied("solve"))
+    monkeypatch.setattr(estimators, "_umath_linalg", gufuncs)
+
+
 def test_wavelet_lpacf_calls_no_lapack_gate_at_ridge_0_and_no_1x1_solve(monkeypatch):
     spec = ArPathSpec.linear_ramp(TVAR_STUDY["phi_start"], TVAR_STUDY["phi_end"], sigma=1.0)
     x = simulate_tvar(spec, 1024, 0)
@@ -1262,7 +1335,6 @@ def test_wavelet_lpacf_calls_no_lapack_gate_at_ridge_0_and_no_1x1_solve(monkeypa
     level = [None]  # the ridge level of the _gated_solve call under way
     gates, solves = [], []
     real_solve_stack, real_gated_solve = estimators._solve_stack, estimators._gated_solve
-    real_cholesky, real_solve = np.linalg.cholesky, np.linalg.solve
 
     def solve_stack(*args):
         level[0] = -1
@@ -1272,22 +1344,92 @@ def test_wavelet_lpacf_calls_no_lapack_gate_at_ridge_0_and_no_1x1_solve(monkeypa
         level[0] += 1
         return real_gated_solve(*args)
 
-    def cholesky(M, *args, **kwargs):
-        gates.append(level[0])
-        return real_cholesky(M, *args, **kwargs)
-
-    def solve(M, *args, **kwargs):
-        solves.append(M.shape[-1])
-        return real_solve(M, *args, **kwargs)
+    def record(name, M, out):
+        (gates if name == "cholesky_lo" else solves).append((level[0], M.shape[-1]))
 
     monkeypatch.setattr(estimators, "_solve_stack", solve_stack)
     monkeypatch.setattr(estimators, "_gated_solve", gated_solve)
-    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
-    monkeypatch.setattr(np.linalg, "solve", solve)
+    _spy_lapack(monkeypatch, record)
     grid = wavelet_lpacf(x, max_lag=4)
     assert grid.estimates.tobytes() == want.estimates.tobytes()
-    assert 0 not in gates  # escalations above ridge 0 may still gate
-    assert solves and 1 not in solves  # the n >= 2 solves ran, no 1x1 one
+    # escalations above ridge 0 may still gate; the n >= 2 solves ran, no 1x1 one
+    assert gates and all(lvl > 0 for lvl, _ in gates)
+    assert solves and all(n > 1 for _, n in gates + solves)
+
+
+def test_wavelet_lpacf_gates_and_solves_each_stack_in_one_lapack_call(monkeypatch):
+    # a random walk's blocks fail Cholesky at ridge 0 and above
+    x = np.cumsum(np.random.default_rng(0).standard_normal(1024))
+    want = wavelet_lpacf(x, max_lag=4)
+    calls = []  # per _gated_solve call: its gufunc calls, each (name, stack, failures)
+    real_gated_solve = estimators._gated_solve
+
+    def gated_solve(*args):
+        calls.append([])
+        return real_gated_solve(*args)
+
+    def record(name, M, out):
+        assert M.ndim == 3  # a stack, never one member
+        calls[-1].append((name, len(M), int(np.isnan(out[:, 0, -1]).sum())))
+
+    monkeypatch.setattr(estimators, "_gated_solve", gated_solve)
+    _spy_lapack(monkeypatch, record)
+    grid = wavelet_lpacf(x, max_lag=4)
+    assert grid.estimates.tobytes() == want.estimates.tobytes()
+    assert grid.dropped_points.tobytes() == want.dropped_points.tobytes()
+    for gufuncs in calls:
+        names = [name for name, _, _ in gufuncs]
+        assert names in ([], ["solve"], ["cholesky_lo", "solve"])
+    # the premise: members failed the gate, inside stacks of more than one
+    failed = [(size, fails) for g in calls for name, size, fails in g if name == "cholesky_lo"]
+    assert sum(fails for _, fails in failed) > 0
+    assert any(0 < fails < size for size, fails in failed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 11), st.integers(0, 2**32 - 1))
+def test_gated_solve_keeps_numpys_verdict_and_bits_member_by_member(n, seed):
+    rng = np.random.default_rng(seed)
+    M = _near_singular_batch(rng, n, 64)
+    if n >= 4:
+        # singular members that pass Cholesky: only their LU solve fails
+        M[:4] = np.eye(n)
+        M[:4, :4, :4] = _SINGULAR_PASSING_CHOLESKY
+    r = rng.standard_normal((len(M), n))
+    passes = np.array([_passes_cholesky(A) for A in M])
+    want = np.full(r.shape, np.nan)
+    for i in np.flatnonzero(passes):
+        try:
+            want[i] = np.linalg.solve(M[i], r[i])
+        except np.linalg.LinAlgError:
+            pass
+    assert not passes.all()  # the premise: members fail the gate
+    if n >= 4:
+        assert passes[:4].all() and np.isnan(want[:4]).all()
+    # the gate's reading of the stacked gufunc is the public verdict ...
+    with np.errstate(all="ignore"):
+        corner = estimators._umath_linalg.cholesky_lo(M)[:, 0, -1]
+    assert np.array_equal(~np.isnan(corner), passes)
+    # ... and every solution has the bits of a public solve of its member
+    for certified in (None, _certify(_points_last(M))):
+        assert _gated_solve(M, r, certified).tobytes() == want.tobytes()
+
+
+def test_wavelet_lpacf_with_failing_gate_members_matches_scalar_loop(monkeypatch):
+    # the lacv grid of a random walk: members of the ridge-0 stacks and of
+    # the ridge rounds fail the Cholesky gate, next to members that pass
+    x = np.cumsum(np.random.default_rng(1).standard_normal(256))
+    lacv = local_autocovariance(smooth_and_correct(raw_wavelet_periodogram(x)), 6)
+    failed = []
+
+    def record(name, M, out):
+        if name == "cholesky_lo":
+            failed.append((len(M), int(np.isnan(out[:, 0, -1]).sum())))
+
+    _spy_lapack(monkeypatch, record)
+    grid = _assert_matches_scalar_loop(lacv, 6)
+    assert any(0 < fails < size for size, fails in failed)
+    assert len(grid.points) and len(grid.dropped_points) > 6
 
 
 def test_wavelet_lpacf_keeps_the_sign_of_a_zero_estimate():

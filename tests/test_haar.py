@@ -1,5 +1,7 @@
 """Haar wavelet layer: coefficients, cross-correlations, core function, A matrix."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,9 @@ from locpacf import (
     a_matrix,
     haar_coefficients,
     haar_value,
+    i_windowed,
+    i_windowed_support,
+    lemma_bound_thresholds,
     omega_core,
     psi_auto,
     psi_cross_bruteforce,
@@ -64,6 +69,45 @@ def test_haar_scale_may_be_a_numpy_integer():
     j = np.int64(3)
     assert haar_coefficients(j).tobytes() == haar_coefficients(3).tobytes()
     assert psi_auto(j, 2) == psi_auto(3, 2)
+
+
+@pytest.mark.parametrize(
+    "call, needle",
+    [
+        (lambda: omega_core(1.5, 0.3), "order i=1.5 must be an integer"),
+        (lambda: omega_core(True, 0.3), "order i=True must be an integer"),
+        (lambda: omega_core(31, 0.3), "order i=31 outside [0, 30]"),
+        (lambda: psi_cross_bruteforce(2, 3, 1.5), "lag tau=1.5 must be an integer"),
+        (lambda: psi_cross_bruteforce(2, 3, True), "lag tau=True must be an integer"),
+        (lambda: psi_cross_closed(2, 3, 1.5), "lag tau=1.5 must be an integer"),
+        (lambda: psi_cross_closed(2, 3, np.float64(-2.0)), "lag tau=-2.0 must be an integer"),
+        (lambda: i_windowed(8, 3.5, 2, 2, 1), "zT=3.5 must be an integer"),
+        (lambda: i_windowed(8, 3, 2, 2, 1.5), "k=1.5 must be an integer"),
+        (lambda: i_windowed(8, 3, 2, 2, False), "k=False must be an integer"),
+        (lambda: i_windowed(8.0, 3, 2, 2, 1), "N=8.0 must be a positive even integer"),
+        (lambda: i_windowed_support(8, 3.5, 2), "zT=3.5 must be an integer"),
+        (lambda: i_windowed_support(8, 3, 2.5), "scale l=2.5 must be an integer"),
+        (lambda: i_windowed_support(7, 3, 2), "N=7 must be a positive even integer"),
+        (lambda: lemma_bound_thresholds(8.0, 3, 2), "N=8.0 must be a positive even integer"),
+        (lambda: lemma_bound_thresholds(8, True, 2), "zT=True must be an integer"),
+        (lambda: lemma_bound_thresholds(8, 3, 1.0), "scale l=1.0 must be an integer"),
+    ],
+)
+def test_haar_helpers_refuse_orders_lags_and_times_that_are_not_integers(call, needle):
+    # each was truncated, or went on with a fractional or float result, or
+    # raised TypeError
+    with pytest.raises(InvalidArgumentError, match=re.escape(needle)):
+        call()
+
+
+def test_haar_helpers_take_numpy_integer_lags_and_times():
+    i = np.int64
+    assert omega_core(i(1), 0.3) == omega_core(1, 0.3)
+    assert psi_cross_bruteforce(2, 3, i(-2)) == psi_cross_bruteforce(2, 3, -2)
+    assert psi_cross_closed(2, 3, i(-2)) == psi_cross_closed(2, 3, -2)
+    assert i_windowed(i(8), i(3), 2, 2, i(1)) == i_windowed(8, 3, 2, 2, 1)
+    assert i_windowed_support(i(8), i(3), i(2)) == i_windowed_support(8, 3, 2) == (0, 10)
+    assert lemma_bound_thresholds(i(8), i(3), i(2)) == lemma_bound_thresholds(8, 3, 2) == (8, 10)
 
 
 def test_psi_cross_bruteforce_examples():

@@ -1,5 +1,7 @@
 """Non-decimated transform, local periodograms, correction, local autocovariance."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from locpacf import (
     EPANECHNIKOV,
     EwsGrid,
     InvalidArgumentError,
+    LocalAcvGrid,
     RECTANGULAR,
     TimeSeries,
     a_matrix,
@@ -297,3 +300,60 @@ def test_stacked_lacv_grid_refuses_one_series_accessors():
     for read in (lambda: lacv.at(0, 1), lambda: lacv.midpoint(0, 1)):
         with pytest.raises(InvalidArgumentError, match="not one series' grid"):
             read()
+
+
+_GRID = LocalAcvGrid(np.arange(48.0).reshape(3, 16), 0)  # lags 0..2, times 0..15
+
+
+@pytest.mark.parametrize(
+    "read, needle",
+    [
+        (lambda: _GRID.at(-1, 0), "time k=-1 outside [0, 15]"),
+        (lambda: _GRID.at(16, 0), "time k=16 outside [0, 15]"),
+        (lambda: _GRID.at(1.5, 0), "time k=1.5 must be an integer"),
+        (lambda: _GRID.at(True, 0), "time k=True must be an integer"),
+        (lambda: _GRID.at(3, 1.5), "lag tau=1.5 must be an integer"),
+        (lambda: _GRID.at(3, 3), "lag tau=3 outside [-2, 2]"),
+        (lambda: _GRID.at(3, -3), "lag tau=-3 outside [-2, 2]"),
+        (lambda: _GRID.midpoint(-1, 0), "time ta=-1 outside [0, 15]"),
+        (lambda: _GRID.midpoint(0, -1), "time tb=-1 outside [0, 15]"),
+        (lambda: _GRID.midpoint(15, 16), "time tb=16 outside [0, 15]"),
+        (lambda: _GRID.midpoint(2.5, 3), "time ta=2.5 must be an integer"),
+        (lambda: _GRID.midpoint(2, False), "time tb=False must be an integer"),
+        (lambda: _GRID.midpoint(2, 5), "times ta=2 and tb=5 lie 3 apart, beyond max_lag=2"),
+    ],
+)
+def test_lacv_grid_refuses_times_and_lags_outside_it(read, needle):
+    # a negative time read the grid from its end, and a float was truncated
+    with pytest.raises(InvalidArgumentError, match=f"^{re.escape(needle)}$"):
+        read()
+
+
+def test_lacv_grid_reads_lags_of_either_sign_and_numpy_integers():
+    assert _GRID.at(3, -2) == _GRID.at(3, 2) == _GRID.at(np.int64(3), np.int64(2)) == 35.0
+    assert _GRID.midpoint(15, 14) == _GRID.midpoint(np.int64(14), 15) == 0.5 * (30.0 + 31.0)
+    assert _GRID.midpoint(0, 2) == _GRID.at(1, 2)
+
+
+def _lacv_of(x, max_lag):
+    return local_autocovariance(smooth_and_correct(raw_wavelet_periodogram(x, 3)), max_lag)
+
+
+@pytest.mark.parametrize(
+    "call, needle",
+    [
+        (lambda x: local_wavelet_periodogram_tapered(x, 20.5, 16, 2), "zT=20.5 must be"),
+        (lambda x: local_wavelet_periodogram_tapered(x, True, 16, 2), "zT=True must be"),
+        (lambda x: local_wavelet_periodogram_tapered(x, 20, 16.0, 2), "window length N=16.0 must be"),
+        (lambda x: raw_wavelet_periodogram(x, 2.5), "max_scale=2.5 must be"),
+        (lambda x: smooth_and_correct(raw_wavelet_periodogram(x, 3), 1.5), "span=1.5 must be"),
+        (lambda x: _lacv_of(x, 2.5), "max_lag=2.5 must be"),
+        (lambda x: _lacv_of(x, True), "max_lag=True must be"),
+    ],
+)
+def test_spectral_stages_refuse_integer_arguments_that_are_not_integers(call, needle):
+    # a float zT raised IndexError, N=16.0 went on, and a float max_lag read
+    # lags 0..3 for 2.5
+    x = np.random.default_rng(3).standard_normal(64)
+    with pytest.raises(InvalidArgumentError, match=f"^{re.escape(needle)}"):
+        call(x)
