@@ -284,11 +284,11 @@ def _cmd_estimate(args) -> int:
     ts = _io.read_series(args.input)
     points = None  # every index
     if args.points is not None:
-        points = np.array(_int_list(args.points, "--points"), dtype=int)
+        points = _int_list(args.points, "--points")
     elif args.stride is not None:
         if args.stride < 1:
             raise InvalidArgumentError(f"stride={args.stride} must be >= 1")
-        points = np.arange(0, ts.T, args.stride)
+        points = np.arange(0, ts.T, min(args.stride, ts.T))
     grid = _estimator(args).estimate(ts, points, args.demean, args.pad)
     _write_grid(grid, ts.T, args.output, args.plot, f"local pacf ({grid.kind})")
     return EXIT_OK

@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, and the integer rule
-and integer check that its argument checks share.
+"""Exception hierarchy shared across the package, and the integer rule,
+integer check and length ceiling that its argument checks share.
 
 The CLI maps these onto process exit codes: InvalidArgumentError -> 1,
 DataError and its subclasses BoundaryError and DegenerateInputError -> 2,
@@ -46,6 +46,13 @@ class NumericalError(LocpacfError):
     def __init__(self, message, condition=None):
         super().__init__(message)
         self.condition = condition
+
+
+# The longest series, segment or smoothing span any check accepts: far
+# above any host's memory and far below numpy's index limit (2**63 - 1), so
+# a length beyond any array is refused with its value instead of failing
+# inside numpy.
+MAX_LENGTH = 2**48
 
 
 def _is_int(value) -> bool:

@@ -76,6 +76,7 @@ from .errors import (
     InvalidArgumentError,
     NumericalError,
     _check_int,
+    _is_int,
 )
 from .kernels import EPANECHNIKOV, _window_sums, get_kernel
 from .series import as_series
@@ -276,8 +277,14 @@ def _select_points(T: int, points) -> np.ndarray:
     pts = np.asarray(points)
     if pts.ndim > 1:
         raise InvalidArgumentError(f"points must be one-dimensional, not of shape {pts.shape}")
-    # whole-valued floats are points too; NaN is not whole, +-inf is out of range
-    if not (pts.dtype.kind in "iu" or pts.dtype.kind == "f" and np.all(np.trunc(pts) == pts)):
+    # whole-valued floats are points too; NaN is not whole, +-inf is out of
+    # range; Python ints beyond int64 come as objects
+    kind = pts.dtype.kind
+    if not (
+        kind in "iu"
+        or kind == "f" and np.all(np.trunc(pts) == pts)
+        or kind == "O" and all(map(_is_int, pts.flat))
+    ):
         raise InvalidArgumentError("points must be whole numbers")
     if pts.size and (pts.min() < 0 or pts.max() > T - 1):
         raise InvalidArgumentError(f"points outside [0, {T - 1}]")

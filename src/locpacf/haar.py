@@ -1,12 +1,14 @@
 """Discrete non-decimated Haar wavelets and derived deterministic objects.
 
 The canonical cross-scale autocorrelation wavelet here is the discrete sum
-Psi_{j,l}(tau) = sum_k psi_{j,k} psi_{l,k+tau}.  The closed-form piecewise
-expressions were derived through the continuous convolution and produce the
-discrete values at the reflected lag; ``psi_cross_closed`` therefore
-evaluates them at -tau.  The continuous mother wavelet is -1 then +1 while
-the discrete sequence is + then -; products of two wavelets are unaffected,
-so no further correction is needed.
+Psi_{j,l}(tau) = sum_k psi_{j,k} psi_{l,k+tau}.  One closed-form piecewise
+expression, for l < j, was derived through the continuous convolution and
+produces the discrete values at the reflected lag, so ``psi_cross_closed``
+evaluates it at -tau.  The case l > j follows from the symmetry
+Psi_{j,l}(tau) = Psi_{l,j}(-tau), the same form with the scales swapped at
++tau.  The continuous mother wavelet is -1 then +1 while the discrete
+sequence is + then -; products of two wavelets are unaffected, so no
+further correction is needed.
 
 All sums over "infinite" lag ranges are computed exactly over the finite
 supports (N_j = 2^j); no truncation tolerance exists anywhere in this
@@ -42,13 +44,8 @@ MAX_SCALE = 30
 
 
 def _check_scale(j: int, name: str = "j", limit: int = MAX_SCALE) -> int:
-    """j as an int if it is an integer (``_is_int``: not a float, not a
-    bool) in [1, limit]."""
-    if not _is_int(j):
-        raise InvalidArgumentError(f"scale {name}={j!r} must be an integer")
-    if not 1 <= j <= limit:
-        raise InvalidArgumentError(f"scale {name}={j} outside [1, {limit}]")
-    return int(j)
+    """j as an int if it is an integer (``_is_int``) in [1, limit]."""
+    return _check_int(j, f"scale {name}={j}", 1, limit, f"outside [1, {limit}]")
 
 
 def haar_coefficients(j: int) -> np.ndarray:
@@ -62,10 +59,20 @@ def haar_coefficients(j: int) -> np.ndarray:
     return haar_value(j, np.arange(1 << j))
 
 
+def _check_ints(values, what: str) -> np.ndarray:
+    """values as an array if it is an integer (``_is_int``), an array of
+    integer dtype or empty; a float, bool or NaN is refused."""
+    a = np.asarray(values)
+    if a.dtype.kind in "iu" or a.size == 0 or _is_int(values):
+        return a
+    raise InvalidArgumentError(f"{what} must be integers, not dtype {a.dtype}")
+
+
 def haar_value(j: int, k) -> np.ndarray:
-    """psi_{j,k} evaluated pointwise (0 outside the support [0, 2^j))."""
+    """psi_{j,k} evaluated pointwise (0 outside the support [0, 2^j)) at
+    integer positions k."""
     j = _check_scale(j)
-    k = np.asarray(k)
+    k = _check_ints(k, "positions k")
     half, full = 1 << (j - 1), 1 << j
     amp = 2.0 ** (-j / 2)
     return np.where(
@@ -76,10 +83,11 @@ def haar_value(j: int, k) -> np.ndarray:
 def psi_auto(j: int, tau) -> np.ndarray | float:
     """Regular Haar autocorrelation wavelet Psi_j(tau) = Psi_H(2^{-j}|tau|).
 
-    Psi_H(u) is 1 - 3|u| on |u| <= 1/2 and |u| - 1 on 1/2 < |u| <= 1.
+    Psi_H(u) is 1 - 3|u| on |u| <= 1/2 and |u| - 1 on 1/2 < |u| <= 1, and
+    tau is an integer lag or an array of them.
     """
     j = _check_scale(j)
-    u = np.abs(np.asarray(tau, dtype=float)) * 2.0 ** (-j)
+    u = np.abs(_check_ints(tau, "lags tau").astype(float)) * 2.0 ** (-j)
     val = np.where(u <= 0.5, 1.0 - 3.0 * u, np.where(u <= 1.0, u - 1.0, 0.0))
     return float(val) if val.ndim == 0 else val
 
@@ -152,38 +160,11 @@ def _xcorr_closed_lower(j: int, l: int, t: int) -> float:
     return 0.0
 
 
-def _xcorr_closed_upper(j: int, l: int, t: int) -> float:
-    # piecewise form for l > j, half-open intervals (a, b]
-    nl, nl2 = 1 << l, 1 << (l - 1)
-    nj, nj2 = 1 << j, 1 << (j - 1)
-    pref = 2.0 ** (-(l - j) / 2)
-    ij = 2.0 ** (-j)
-    if t <= -nl:
-        return 0.0
-    if t <= -nl + nj2:
-        return pref * (-ij * (t + nl))
-    if t <= -nl + nj:
-        return pref * ij * (nl + t - nj)
-    if t <= -nl2:
-        return 0.0
-    if t <= -nl2 + nj2:
-        return pref * ij * (nl + 2 * t)
-    if t <= -nl2 + nj:
-        return pref * ij * (2 * nj - nl - 2 * t)
-    if t <= 0:
-        return 0.0
-    if t <= nj2:
-        return pref * (-ij * t)
-    if t <= nj:
-        return pref * (-(1.0 - ij * t))
-    return 0.0
-
-
 def psi_cross_closed(j: int, l: int, tau: int) -> float:
     """Closed-form Psi_{j,l}(tau) in the discrete lag convention.
 
-    Evaluates the piecewise expressions at the reflected lag -tau (see
-    module docstring).  Requires j != l; use :func:`psi_auto` for j = l.
+    Evaluates the one piecewise form, for l < j, at the reflected lag -tau
+    (see module docstring).  Requires j != l; use :func:`psi_auto` for j = l.
     """
     j = _check_scale(j, "j")
     l = _check_scale(l, "l")
@@ -192,7 +173,7 @@ def psi_cross_closed(j: int, l: int, tau: int) -> float:
     tau = _check_int(tau, f"lag tau={tau}")
     if l < j:
         return _xcorr_closed_lower(j, l, -tau)
-    return _xcorr_closed_upper(j, l, -tau)
+    return _xcorr_closed_lower(l, j, tau)  # Psi_{j,l}(tau) = Psi_{l,j}(-tau)
 
 
 def _check_window(N: int, zT: int) -> tuple[int, int]:

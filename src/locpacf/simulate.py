@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DataError, InvalidArgumentError, _check_int, _is_int
+from .errors import MAX_LENGTH, DataError, InvalidArgumentError, _check_int, _is_int
 from .estimators import EstimatorConfig
 from .series import MIN_LENGTH, TimeSeries
 
@@ -128,6 +128,9 @@ class ArPathSpec:
             if not _is_int(n) or n <= 0:
                 raise InvalidArgumentError(f"segment length {n!r} must be an integer >= 1")
             coef_table[row, : len(c)] = np.asarray(c, dtype=float)
+        total = sum(n for n, _ in segments)  # so each segment is bounded too
+        if total > MAX_LENGTH:
+            raise InvalidArgumentError(f"segments total {total} samples, more than {MAX_LENGTH}")
         ends = np.cumsum([n for n, _ in segments])
         # the inner edges in rescaled time; segment k > 0 starts at z = joins[k - 1]
         joins = ends[:-1] / ends[-1]
@@ -156,6 +159,10 @@ def _reflection_coefficients(coefs: np.ndarray, where: str) -> np.ndarray:
             f"{where.format(row)}: phi={coefs[row].tolist()}"
         )
     return k
+
+
+def _check_length(T: int) -> None:
+    _check_int(T, f"T={T}", 1, MAX_LENGTH, f"must be positive and <= {MAX_LENGTH}")
 
 
 def _checked_table(spec: ArPathSpec, T: int) -> tuple[np.ndarray, np.ndarray]:
@@ -234,7 +241,7 @@ def simulate_tvar(spec: ArPathSpec, T: int, seed: int) -> TimeSeries:
     coefficients frozen; innovations are standard normal and the output is
     bit-identical for identical (spec, T, seed).
     """
-    _check_int(T, f"T={T}", 1, rule="must be positive")
+    _check_length(T)
     table, _ = _checked_table(spec, T)
     return TimeSeries(_ar_recursion(table, spec.burn_in, spec.sigma, [seed])[0])
 
@@ -296,7 +303,7 @@ def true_tv_pacf(spec: ArPathSpec, t: int, tau: int, T: int) -> float:
 
 def true_pacf_curve(spec: ArPathSpec, T: int, lags: Sequence[int]) -> np.ndarray:
     """true_tv_pacf evaluated on the full grid; shape (len(lags), T)."""
-    _check_int(T, f"T={T}", 1, rule="must be positive")
+    _check_length(T)
     lags = np.array(_checked_lags(lags), dtype=int)
     return _pacf_rows(_checked_table(spec, T)[1], lags)
 
@@ -401,7 +408,7 @@ def monte_carlo_rmse(
         raise InvalidArgumentError("no lags requested")
     if max(lags) > config.max_lag:
         raise InvalidArgumentError("requested lag exceeds config.max_lag")
-    _check_int(T, f"T={T}", 1, rule="must be positive")
+    _check_length(T)
     if T < MIN_LENGTH:
         raise InvalidArgumentError(f"T={T} is too short for estimation: T < {MIN_LENGTH}")
     table, k = _checked_table(spec, T)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryError, DataError, InvalidArgumentError, _check_int
+from .errors import MAX_LENGTH, BoundaryError, DataError, InvalidArgumentError, _check_int
 from .haar import _check_window, a_matrix, haar_value, psi_auto
 from .kernels import RECTANGULAR, TaperKernel, _window_sums
 from .series import as_series
@@ -190,7 +190,7 @@ def smooth_and_correct(raw: np.ndarray, span: int | None = None) -> EwsGrid:
     J, T = raw.shape[-2:]
     if span is None:
         span = default_smoothing_span(T)
-    _check_int(span, f"span={span}", 0, rule="must be nonnegative")
+    _check_int(span, f"span={span}", 0, MAX_LENGTH, f"must be nonnegative and <= {MAX_LENGTH}")
     sm = raw
     if span > 0:
         ker = np.full(2 * span + 1, 1.0 / (2 * span + 1))

@@ -25,6 +25,7 @@ from locpacf import (
 )
 from locpacf import cli
 from locpacf.cli import main
+from locpacf.errors import MAX_LENGTH
 from locpacf.io import LONG_HEADER
 
 
@@ -549,6 +550,47 @@ def test_cli_benchmark_wavelet_refuses_a_non_dyadic_T(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: --T=100 is not a power of two, as the wavelet estimator needs\n"
     assert not out.exists()
+
+
+_HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["estimate", "--points", _HUGE + "999"], "points outside [0, 255]"),
+        (["estimate", "--method", "wavelet", "--smooth-span", _HUGE],
+         f"span={_HUGE} must be nonnegative and <= {MAX_LENGTH}"),
+        (["simulate", "tvar", "--T", _HUGE], f"T={_HUGE} must be positive and <= {MAX_LENGTH}"),
+        (["benchmark", "--T", _HUGE, "--reps", "2"],
+         f"T={_HUGE} must be positive and <= {MAX_LENGTH}"),
+        (["simulate", "piecewise-ar", "--segments", f"{_HUGE}:0.1"],
+         f"segments total {_HUGE} samples, more than {MAX_LENGTH}"),
+    ],
+    ids=["points", "smooth-span", "simulate-T", "benchmark-T", "segment"],
+)
+def test_cli_refuses_a_point_or_length_beyond_any_array(tmp_path, capsys, argv, needle):
+    # each is refused with its value before numpy is asked for such an array
+    sim = tmp_path / "sim.csv"
+    assert main(["simulate", "tvar", "--T", "256", "--seed", "0", "--output", str(sim)]) == 0
+    capsys.readouterr()
+    if argv[0] == "estimate":
+        argv = argv + ["--input", str(sim)]
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {needle}\n"
+    assert not out.exists()
+
+
+def test_cli_stride_of_T_or_more_estimates_point_0_alone(tmp_path):
+    # a stride of T or more, however large, keeps point 0 alone
+    sim = str(tmp_path / "sim.csv")
+    assert main(["simulate", "tvar", "--T", "256", "--seed", "0", "--output", sim]) == 0
+    outs = []
+    for flag in (["--points", "0"], ["--stride", "256"], ["--stride", _HUGE]):
+        outs.append(tmp_path / f"{len(outs)}.csv")
+        assert main(["estimate", "--input", sim, "--output", str(outs[-1])] + flag) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
 
 
 def test_cli_stride_one_is_every_point_and_overrides_config_points(tmp_path, capsys):

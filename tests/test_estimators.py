@@ -331,9 +331,14 @@ def test_windowed_stride_and_explicit_points():
     assert list(g2.points) == [64, 128]
     with pytest.raises(InvalidArgumentError):
         windowed_lpacf(x, L=64, max_lag=2, points=[999])
+    # a Python int beyond int64 is a point out of range, not a fraction
+    with pytest.raises(InvalidArgumentError, match=r"^points outside \[0, 255\]$"):
+        windowed_lpacf(x, L=64, max_lag=2, points=[64, 10**22])
 
 
-@pytest.mark.parametrize("points", [[10.7], [float("nan")], [10, 12.5], ["10"], [True]])
+@pytest.mark.parametrize(
+    "points", [[10.7], [float("nan")], [10, 12.5], ["10"], [True], [10**22, True], [None]]
+)
 def test_estimators_refuse_points_that_are_not_whole_numbers(points):
     x = np.random.default_rng(12).standard_normal(256)
     for estimate in (

@@ -1,6 +1,8 @@
 """Haar wavelet layer: coefficients, cross-correlations, core function, A matrix."""
 
+import hashlib
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -91,6 +93,14 @@ def test_haar_scale_may_be_a_numpy_integer():
         (lambda: lemma_bound_thresholds(8.0, 3, 2), "N=8.0 must be a positive even integer"),
         (lambda: lemma_bound_thresholds(8, True, 2), "zT=True must be an integer"),
         (lambda: lemma_bound_thresholds(8, 3, 1.0), "scale l=1.0 must be an integer"),
+        (lambda: haar_value(2, 1.5), "positions k must be integers, not dtype float64"),
+        (lambda: haar_value(2, [0.5, True]), "positions k must be integers, not dtype float64"),
+        (lambda: haar_value(2, True), "positions k must be integers, not dtype bool"),
+        (lambda: haar_value(2, np.nan), "positions k must be integers, not dtype float64"),
+        (lambda: psi_auto(2, 1.5), "lags tau must be integers, not dtype float64"),
+        (lambda: psi_auto(2, True), "lags tau must be integers, not dtype bool"),
+        (lambda: psi_auto(2, np.nan), "lags tau must be integers, not dtype float64"),
+        (lambda: psi_auto(2, np.array([1.0, 2.0])), "lags tau must be integers, not dtype float64"),
     ],
 )
 def test_haar_helpers_refuse_orders_lags_and_times_that_are_not_integers(call, needle):
@@ -108,6 +118,10 @@ def test_haar_helpers_take_numpy_integer_lags_and_times():
     assert i_windowed(i(8), i(3), 2, 2, i(1)) == i_windowed(8, 3, 2, 2, 1)
     assert i_windowed_support(i(8), i(3), i(2)) == i_windowed_support(8, 3, 2) == (0, 10)
     assert lemma_bound_thresholds(i(8), i(3), i(2)) == lemma_bound_thresholds(8, 3, 2) == (8, 10)
+    assert haar_value(2, np.array([1, 3], np.uint8)).tolist() == [0.5, -0.5]
+    assert psi_auto(2, i(1)) == psi_auto(2, 1) == 0.25
+    assert haar_value(3, 2**70) == psi_auto(3, -(2**70)) == 0.0  # beyond int64
+    assert haar_value(2, []).size == psi_auto(2, []).size == 0
 
 
 def test_psi_cross_bruteforce_examples():
@@ -138,6 +152,22 @@ def test_psi_cross_closed_examples():
         assert psi_cross_closed(2, 1, tau) == 0.0
     with pytest.raises(InvalidArgumentError):
         psi_cross_closed(2, 2, 0)
+
+
+def test_psi_cross_closed_bits_are_pinned():
+    # verify's grid, j != l in 1..8 and tau over both supports plus 2 (7 420
+    # values), hashed bit for bit, signed zeros included: the l > j half comes
+    # from the l < j form by symmetry, and the tolerance check would not see a
+    # change in the last bit
+    digest = hashlib.sha256()
+    for j in range(1, 9):
+        for l in range(1, 9):
+            if j != l:
+                for tau in range(-(1 << l) - 2, (1 << j) + 3):
+                    digest.update(struct.pack("<d", psi_cross_closed(j, l, tau)))
+    assert digest.hexdigest() == (
+        "ff37e067765443355c744206d4919f93f3036ec6d900f0fba35d3a778c799383"
+    )
 
 
 def test_closed_equals_bruteforce_full_grid(verify_run):

@@ -25,6 +25,7 @@ from locpacf import (
     windowed_lpacf,
 )
 from locpacf import estimators
+from locpacf.errors import MAX_LENGTH
 from locpacf.simulate import _STACK_SEEDS, _ar_recursion, _checked_table
 
 TVAR_STUDY = ArPathSpec.linear_ramp([0.9], [-0.9])
@@ -402,6 +403,16 @@ def test_each_path_is_called_once_per_table():
             calls[:] = [0, 0]
             table()
             assert calls == [1, 1]
+
+
+def test_piecewise_refuses_segments_longer_in_total_than_the_length_ceiling():
+    # two segments within the ceiling whose sum is not, then the ceiling itself,
+    # which builds a spec: piecewise makes no array of that length
+    half = MAX_LENGTH // 2
+    needle = f"segments total {MAX_LENGTH + 2} samples, more than {MAX_LENGTH}"
+    with pytest.raises(InvalidArgumentError, match=re.escape(needle)):
+        ArPathSpec.piecewise([(half + 1, [0.5]), (half + 1, [-0.5])])
+    assert ArPathSpec.piecewise([(half, [0.5]), (half, [-0.5])]).order == 1
 
 
 @pytest.mark.parametrize("length", [2.6, 3.0, np.float64(4.0), "3", True, 0, -2])
