@@ -27,18 +27,15 @@ from .estimators import (
     EstimatorConfig,
     LpacfGrid,
     _check_bandwidth,
-    _wavelet_margin,
     classical_pacf,
     confidence_halfwidth,
 )
-from .series import MIN_LENGTH
 from .simulate import (
     ArPathSpec,
     monte_carlo_rmse,
     simulate_piecewise_ar,
     simulate_tvar,
 )
-from .spectral import default_max_scale
 from .verify import run_all
 
 __all__ = ["main"]
@@ -322,12 +319,6 @@ def _cmd_benchmark(args) -> int:
                 f"--T applies to the tvar study only (piecewise-ar has T={T})"
             )
         spec = ArPathSpec.piecewise(segments)
-    if args.method == "wavelet":
-        if T & (T - 1):
-            raise InvalidArgumentError(
-                f"--T={T} is not a power of two, as the wavelet estimator needs"
-            )
-        _check_interior(T, args.max_scale, args.max_lag)
     lags = list(range(1, args.max_lag + 1))
     report = monte_carlo_rmse(spec, _estimator(args), args.reps, lags, args.seed, T)
     _io.write_rmse_csv(args.output, report)
@@ -337,27 +328,6 @@ def _cmd_benchmark(args) -> int:
             f"(se {100 * r.stderr:.3f}), reps {r.replicates}, excluded {r.excluded}"
         )
     return EXIT_OK
-
-
-def _check_interior(T: int, max_scale: int | None, max_lag: int) -> None:
-    """Refuse a wavelet study whose boundary margin covers all T points, in
-    which every replicate would be simulated and then excluded."""
-    J = default_max_scale(T) if max_scale is None else max_scale
-    if not 1 <= J < T.bit_length() or max_lag < 1 or T < MIN_LENGTH:
-        return  # ``monte_carlo_rmse`` or the estimator refuses these itself
-    margin = _wavelet_margin(J, max_lag)
-    if 2 * margin <= T - 1:
-        return
-    fits = [j for j in range(1, J) if 2 * _wavelet_margin(j, max_lag) <= T - 1]
-    raise InvalidArgumentError(
-        f"--max-scale {J} gives a boundary margin of {margin} points at each end,"
-        f" which covers all T={T} points; "
-        + (
-            f"--max-scale {fits[-1]} is the largest that leaves an interior point"
-            if fits
-            else f"no --max-scale leaves an interior point at --max-lag {max_lag}"
-        )
-    )
 
 
 def _stem_with_suffix(stem: str, suffix: str) -> str:

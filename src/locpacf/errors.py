@@ -61,6 +61,15 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _holds_bool(values) -> bool:
+    """Whether a list or tuple holds a bool, Python's or numpy's, at any
+    depth: the dtype of its array does not show one ([1, True] is int64)."""
+    return isinstance(values, (list, tuple)) and any(
+        isinstance(v, bool) or getattr(v, "dtype", None) == bool or _holds_bool(v)
+        for v in values
+    )
+
+
 def _check_int(
     value, what: str, low: float = -math.inf, high: float = math.inf, rule: str = ""
 ) -> int:

@@ -76,14 +76,15 @@ from .errors import (
     InvalidArgumentError,
     NumericalError,
     _check_int,
+    _holds_bool,
     _is_int,
 )
 from .kernels import EPANECHNIKOV, _window_sums, get_kernel
 from .series import as_series
 from .spectral import (
     LocalAcvGrid,
+    _dyadic_length,
     default_max_scale,
-    default_smoothing_span,
     local_autocovariance,
     raw_wavelet_periodogram,
     smooth_and_correct,
@@ -112,6 +113,7 @@ _RIDGE_EPS = _RIDGE_EPS[_RIDGE_EPS <= _RIDGE_STOP]
 # how far the smallest eigenvalue of a unit-diagonal scaling must clear 0
 # for ``_certify``: far above Demmel's bound of about 1.5e-14
 _CERTIFICATE_MARGIN = 1e-8
+_WAVELET_MAX_LAG = 10  # the deepest lag of the wavelet estimator
 
 
 def confidence_halfwidth(L: int | np.ndarray) -> float | np.ndarray:
@@ -180,9 +182,10 @@ def classical_pacf(ts, max_lag: int, demean: bool = False) -> np.ndarray:
     """Sample partial autocorrelation of the whole series at lags 1..max_lag.
 
     Sample autocovariances use the biased 1/T normalization and do not
-    subtract the mean unless ``demean`` is set.
+    subtract the mean unless ``demean`` is set.  A series of T < 4 has no
+    lag in [1, T/2), and is a DataError.
     """
-    ts = as_series(ts)
+    ts = as_series(ts).require_length(4)  # lag 1 needs T // 2 - 1 >= 1
     T = ts.T
     _check_int(max_lag, f"max_lag={max_lag}", 1, T // 2 - 1, f"outside [1, T/2) for T={T}")
     x = _unit_scaled(ts.values)
@@ -278,9 +281,10 @@ def _select_points(T: int, points) -> np.ndarray:
     if pts.ndim > 1:
         raise InvalidArgumentError(f"points must be one-dimensional, not of shape {pts.shape}")
     # whole-valued floats are points too; NaN is not whole, +-inf is out of
-    # range; Python ints beyond int64 come as objects
+    # range; Python ints beyond int64 come as objects; numpy reads a bool
+    # in a list as a number
     kind = pts.dtype.kind
-    if not (
+    if _holds_bool(points) or not (
         kind in "iu"
         or kind == "f" and np.all(np.trunc(pts) == pts)
         or kind == "O" and all(map(_is_int, pts.flat))
@@ -761,6 +765,30 @@ def _wavelet_margin(max_scale: int, max_lag: int) -> int:
     return (1 << (max_scale - 1)) + max_lag
 
 
+def _check_wavelet_study(T: int, max_scale: int | None, max_lag: int) -> None:
+    """Refuse a wavelet Monte-Carlo study that no replicate could score: a
+    study does not pad, so T must be a power of two, and the boundary margin
+    must leave an interior point.  A max_lag or max_scale out of range is
+    left to the estimator's own message."""
+    if _dyadic_length(T) != T:
+        raise InvalidArgumentError(
+            f"T={T} is not a power of two, as the wavelet estimator needs without padding"
+        )
+    J = default_max_scale(T) if max_scale is None else max_scale
+    lag_ok = _is_int(max_lag) and 1 <= max_lag <= _WAVELET_MAX_LAG
+    if not (lag_ok and _is_int(J) and 1 <= J < T.bit_length()):
+        return
+    fits = [j for j in range(1, J + 1) if 2 * _wavelet_margin(j, max_lag) < T]
+    if fits[-1:] == [J]:
+        return
+    fit = f"max_scale={fits[-1]} is the largest that leaves" if fits else "no max_scale leaves"
+    raise InvalidArgumentError(
+        f"max_scale={J} gives a boundary margin of {_wavelet_margin(J, max_lag)} points at"
+        f" each end, which covers all T={T} points; {fit} an interior point"
+        + ("" if fits else f" at max_lag={max_lag}")
+    )
+
+
 def _wavelet_stack(
     series, max_scale, span, max_lag, points, demean, pad, lacv=None
 ) -> list[LpacfGrid]:
@@ -778,17 +806,14 @@ def _wavelet_stack(
     if not len(x):
         return []
     R, T = x.shape
-    _check_int(max_lag, f"max_lag={max_lag}", 1, 10, "outside [1, 10]")
+    top = _WAVELET_MAX_LAG
+    _check_int(max_lag, f"max_lag={max_lag}", 1, top, f"outside [1, {top}]")
     if lacv is None:
-        if max_scale is None:
-            max_scale = default_max_scale(T)
-        if span is None:
-            span = default_smoothing_span(T)
         if demean:
             x = x - x.mean(axis=-1, keepdims=True)
         ews = smooth_and_correct(raw_wavelet_periodogram(x, max_scale, pad=pad), span)
         values = local_autocovariance(ews, max_lag).values
-        margin = _wavelet_margin(max_scale, max_lag)
+        margin = _wavelet_margin(ews.max_scale, max_lag)
     else:
         if lacv.T < T:
             raise InvalidArgumentError(

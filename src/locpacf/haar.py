@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidArgumentError, _check_int, _is_int
+from .errors import InvalidArgumentError, _check_int, _holds_bool, _is_int
 from .kernels import RECTANGULAR, TaperKernel
 
 __all__ = [
@@ -61,11 +61,14 @@ def haar_coefficients(j: int) -> np.ndarray:
 
 def _check_ints(values, what: str) -> np.ndarray:
     """values as an array if it is an integer (``_is_int``), an array of
-    integer dtype or empty; a float, bool or NaN is refused."""
+    integer dtype or empty; a float, bool or NaN is refused, also a bool
+    inside a list (``_holds_bool``)."""
     a = np.asarray(values)
-    if a.dtype.kind in "iu" or a.size == 0 or _is_int(values):
-        return a
-    raise InvalidArgumentError(f"{what} must be integers, not dtype {a.dtype}")
+    if not (a.dtype.kind in "iu" or a.size == 0 or _is_int(values)):
+        raise InvalidArgumentError(f"{what} must be integers, not dtype {a.dtype}")
+    if _holds_bool(values):
+        raise InvalidArgumentError(f"{what} must be integers, not bools")
+    return a
 
 
 def haar_value(j: int, k) -> np.ndarray:

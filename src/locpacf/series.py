@@ -47,24 +47,6 @@ class TimeSeries:
             raise DataError(f"series too short for estimation: T={self.T} < {minimum}")
         return self
 
-    def is_dyadic(self) -> bool:
-        t = self.T
-        return t & (t - 1) == 0
-
-    def pad_to_dyadic(self) -> tuple["TimeSeries", int]:
-        """Reflection-pad to the next power of two.
-
-        Returns the padded series and the original length, so estimates can
-        be reported on the original indices only.
-        """
-        t = self.T
-        if self.is_dyadic():
-            return self, t
-        target = 1 << int(np.ceil(np.log2(t)))
-        pad = target - t
-        padded = np.concatenate([self.values, self.values[-2 : -2 - pad : -1]])
-        return TimeSeries(padded), t
-
 
 def as_series(x) -> TimeSeries:
     """Coerce an array-like or TimeSeries into a TimeSeries."""

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import MAX_LENGTH, DataError, InvalidArgumentError, _check_int, _is_int
-from .estimators import EstimatorConfig
+from .estimators import EstimatorConfig, _check_wavelet_study
 from .series import MIN_LENGTH, TimeSeries
 
 __all__ = [
@@ -161,8 +161,8 @@ def _reflection_coefficients(coefs: np.ndarray, where: str) -> np.ndarray:
     return k
 
 
-def _check_length(T: int) -> None:
-    _check_int(T, f"T={T}", 1, MAX_LENGTH, f"must be positive and <= {MAX_LENGTH}")
+def _check_length(T: int) -> int:
+    return _check_int(T, f"T={T}", 1, MAX_LENGTH, f"must be positive and <= {MAX_LENGTH}")
 
 
 def _checked_table(spec: ArPathSpec, T: int) -> tuple[np.ndarray, np.ndarray]:
@@ -390,7 +390,9 @@ def monte_carlo_rmse(
     but one (which leaves no standard error), the DataError gives each
     count.  The report holds one row per requested lag, in the order
     given; its ``bandwidth`` is the window width L the estimator used, None
-    for the wavelet estimator.
+    for the wavelet estimator.  A wavelet study that no replicate could
+    score (``estimators._check_wavelet_study``) is refused before any is
+    simulated.
 
     The replicates run in batches of a fixed memory budget
     (``_BATCH_ENTRIES``, sized per estimator; the benchmark's studies fit
@@ -408,9 +410,11 @@ def monte_carlo_rmse(
         raise InvalidArgumentError("no lags requested")
     if max(lags) > config.max_lag:
         raise InvalidArgumentError("requested lag exceeds config.max_lag")
-    _check_length(T)
+    T = _check_length(T)
     if T < MIN_LENGTH:
         raise InvalidArgumentError(f"T={T} is too short for estimation: T < {MIN_LENGTH}")
+    if config.method == "wavelet":
+        _check_wavelet_study(T, config.max_scale, config.max_lag)
     table, k = _checked_table(spec, T)
     truth = _pacf_rows(k, np.array(lags))
     lag = config.max_lag

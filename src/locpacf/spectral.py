@@ -48,6 +48,11 @@ def default_max_scale(T: int) -> int:
     return min(int(np.log2(T)), 8)
 
 
+def _dyadic_length(T: int) -> int:
+    """The least power of two >= T: T itself if T is a power of two."""
+    return 1 << (T - 1).bit_length()
+
+
 def default_smoothing_span(T: int) -> int:
     """Default running-mean half-span s = ceil(T^(1/3))."""
     return int(np.ceil(T ** (1.0 / 3.0)))
@@ -59,14 +64,15 @@ def nondecimated_haar_transform(ts, max_scale: int | None = None, pad: bool = Fa
     ``ts`` is a series, or an array of series of one length along its last
     axis; returns an array of shape (..., max_scale, T).  Linear in the
     input; periodic boundary.  ``pad`` reflect-pads a non-dyadic T to the
-    next power of two as ``TimeSeries.pad_to_dyadic`` does; the
-    coefficients are reported at the original T times only.
+    next power of two N as ``np.pad(x, (0, N - T), mode="reflect")`` does;
+    the coefficients are reported at the original T times only, and the
+    default max_scale is ``default_max_scale(T)``, the estimator's.
     """
     x = np.asarray(getattr(ts, "values", ts), dtype=float)
     if x.ndim < 1 or x.shape[-1] < 1 or not np.isfinite(x).all():
         raise DataError(f"series must be non-empty and finite, got shape {x.shape}")
     T = x.shape[-1]
-    N = 1 << (T - 1).bit_length()  # the least power of two >= T
+    N = _dyadic_length(T)
     if N != T:
         if not pad:
             raise InvalidArgumentError(
@@ -75,7 +81,7 @@ def nondecimated_haar_transform(ts, max_scale: int | None = None, pad: bool = Fa
         x = np.concatenate([x, x[..., -2 : -2 - (N - T) : -1]], axis=-1)
     J = N.bit_length() - 1
     if max_scale is None:
-        max_scale = default_max_scale(N)
+        max_scale = default_max_scale(T)
     _check_int(max_scale, f"max_scale={max_scale}", 1, J, f"outside [1, {J}] for T={N}")
     X = np.fft.rfft(x)
     d = np.empty(x.shape[:-1] + (max_scale, N))

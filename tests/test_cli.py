@@ -23,7 +23,7 @@ from locpacf import (
     write_long_csv,
     write_series,
 )
-from locpacf import cli
+from locpacf import simulate
 from locpacf.cli import main
 from locpacf.errors import MAX_LENGTH
 from locpacf.io import LONG_HEADER
@@ -414,31 +414,35 @@ def test_cli_benchmark_wavelet_refuses_a_margin_that_covers_every_point(
     tmp_path, capsys, monkeypatch, flags, margin, fits
 ):
     # at T=256 the default J*=8 gives the margin 2^7 + max_lag >= T/2, so
-    # no point lies outside it: refused before a replicate is simulated,
-    # naming the largest J* that leaves an interior point
+    # no point lies outside it: the library refuses before a replicate is
+    # simulated, naming the largest J* that leaves an interior point
     out = str(tmp_path / "rmse.csv")
     argv = ["benchmark", "--study", "piecewise-ar", "--method", "wavelet",
             "--max-lag", "1", "--reps", "2", "--output", out] + flags
     simulated = []
-    monkeypatch.setattr(cli, "monte_carlo_rmse", lambda *a: simulated.append(a))
+    monkeypatch.setattr(simulate, "_ar_recursion", lambda *a: simulated.append(a))
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert f"gives a boundary margin of {margin} points at each end" in err
-    assert f"--max-scale {fits} is the largest that leaves an interior point" in err
+    assert f"max_scale={fits} is the largest that leaves an interior point" in err
     assert not simulated and not os.path.exists(out)
     monkeypatch.undo()
     assert main(argv + ["--max-scale", str(fits)]) == 0
     assert Path(out).read_text().splitlines()[1].startswith("wavelet,1,")
 
 
-def test_cli_benchmark_wavelet_refuses_a_max_lag_no_scale_fits(tmp_path, capsys):
+def test_cli_benchmark_wavelet_refuses_a_max_lag_no_scale_fits(
+    tmp_path, capsys, monkeypatch
+):
     # T=16: even J*=1 gives the margin 1 + 8, which covers every point
     out = str(tmp_path / "rmse.csv")
     argv = ["benchmark", "--T", "16", "--method", "wavelet", "--max-lag", "8",
             "--reps", "2", "--output", out]
+    simulated = []
+    monkeypatch.setattr(simulate, "_ar_recursion", lambda *a: simulated.append(a))
     assert main(argv) == 1
-    assert "no --max-scale leaves an interior point at --max-lag 8" in capsys.readouterr().err
-    assert not os.path.exists(out)
+    assert "no max_scale leaves an interior point at max_lag=8" in capsys.readouterr().err
+    assert not simulated and not os.path.exists(out)
 
 
 def test_cli_benchmark_max_lag_zero_is_usage_error(tmp_path, capsys):
@@ -531,6 +535,19 @@ def test_cli_simulate_refuses_a_non_finite_coefficient_path(tmp_path, capsys, ar
     assert not out.exists()
 
 
+def test_cli_pacf_of_a_series_too_short_for_any_lag_is_a_data_error(tmp_path, capsys):
+    # as estimate says of the same file; a max_lag out of range for a
+    # longer series stays a usage error
+    src, out = tmp_path / "x.txt", tmp_path / "pacf.csv"
+    src.write_text("1.5\n")
+    assert main(["pacf", "--input", str(src), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "data error: series too short for estimation: T=1 < 4\n"
+    src.write_text("1.5\n-0.5\n2.0\n0.25\n")
+    assert main(["pacf", "--input", str(src), "--output", str(out), "--max-lag", "2"]) == 1
+    assert "max_lag=2 outside [1, T/2) for T=4" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("T, method", [("1", "windowed"), ("7", "windowed"), ("4", "wavelet")])
 def test_cli_benchmark_refuses_a_T_too_short_to_estimate(tmp_path, capsys, T, method):
     # a usage error before any replicate is simulated, like --T 0
@@ -542,14 +559,18 @@ def test_cli_benchmark_refuses_a_T_too_short_to_estimate(tmp_path, capsys, T, me
     assert not out.exists()
 
 
-def test_cli_benchmark_wavelet_refuses_a_non_dyadic_T(tmp_path, capsys):
-    # benchmark has no --pad, so the refusal names --T, not padding
+def test_cli_benchmark_wavelet_refuses_a_non_dyadic_T(tmp_path, capsys, monkeypatch):
+    # a study does not pad, so the refusal names T, not padding
     out = tmp_path / "rmse.csv"
     argv = ["benchmark", "--method", "wavelet", "--T", "100", "--reps", "2"]
+    simulated = []
+    monkeypatch.setattr(simulate, "_ar_recursion", lambda *a: simulated.append(a))
     assert main(argv + ["--output", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err == "error: --T=100 is not a power of two, as the wavelet estimator needs\n"
-    assert not out.exists()
+    assert err == (
+        "error: T=100 is not a power of two, as the wavelet estimator needs without padding\n"
+    )
+    assert not simulated and not out.exists()
 
 
 _HUGE = "99999999999999999999"

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locpacf import (
+    DataError,
     DegenerateInputError,
     EstimatorConfig,
     InvalidArgumentError,
@@ -253,6 +254,13 @@ def test_classical_pacf_degenerate_input():
 def test_classical_pacf_lag_bounds():
     with pytest.raises(InvalidArgumentError):
         classical_pacf(np.arange(16.0), 8)
+    # a series too short for any lag is a data error, whatever max_lag
+    for T in (1, 2, 3):
+        with pytest.raises(DataError, match=rf"^series too short for estimation: T={T} < 4$"):
+            classical_pacf(np.arange(1.0, T + 1), 1)
+    assert classical_pacf(np.arange(1.0, 5), 1).shape == (1,)
+    with pytest.raises(InvalidArgumentError, match=r"^max_lag=2 outside \[1, T/2\) for T=4$"):
+        classical_pacf(np.arange(1.0, 5), 2)
 
 
 def test_weighted_local_acv_rectangular_is_classical():
@@ -337,7 +345,11 @@ def test_windowed_stride_and_explicit_points():
 
 
 @pytest.mark.parametrize(
-    "points", [[10.7], [float("nan")], [10, 12.5], ["10"], [True], [10**22, True], [None]]
+    "points",
+    [
+        [10.7], [float("nan")], [10, 12.5], ["10"], [True], [10**22, True], [None],
+        [10, True], [10.0, True], (10, np.bool_(True)),
+    ],
 )
 def test_estimators_refuse_points_that_are_not_whole_numbers(points):
     x = np.random.default_rng(12).standard_normal(256)

@@ -101,6 +101,10 @@ def test_haar_scale_may_be_a_numpy_integer():
         (lambda: psi_auto(2, True), "lags tau must be integers, not dtype bool"),
         (lambda: psi_auto(2, np.nan), "lags tau must be integers, not dtype float64"),
         (lambda: psi_auto(2, np.array([1.0, 2.0])), "lags tau must be integers, not dtype float64"),
+        (lambda: haar_value(2, [1, True]), "positions k must be integers, not bools"),
+        (lambda: haar_value(2, [[1], [np.bool_(True)]]), "positions k must be integers, not bools"),
+        (lambda: psi_auto(2, [0, True]), "lags tau must be integers, not bools"),
+        (lambda: psi_auto(2, (0, np.bool_(True))), "lags tau must be integers, not bools"),
     ],
 )
 def test_haar_helpers_refuse_orders_lags_and_times_that_are_not_integers(call, needle):

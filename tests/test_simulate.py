@@ -24,7 +24,7 @@ from locpacf import (
     true_tv_pacf,
     windowed_lpacf,
 )
-from locpacf import estimators
+from locpacf import estimators, simulate
 from locpacf.errors import MAX_LENGTH
 from locpacf.simulate import _STACK_SEEDS, _ar_recursion, _checked_table
 
@@ -569,6 +569,48 @@ def test_monte_carlo_rmse_needs_two_kept_replicates():
         monte_carlo_rmse(TVAR_STUDY, config, 2, [1], 2, 128)
     with pytest.raises(DataError, match=r"^all 2 of 2 replicates were excluded: 0 with"):
         monte_carlo_rmse(TVAR_STUDY, config, 2, [1], 3, 128)
+
+
+@pytest.mark.parametrize(
+    "spec, T, max_scale, max_lag, needle, fits",
+    [
+        (PIECEWISE_STUDY, 256, None, 1, "max_scale=8 gives a boundary margin of 129", 7),
+        (PIECEWISE_STUDY, 256, None, 4, "max_scale=8 gives a boundary margin of 132", 7),
+        (TVAR_STUDY, 128, 7, 2, "max_scale=7 gives a boundary margin of 66", 6),
+        (TVAR_STUDY, 16, None, 8, "no max_scale leaves an interior point at max_lag=8", None),
+        (TVAR_STUDY, 100, None, 1, "T=100 is not a power of two", None),
+        (TVAR_STUDY, np.int64(128), np.int64(7), np.int64(2), "boundary margin of 66", 6),
+    ],
+    ids=[
+        "piecewise-default", "piecewise-max-lag-4", "tvar-128", "no-scale-fits", "non-dyadic",
+        "numpy-ints",
+    ],
+)
+def test_monte_carlo_rmse_refuses_a_wavelet_study_it_cannot_score(
+    monkeypatch, spec, T, max_scale, max_lag, needle, fits
+):
+    # refused before the coefficient table is checked or a replicate is
+    # simulated, naming the largest J* that leaves an interior point
+    calls = []
+    monkeypatch.setattr(simulate, "_checked_table", lambda *a: calls.append(a))
+    monkeypatch.setattr(simulate, "_ar_recursion", lambda *a: calls.append(a))
+    config = EstimatorConfig("wavelet", max_scale=max_scale, max_lag=max_lag)
+    with pytest.raises(InvalidArgumentError, match=re.escape(needle)) as err:
+        monte_carlo_rmse(spec, config, 2, [1], 0, T)
+    assert not calls
+    monkeypatch.undo()
+    if fits is not None:
+        assert f"max_scale={fits} is the largest that leaves an interior point" in str(err.value)
+        config = EstimatorConfig("wavelet", max_scale=fits, max_lag=max_lag)
+        assert monte_carlo_rmse(spec, config, 2, [1], 0, T).rows[0].replicates == 2
+
+
+def test_monte_carlo_rmse_leaves_a_wavelet_lag_beyond_10_to_the_estimator():
+    # at T=16 no J* leaves an interior point at max_lag 11 either, but the
+    # fault is the lag, which the estimator refuses
+    config = EstimatorConfig("wavelet", max_lag=11)
+    with pytest.raises(InvalidArgumentError, match=r"^max_lag=11 outside \[1, 10\]$"):
+        monte_carlo_rmse(TVAR_STUDY, config, 2, [1], 0, 16)
 
 
 def test_monte_carlo_rmse_estimates_a_windowed_batch_in_one_pass(monkeypatch):

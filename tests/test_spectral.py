@@ -15,7 +15,6 @@ from locpacf import (
     InvalidArgumentError,
     LocalAcvGrid,
     RECTANGULAR,
-    TimeSeries,
     a_matrix,
     haar_coefficients,
     integrated_periodogram,
@@ -25,6 +24,7 @@ from locpacf import (
     raw_wavelet_periodogram,
     smooth_and_correct,
 )
+from locpacf.spectral import default_max_scale
 
 
 def test_transform_of_zero_series_is_zero():
@@ -90,11 +90,22 @@ def test_transform_matches_direct_circular_sum(log2_T, seed, data):
 @given(st.integers(3, 255).filter(lambda T: T & (T - 1)), st.integers(0, 2**32 - 1), st.data())
 def test_padded_transform_matches_direct_circular_sum(T, seed, data):
     x = np.random.default_rng(seed).standard_normal(T)
-    padded, _ = TimeSeries(x).pad_to_dyadic()
-    max_scale = data.draw(st.integers(1, int(np.log2(padded.T))))
+    N = 1 << (T - 1).bit_length()
+    padded = np.pad(x, (0, N - T), mode="reflect")
+    max_scale = data.draw(st.integers(1, int(np.log2(N))))
     d = nondecimated_haar_transform(x, max_scale, pad=True)
-    ref = direct_haar_transform(padded.values, max_scale)[:, :T]
+    ref = direct_haar_transform(padded, max_scale)[:, :T]
     assert np.abs(d - ref).max() <= 1e-12 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("T", [100, 200, 300])
+def test_padded_transform_takes_the_default_scale_of_the_series_length(T):
+    # the estimator's rule: J* = min(log2 T, 8) of the series' own T, not
+    # of the padded length N = 128, 256, 512, which would give 7, 8 and 8
+    x = np.random.default_rng(T).standard_normal(T)
+    d = nondecimated_haar_transform(x, pad=True)
+    assert d.shape == (default_max_scale(T), T) == ({100: 6, 200: 7, 300: 8}[T], T)
+    assert raw_wavelet_periodogram(x, pad=True).shape == d.shape
 
 
 def test_periodogram_scaling_and_nonnegativity():
