@@ -26,8 +26,12 @@ estimator and its knobs, and its ``estimate_stack`` is the one place that
 picks an estimator and calls it, for a stack of series of one length;
 ``estimate`` is its one-series case.  Each estimator has one stack
 routine, and its public function is that routine's one-series case.  Both
-read their series through one intake (one length, each scaled) and build
-their grids through one per-series split.  Every series of a stack keeps
+read their series through one intake (one length, each scaled) and end in
+one stacked result, ``_GridStack``: the requested points, an (R, P) keep
+mask, the kept estimates of every series, series by series, clipped once
+with their clamp mask, and the boundary, CI and effective length of each
+point.  Its ``grids()`` splits it into one ``LpacfGrid`` per series; the
+Monte-Carlo scorer reads its arrays whole.  Every series of a stack keeps
 the bits of a call on it alone: every row, column and point is computed
 on its own.
 
@@ -83,8 +87,9 @@ from .kernels import EPANECHNIKOV, _window_sums, get_kernel
 from .series import as_series
 from .spectral import (
     LocalAcvGrid,
+    _check_lacv_lag,
+    _checked_max_scale,
     _dyadic_length,
-    default_max_scale,
     local_autocovariance,
     raw_wavelet_periodogram,
     smooth_and_correct,
@@ -243,35 +248,51 @@ def _intake(series) -> np.ndarray:
     return _unit_scaled(np.stack(xs)) if xs else np.empty((0, 0))
 
 
-def _split(kind, pts, keep, estimates, boundary, bandwidth=None, ci=None, eff=None):
-    """One ``LpacfGrid`` per series of a stack.
+class _GridStack:
+    """The estimates of a stack of R series at P requested points, before
+    they are split into one ``LpacfGrid`` per series.
 
     ``keep[r]`` marks the points of series r that were kept, and the rows
     of ``estimates`` hold the kept points series by series; they are
-    clipped to [-1, 1] in place, and an estimate with |estimate| > 1 counts
-    as clamped.  ``boundary``, ``ci`` and ``eff`` are per requested point,
-    shared by every series.
+    clipped to [-1, 1] in place, and ``clamped`` marks the estimates with
+    |estimate| > 1 before the clip.  ``boundary``, ``ci`` and ``eff`` are
+    per requested point, shared by every series; ``bandwidth`` is the
+    windowed estimator's L, None for the wavelet estimator.
     """
-    clamped = np.abs(estimates) > 1.0
-    np.clip(estimates, -1.0, 1.0, out=estimates)
-    grids = []
-    end = 0
-    for mask in keep:
-        start, end = end, end + int(np.count_nonzero(mask))
-        grids.append(
-            LpacfGrid(
-                kind=kind,
-                points=pts[mask],
-                estimates=estimates[start:end],
-                boundary=boundary[mask],
-                bandwidth=bandwidth,
-                ci_halfwidth=None if ci is None else ci[mask],
-                clamp_count=int(np.count_nonzero(clamped[start:end])),
-                dropped_points=pts[~mask],
-                effective_length=None if eff is None else eff[mask],
+
+    def __init__(self, kind, pts, keep, estimates, boundary, bandwidth=None, ci=None, eff=None):
+        self.kind, self.points, self.keep = kind, pts, keep
+        self.clamped = np.abs(estimates) > 1.0
+        self.estimates = np.clip(estimates, -1.0, 1.0, out=estimates)
+        self.boundary, self.bandwidth, self.ci, self.eff = boundary, bandwidth, ci, eff
+
+    @classmethod
+    def empty(cls, kind: str) -> "_GridStack":
+        """The stack of no series."""
+        none = np.empty(0, dtype=int)
+        return cls(kind, none, np.empty((0, 0), dtype=bool), np.empty((0, 0)), none)
+
+    def grids(self) -> list[LpacfGrid]:
+        """One ``LpacfGrid`` per series, whose arrays view this stack's."""
+        pts, ci, eff = self.points, self.ci, self.eff
+        grids = []
+        end = 0
+        for mask in self.keep:
+            start, end = end, end + int(np.count_nonzero(mask))
+            grids.append(
+                LpacfGrid(
+                    kind=self.kind,
+                    points=pts[mask],
+                    estimates=self.estimates[start:end],
+                    boundary=self.boundary[mask],
+                    bandwidth=self.bandwidth,
+                    ci_halfwidth=None if ci is None else ci[mask],
+                    clamp_count=int(np.count_nonzero(self.clamped[start:end])),
+                    dropped_points=pts[~mask],
+                    effective_length=None if eff is None else eff[mask],
+                )
             )
-        )
-    return grids
+        return grids
 
 
 def _select_points(T: int, points) -> np.ndarray:
@@ -329,10 +350,10 @@ def windowed_lpacf(
     ``EstimatorConfig.estimate_stack`` runs on many series of one length
     with one window-sum call and one Levinson pass.
     """
-    return _windowed_stack([ts], L, kernel, max_lag, points, demean)[0]
+    return _windowed_stack([ts], L, kernel, max_lag, points, demean).grids()[0]
 
 
-def _windowed_stack(series, L, kernel, max_lag, points, demean) -> list[LpacfGrid]:
+def _windowed_stack(series, L, kernel, max_lag, points, demean) -> _GridStack:
     """``windowed_lpacf`` of each of R series of one length, in one pass.
 
     The (R, max_lag+2, T+2L) zero-padded rows are summed by one
@@ -343,7 +364,7 @@ def _windowed_stack(series, L, kernel, max_lag, points, demean) -> list[LpacfGri
     """
     x = _intake(series)
     if not len(x):
-        return []
+        return _GridStack.empty("windowed")
     (R, T), K = x.shape, max_lag + 2
     kernel = get_kernel(kernel)
     if L is None:
@@ -398,7 +419,7 @@ def _windowed_stack(series, L, kernel, max_lag, points, demean) -> list[LpacfGri
     estimates = _levinson(np.moveaxis(gamma, 1, 0)[:, keep]).T.copy()
     boundary = (eff < L).astype(np.uint8)
     ci = confidence_halfwidth(eff.astype(float))
-    return _split("windowed", pts, keep, estimates, boundary, int(L), ci, eff)
+    return _GridStack("windowed", pts, keep, estimates, boundary, int(L), ci, eff)
 
 
 @dataclass(frozen=True)
@@ -754,7 +775,8 @@ def wavelet_lpacf(
     ``EstimatorConfig.estimate_stack`` runs on many series of one length
     with one spectral stage and one plug-in stage.
     """
-    return _wavelet_stack([ts], max_scale, span, max_lag, points, demean, pad, lacv)[0]
+    stack = _wavelet_stack([ts], max_scale, span, max_lag, points, demean, pad, lacv)
+    return stack.grids()[0]
 
 
 def _wavelet_margin(max_scale: int, max_lag: int) -> int:
@@ -765,19 +787,24 @@ def _wavelet_margin(max_scale: int, max_lag: int) -> int:
     return (1 << (max_scale - 1)) + max_lag
 
 
+def _check_wavelet_lag(max_lag: int) -> None:
+    top = _WAVELET_MAX_LAG
+    _check_int(max_lag, f"max_lag={max_lag}", 1, top, f"outside [1, {top}]")
+
+
 def _check_wavelet_study(T: int, max_scale: int | None, max_lag: int) -> None:
-    """Refuse a wavelet Monte-Carlo study that no replicate could score: a
-    study does not pad, so T must be a power of two, and the boundary margin
-    must leave an interior point.  A max_lag or max_scale out of range is
-    left to the estimator's own message."""
+    """Refuse a wavelet Monte-Carlo study that no replicate could score.
+    A max_lag or max_scale out of range gets the estimator's own message,
+    from the check that the estimator runs; a study does not pad, so T
+    must be a power of two, and the boundary margin must leave an interior
+    point."""
     if _dyadic_length(T) != T:
         raise InvalidArgumentError(
             f"T={T} is not a power of two, as the wavelet estimator needs without padding"
         )
-    J = default_max_scale(T) if max_scale is None else max_scale
-    lag_ok = _is_int(max_lag) and 1 <= max_lag <= _WAVELET_MAX_LAG
-    if not (lag_ok and _is_int(J) and 1 <= J < T.bit_length()):
-        return
+    _check_wavelet_lag(max_lag)
+    J = _checked_max_scale(max_scale, T)
+    _check_lacv_lag(max_lag, J)
     fits = [j for j in range(1, J + 1) if 2 * _wavelet_margin(j, max_lag) < T]
     if fits[-1:] == [J]:
         return
@@ -791,7 +818,7 @@ def _check_wavelet_study(T: int, max_scale: int | None, max_lag: int) -> None:
 
 def _wavelet_stack(
     series, max_scale, span, max_lag, points, demean, pad, lacv=None
-) -> list[LpacfGrid]:
+) -> _GridStack:
     """``wavelet_lpacf`` of each of R series of one length, in one pass.
 
     The spectral stage runs once on the (R, T) stack.  The plug-in stage
@@ -804,10 +831,9 @@ def _wavelet_stack(
     """
     x = _intake(series)
     if not len(x):
-        return []
+        return _GridStack.empty("wavelet")
     R, T = x.shape
-    top = _WAVELET_MAX_LAG
-    _check_int(max_lag, f"max_lag={max_lag}", 1, top, f"outside [1, {top}]")
+    _check_wavelet_lag(max_lag)
     if lacv is None:
         if demean:
             x = x - x.mean(axis=-1, keepdims=True)
@@ -843,7 +869,7 @@ def _wavelet_stack(
             estimates[:, tau - 1] = phi[:, -1] * np.sqrt(mb / mf)
     keep[keep] = ok
     boundary = ((pts < margin) | (pts > T - 1 - margin)).astype(np.uint8)
-    return _split("wavelet", pts, keep, estimates[ok], boundary)
+    return _GridStack("wavelet", pts, keep, estimates[ok], boundary)
 
 
 @dataclass(frozen=True)
@@ -884,8 +910,16 @@ class EstimatorConfig:
         Either estimator takes the whole stack in one pass and refuses
         series of different lengths: the windowed one with one window-sum
         call and one Levinson recursion, the wavelet one with one spectral
-        stage and one plug-in stage.
+        stage and one plug-in stage.  The pass ends in one stacked result,
+        the kept estimates of every series with their keep mask, whose
+        ``grids()`` splits it into one grid per series.
         """
+        return self._grid_stack(xs, points, demean, pad).grids()
+
+    def _grid_stack(self, xs, points=None, demean=False, pad=False) -> _GridStack:
+        """``estimate_stack``'s stacked result, before its split into grids:
+        a caller that treats every series alike (the Monte-Carlo scorer)
+        reads its arrays whole."""
         if self.method == "windowed":
             L, kernel = self.binwidth, self.kernel
             return _windowed_stack(xs, L, kernel, self.max_lag, points, demean)

@@ -13,8 +13,8 @@ builds it for one series; a Monte-Carlo study builds it, and takes its
 truth from its reflection coefficients, once for all replicates.
 Replicates are independent and seeded as ``seed + replicate_index``, so
 results are identical however the work is partitioned: a study runs its
-replicates in batches of a fixed memory budget, one recursion call and one
-``EstimatorConfig.estimate_stack`` call each.  The recursion is one loop,
+replicates in batches of a fixed memory budget, one recursion call, one
+estimator pass and one array scoring each.  The recursion is one loop,
 a multiply and an add per lag term per time step; the number of seeds
 chooses only what it steps, one seed's Python floats at a time for a few
 seeds and the rows of one array over all replicates for a larger batch.
@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import MAX_LENGTH, DataError, InvalidArgumentError, _check_int, _is_int
-from .estimators import EstimatorConfig, _check_wavelet_study
+from .estimators import EstimatorConfig, _check_wavelet_study, _GridStack
 from .series import MIN_LENGTH, TimeSeries
 
 __all__ = [
@@ -368,6 +368,41 @@ class RmseReport:
 _BATCH_ENTRIES = 2**20
 
 
+def _score(stack: _GridStack, truth: np.ndarray, lags: Sequence[int]):
+    """The per-lag RMSEs of the scored replicates of a batch, one row each
+    in replicate order, and the counts of the replicates excluded for
+    having no kept point outside the boundary margin and for dropping more
+    than 10% of the points, in that order.
+
+    ``truth`` holds the truth at ``lags`` at every time.  A replicate's
+    RMSE at lag tau is the root mean square of its estimates less the truth
+    over its kept points outside the margin.  The replicates that kept the
+    same points are scored together, as one contiguous (lags, replicates,
+    points) error array: each RMSE reduces one contiguous row of it, which
+    numpy sums pairwise as it does a 1-D array, so each has the bits of its
+    replicate scored alone.
+    """
+    keep = stack.keep
+    interior = stack.boundary == 0
+    kept = np.count_nonzero(keep, axis=1)
+    no_interior = ~(keep & interior).any(axis=1)
+    too_many_dropped = ~no_interior & (keep.shape[1] - kept > 0.1 * keep.shape[1])
+    starts = np.cumsum(kept) - kept  # each replicate's first row of estimates
+    scored = np.flatnonzero(~no_interior & ~too_many_dropped)
+    groups = {}
+    for r in scored:
+        groups.setdefault(keep[r].tobytes(), []).append(r)
+    by_lag = stack.estimates.T[np.subtract(lags, 1)]  # a row of estimates per lag
+    rmse = np.empty((len(keep), len(lags)))
+    for reps in groups.values():
+        mask = keep[reps[0]]
+        rows = np.flatnonzero(interior[mask])  # the interior ones of the kept rows
+        e = np.take(by_lag, starts[reps, None] + rows, axis=1)
+        e -= truth[:, None, stack.points[mask][rows]]
+        rmse[reps] = np.sqrt(np.mean(e * e, axis=-1)).T
+    return rmse[scored], np.count_nonzero([no_interior, too_many_dropped], axis=1)
+
+
 def monte_carlo_rmse(
     spec: ArPathSpec,
     config: EstimatorConfig,
@@ -399,9 +434,13 @@ def monte_carlo_rmse(
     in one): a batch's series are simulated by one ``_ar_recursion`` call,
     whose one loop steps the rows of all replicates for a batch of
     ``_STACK_SEEDS`` or more and one seed's floats at a time below that,
-    estimated by one ``EstimatorConfig.estimate_stack`` call, which is one
-    pass over the whole batch, and scored one by one.
-    The estimates are those of one call per replicate, bit for bit.
+    and estimated in one pass over the whole batch.  That pass's stacked
+    result (``EstimatorConfig._grid_stack``) is scored as arrays, with no
+    grid per replicate: ``_score`` counts the exclusions from its keep mask
+    and boundary flags, and scores the replicates that kept the same
+    points, all of them when none dropped a point, as one array.  The
+    estimates and RMSEs are those of one estimate and one score per
+    replicate, bit for bit.
     """
     _check_int(reps, f"reps={reps}", 2)
     _check_int(seed, f"seed={seed}", 0)
@@ -422,42 +461,30 @@ def monte_carlo_rmse(
     batch = max(1, _BATCH_ENTRIES // max(per_time * T, 2 * T + spec.burn_in))
     t0 = time.perf_counter()
     per_rep = []
-    no_interior = too_many_dropped = 0
+    excluded = np.zeros(2, dtype=int)  # no interior point, more than 10% dropped
     seconds = np.zeros(3)  # simulate, estimate, score
     for first in range(0, reps, batch):
         stamps = [time.perf_counter()]
         seeds = range(seed + first, seed + min(first + batch, reps))
         xs = _ar_recursion(table, spec.burn_in, spec.sigma, seeds)
         stamps.append(time.perf_counter())
-        grids = config.estimate_stack(xs)
+        stack = config._grid_stack(xs)
         stamps.append(time.perf_counter())
-        for grid in grids:
-            interior = grid.boundary == 0
-            pts = grid.points[interior]
-            n_dropped = len(grid.dropped_points)
-            if pts.size == 0:
-                no_interior += 1
-                continue
-            if n_dropped > 0.1 * (len(grid.points) + n_dropped):
-                too_many_dropped += 1
-                continue
-            errs = []
-            for i, tau in enumerate(lags):
-                e = grid.estimates[interior, tau - 1] - truth[i, pts]
-                errs.append(np.sqrt(np.mean(e * e)))
-            per_rep.append(errs)
+        rmse, counts = _score(stack, truth, lags)
+        per_rep.append(rmse)
+        excluded += counts
         stamps.append(time.perf_counter())
         seconds += np.diff(stamps)
-    report = RmseReport((), seed, no_interior, too_many_dropped, *seconds.tolist())
+    report = RmseReport((), seed, *excluded.tolist(), *seconds.tolist())
+    per_rep = np.concatenate(per_rep)
     if len(per_rep) < 2:  # no RMSE, or no standard error
         raise DataError(
-            f"{'' if per_rep else 'all '}{report.excluded} of {reps} replicates were"
+            f"{'' if len(per_rep) else 'all '}{report.excluded} of {reps} replicates were"
             f" excluded: {report.no_interior} with no point outside the boundary margin,"
             f" {report.too_many_dropped} with more than 10% of points dropped"
-            + ("; the standard error needs 2 replicates" if per_rep else "")
+            + ("; the standard error needs 2 replicates" if len(per_rep) else "")
         )
     elapsed = time.perf_counter() - t0
-    per_rep = np.asarray(per_rep)
     used = per_rep.shape[0]
     rows = []
     for i, tau in enumerate(lags):
@@ -470,7 +497,7 @@ def monte_carlo_rmse(
                 stderr=float(np.std(vals, ddof=1) / np.sqrt(used)),
                 replicates=used,
                 excluded=report.excluded,
-                bandwidth=grid.bandwidth,
+                bandwidth=stack.bandwidth,
                 elapsed_seconds=elapsed,
             )
         )

@@ -53,6 +53,23 @@ def _dyadic_length(T: int) -> int:
     return 1 << (T - 1).bit_length()
 
 
+def _checked_max_scale(max_scale: int | None, T: int) -> int:
+    """The transform's max_scale for a series of T points: the default
+    ``default_max_scale(T)`` for None, else an integer in [1, log2 N], N
+    the dyadic length of T (T itself, or the length it is padded to)."""
+    if max_scale is None:
+        return default_max_scale(T)
+    N = _dyadic_length(T)
+    J = N.bit_length() - 1
+    return _check_int(max_scale, f"max_scale={max_scale}", 1, J, f"outside [1, {J}] for T={N}")
+
+
+def _check_lacv_lag(max_lag: int, max_scale: int) -> None:
+    """A local autocovariance of scales 1..max_scale has lags below 2^max_scale."""
+    rule = "must satisfy 0 <= max_lag < 2^max_scale"
+    _check_int(max_lag, f"max_lag={max_lag}", 0, (1 << max_scale) - 1, rule)
+
+
 def default_smoothing_span(T: int) -> int:
     """Default running-mean half-span s = ceil(T^(1/3))."""
     return int(np.ceil(T ** (1.0 / 3.0)))
@@ -79,10 +96,7 @@ def nondecimated_haar_transform(ts, max_scale: int | None = None, pad: bool = Fa
                 f"series length T={T} is not a power of two; enable padding"
             )
         x = np.concatenate([x, x[..., -2 : -2 - (N - T) : -1]], axis=-1)
-    J = N.bit_length() - 1
-    if max_scale is None:
-        max_scale = default_max_scale(T)
-    _check_int(max_scale, f"max_scale={max_scale}", 1, J, f"outside [1, {J}] for T={N}")
+    max_scale = _checked_max_scale(max_scale, T)
     X = np.fft.rfft(x)
     d = np.empty(x.shape[:-1] + (max_scale, N))
     for j in range(1, max_scale + 1):
@@ -272,8 +286,7 @@ class LocalAcvGrid:
 def local_autocovariance(ews: EwsGrid, max_lag: int) -> LocalAcvGrid:
     """Synthesize c_hat(z, tau) = sum_j max(S_hat_j(z), 0) Psi_j(tau), for one
     spectrum or a stack of them; the floored cells are ``ews.negative_cells``."""
-    rule = "must satisfy 0 <= max_lag < 2^max_scale"
-    _check_int(max_lag, f"max_lag={max_lag}", 0, (1 << ews.max_scale) - 1, rule)
+    _check_lacv_lag(max_lag, ews.max_scale)
     S = np.maximum(ews.spectrum, 0.0)
     psi = np.array(
         [psi_auto(j, np.arange(max_lag + 1)) for j in range(1, ews.max_scale + 1)]

@@ -427,17 +427,13 @@ def test_piecewise_refuses_a_segment_length_that_is_not_a_positive_integer(lengt
     assert simulate_piecewise_ar([(np.int64(3), [0.5]), (2, [-0.5])], 0).T == 5
 
 
-def _reference_rmse(spec, config, reps, lags, seed, T):
-    """(rmse, stderr, replicates, excluded) per lag from a plain loop over
-    simulate_tvar, the estimator and true_pacf_curve, the set of the
-    grids' bandwidths, and the replicates excluded for having no interior
-    point and for more than 10% of points dropped."""
-    truth = true_pacf_curve(spec, T, lags)
-    per_rep, bandwidths = [], set()
+def _score_grids(grids, truth, lags):
+    """The per-replicate scoring loop: each scored grid's RMSE at each lag,
+    and the grids excluded for having no interior point and for more than
+    10% of points dropped."""
+    per_rep = []
     no_interior = too_many_dropped = 0
-    for r in range(reps):
-        grid = config.estimate(simulate_tvar(spec, T, seed + r))
-        bandwidths.add(grid.bandwidth)
+    for grid in grids:
         interior = grid.boundary == 0
         pts = grid.points[interior]
         n_dropped = len(grid.dropped_points)
@@ -452,18 +448,27 @@ def _reference_rmse(spec, config, reps, lags, seed, T):
             e = grid.estimates[interior, tau - 1] - truth[i, pts]
             errs.append(np.sqrt(np.mean(e * e)))
         per_rep.append(errs)
-    per_rep = np.asarray(per_rep)
+    return np.asarray(per_rep), (no_interior, too_many_dropped)
+
+
+def _reference_rmse(spec, config, reps, lags, seed, T):
+    """(rmse, stderr, replicates, excluded) per lag from a plain loop over
+    simulate_tvar, the estimator, true_pacf_curve and the scoring loop, the
+    set of the grids' bandwidths, and the replicates excluded for having no
+    interior point and for more than 10% of points dropped."""
+    grids = [config.estimate(simulate_tvar(spec, T, seed + r)) for r in range(reps)]
+    per_rep, reasons = _score_grids(grids, true_pacf_curve(spec, T, lags), lags)
     used = len(per_rep)
     rows = [
         (
             float(np.mean(per_rep[:, i])),
             float(np.std(per_rep[:, i], ddof=1) / np.sqrt(used)),
             used,
-            no_interior + too_many_dropped,
+            sum(reasons),
         )
         for i in range(len(lags))
     ]
-    return rows, bandwidths, (no_interior, too_many_dropped)
+    return rows, {grid.bandwidth for grid in grids}, reasons
 
 
 @pytest.mark.parametrize(
@@ -537,10 +542,10 @@ def test_monte_carlo_rmse_matches_per_replicate_reference(
 
     def spy(self, xs, *args):
         sizes.append(len(xs))
-        return estimate_stack(self, xs, *args)
+        return grid_stack(self, xs, *args)
 
-    estimate_stack = EstimatorConfig.estimate_stack
-    monkeypatch.setattr(EstimatorConfig, "estimate_stack", spy)
+    grid_stack = EstimatorConfig._grid_stack
+    monkeypatch.setattr(EstimatorConfig, "_grid_stack", spy)
     report = monte_carlo_rmse(spec, config, reps, lags, seed, T)
     monkeypatch.undo()
     got = [(r.rmse, r.stderr, r.replicates, r.excluded) for r in report.rows]
@@ -550,11 +555,37 @@ def test_monte_carlo_rmse_matches_per_replicate_reference(
     assert [r.bandwidth for r in report.rows] == [bandwidth] * len(lags)
     assert report.rows[0].excluded == report.excluded == excluded
     assert (report.no_interior, report.too_many_dropped) == reasons
-    # one estimate_stack call per batch
+    # one estimator pass per batch
     assert sizes == batches
     stages = (report.simulate_seconds, report.estimate_seconds, report.score_seconds)
     assert min(stages) > 0.0
     assert sum(stages) <= report.rows[0].elapsed_seconds
+
+
+def test_grouped_scorer_matches_the_per_replicate_loop():
+    # a stacked result whose replicates keep different points: the scorer
+    # groups them by their keep rows, and its rows, exclusion counts and
+    # reasons are those of the scoring loop over its grids, bit for bit
+    rng = np.random.default_rng(7)
+    T, P, lags = 80, 60, [2, 1, 3]
+    keep = np.ones((9, P), dtype=bool)
+    keep[1, [10, 20]] = keep[2, [10, 20]] = False  # the same two points dropped
+    keep[3, [11, 40]] = False  # as many, but other points
+    keep[4, 5:13] = False  # 8 of 60 dropped: more than 10%
+    keep[5, 4:-4] = False  # only boundary points kept
+    keep[6, 30] = False
+    keep[7, 20:26] = False  # 6 of 60 dropped: not more than 10%
+    points = rng.permutation(T)[:P]  # scattered, in no order
+    boundary = np.zeros(P, dtype=np.uint8)
+    boundary[[0, 1, 2, 3, -4, -3, -2, -1]] = 1
+    estimates = rng.uniform(-1.2, 1.2, (np.count_nonzero(keep), 3))
+    truth = rng.uniform(-1.0, 1.0, (len(lags), T))
+    stack = estimators._GridStack("windowed", points, keep, estimates, boundary, 16)
+    rmse, counts = simulate._score(stack, truth, lags)
+    ref, reasons = _score_grids(stack.grids(), truth, lags)
+    assert tuple(counts.tolist()) == reasons == (1, 1)
+    assert rmse.shape == ref.shape == (7, len(lags))
+    assert rmse.tobytes() == ref.tobytes()
 
 
 def test_monte_carlo_rmse_needs_two_kept_replicates():
@@ -580,10 +611,14 @@ def test_monte_carlo_rmse_needs_two_kept_replicates():
         (TVAR_STUDY, 16, None, 8, "no max_scale leaves an interior point at max_lag=8", None),
         (TVAR_STUDY, 100, None, 1, "T=100 is not a power of two", None),
         (TVAR_STUDY, np.int64(128), np.int64(7), np.int64(2), "boundary margin of 66", 6),
+        # the estimator's own rules, from the checks that the estimator runs
+        (TVAR_STUDY, 16, None, 11, "max_lag=11 outside [1, 10]", None),
+        (TVAR_STUDY, 4096, 13, 4, "max_scale=13 outside [1, 12] for T=4096", None),
+        (TVAR_STUDY, 128, 1, 2, "max_lag=2 must satisfy 0 <= max_lag < 2^max_scale", None),
     ],
     ids=[
         "piecewise-default", "piecewise-max-lag-4", "tvar-128", "no-scale-fits", "non-dyadic",
-        "numpy-ints",
+        "numpy-ints", "max-lag-11", "max-scale-13", "lag-beyond-the-scales",
     ],
 )
 def test_monte_carlo_rmse_refuses_a_wavelet_study_it_cannot_score(
@@ -603,14 +638,6 @@ def test_monte_carlo_rmse_refuses_a_wavelet_study_it_cannot_score(
         assert f"max_scale={fits} is the largest that leaves an interior point" in str(err.value)
         config = EstimatorConfig("wavelet", max_scale=fits, max_lag=max_lag)
         assert monte_carlo_rmse(spec, config, 2, [1], 0, T).rows[0].replicates == 2
-
-
-def test_monte_carlo_rmse_leaves_a_wavelet_lag_beyond_10_to_the_estimator():
-    # at T=16 no J* leaves an interior point at max_lag 11 either, but the
-    # fault is the lag, which the estimator refuses
-    config = EstimatorConfig("wavelet", max_lag=11)
-    with pytest.raises(InvalidArgumentError, match=r"^max_lag=11 outside \[1, 10\]$"):
-        monte_carlo_rmse(TVAR_STUDY, config, 2, [1], 0, 16)
 
 
 def test_monte_carlo_rmse_estimates_a_windowed_batch_in_one_pass(monkeypatch):
