@@ -319,7 +319,7 @@ def _cmd_benchmark(args) -> int:
                 f"--T applies to the tvar study only (piecewise-ar has T={T})"
             )
         spec = ArPathSpec.piecewise(segments)
-    lags = list(range(1, args.max_lag + 1))
+    lags = range(1, args.max_lag + 1)  # no list: the study checks max_lag first
     report = monte_carlo_rmse(spec, _estimator(args), args.reps, lags, args.seed, T)
     _io.write_rmse_csv(args.output, report)
     for r in report.rows:

@@ -15,57 +15,20 @@ Every estimator, ``classical_pacf`` too, first scales the series by the
 power of two that brings its largest magnitude into [0.5, 1).  A partial
 autocorrelation does not depend on scale, and the scaling commutes with
 every rounding, so the estimates keep their bits while no product or sum
-of the series can overflow or go subnormal.
+of the series can overflow or go subnormal.  Each assumes mean-zero input;
+``demean=True`` subtracts the mean that each one states first.
 
-Both assume mean-zero input.  ``demean=True`` subtracts a mean first: the
-windowed estimator subtracts from each observation the kernel-weighted
-mean of the window centred on it, and drops a point whose demeaned lag-0
-sum is within the rounding of that mean (a constant series), the wavelet
-estimator the mean of the whole series.  ``EstimatorConfig`` names an
-estimator and its knobs, and its ``estimate_stack`` is the one place that
-picks an estimator and calls it, for a stack of series of one length;
-``estimate`` is its one-series case.  Each estimator has one stack
-routine, and its public function is that routine's one-series case.  Both
-read their series through one intake (one length, each scaled) and end in
-one stacked result, ``_GridStack``: the requested points, an (R, P) keep
-mask, the kept estimates of every series, series by series, clipped once
-with their clamp mask, and the boundary, CI and effective length of each
-point.  Its ``grids()`` splits it into one ``LpacfGrid`` per series; the
-Monte-Carlo scorer reads its arrays whole.  Every series of a stack keeps
-the bits of a call on it alone: every row, column and point is computed
-on its own.
-
-Estimation at distinct time points is independent; the implementations
-vectorize over points and produce deterministic output ordering.  The
-windowed estimator sums its windows on the coarsest evenly spaced
-progression that holds the requested points with the package's one
-moving sum, ``kernels._window_sums``, and runs one batched Levinson
-recursion for them: evenly spaced points cost only their own windows,
-scattered points the span they cover.  A stack takes that one pass, the
-zero-padded rows of every series in one window-sum call and the kept
-points of every series in one recursion.
-
-The wavelet estimator runs its spectral stage once on the whole stack,
-and its plug-in stage once on the kept points of every series, with the
-stack's lacv grids laid side by side along time.  All three plug-in
-systems at a point read one covariance block, the times zT..zT+tau of
-the local autocovariance surface.  The plug-in stage assembles that
-block for a stack of points by indexing the grid, points last (each
-cell one contiguous row), and takes one points-first copy of it, from
-which it slices each lag's systems and solves each kind as one stack;
-the systems that need a ridge are solved again in rounds, each round a
-stack of as many ridge levels as fit in the size of the first.  Every
-system is gated by numpy's Cholesky verdict, but only one numpy Cholesky
-per point, of the whole block less a margin, is computed at ridge 0, in
-place on the points-last block: by Demmel's bound it proves that
-LAPACK's Cholesky passes every system sliced from the block, and only
-the points it leaves unproved go to LAPACK.  A stack goes to LAPACK in
-at most two calls, one Cholesky and one solve, each the gufunc that
-numpy's public function wraps: it returns every member's own result, NaN
-where that member fails, so no member is ever redone on its own.  A 1x1
-system is solved by division, with numpy's verdict and bits.  The
-wavelet stack runs it on the requested points of every series, and
-``prediction_system`` on one.
+``EstimatorConfig`` names an estimator and its knobs, and its
+``estimate_stack`` is the one place that picks an estimator and calls it,
+for a stack of series of one length; ``estimate`` is its one-series case.
+Each local estimator has one stack routine, and its public function is
+that routine's one-series case.  Both routines read their series through
+one intake and end in one stacked result, ``_GridStack``, which
+``grids()`` splits into one ``LpacfGrid`` per series and the Monte-Carlo
+scorer reads whole.  Every series of a stack keeps the bits of a call on
+it alone: every row, column and point is computed on its own.
+Estimation at distinct time points is independent; the routines
+vectorize over points and produce deterministic output ordering.
 """
 
 from __future__ import annotations
@@ -89,6 +52,7 @@ from .spectral import (
     LocalAcvGrid,
     _check_lacv_lag,
     _checked_max_scale,
+    _checked_span,
     _dyadic_length,
     local_autocovariance,
     raw_wavelet_periodogram,
@@ -116,7 +80,7 @@ _PACF_SLACK = 1e-6
 _RIDGE_EPS = _RIDGE_START * 2.0 ** np.arange(64)
 _RIDGE_EPS = _RIDGE_EPS[_RIDGE_EPS <= _RIDGE_STOP]
 # how far the smallest eigenvalue of a unit-diagonal scaling must clear 0
-# for ``_certify``: far above Demmel's bound of about 1.5e-14
+# for ``_certify``: far above the rounding bound that it proves against
 _CERTIFICATE_MARGIN = 1e-8
 _WAVELET_MAX_LAG = 10  # the deepest lag of the wavelet estimator
 
@@ -188,16 +152,22 @@ def classical_pacf(ts, max_lag: int, demean: bool = False) -> np.ndarray:
 
     Sample autocovariances use the biased 1/T normalization and do not
     subtract the mean unless ``demean`` is set.  A series of T < 4 has no
-    lag in [1, T/2), and is a DataError.
+    lag in [1, T/2), and is a DataError.  A series of zero sample variance
+    is a DegenerateInputError; with ``demean``, so is one whose demeaned
+    lag-0 sum is within the rounding of the mean, at most ((2T+2) eps)^2
+    times the mean square before demeaning (a constant series): the
+    windowed estimator's rule, with the whole series as the window.
     """
     ts = as_series(ts).require_length(4)  # lag 1 needs T // 2 - 1 >= 1
     T = ts.T
     _check_int(max_lag, f"max_lag={max_lag}", 1, T // 2 - 1, f"outside [1, T/2) for T={T}")
     x = _unit_scaled(ts.values)
+    floor = 0.0  # what the lag-0 sum must exceed
     if demean:
+        floor = ((2 * T + 2) * np.finfo(float).eps) ** 2 * (np.dot(x, x) / T)
         x = x - x.mean()
     gamma = np.array([np.dot(x[: T - k], x[k:]) / T for k in range(max_lag + 1)])
-    if gamma[0] <= 0.0:
+    if gamma[0] <= floor:
         raise DegenerateInputError("series has zero sample variance")
     return levinson_pacf(gamma)
 
@@ -238,14 +208,13 @@ class LpacfGrid:
 
 
 def _intake(series) -> np.ndarray:
-    """The (R, T) stack of R series of one length, each ``_unit_scaled``;
-    shape (0, 0) for no series."""
+    """The (R, T) stack of R >= 1 series of one length, each ``_unit_scaled``."""
     xs = [as_series(s).require_length().values for s in series]
     if len({len(x) for x in xs}) > 1:
         raise InvalidArgumentError(
             f"a stack holds series of one length, not {sorted({len(x) for x in xs})}"
         )
-    return _unit_scaled(np.stack(xs)) if xs else np.empty((0, 0))
+    return _unit_scaled(np.stack(xs))
 
 
 class _GridStack:
@@ -255,30 +224,27 @@ class _GridStack:
     ``keep[r]`` marks the points of series r that were kept, and the rows
     of ``estimates`` hold the kept points series by series; they are
     clipped to [-1, 1] in place, and ``clamped`` marks the estimates with
-    |estimate| > 1 before the clip.  ``boundary``, ``ci`` and ``eff`` are
-    per requested point, shared by every series; ``bandwidth`` is the
-    windowed estimator's L, None for the wavelet estimator.
+    |estimate| > 1 before the clip.  ``boundary`` is per requested point,
+    shared by every series, and so is ``eff``, the windowed estimator's
+    effective window length; ``bandwidth`` is its L.  Both are None for
+    the wavelet estimator.
     """
 
-    def __init__(self, kind, pts, keep, estimates, boundary, bandwidth=None, ci=None, eff=None):
+    def __init__(self, kind, pts, keep, estimates, boundary, bandwidth=None, eff=None):
         self.kind, self.points, self.keep = kind, pts, keep
         self.clamped = np.abs(estimates) > 1.0
         self.estimates = np.clip(estimates, -1.0, 1.0, out=estimates)
-        self.boundary, self.bandwidth, self.ci, self.eff = boundary, bandwidth, ci, eff
-
-    @classmethod
-    def empty(cls, kind: str) -> "_GridStack":
-        """The stack of no series."""
-        none = np.empty(0, dtype=int)
-        return cls(kind, none, np.empty((0, 0), dtype=bool), np.empty((0, 0)), none)
+        self.boundary, self.bandwidth, self.eff = boundary, bandwidth, eff
 
     def grids(self) -> list[LpacfGrid]:
-        """One ``LpacfGrid`` per series, whose arrays view this stack's."""
-        pts, ci, eff = self.points, self.ci, self.eff
+        """One ``LpacfGrid`` per series; its CI half-widths are the
+        ``confidence_halfwidth`` of its effective lengths."""
+        pts = self.points
         grids = []
         end = 0
         for mask in self.keep:
             start, end = end, end + int(np.count_nonzero(mask))
+            eff = None if self.eff is None else self.eff[mask]
             grids.append(
                 LpacfGrid(
                     kind=self.kind,
@@ -286,10 +252,10 @@ class _GridStack:
                     estimates=self.estimates[start:end],
                     boundary=self.boundary[mask],
                     bandwidth=self.bandwidth,
-                    ci_halfwidth=None if ci is None else ci[mask],
+                    ci_halfwidth=None if eff is None else confidence_halfwidth(eff),
                     clamp_count=int(np.count_nonzero(self.clamped[start:end])),
                     dropped_points=pts[~mask],
-                    effective_length=None if eff is None else eff[mask],
+                    effective_length=eff,
                 )
             )
         return grids
@@ -316,9 +282,14 @@ def _select_points(T: int, points) -> np.ndarray:
     return pts.astype(int, copy=False).reshape(-1)  # a scalar is one point
 
 
-def _check_bandwidth(T: int, L: int, max_lag: int) -> None:
+def _check_bandwidth(T: int, L: int | None, max_lag: int) -> int:
+    """The window width of the windowed estimator for T points,
+    ``default_bandwidth(T)`` for None, once it and max_lag pass."""
+    if L is None:
+        L = default_bandwidth(T)
     _check_int(L, f"bandwidth L={L}", 2, T - 1, f"must lie in (1, T={T})")
     _check_int(max_lag, f"max_lag={max_lag}", 1, (L - 1) // 2, f"outside [1, L/2) for L={L}")
+    return int(L)
 
 
 def windowed_lpacf(
@@ -363,13 +334,9 @@ def _windowed_stack(series, L, kernel, max_lag, points, demean) -> _GridStack:
     of a call on its series alone.
     """
     x = _intake(series)
-    if not len(x):
-        return _GridStack.empty("windowed")
     (R, T), K = x.shape, max_lag + 2
     kernel = get_kernel(kernel)
-    if L is None:
-        L = default_bandwidth(T)
-    _check_bandwidth(T, L, max_lag)
+    L = _check_bandwidth(T, L, max_lag)
     pts = _select_points(T, points)
 
     # Zero-padded rows, K per series: the ones (weight mass) and the pair
@@ -418,8 +385,7 @@ def _windowed_stack(series, L, kernel, max_lag, points, demean) -> _GridStack:
     # the kept points of every series, series by series, as columns
     estimates = _levinson(np.moveaxis(gamma, 1, 0)[:, keep]).T.copy()
     boundary = (eff < L).astype(np.uint8)
-    ci = confidence_halfwidth(eff.astype(float))
-    return _GridStack("windowed", pts, keep, estimates, boundary, int(L), ci, eff)
+    return _GridStack("windowed", pts, keep, estimates, boundary, L, eff)
 
 
 @dataclass(frozen=True)
@@ -591,10 +557,8 @@ def _gated_solve(
     negative m and passes NaN, +inf and subnormals, and its solve of a 1x1
     system has the bits of the quotient.  A larger member that
     ``certified`` marks passes without a factorization: ``_certify`` has
-    proved that LAPACK's Cholesky completes on it, by Demmel's bound
-    (LAPACK Working Note 14; Higham, Thm 10.7) with a margin of 1e-8 on
-    the smallest eigenvalue of its unit-diagonal scaling.  The rest go to
-    LAPACK in one call, and the members that pass are solved in one more.
+    proved that LAPACK's Cholesky completes on it.  The rest go to LAPACK
+    in one call, and the members that pass are solved in one more.
     Each call is the gufunc that ``np.linalg.cholesky`` or
     ``np.linalg.solve`` wraps, run once on the stack: it factors or solves
     every member on its own and fills the whole result of a member whose
@@ -740,28 +704,12 @@ def wavelet_lpacf(
     covariance surface); it must cover the series' T times and lags up to
     ``max_lag``.
 
-    The plug-in stage is batched: the covariance block of the times
-    zT..zT+max_lag is assembled once for every usable point by indexing
-    the grid, and per lag the Yule-Walker, backcast and forecast systems
-    are slices of it, each kind solved as one stack.  Systems that fail
-    the Cholesky or |phi| <= 1 gate are solved again with an escalating
-    ridge, in rounds that each stack as many ridge levels as fit in the
-    size of the first stack (see ``_solve_stack``).  ``prediction_system``
-    runs the same stage at one point.
-
-    The Cholesky gate keeps numpy's verdict with little LAPACK work.  One
-    certificate per point (``_certify``) factors the block's unit-diagonal
-    scaling less 1e-8 * I in numpy; where it succeeds, the scaling of every
-    system sliced from the block has its smallest eigenvalue above Demmel's
-    bound (LAPACK Working Note 14, 1989; Higham, Accuracy and Stability of
-    Numerical Algorithms, Thm 10.7), so every ridge-0 gate of every lag
-    passes without a call.  Only uncertified points, and ridge levels
-    above 0, are factored in LAPACK, and each stack is factored in one call
-    and solved in one more: the gufuncs that ``np.linalg.cholesky`` and
-    ``np.linalg.solve`` wrap, which give each member numpy's own verdict
-    and bits, NaN where it fails (``_gated_solve``).  The 1x1 systems
-    (Yule-Walker at lag 1, backcast and forecast at lag 2) are solved by
-    division at every ridge level, with numpy's verdict and bits.
+    Per lag, the Yule-Walker, backcast and forecast systems of a point are
+    slices of one covariance block, the times zT..zT+max_lag.  A system is
+    accepted at the first ridge level at which it passes numpy's Cholesky
+    gate and its last coefficient is within 1 + 1e-6 of 0 in magnitude
+    (``_solve_stack``); ``prediction_system`` runs the same stage at one
+    point.
 
     ``demean`` subtracts the mean of the whole series before the spectral
     stage, not a local mean.  ``points`` defaults to every index; the
@@ -792,18 +740,19 @@ def _check_wavelet_lag(max_lag: int) -> None:
     _check_int(max_lag, f"max_lag={max_lag}", 1, top, f"outside [1, {top}]")
 
 
-def _check_wavelet_study(T: int, max_scale: int | None, max_lag: int) -> None:
+def _check_wavelet_study(T: int, max_scale: int | None, span: int | None, max_lag: int) -> None:
     """Refuse a wavelet Monte-Carlo study that no replicate could score.
-    A max_lag or max_scale out of range gets the estimator's own message,
-    from the check that the estimator runs; a study does not pad, so T
-    must be a power of two, and the boundary margin must leave an interior
-    point."""
+    A max_lag, max_scale or span out of range gets the estimator's own
+    message, from the check that the estimator runs, in the estimator's
+    order; a study does not pad, so T must be a power of two, and the
+    boundary margin must leave an interior point."""
     if _dyadic_length(T) != T:
         raise InvalidArgumentError(
             f"T={T} is not a power of two, as the wavelet estimator needs without padding"
         )
     _check_wavelet_lag(max_lag)
     J = _checked_max_scale(max_scale, T)
+    _checked_span(span, T)
     _check_lacv_lag(max_lag, J)
     fits = [j for j in range(1, J + 1) if 2 * _wavelet_margin(j, max_lag) < T]
     if fits[-1:] == [J]:
@@ -830,8 +779,6 @@ def _wavelet_stack(
     stands in for the spectral stage of a one-series stack.
     """
     x = _intake(series)
-    if not len(x):
-        return _GridStack.empty("wavelet")
     R, T = x.shape
     _check_wavelet_lag(max_lag)
     if lacv is None:
@@ -912,9 +859,11 @@ class EstimatorConfig:
         call and one Levinson recursion, the wavelet one with one spectral
         stage and one plug-in stage.  The pass ends in one stacked result,
         the kept estimates of every series with their keep mask, whose
-        ``grids()`` splits it into one grid per series.
+        ``grids()`` splits it into one grid per series.  A stack of no
+        series is no pass, and no grid.
         """
-        return self._grid_stack(xs, points, demean, pad).grids()
+        xs = list(xs)  # read once: an iterator, or an array of no rows
+        return self._grid_stack(xs, points, demean, pad).grids() if xs else []
 
     def _grid_stack(self, xs, points=None, demean=False, pad=False) -> _GridStack:
         """``estimate_stack``'s stacked result, before its split into grids:

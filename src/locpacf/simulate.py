@@ -32,7 +32,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import MAX_LENGTH, DataError, InvalidArgumentError, _check_int, _is_int
-from .estimators import EstimatorConfig, _check_wavelet_study, _GridStack
+from .estimators import EstimatorConfig, _check_bandwidth, _check_wavelet_study, _GridStack
+from .kernels import get_kernel
 from .series import MIN_LENGTH, TimeSeries
 
 __all__ = [
@@ -425,9 +426,11 @@ def monte_carlo_rmse(
     but one (which leaves no standard error), the DataError gives each
     count.  The report holds one row per requested lag, in the order
     given; its ``bandwidth`` is the window width L the estimator used, None
-    for the wavelet estimator.  A wavelet study that no replicate could
-    score (``estimators._check_wavelet_study``) is refused before any is
-    simulated.
+    for the wavelet estimator.  A study whose estimator could not run (an
+    unknown kernel, ``estimators._check_bandwidth``), or, for the wavelet
+    estimator, that no replicate could score
+    (``estimators._check_wavelet_study``), is refused with the estimator's
+    message before a lag is read or a replicate simulated.
 
     The replicates run in batches of a fixed memory budget
     (``_BATCH_ENTRIES``, sized per estimator; the benchmark's studies fit
@@ -444,16 +447,19 @@ def monte_carlo_rmse(
     """
     _check_int(reps, f"reps={reps}", 2)
     _check_int(seed, f"seed={seed}", 0)
-    lags = _checked_lags(lags)
-    if not lags:
+    if not len(lags[:1]):  # the first lag alone: len() of a vast range overflows
         raise InvalidArgumentError("no lags requested")
-    if max(lags) > config.max_lag:
-        raise InvalidArgumentError("requested lag exceeds config.max_lag")
     T = _check_length(T)
     if T < MIN_LENGTH:
         raise InvalidArgumentError(f"T={T} is too short for estimation: T < {MIN_LENGTH}")
-    if config.method == "wavelet":
-        _check_wavelet_study(T, config.max_scale, config.max_lag)
+    if config.method == "windowed":
+        get_kernel(config.kernel)
+        _check_bandwidth(T, config.binwidth, config.max_lag)
+    else:
+        _check_wavelet_study(T, config.max_scale, config.smooth_span, config.max_lag)
+    lags = _checked_lags(lags)
+    if max(lags) > config.max_lag:
+        raise InvalidArgumentError("requested lag exceeds config.max_lag")
     table, k = _checked_table(spec, T)
     truth = _pacf_rows(k, np.array(lags))
     lag = config.max_lag

@@ -75,6 +75,16 @@ def default_smoothing_span(T: int) -> int:
     return int(np.ceil(T ** (1.0 / 3.0)))
 
 
+def _checked_span(span: int | None, T: int) -> int:
+    """The running mean's half-span for T times: the default
+    ``default_smoothing_span(T)`` for None, else an integer in [0,
+    ``MAX_LENGTH``]."""
+    if span is None:
+        return default_smoothing_span(T)
+    rule = f"must be nonnegative and <= {MAX_LENGTH}"
+    return _check_int(span, f"span={span}", 0, MAX_LENGTH, rule)
+
+
 def nondecimated_haar_transform(ts, max_scale: int | None = None, pad: bool = False):
     """Coefficients d_{j,k} = sum_t X_t psi_{j,(t-k) mod T}, scales 1..max_scale.
 
@@ -208,9 +218,7 @@ def smooth_and_correct(raw: np.ndarray, span: int | None = None) -> EwsGrid:
     """
     raw = np.asarray(raw, dtype=float)
     J, T = raw.shape[-2:]
-    if span is None:
-        span = default_smoothing_span(T)
-    _check_int(span, f"span={span}", 0, MAX_LENGTH, f"must be nonnegative and <= {MAX_LENGTH}")
+    span = _checked_span(span, T)
     sm = raw
     if span > 0:
         ker = np.full(2 * span + 1, 1.0 / (2 * span + 1))

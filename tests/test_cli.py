@@ -585,13 +585,22 @@ _HUGE = "99999999999999999999"
         (["simulate", "tvar", "--T", _HUGE], f"T={_HUGE} must be positive and <= {MAX_LENGTH}"),
         (["benchmark", "--T", _HUGE, "--reps", "2"],
          f"T={_HUGE} must be positive and <= {MAX_LENGTH}"),
+        (["benchmark", "--T", "64", "--reps", "3", "--max-lag", _HUGE],
+         f"max_lag={_HUGE} outside [1, L/2) for L=28"),
         (["simulate", "piecewise-ar", "--segments", f"{_HUGE}:0.1"],
          f"segments total {_HUGE} samples, more than {MAX_LENGTH}"),
     ],
-    ids=["points", "smooth-span", "simulate-T", "benchmark-T", "segment"],
+    ids=["points", "smooth-span", "simulate-T", "benchmark-T", "benchmark-max-lag", "segment"],
 )
-def test_cli_refuses_a_point_or_length_beyond_any_array(tmp_path, capsys, argv, needle):
-    # each is refused with its value before numpy is asked for such an array
+def test_cli_refuses_a_point_or_length_beyond_any_array(
+    tmp_path, capsys, monkeypatch, argv, needle
+):
+    # each is refused with its value before numpy is asked for such an array,
+    # and before a study reads a lag of its range
+    def lags_read(lags):
+        raise AssertionError(f"lags read: {lags!r}")
+
+    monkeypatch.setattr(simulate, "_checked_lags", lags_read)
     sim = tmp_path / "sim.csv"
     assert main(["simulate", "tvar", "--T", "256", "--seed", "0", "--output", str(sim)]) == 0
     capsys.readouterr()
@@ -673,16 +682,26 @@ def test_cli_failed_plot_writes_no_csv(tmp_path, capsys, command):
     assert sorted(os.listdir(tmp_path)) == ["flat.csv"]
 
 
-@pytest.mark.parametrize("command", ["estimate", "sweep-bandwidth"])
+@pytest.mark.parametrize("command", ["estimate", "sweep-bandwidth", "pacf"])
 @pytest.mark.parametrize("c", ["1.5", "0.3", "-7.25", "1e-3", "1e300"])
 def test_cli_demeaned_constant_series_writes_nothing(tmp_path, capsys, command, c):
-    # the demeaned series is rounding noise at every window width
+    # the demeaned series is rounding noise at every window width, and over
+    # the whole series
     sim = _write(tmp_path, "flat.csv", f"{c}\n" * 128)
     argv = [command, "--input", sim, "--output", str(tmp_path / "e.csv"), "--demean"]
-    argv += ["--binwidth", "28"] if command == "estimate" else ["--widths", "10,28,32"]
+    argv += {"estimate": ["--binwidth", "28"], "sweep-bandwidth": ["--widths", "10,28,32"],
+             "pacf": ["--max-lag", "3"]}[command]
     assert main(argv) == 2
-    assert "no estimate to write: all points were dropped (128)" in capsys.readouterr().err
+    needle = {"pacf": "data error: series has zero sample variance"}.get(
+        command, "no estimate to write: all points were dropped (128)"
+    )
+    assert needle in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == ["flat.csv"]
+    # a variation at 1e-6 of the level is far above that rounding
+    noise = np.random.default_rng(0).standard_normal(128)
+    values = "".join(f"{float(c) * (1 + 1e-6 * v)!r}\n" for v in noise.tolist())
+    varied = _write(tmp_path, "varied.csv", values)
+    assert main([command, "--input", varied] + argv[3:]) == 0
 
 
 @pytest.mark.parametrize("plot", [False, True], ids=["csv", "plot"])

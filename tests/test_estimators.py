@@ -251,6 +251,18 @@ def test_classical_pacf_degenerate_input():
         classical_pacf(np.zeros(64), 2)
 
 
+@pytest.mark.parametrize("c", [1.5, 0.3, -7.25, 1e-3, 0.1, 1e300])
+@pytest.mark.parametrize("T", [100, 128])
+def test_classical_pacf_demeaned_constant_is_degenerate(c, T):
+    # the demeaned constant is rounding noise, not a persistent series
+    with pytest.raises(DegenerateInputError, match="^series has zero sample variance$"):
+        classical_pacf(np.full(T, c), 3, demean=True)
+    # a variation at 1e-6 of the level is far above the rounding of the mean
+    noise = np.random.default_rng(0).standard_normal(T)
+    got = classical_pacf(c * (1.0 + 1e-6 * noise), 3, demean=True)
+    assert np.allclose(got, classical_pacf(noise, 3, demean=True), rtol=0.0, atol=1e-7)
+
+
 def test_classical_pacf_lag_bounds():
     with pytest.raises(InvalidArgumentError):
         classical_pacf(np.arange(16.0), 8)
@@ -289,6 +301,21 @@ def test_weighted_local_acv_ar1_monte_carlo():
 def test_weighted_local_acv_insufficient_window():
     with pytest.raises(InsufficientWindowError):
         weighted_local_acv(np.arange(64.0), -40, 16, "rectangular", 2)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("L", [41, 161, 513])
+def test_windowed_rectangular_odd_width_is_time_reversible(seed, L):
+    # a rectangular window of odd width is centred, so reversing the series
+    # reverses the estimates, boundary points and their flags included
+    x = simulate_tvar(ArPathSpec.linear_ramp([0.9], [-0.9]), 1024, seed).values
+    fwd = windowed_lpacf(x, L=L, kernel="rectangular", max_lag=4)
+    rev = windowed_lpacf(x[::-1], L=L, kernel="rectangular", max_lag=4)
+    assert np.array_equal(fwd.points, np.arange(1024))
+    assert np.array_equal(rev.points, np.arange(1024))
+    assert np.array_equal(rev.boundary[::-1], fwd.boundary)
+    assert np.array_equal(rev.effective_length[::-1], fwd.effective_length)
+    assert np.allclose(rev.estimates[::-1], fwd.estimates, rtol=0.0, atol=1e-12)
 
 
 def test_windowed_matches_classical_on_interior_points():
@@ -803,7 +830,8 @@ def test_wavelet_stack_runs_one_spectral_stage_and_one_certificate(monkeypatch):
 @pytest.mark.parametrize("method", ["windowed", "wavelet"])
 def test_estimate_stack_takes_series_of_one_length(method):
     config = EstimatorConfig(method, binwidth=8, max_lag=2)
-    assert config.estimate_stack([]) == []
+    for none in ([], (), iter([]), np.empty((0, 64))):
+        assert config.estimate_stack(none) == []
     with pytest.raises(InvalidArgumentError, match=r"one length, not \[32, 33\]"):
         config.estimate_stack([np.ones(32), np.ones(33)])
 

@@ -602,42 +602,81 @@ def test_monte_carlo_rmse_needs_two_kept_replicates():
         monte_carlo_rmse(TVAR_STUDY, config, 2, [1], 3, 128)
 
 
+_HUGE = 10**20  # beyond any array, and beyond int64
+
+
 @pytest.mark.parametrize(
-    "spec, T, max_scale, max_lag, needle, fits",
+    "spec, T, max_scale, span, max_lag, needle, fits",
     [
-        (PIECEWISE_STUDY, 256, None, 1, "max_scale=8 gives a boundary margin of 129", 7),
-        (PIECEWISE_STUDY, 256, None, 4, "max_scale=8 gives a boundary margin of 132", 7),
-        (TVAR_STUDY, 128, 7, 2, "max_scale=7 gives a boundary margin of 66", 6),
-        (TVAR_STUDY, 16, None, 8, "no max_scale leaves an interior point at max_lag=8", None),
-        (TVAR_STUDY, 100, None, 1, "T=100 is not a power of two", None),
-        (TVAR_STUDY, np.int64(128), np.int64(7), np.int64(2), "boundary margin of 66", 6),
+        (PIECEWISE_STUDY, 256, None, None, 1, "max_scale=8 gives a boundary margin of 129", 7),
+        (PIECEWISE_STUDY, 256, None, None, 4, "max_scale=8 gives a boundary margin of 132", 7),
+        (TVAR_STUDY, 128, 7, None, 2, "max_scale=7 gives a boundary margin of 66", 6),
+        (TVAR_STUDY, 16, None, None, 8, "no max_scale leaves an interior point at max_lag=8",
+         None),
+        (TVAR_STUDY, 100, None, None, 1, "T=100 is not a power of two", None),
+        (TVAR_STUDY, np.int64(128), np.int64(7), None, np.int64(2), "boundary margin of 66", 6),
         # the estimator's own rules, from the checks that the estimator runs
-        (TVAR_STUDY, 16, None, 11, "max_lag=11 outside [1, 10]", None),
-        (TVAR_STUDY, 4096, 13, 4, "max_scale=13 outside [1, 12] for T=4096", None),
-        (TVAR_STUDY, 128, 1, 2, "max_lag=2 must satisfy 0 <= max_lag < 2^max_scale", None),
+        (TVAR_STUDY, 16, None, None, 11, "max_lag=11 outside [1, 10]", None),
+        (TVAR_STUDY, 4096, 13, None, 4, "max_scale=13 outside [1, 12] for T=4096", None),
+        (TVAR_STUDY, 128, 1, None, 2, "max_lag=2 must satisfy 0 <= max_lag < 2^max_scale",
+         None),
+        (TVAR_STUDY, 256, 4, -3, 1, "span=-3 must be nonnegative and <= ", None),
+        (TVAR_STUDY, 256, 4, _HUGE, 1, f"span={_HUGE} must be nonnegative and <= ", None),
+        (TVAR_STUDY, 64, None, None, _HUGE, f"max_lag={_HUGE} outside [1, 10]", None),
     ],
     ids=[
         "piecewise-default", "piecewise-max-lag-4", "tvar-128", "no-scale-fits", "non-dyadic",
-        "numpy-ints", "max-lag-11", "max-scale-13", "lag-beyond-the-scales",
+        "numpy-ints", "max-lag-11", "max-scale-13", "lag-beyond-the-scales", "negative-span",
+        "huge-span", "huge-max-lag",
     ],
 )
 def test_monte_carlo_rmse_refuses_a_wavelet_study_it_cannot_score(
-    monkeypatch, spec, T, max_scale, max_lag, needle, fits
+    monkeypatch, spec, T, max_scale, span, max_lag, needle, fits
 ):
-    # refused before the coefficient table is checked or a replicate is
-    # simulated, naming the largest J* that leaves an interior point
+    # refused before a lag is read, the coefficient table is checked or a
+    # replicate is simulated, naming the largest J* that leaves an interior
+    # point; the lags of a max_lag beyond any array are never read
     calls = []
-    monkeypatch.setattr(simulate, "_checked_table", lambda *a: calls.append(a))
-    monkeypatch.setattr(simulate, "_ar_recursion", lambda *a: calls.append(a))
-    config = EstimatorConfig("wavelet", max_scale=max_scale, max_lag=max_lag)
+    for name in ("_checked_lags", "_checked_table", "_ar_recursion"):
+        monkeypatch.setattr(simulate, name, lambda *a: calls.append(a))
+    config = EstimatorConfig("wavelet", smooth_span=span, max_scale=max_scale, max_lag=max_lag)
     with pytest.raises(InvalidArgumentError, match=re.escape(needle)) as err:
-        monte_carlo_rmse(spec, config, 2, [1], 0, T)
+        monte_carlo_rmse(spec, config, 2, range(1, max_lag + 1), 0, T)
     assert not calls
     monkeypatch.undo()
     if fits is not None:
         assert f"max_scale={fits} is the largest that leaves an interior point" in str(err.value)
         config = EstimatorConfig("wavelet", max_scale=fits, max_lag=max_lag)
         assert monte_carlo_rmse(spec, config, 2, [1], 0, T).rows[0].replicates == 2
+
+
+@pytest.mark.parametrize(
+    "kernel, binwidth, max_lag, needle",
+    [
+        ("epanechnikov", _HUGE, 4, f"bandwidth L={_HUGE} must lie in (1, T=64)"),
+        ("epanechnikov", 8, 4, "max_lag=4 outside [1, L/2) for L=8"),
+        ("epanechnikov", None, 1000, "max_lag=1000 outside [1, L/2) for L=28"),
+        ("epanechnikov", None, _HUGE, f"max_lag={_HUGE} outside [1, L/2) for L=28"),
+        ("gaussian", 16, 2,
+         "unknown kernel 'gaussian'; expected one of ['epanechnikov', 'rectangular']"),
+    ],
+    ids=[
+        "huge-width", "lag-beyond-the-width", "lag-beyond-the-default-width", "huge-max-lag",
+        "unknown-kernel",
+    ],
+)
+def test_monte_carlo_rmse_refuses_a_windowed_study_it_cannot_run(
+    monkeypatch, kernel, binwidth, max_lag, needle
+):
+    # the estimator's own message, before a lag is read, the coefficient
+    # table is checked or a replicate is simulated
+    calls = []
+    for name in ("_checked_lags", "_checked_table", "_ar_recursion"):
+        monkeypatch.setattr(simulate, name, lambda *a: calls.append(a))
+    config = EstimatorConfig("windowed", binwidth=binwidth, kernel=kernel, max_lag=max_lag)
+    with pytest.raises(InvalidArgumentError, match=f"^{re.escape(needle)}$"):
+        monte_carlo_rmse(TVAR_STUDY, config, 3, range(1, max_lag + 1), 0, 64)
+    assert not calls
 
 
 def test_monte_carlo_rmse_estimates_a_windowed_batch_in_one_pass(monkeypatch):
