@@ -345,9 +345,9 @@ def _cmd_sweep(args) -> int:
         _check_bandwidth(ts.T, L, args.max_lag)
     for L in widths:
         config = EstimatorConfig("windowed", L, args.kernel, max_lag=args.max_lag)
-        grid = config.estimate(ts, demean=args.demean)
+        # one grid at a time: each is written and dropped before the next
         _write_grid(
-            grid,
+            config.estimate(ts, demean=args.demean),
             ts.T,
             _stem_with_suffix(args.output, f"L{L}"),
             args.plot and _stem_with_suffix(args.plot, f"L{L}"),

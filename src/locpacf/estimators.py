@@ -47,7 +47,7 @@ from .errors import (
     _is_int,
 )
 from .kernels import EPANECHNIKOV, _window_sums, get_kernel
-from .series import as_series
+from .series import _CHUNK_POINTS, as_series
 from .spectral import (
     LocalAcvGrid,
     _check_lacv_lag,
@@ -232,7 +232,7 @@ class _GridStack:
 
     def __init__(self, kind, pts, keep, estimates, boundary, bandwidth=None, eff=None):
         self.kind, self.points, self.keep = kind, pts, keep
-        self.clamped = np.abs(estimates) > 1.0
+        self.clamped = (estimates > 1.0) | (estimates < -1.0)  # no |estimates| copy
         self.estimates = np.clip(estimates, -1.0, 1.0, out=estimates)
         self.boundary, self.bandwidth, self.eff = boundary, bandwidth, eff
 
@@ -314,78 +314,201 @@ def windowed_lpacf(
     ``points`` defaults to every index.  The window sums
     of a selection are taken from the lowest to the highest point at the
     gcd of their spacings (``demean`` also needs the local mean at every
-    point): evenly spaced points, in any order, cost only their own
-    windows, and scattered points every window of the span they cover.
+    position that those windows cover): evenly spaced points, in any
+    order, cost only their own windows, and scattered points, in each
+    stretch of ``_CHUNK_POINTS`` positions, every window from the lowest
+    to the highest of their points there.
 
     This is the one-series case of the stack routine that
-    ``EstimatorConfig.estimate_stack`` runs on many series of one length
-    with one window-sum call and one Levinson pass.
+    ``EstimatorConfig.estimate_stack`` runs on many series of one length.
+    It works through the windows in chunks, so its memory is bounded by
+    one chunk plus the result, not by T.
     """
     return _windowed_stack([ts], L, kernel, max_lag, points, demean).grids()[0]
 
 
 def _windowed_stack(series, L, kernel, max_lag, points, demean) -> _GridStack:
-    """``windowed_lpacf`` of each of R series of one length, in one pass.
+    """``windowed_lpacf`` of each of R series of one length, streamed.
 
-    The (R, max_lag+2, T+2L) zero-padded rows are summed by one
-    ``_window_sums`` call against weights shared by every series, and the
-    kept points of every series go through one ``_levinson`` recursion;
-    every row and column is computed on its own, so each grid has the bits
-    of a call on its series alone.
+    The windows are taken a chunk at a time (``_window_chunks``).  Each
+    chunk zero-pads the pair products of every series over its own span
+    only (``_product_rows``), sums them with one ``_window_sums`` call
+    against weights shared by every series, divides by the mass row, and
+    runs its kept points of every series through one ``_levinson``
+    recursion, whose estimates go straight into one (R, P, max_lag)
+    result.  The mass row, the window sums of the in-bounds indicator,
+    holds no data: it is summed once (``_window_mass``) for every series
+    and chunk.  Every row, column and point is computed on its own, so
+    each grid has the bits of a call on its series alone, however the
+    windows are chunked.
     """
     x = _intake(series)
-    (R, T), K = x.shape, max_lag + 2
+    R, T = x.shape
     kernel = get_kernel(kernel)
     L = _check_bandwidth(T, L, max_lag)
     pts = _select_points(T, points)
 
-    # Zero-padded rows, K per series: the ones (weight mass) and the pair
-    # products at lags 0..max_lag, each summed against its weights over
-    # the window.  Pairs must lie fully inside the window: weight on the
-    # left index, last tau window slots carry none.
-    offs = np.arange(-L // 2 + 1, L // 2 + 1)
+    offs = np.arange(-L // 2 + 1, L // 2 + 1)  # point p's window: p + offs
     w = kernel.h((offs + L / 2) / L)
-    lag = np.arange(-1, max_lag + 1)[:, None]  # -1: the mass row, every slot
-    weights = np.where(np.arange(L) < L - lag, w, 0.0)
-    rows = np.zeros((R, K, T + 2 * L))
-    rows[:, 0, L : L + T] = 1.0
-    first = L + offs[0]  # start of point 0's window in the padded rows
-    floor = 0.0  # what a kept point's lag-0 sum must exceed
-    if demean:
-        # each series and its square in its lag-0 and lag-1 rows, which its
-        # products overwrite below (the lag-1 products all but the last)
-        rows[:, 1, L : L + T] = x
-        rows[:, 2, L : L + T] = x * x
-        sums = _window_sums(rows[:, :3], w, first, first + T)
-        rows[:, 2, L + T - 1] = 0.0
-        x = x - sums[:, 1] / sums[:, 0]
-        # a local mean of L terms errs by less than (2L+1)u relative to the
-        # root local second moment, so a demeaned series within that of 0
-        # (a constant one) has a lag-0 sum below this floor: rounding noise
-        floor = ((2 * L + 2) * np.finfo(float).eps) ** 2 * (sums[:, 2] / sums[:, 0])[:, pts]
-    for tau in range(max_lag + 1):
-        np.multiply(x[:, : T - tau], x[:, tau:], out=rows[:, 1 + tau, L : L + T - tau])
-    # the windows lo, lo + step, ..., hi, the coarsest progression holding
-    # every point (none for an empty selection); the points in increasing
-    # order, each once, are the whole progression and need no gather
-    lo, hi = pts.min(initial=T), pts.max(initial=-1)
-    step = int(np.gcd.reduce(pts - lo)) or 1
-    sums = _window_sums(rows, weights, first + lo, first + hi + 1, step)
-    if not np.array_equal(pts, np.arange(lo, hi + 1, step)):
-        sums = sums[..., (pts - lo) // step]
-    del rows  # free the padded rows before the Levinson pass
-    gamma = sums[:, 1:]
-    gamma /= sums[:, :1]
-
+    # The pair products at lags 0..max_lag, each summed against its weights
+    # over the window.  Pairs must lie fully inside the window: weight on
+    # the left index, last tau window slots carry none.
+    weights = np.where(np.arange(L) < L - np.arange(max_lag + 1)[:, None], w, 0.0)
+    mass = _window_mass(T, offs, w)
+    local = _LocalMeans(x, offs, w, mass) if demean else None
+    # a local mean of L terms errs by less than (2L+1)u relative to the
+    # root local second moment, so a demeaned series within that of 0 (a
+    # constant one) has a lag-0 sum below this times the local mean square
+    rounding = ((2 * L + 2) * np.finfo(float).eps) ** 2
     # in-bounds window points, an exact count
     eff = np.minimum(pts + offs[-1], T - 1) - np.maximum(pts + offs[0], 0) + 1
-    keep = (eff >= 2 * max_lag) & (gamma[:, 0] > floor)
-    keep &= np.isfinite(gamma).all(axis=1)
-
-    # the kept points of every series, series by series, as columns
-    estimates = _levinson(np.moveaxis(gamma, 1, 0)[:, keep]).T.copy()
+    estimates = np.empty((R, len(pts), max_lag))
+    keep = np.empty((R, len(pts)), dtype=bool)
+    for at, first, last, step, cols in _window_chunks(pts):
+        a, b = first + offs[0], last + offs[-1] + 1  # the positions of the windows
+        start, xs, floor = 0, x, 0.0  # floor: what a kept point's lag-0 sum must exceed
+        if demean:  # the products read up to max_lag positions past b
+            start = max(a, 0)
+            xs, msq = local(start, min(b + max_lag, T))
+            floor = rounding * msq[:, pts[at] - start]
+        # the chunk's rows are freed once summed, before its Levinson pass
+        rows = _product_rows(xs, start, T, a, b, max_lag + 1)
+        sums = _window_sums(rows, weights, 0, last - first + 1, step)
+        del rows
+        sums /= mass(first, last, step)
+        gamma = sums if cols is None else sums[..., cols]
+        ok = (eff[at] >= 2 * max_lag) & (gamma[:, 0] > floor)
+        ok &= np.isfinite(gamma).all(axis=1)
+        keep[:, at] = ok
+        # the points of every series as columns, series by series
+        gamma = np.moveaxis(gamma, 1, 0)
+        if ok.all():  # a reshape, far cheaper than a masked gather
+            pacf = _levinson(gamma.reshape(max_lag + 1, -1))
+            estimates[:, at] = pacf.T.reshape(ok.shape + (max_lag,))
+        else:
+            block = np.empty(ok.shape + (max_lag,))
+            block[ok] = _levinson(gamma[:, ok]).T
+            estimates[:, at] = block
+    if not keep.all():
+        estimates = estimates[keep]  # the kept points, series by series
     boundary = (eff < L).astype(np.uint8)
-    return _GridStack("windowed", pts, keep, estimates, boundary, L, eff)
+    return _GridStack(
+        "windowed", pts, keep, estimates.reshape(-1, max_lag), boundary, L, eff
+    )
+
+
+def _window_chunks(pts: np.ndarray):
+    """The windows of a selection, a chunk at a time: (at, first, last,
+    step, cols) for each chunk that holds a point.
+
+    The windows are those of lo, lo + step, ..., hi, the coarsest
+    progression holding every point: lo and hi are the lowest and highest
+    point and step the gcd of their spacings.  A chunk is the terms in
+    ``_CHUNK_POINTS`` consecutive positions (one term at the least), and
+    its windows run from its lowest point ``first`` to its highest
+    ``last`` at the step.  ``at`` indexes its points in ``pts``, and
+    ``cols`` gives the window of each, counted from ``first``.  When the
+    points are the whole progression in increasing order, each once, every
+    chunk's points are a slice of ``pts`` and need no gather: ``cols`` is
+    None.
+    """
+    if not pts.size:
+        return
+    lo, hi = int(pts.min()), int(pts.max())
+    step = int(np.gcd.reduce(pts - lo)) or 1
+    per = max(1, _CHUNK_POINTS // step)  # terms per chunk
+    if np.array_equal(pts, np.arange(lo, hi + 1, step)):
+        for i in range(0, len(pts), per):
+            j = min(i + per, len(pts))
+            yield slice(i, j), lo + i * step, lo + (j - 1) * step, step, None
+        return
+    terms = (pts - lo) // step
+    order = np.argsort(terms)
+    terms = terms[order]
+    cuts = np.flatnonzero(np.diff(terms // per)) + 1
+    for at, t in zip(np.split(order, cuts), np.split(terms, cuts)):
+        yield at, lo + int(t[0]) * step, lo + int(t[-1]) * step, step, t - t[0]
+
+
+def _product_rows(x, start: int, T: int, a: int, b: int, lags: int) -> np.ndarray:
+    """rows[..., tau, c] = x_t * x_(t+tau) at the position t = a + c, for
+    c < b - a and tau < lags, where t and t + tau both lie in the series
+    [0, T), and 0 elsewhere: the zero-padded pair products of the
+    positions a..b-1 of each series.  ``x`` holds each series from
+    position ``start`` on, as far as the products read it."""
+    rows = np.zeros(x.shape[:-1] + (lags, b - a))
+    for tau in range(lags):
+        lo, hi = max(a, 0), min(b, T - tau)
+        if lo < hi:
+            np.multiply(
+                x[..., lo - start : hi - start],
+                x[..., lo - start + tau : hi - start + tau],
+                out=rows[..., tau, lo - a : hi - a],
+            )
+    return rows
+
+
+def _window_mass(T: int, offs: np.ndarray, w: np.ndarray):
+    """The mass row, as a function ``mass(first, last, step)`` of the
+    windows of first, first + step, ..., last: the window sums of the
+    in-bounds indicator of a T-point series against ``w``.
+
+    It holds no data.  Every window inside the series holds L ones, the
+    same sum, which one dot product gives; only the windows that reach past
+    an end, a run at either end of the progression, are summed, each with
+    the bits of its own window sum over a zero-padded row of ones.
+    """
+    head, tail = -offs[0], T - offs[-1]  # points below head or from tail on reach out
+    inside = _window_sums(np.ones(len(w)), w, 0, 1)[0]
+
+    def mass(first: int, last: int, step: int) -> np.ndarray:
+        n = (last - first) // step + 1
+        m = np.full(n, inside)
+        # the terms below head, and the terms from tail on
+        runs = (0, min(n, -((first - head) // step))), (max(0, -((first - tail) // step)), n)
+        for i, j in runs:
+            if i < j:
+                a, b = first + i * step + offs[0], first + (j - 1) * step + offs[-1] + 1
+                row = np.zeros(b - a)  # the indicator at the positions a..b-1
+                row[max(a, 0) - a : min(b, T) - a] = 1.0
+                m[i:j] = _window_sums(row, w, 0, (j - i - 1) * step + 1, step)
+        return m
+
+    return mass
+
+
+class _LocalMeans:
+    """Each series less its local means, and its local mean square, for
+    ``demean``: at each position the kernel-weighted mean of the window
+    centred there, the window sums of x and of x*x over the mass row.
+
+    ``self(u, v)`` gives both at the positions u..v-1 of every series.
+    Calls move forward only, and what a call shares with the one before is
+    kept rather than summed again, so every position is summed once.
+    """
+
+    def __init__(self, x, offs, w, mass):
+        self.x, self.offs, self.w, self.mass = x, offs, w, mass
+        self.start = self.stop = 0
+        self.held = x[:, None, :0]  # (R, 2, stop - start): demeaned x, mean square
+
+    def __call__(self, u: int, v: int):
+        x, offs = self.x, self.offs
+        new = max(u, self.stop)  # the first position not held
+        parts = [self.held[..., u - self.start :]] if u < self.stop else []
+        if new < v:
+            a, b = new + offs[0], v + offs[-1]
+            lo, hi = max(a, 0), min(b, x.shape[1])
+            rows = np.zeros((len(x), 2, b - a))
+            rows[:, 0, lo - a : hi - a] = x[:, lo:hi]
+            np.multiply(x[:, lo:hi], x[:, lo:hi], out=rows[:, 1, lo - a : hi - a])
+            sums = _window_sums(rows, self.w, 0, v - new)
+            sums /= self.mass(new, v - 1, 1)
+            sums[:, 0] = x[:, new:v] - sums[:, 0]
+            parts.append(sums)
+        self.held = np.concatenate(parts, axis=-1) if len(parts) > 1 else parts[0]
+        self.start, self.stop = u, v
+        return self.held[:, 0], self.held[:, 1]
 
 
 @dataclass(frozen=True)
@@ -854,10 +977,11 @@ class EstimatorConfig:
         """``[self.estimate(x, points, demean, pad) for x in xs]``, bit for
         bit, for a stack ``xs`` of series of one length.
 
-        Either estimator takes the whole stack in one pass and refuses
-        series of different lengths: the windowed one with one window-sum
-        call and one Levinson recursion, the wavelet one with one spectral
-        stage and one plug-in stage.  The pass ends in one stacked result,
+        Either estimator takes the whole stack together and refuses series
+        of different lengths: the windowed one a chunk of points at a time,
+        each chunk one window-sum call and one Levinson recursion for every
+        series, with one mass row for all of them; the wavelet one with one
+        spectral stage and one plug-in stage.  Both end in one stacked result,
         the kept estimates of every series with their keep mask, whose
         ``grids()`` splits it into one grid per series.  A stack of no
         series is no pass, and no grid.

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DataError
 from .estimators import LpacfGrid, confidence_halfwidth
-from .series import TimeSeries
+from .series import _CHUNK_POINTS, TimeSeries
 
 __all__ = [
     "read_series",
@@ -47,11 +47,6 @@ LONG_HEADER = "t,z,lag,estimate,ci_lower,ci_upper,boundary_flag"
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
-
-
-# Points per chunk of the long CSV (the chunk's string holds this many
-# times max_lag rows) and values per chunk of a written series.
-_CHUNK_POINTS = 2048
 
 
 def read_series(path: str) -> TimeSeries:

@@ -12,6 +12,12 @@ __all__ = ["TimeSeries", "as_series"]
 
 MIN_LENGTH = 8
 
+# Points per chunk of the package's streaming loops: the windowed
+# estimator takes its windows, and the long-CSV writer its points and the
+# series writer its values, this many at a time, so their memory is
+# bounded by the chunk rather than by the length of the series.
+_CHUNK_POINTS = 2048
+
 
 @dataclass(frozen=True)
 class TimeSeries:

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import MAX_LENGTH, DataError, InvalidArgumentError, _check_int, _is_int
 from .estimators import EstimatorConfig, _check_bandwidth, _check_wavelet_study, _GridStack
 from .kernels import get_kernel
-from .series import MIN_LENGTH, TimeSeries
+from .series import _CHUNK_POINTS, MIN_LENGTH, TimeSeries
 
 __all__ = [
     "ArPathSpec",
@@ -309,9 +309,18 @@ def true_pacf_curve(spec: ArPathSpec, T: int, lags: Sequence[int]) -> np.ndarray
     return _pacf_rows(_checked_table(spec, T)[1], lags)
 
 
-def _checked_lags(lags: Sequence[int]) -> list[int]:
-    what = f"lags {np.asarray(lags).tolist()}"
-    return [_check_int(tau, what, 1) for tau in lags]
+def _checked_lags(lags: Sequence[int], max_lag: int | None = None) -> list[int]:
+    """The lags as ints, each checked as it is read: an integer >= 1, and
+    at most ``max_lag`` if one is given.  The first bad lag is refused by
+    name, so a range of any length costs only the lags before it."""
+    checked = []
+    for tau in lags:
+        if not (_is_int(tau) and tau >= 1):
+            _check_int(tau, f"lag {tau}", 1)
+        if max_lag is not None and tau > max_lag:
+            raise InvalidArgumentError(f"requested lag {tau} exceeds config.max_lag={max_lag}")
+        checked.append(int(tau))
+    return checked
 
 
 def _pacf_rows(k: np.ndarray, lags: np.ndarray) -> np.ndarray:
@@ -351,11 +360,16 @@ class RmseReport:
 
 # Replicates per batch of a study: the largest arrays of a replicate's
 # estimate stay under this many entries for the whole batch (one replicate
-# at the least).  For the windowed estimator they are its max_lag + 2
-# zero-padded rows of T + 2L < 3T entries; the window sums and the Levinson
-# temporaries are of the rows' size, so a batch peaks at about 4x the rows:
-# 13.7 MB under tracemalloc for 3.1 MB of rows (3 replicates at T=8192,
-# max_lag 10).  For the wavelet estimator they are the (max_lag+1)^2
+# at the least).  The windowed estimator streams its windows in chunks of
+# ``_CHUNK_POINTS`` points (``estimators._windowed_stack``), so a replicate
+# holds its result and its series, max_lag estimates and about 4 copies of
+# the series per point, and its share of one chunk: max_lag + 1 padded
+# product rows over at most _CHUNK_POINTS + L positions, and the window
+# sums and Levinson arrays of the chunk's points, about 3 times the rows.
+# That is near the whole peak: a batch of 4 replicates at T=8192 and
+# max_lag 10 (L=1352, 907 552 entries, 6.9 MB) peaks at 8.1 MB under
+# tracemalloc with one lag scored and 10.7 MB with all 10.
+# For the wavelet estimator they are the (max_lag+1)^2
 # covariance block of every point and, at 16 per point, the spectral
 # stage's scales; the certificate and the solves copy the blocks, so a
 # batch peaks at about 3x those entries: 26 MB for one replicate at T=8192,
@@ -430,14 +444,19 @@ def monte_carlo_rmse(
     unknown kernel, ``estimators._check_bandwidth``), or, for the wavelet
     estimator, that no replicate could score
     (``estimators._check_wavelet_study``), is refused with the estimator's
-    message before a lag is read or a replicate simulated.
+    message before a lag is read or a replicate simulated.  Each lag is
+    checked against ``config.max_lag`` as it is read, so a range of any
+    length is refused at its first lag beyond it.
 
     The replicates run in batches of a fixed memory budget
     (``_BATCH_ENTRIES``, sized per estimator; the benchmark's studies fit
     in one): a batch's series are simulated by one ``_ar_recursion`` call,
     whose one loop steps the rows of all replicates for a batch of
     ``_STACK_SEEDS`` or more and one seed's floats at a time below that,
-    and estimated in one pass over the whole batch.  That pass's stacked
+    and estimated together: the windowed estimator takes the windows of
+    every series of the batch a chunk of points at a time, each chunk one
+    window-sum call and one Levinson recursion for all of them, and the
+    wavelet estimator runs one spectral and one plug-in stage.  The stacked
     result (``EstimatorConfig._grid_stack``) is scored as arrays, with no
     grid per replicate: ``_score`` counts the exclusions from its keep mask
     and boundary flags, and scores the replicates that kept the same
@@ -452,19 +471,18 @@ def monte_carlo_rmse(
     T = _check_length(T)
     if T < MIN_LENGTH:
         raise InvalidArgumentError(f"T={T} is too short for estimation: T < {MIN_LENGTH}")
+    lag = config.max_lag
     if config.method == "windowed":
         get_kernel(config.kernel)
-        _check_bandwidth(T, config.binwidth, config.max_lag)
+        bandwidth = _check_bandwidth(T, config.binwidth, lag)
+        per_rep = (lag + 4) * T + 3 * (lag + 1) * (min(T, _CHUNK_POINTS) + bandwidth)
     else:
-        _check_wavelet_study(T, config.max_scale, config.smooth_span, config.max_lag)
-    lags = _checked_lags(lags)
-    if max(lags) > config.max_lag:
-        raise InvalidArgumentError("requested lag exceeds config.max_lag")
+        _check_wavelet_study(T, config.max_scale, config.smooth_span, lag)
+        bandwidth, per_rep = None, ((lag + 1) ** 2 + 16) * T
+    lags = _checked_lags(lags, lag)
     table, k = _checked_table(spec, T)
     truth = _pacf_rows(k, np.array(lags))
-    lag = config.max_lag
-    per_time = (lag + 2) * 3 if config.method == "windowed" else (lag + 1) ** 2 + 16
-    batch = max(1, _BATCH_ENTRIES // max(per_time * T, 2 * T + spec.burn_in))
+    batch = max(1, _BATCH_ENTRIES // max(per_rep, 2 * T + spec.burn_in))
     t0 = time.perf_counter()
     per_rep = []
     excluded = np.zeros(2, dtype=int)  # no interior point, more than 10% dropped
@@ -481,6 +499,7 @@ def monte_carlo_rmse(
         excluded += counts
         stamps.append(time.perf_counter())
         seconds += np.diff(stamps)
+        del xs, stack  # the next batch is simulated and estimated without them
     report = RmseReport((), seed, *excluded.tolist(), *seconds.tolist())
     per_rep = np.concatenate(per_rep)
     if len(per_rep) < 2:  # no RMSE, or no standard error
@@ -503,7 +522,7 @@ def monte_carlo_rmse(
                 stderr=float(np.std(vals, ddof=1) / np.sqrt(used)),
                 replicates=used,
                 excluded=report.excluded,
-                bandwidth=stack.bandwidth,
+                bandwidth=bandwidth,
                 elapsed_seconds=elapsed,
             )
         )

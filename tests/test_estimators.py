@@ -42,7 +42,7 @@ from locpacf.estimators import (
     _solve_stack,
 )
 from locpacf.kernels import EPANECHNIKOV, _window_sums, get_kernel
-from locpacf.series import as_series
+from locpacf.series import _CHUNK_POINTS, as_series
 from locpacf.spectral import default_max_scale, default_smoothing_span
 
 
@@ -657,9 +657,15 @@ def test_windowed_lpacf_sums_only_the_windows_of_evenly_spaced_points(monkeypatc
     x = np.random.default_rng(0).standard_normal(32768)
     grid = windowed_lpacf(x, max_lag=4, points=np.arange(0, 32768, 64))
     assert len(grid.points) == 512
-    # the 6 summed rows of the one series at the 512 points, not at the
-    # 32705 windows of their span
-    assert shapes == [(1, 6, 512)]
+    # per chunk, the 5 product rows of the one series at its points, at most
+    # the 32 points of 2048 positions: 512 windows in all, not the 32705 of
+    # their span
+    rows = [s for s in shapes if len(s) == 3]
+    assert all(s[:2] == (1, 5) and s[2] <= _CHUNK_POINTS // 64 for s in rows)
+    assert sum(s[2] for s in rows) == 512
+    # the mass row: one window inside the series, and the 32 points at each
+    # end whose windows (L=4096) reach past it
+    assert [s for s in shapes if len(s) == 1] == [(1,), (32,), (32,)]
 
 
 @pytest.mark.parametrize(
@@ -683,6 +689,54 @@ def test_windowed_lpacf_memory_at_sparse_points_is_bounded(pts):
         tracemalloc.stop()
     assert len(grid.points) == 512
     assert peak < 16 * 2**20
+
+
+def test_windowed_lpacf_memory_is_bounded_by_a_chunk_and_the_result():
+    # every point of T=2^17 at L=4096: the windows are streamed a chunk at a
+    # time, so the peak is the result and one chunk, about 1.5x the result;
+    # the padded rows and sums of every point at once would peak at 4.4x
+    x = np.random.default_rng(0).standard_normal(2**17)
+    tracemalloc.start()
+    try:
+        grid = windowed_lpacf(x, L=4096, max_lag=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = sum(getattr(grid, name).nbytes for name in _GRID_FIELDS)
+    assert peak <= 2.5 * held
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(8, 160),
+    st.sampled_from(["rectangular", "epanechnikov"]),
+    st.booleans(),
+    st.sampled_from([1, 3]),
+    st.integers(1, 8),
+    st.data(),
+)
+def test_windowed_chunks_keep_the_bits_of_one_chunk(seed, T, kernel, demean, R, chunk, data):
+    # chunks of a few points against one chunk of every point: every
+    # selection, both kernels, demean on and off, one series and a stack
+    if data.draw(st.booleans(), label="short kernel") or T < 13:
+        L = data.draw(st.integers(3, min(11, T - 1)), label="L")
+    else:
+        L = data.draw(st.integers(12, T - 1), label="L")
+    max_lag = data.draw(st.integers(1, (L - 1) // 2), label="max_lag")
+    xs = np.random.default_rng(seed).standard_normal((R, T))
+    # a block of signed zeros: a sum of only -0.0 products keeps its sign
+    start = data.draw(st.integers(0, T - 1), label="zero start")
+    xs[:, start : start + data.draw(st.integers(0, L + 2), label="zeros")] = -0.0
+    config = EstimatorConfig("windowed", L, kernel, max_lag=max_lag)
+    for points in [None] + _selections(data, T):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(estimators, "_CHUNK_POINTS", 2**40)
+            whole = config.estimate_stack(xs, points, demean)
+            m.setattr(estimators, "_CHUNK_POINTS", chunk)
+            chunked = config.estimate_stack(xs, points, demean)
+        for got, want in zip(chunked, whole, strict=True):
+            _assert_same_grid(got, want)
 
 
 _GRID_FIELDS = (

@@ -104,13 +104,13 @@ WINDOWED_LAG_1 = EstimatorConfig("windowed", binwidth=32, max_lag=1)
         (lambda: simulate_tvar(TVAR_STUDY, True, 0), "T=True must be an integer"),
         (lambda: simulate_tvar(TVAR_STUDY, 8, 1.5), "seed=1.5 must be an integer"),
         (lambda: true_pacf_curve(TVAR_STUDY, 5.5, [1]), "T=5.5 must be an integer"),
-        (lambda: true_pacf_curve(TVAR_STUDY, 8, [1.5]), "lags [1.5] must be an integer"),
+        (lambda: true_pacf_curve(TVAR_STUDY, 8, [1.5]), "lag 1.5 must be an integer"),
         (lambda: true_tv_pacf(TVAR_STUDY, 2, 1.5, 8), "tau=1.5 must be an integer"),
         (lambda: true_tv_pacf(TVAR_STUDY, 2.5, 1, 8), "t=2.5 must be an integer"),
         (lambda: true_tv_pacf(TVAR_STUDY, 2, 1, np.float64(8)), "T=8.0 must be an integer"),
         (
             lambda: monte_carlo_rmse(TVAR_STUDY, WINDOWED_LAG_1, 2, [1.5], 0, 128),
-            "lags [1.5] must be an integer",
+            "lag 1.5 must be an integer",
         ),
         (
             lambda: monte_carlo_rmse(TVAR_STUDY, WINDOWED_LAG_1, 2, [1], 0, 64.5),
@@ -509,10 +509,10 @@ def _reference_rmse(spec, config, reps, lags, seed, T):
             TVAR_STUDY, EstimatorConfig("wavelet", max_scale=4, max_lag=10),
             6, [1, 2], 0, 128, 3, [6], id="tvar-wavelet-excluded",
         ),
-        # at T=8192 and max_lag 1 a batch holds 14 replicates
+        # at T=8192 and max_lag 1 a batch holds 17 replicates
         pytest.param(
             TVAR_STUDY, EstimatorConfig("windowed", max_lag=1),
-            16, [1], 3, 8192, 0, [14, 2], id="tvar-windowed-batches",
+            20, [1], 3, 8192, 0, [17, 3], id="tvar-windowed-batches",
         ),
         # a long burn-in: the simulation's T + burn_in + T entries per
         # replicate, not the estimate's, set the batch of 3
@@ -679,15 +679,39 @@ def test_monte_carlo_rmse_refuses_a_windowed_study_it_cannot_run(
     assert not calls
 
 
+@pytest.mark.parametrize("stop", [10**12, 10**20 + 1], ids=["1e12", "past-int64"])
+def test_monte_carlo_rmse_refuses_a_huge_lag_range_at_its_first_lag_too_deep(stop):
+    # each lag is checked against max_lag=1 as it is read, so lag 2 is
+    # refused before the rest of the range is read
+    needle = "requested lag 2 exceeds config.max_lag=1"
+    with pytest.raises(InvalidArgumentError, match=f"^{re.escape(needle)}$"):
+        monte_carlo_rmse(TVAR_STUDY, WINDOWED_LAG_1, 2, range(1, stop), 0, 128)
+
+
+@pytest.mark.parametrize(
+    "lags, needle",
+    [
+        ([1, 0, 1.5], "lag 0 must be >= 1"),
+        ([2, 1.5, 0], "lag 1.5 must be an integer"),
+        ([1, True], "lag True must be an integer"),
+    ],
+)
+def test_lags_are_refused_at_the_first_bad_one_by_name(lags, needle):
+    with pytest.raises(InvalidArgumentError, match=f"^{re.escape(needle)}$"):
+        true_pacf_curve(TVAR_STUDY, 8, lags)
+
+
 def test_monte_carlo_rmse_estimates_a_windowed_batch_in_one_pass(monkeypatch):
-    # the benchmark's tvar study: one window-sum call and one Levinson
-    # recursion for all 20 replicates
+    # the benchmark's tvar study, T=512 in one chunk: one window-sum call
+    # over the product rows and one Levinson recursion for all 20
+    # replicates, and the mass row summed once for all of them
     calls = []
 
     def spy(name, fn):
         def wrapper(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
+            out = fn(*args, **kwargs)
+            calls.append((name, out.shape))
+            return out
 
         monkeypatch.setattr(estimators, name, wrapper)
 
@@ -696,12 +720,18 @@ def test_monte_carlo_rmse_estimates_a_windowed_batch_in_one_pass(monkeypatch):
     config = EstimatorConfig("windowed", binwidth=40, max_lag=2)
     report = monte_carlo_rmse(TVAR_STUDY, config, 20, [1, 2], 0, 512)
     assert report.rows[0].replicates == 20
-    assert calls == ["_window_sums", "_levinson"]
+    sums = [shape for name, shape in calls if name == "_window_sums"]
+    # the 3 product rows of the 20 replicates at the 512 points
+    assert [s for s in sums if len(s) == 3] == [(20, 3, 512)]
+    # the mass row: one window inside the series, and the 19 and 20 points
+    # whose windows (L=40) reach past its start and its end
+    assert [s for s in sums if len(s) == 1] == [(1,), (19,), (20,)]
+    assert [shape for name, shape in calls if name == "_levinson"] == [(2, 20 * 512)]
 
 
 def test_monte_carlo_rmse_memory_does_not_grow_with_reps():
-    # 10 replicates at T=8192 and max_lag 10 run in batches of 3, each
-    # peaking at about 16 MB; one batch of all 10 peaks at about 44 MB
+    # 10 replicates at T=8192 and max_lag 10 run in batches of 4, each
+    # peaking at about 8 MB; one batch of all 10 peaks at about 20 MB
     config = EstimatorConfig("windowed", max_lag=10)
     tracemalloc.start()
     try:
@@ -710,7 +740,7 @@ def test_monte_carlo_rmse_memory_does_not_grow_with_reps():
     finally:
         tracemalloc.stop()
     assert report.rows[0].replicates == 10
-    assert peak < 24 * 2**20
+    assert peak < 14 * 2**20
 
 
 def test_monte_carlo_rmse_wavelet_memory_does_not_grow_with_reps():
