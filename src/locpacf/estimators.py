@@ -313,11 +313,11 @@ def windowed_lpacf(
     ((2L+2) eps)^2 times the local mean square (all of a constant series).
     ``points`` defaults to every index.  The window sums
     of a selection are taken from the lowest to the highest point at the
-    gcd of their spacings (``demean`` also needs the local mean at every
-    position that those windows cover): evenly spaced points, in any
-    order, cost only their own windows, and scattered points, in each
-    stretch of ``_CHUNK_POINTS`` positions, every window from the lowest
-    to the highest of their points there.
+    gcd of their spacings (``demean`` first takes the local mean at every
+    position of the series): evenly spaced points, in any order, cost
+    only their own windows, and scattered points, in each stretch of
+    ``_CHUNK_POINTS`` positions, every window from the lowest to the
+    highest of their points there.
 
     This is the one-series case of the stack routine that
     ``EstimatorConfig.estimate_stack`` runs on many series of one length.
@@ -334,13 +334,14 @@ def _windowed_stack(series, L, kernel, max_lag, points, demean) -> _GridStack:
     chunk zero-pads the pair products of every series over its own span
     only (``_product_rows``), sums them with one ``_window_sums`` call
     against weights shared by every series, divides by the mass row, and
-    runs its kept points of every series through one ``_levinson``
-    recursion, whose estimates go straight into one (R, P, max_lag)
-    result.  The mass row, the window sums of the in-bounds indicator,
-    holds no data: it is summed once (``_window_mass``) for every series
-    and chunk.  Every row, column and point is computed on its own, so
-    each grid has the bits of a call on its series alone, however the
-    windows are chunked.
+    applies the keep rule.  Its points of every series wait as columns
+    until ``_CHUNK_POINTS`` of them are pending, so a sparse selection's
+    chunks share one ``_levinson`` recursion, whose estimates go straight
+    into one (R, P, max_lag) result.  The mass row, the window sums of the
+    in-bounds indicator, holds no data: it is summed once
+    (``_window_mass``) for every series and chunk.  Every row, column and
+    point is computed on its own, so each grid has the bits of a call on
+    its series alone, however the windows are chunked.
     """
     x = _intake(series)
     R, T = x.shape
@@ -355,40 +356,51 @@ def _windowed_stack(series, L, kernel, max_lag, points, demean) -> _GridStack:
     # the left index, last tau window slots carry none.
     weights = np.where(np.arange(L) < L - np.arange(max_lag + 1)[:, None], w, 0.0)
     mass = _window_mass(T, offs, w)
-    local = _LocalMeans(x, offs, w, mass) if demean else None
-    # a local mean of L terms errs by less than (2L+1)u relative to the
-    # root local second moment, so a demeaned series within that of 0 (a
-    # constant one) has a lag-0 sum below this times the local mean square
-    rounding = ((2 * L + 2) * np.finfo(float).eps) ** 2
+    floor = np.zeros((1, len(pts)))  # what a kept point's lag-0 sum must exceed
+    if demean:
+        x, msq = _local_means(x, offs, w, mass)
+        # a local mean of L terms errs by less than (2L+1)u relative to the
+        # root local second moment, so a demeaned series within that of 0 (a
+        # constant one) has a lag-0 sum below this times the local mean square
+        floor = ((2 * L + 2) * np.finfo(float).eps) ** 2 * msq[:, pts]
+        del msq
     # in-bounds window points, an exact count
     eff = np.minimum(pts + offs[-1], T - 1) - np.maximum(pts + offs[0], 0) + 1
     estimates = np.empty((R, len(pts), max_lag))
     keep = np.empty((R, len(pts)), dtype=bool)
+    # the columns of the chunks not yet through Levinson, and where each
+    # chunk's estimates go: a pass waits for _CHUNK_POINTS columns, so a
+    # sparse selection's chunks share one
+    pending, dests = [], []
+
+    def solve():
+        pacf = _levinson(np.concatenate(pending, axis=1)).T
+        i = 0
+        for at, n in dests:
+            estimates[:, at] = pacf[i : i + R * n].reshape(R, n, max_lag)
+            i += R * n
+        pending.clear()
+        dests.clear()
+
     for at, first, last, step, cols in _window_chunks(pts):
         a, b = first + offs[0], last + offs[-1] + 1  # the positions of the windows
-        start, xs, floor = 0, x, 0.0  # floor: what a kept point's lag-0 sum must exceed
-        if demean:  # the products read up to max_lag positions past b
-            start = max(a, 0)
-            xs, msq = local(start, min(b + max_lag, T))
-            floor = rounding * msq[:, pts[at] - start]
-        # the chunk's rows are freed once summed, before its Levinson pass
-        rows = _product_rows(xs, start, T, a, b, max_lag + 1)
+        # the chunk's rows are freed once summed
+        rows = _product_rows(x, a, b, max_lag + 1)
         sums = _window_sums(rows, weights, 0, last - first + 1, step)
         del rows
         sums /= mass(first, last, step)
         gamma = sums if cols is None else sums[..., cols]
-        ok = (eff[at] >= 2 * max_lag) & (gamma[:, 0] > floor)
+        ok = (eff[at] >= 2 * max_lag) & (gamma[:, 0] > floor[:, at])
         ok &= np.isfinite(gamma).all(axis=1)
         keep[:, at] = ok
-        # the points of every series as columns, series by series
-        gamma = np.moveaxis(gamma, 1, 0)
-        if ok.all():  # a reshape, far cheaper than a masked gather
-            pacf = _levinson(gamma.reshape(max_lag + 1, -1))
-            estimates[:, at] = pacf.T.reshape(ok.shape + (max_lag,))
-        else:
-            block = np.empty(ok.shape + (max_lag,))
-            block[ok] = _levinson(gamma[:, ok]).T
-            estimates[:, at] = block
+        # the points of every series as columns, series by series; a dropped
+        # point's column runs too, and its estimates are cut with the keep mask
+        pending.append(np.moveaxis(gamma, 1, 0).reshape(max_lag + 1, -1))
+        dests.append((at, ok.shape[1]))
+        if sum(g.shape[1] for g in pending) >= _CHUNK_POINTS:
+            solve()
+    if dests:
+        solve()
     if not keep.all():
         estimates = estimates[keep]  # the kept points, series by series
     boundary = (eff < L).astype(np.uint8)
@@ -430,21 +442,18 @@ def _window_chunks(pts: np.ndarray):
         yield at, lo + int(t[0]) * step, lo + int(t[-1]) * step, step, t - t[0]
 
 
-def _product_rows(x, start: int, T: int, a: int, b: int, lags: int) -> np.ndarray:
+def _product_rows(x, a: int, b: int, lags: int) -> np.ndarray:
     """rows[..., tau, c] = x_t * x_(t+tau) at the position t = a + c, for
     c < b - a and tau < lags, where t and t + tau both lie in the series
     [0, T), and 0 elsewhere: the zero-padded pair products of the
-    positions a..b-1 of each series.  ``x`` holds each series from
-    position ``start`` on, as far as the products read it."""
+    positions a..b-1 of each series."""
+    T = x.shape[-1]
     rows = np.zeros(x.shape[:-1] + (lags, b - a))
     for tau in range(lags):
         lo, hi = max(a, 0), min(b, T - tau)
         if lo < hi:
-            np.multiply(
-                x[..., lo - start : hi - start],
-                x[..., lo - start + tau : hi - start + tau],
-                out=rows[..., tau, lo - a : hi - a],
-            )
+            out = rows[..., tau, lo - a : hi - a]
+            np.multiply(x[..., lo:hi], x[..., lo + tau : hi + tau], out=out)
     return rows
 
 
@@ -477,38 +486,26 @@ def _window_mass(T: int, offs: np.ndarray, w: np.ndarray):
     return mass
 
 
-class _LocalMeans:
+def _local_means(x, offs, w, mass):
     """Each series less its local means, and its local mean square, for
     ``demean``: at each position the kernel-weighted mean of the window
     centred there, the window sums of x and of x*x over the mass row.
-
-    ``self(u, v)`` gives both at the positions u..v-1 of every series.
-    Calls move forward only, and what a call shares with the one before is
-    kept rather than summed again, so every position is summed once.
-    """
-
-    def __init__(self, x, offs, w, mass):
-        self.x, self.offs, self.w, self.mass = x, offs, w, mass
-        self.start = self.stop = 0
-        self.held = x[:, None, :0]  # (R, 2, stop - start): demeaned x, mean square
-
-    def __call__(self, u: int, v: int):
-        x, offs = self.x, self.offs
-        new = max(u, self.stop)  # the first position not held
-        parts = [self.held[..., u - self.start :]] if u < self.stop else []
-        if new < v:
-            a, b = new + offs[0], v + offs[-1]
-            lo, hi = max(a, 0), min(b, x.shape[1])
-            rows = np.zeros((len(x), 2, b - a))
-            rows[:, 0, lo - a : hi - a] = x[:, lo:hi]
-            np.multiply(x[:, lo:hi], x[:, lo:hi], out=rows[:, 1, lo - a : hi - a])
-            sums = _window_sums(rows, self.w, 0, v - new)
-            sums /= self.mass(new, v - 1, 1)
-            sums[:, 0] = x[:, new:v] - sums[:, 0]
-            parts.append(sums)
-        self.held = np.concatenate(parts, axis=-1) if len(parts) > 1 else parts[0]
-        self.start, self.stop = u, v
-        return self.held[:, 0], self.held[:, 1]
+    Both are (R, T), summed ``_CHUNK_POINTS`` positions at a time, so
+    each position once."""
+    R, T = x.shape
+    demeaned, msq = np.empty_like(x), np.empty_like(x)
+    for u in range(0, T, _CHUNK_POINTS):
+        v = min(u + _CHUNK_POINTS, T)
+        a, b = u + offs[0], v + offs[-1]
+        lo, hi = max(a, 0), min(b, T)
+        rows = np.zeros((R, 2, b - a))
+        rows[:, 0, lo - a : hi - a] = x[:, lo:hi]
+        np.multiply(x[:, lo:hi], x[:, lo:hi], out=rows[:, 1, lo - a : hi - a])
+        sums = _window_sums(rows, w, 0, v - u)
+        sums /= mass(u, v - 1, 1)
+        np.subtract(x[:, u:v], sums[:, 0], out=demeaned[:, u:v])
+        msq[:, u:v] = sums[:, 1]
+    return demeaned, msq
 
 
 @dataclass(frozen=True)
@@ -979,12 +976,13 @@ class EstimatorConfig:
 
         Either estimator takes the whole stack together and refuses series
         of different lengths: the windowed one a chunk of points at a time,
-        each chunk one window-sum call and one Levinson recursion for every
-        series, with one mass row for all of them; the wavelet one with one
-        spectral stage and one plug-in stage.  Both end in one stacked result,
-        the kept estimates of every series with their keep mask, whose
-        ``grids()`` splits it into one grid per series.  A stack of no
-        series is no pass, and no grid.
+        each chunk one window-sum call for every series and each
+        ``_CHUNK_POINTS`` columns one Levinson recursion, with one mass row
+        for all of them; the wavelet one with one spectral stage and one
+        plug-in stage.  Both end in one stacked result, the kept estimates
+        of every series with their keep mask, whose ``grids()`` splits it
+        into one grid per series.  A stack of no series is no pass, and no
+        grid.
         """
         xs = list(xs)  # read once: an iterator, or an array of no rows
         return self._grid_stack(xs, points, demean, pad).grids() if xs else []

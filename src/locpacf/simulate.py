@@ -367,7 +367,7 @@ class RmseReport:
 # product rows over at most _CHUNK_POINTS + L positions, and the window
 # sums and Levinson arrays of the chunk's points, about 3 times the rows.
 # That is near the whole peak: a batch of 4 replicates at T=8192 and
-# max_lag 10 (L=1352, 907 552 entries, 6.9 MB) peaks at 8.1 MB under
+# max_lag 10 (L=1352, 907 552 entries, 6.9 MB) peaks at 8.2 MB under
 # tracemalloc with one lag scored and 10.7 MB with all 10.
 # For the wavelet estimator they are the (max_lag+1)^2
 # covariance block of every point and, at 16 per point, the spectral
@@ -455,8 +455,9 @@ def monte_carlo_rmse(
     ``_STACK_SEEDS`` or more and one seed's floats at a time below that,
     and estimated together: the windowed estimator takes the windows of
     every series of the batch a chunk of points at a time, each chunk one
-    window-sum call and one Levinson recursion for all of them, and the
-    wavelet estimator runs one spectral and one plug-in stage.  The stacked
+    window-sum call for all of them and each ``_CHUNK_POINTS`` of their
+    points one Levinson recursion, and the wavelet estimator runs one
+    spectral and one plug-in stage.  The stacked
     result (``EstimatorConfig._grid_stack``) is scored as arrays, with no
     grid per replicate: ``_score`` counts the exclusions from its keep mask
     and boundary flags, and scores the replicates that kept the same
@@ -475,14 +476,14 @@ def monte_carlo_rmse(
     if config.method == "windowed":
         get_kernel(config.kernel)
         bandwidth = _check_bandwidth(T, config.binwidth, lag)
-        per_rep = (lag + 4) * T + 3 * (lag + 1) * (min(T, _CHUNK_POINTS) + bandwidth)
+        entries = (lag + 4) * T + 3 * (lag + 1) * (min(T, _CHUNK_POINTS) + bandwidth)
     else:
         _check_wavelet_study(T, config.max_scale, config.smooth_span, lag)
-        bandwidth, per_rep = None, ((lag + 1) ** 2 + 16) * T
+        bandwidth, entries = None, ((lag + 1) ** 2 + 16) * T
     lags = _checked_lags(lags, lag)
     table, k = _checked_table(spec, T)
     truth = _pacf_rows(k, np.array(lags))
-    batch = max(1, _BATCH_ENTRIES // max(per_rep, 2 * T + spec.burn_in))
+    batch = max(1, _BATCH_ENTRIES // max(entries, 2 * T + spec.burn_in))
     t0 = time.perf_counter()
     per_rep = []
     excluded = np.zeros(2, dtype=int)  # no interior point, more than 10% dropped

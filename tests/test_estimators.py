@@ -646,14 +646,20 @@ def test_windowed_selection_equals_the_every_point_grid(seed, T, kernel, demean,
 
 
 def test_windowed_lpacf_sums_only_the_windows_of_evenly_spaced_points(monkeypatch):
-    shapes = []
+    shapes, passes = [], []
 
     def spy(rows, weights, start, stop, step=1):
         sums = _window_sums(rows, weights, start, stop, step)
         shapes.append(sums.shape)
         return sums
 
+    def levinson_spy(gamma):
+        passes.append(gamma.shape)
+        return levinson(gamma)
+
+    levinson = estimators._levinson
     monkeypatch.setattr(estimators, "_window_sums", spy)
+    monkeypatch.setattr(estimators, "_levinson", levinson_spy)
     x = np.random.default_rng(0).standard_normal(32768)
     grid = windowed_lpacf(x, max_lag=4, points=np.arange(0, 32768, 64))
     assert len(grid.points) == 512
@@ -666,6 +672,8 @@ def test_windowed_lpacf_sums_only_the_windows_of_evenly_spaced_points(monkeypatc
     # the mass row: one window inside the series, and the 32 points at each
     # end whose windows (L=4096) reach past it
     assert [s for s in shapes if len(s) == 1] == [(1,), (32,), (32,)]
+    # the chunks' columns wait for one Levinson recursion over all 512
+    assert passes == [(5, 512)]
 
 
 @pytest.mark.parametrize(
