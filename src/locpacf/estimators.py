@@ -20,7 +20,8 @@ of the series can overflow or go subnormal.  Each assumes mean-zero input;
 
 ``EstimatorConfig`` names an estimator and its knobs, and its
 ``estimate_stack`` is the one place that picks an estimator and calls it,
-for a stack of series of one length; ``estimate`` is its one-series case.
+for a stack of series of one length; ``estimate`` is its one-series case,
+and ``_study`` checks and sizes a Monte-Carlo study of it.
 Each local estimator has one stack routine, and its public function is
 that routine's one-series case.  Both routines read their series through
 one intake and end in one stacked result, ``_GridStack``, which
@@ -47,7 +48,7 @@ from .errors import (
     _is_int,
 )
 from .kernels import EPANECHNIKOV, _window_sums, get_kernel
-from .series import _CHUNK_POINTS, as_series
+from .series import _CHUNK_POINTS, MIN_LENGTH, as_series
 from .spectral import (
     LocalAcvGrid,
     _check_lacv_lag,
@@ -214,7 +215,8 @@ def _intake(series) -> np.ndarray:
         raise InvalidArgumentError(
             f"a stack holds series of one length, not {sorted({len(x) for x in xs})}"
         )
-    return _unit_scaled(np.stack(xs))
+    xs = np.stack(xs)  # the per-series copies go before the scaling's |x| temporary
+    return _unit_scaled(xs)
 
 
 class _GridStack:
@@ -860,31 +862,6 @@ def _check_wavelet_lag(max_lag: int) -> None:
     _check_int(max_lag, f"max_lag={max_lag}", 1, top, f"outside [1, {top}]")
 
 
-def _check_wavelet_study(T: int, max_scale: int | None, span: int | None, max_lag: int) -> None:
-    """Refuse a wavelet Monte-Carlo study that no replicate could score.
-    A max_lag, max_scale or span out of range gets the estimator's own
-    message, from the check that the estimator runs, in the estimator's
-    order; a study does not pad, so T must be a power of two, and the
-    boundary margin must leave an interior point."""
-    if _dyadic_length(T) != T:
-        raise InvalidArgumentError(
-            f"T={T} is not a power of two, as the wavelet estimator needs without padding"
-        )
-    _check_wavelet_lag(max_lag)
-    J = _checked_max_scale(max_scale, T)
-    _checked_span(span, T)
-    _check_lacv_lag(max_lag, J)
-    fits = [j for j in range(1, J + 1) if 2 * _wavelet_margin(j, max_lag) < T]
-    if fits[-1:] == [J]:
-        return
-    fit = f"max_scale={fits[-1]} is the largest that leaves" if fits else "no max_scale leaves"
-    raise InvalidArgumentError(
-        f"max_scale={J} gives a boundary margin of {_wavelet_margin(J, max_lag)} points at"
-        f" each end, which covers all T={T} points; {fit} an interior point"
-        + ("" if fits else f" at max_lag={max_lag}")
-    )
-
-
 def _wavelet_stack(
     series, max_scale, span, max_lag, points, demean, pad, lacv=None
 ) -> _GridStack:
@@ -996,3 +973,47 @@ class EstimatorConfig:
             return _windowed_stack(xs, L, kernel, self.max_lag, points, demean)
         scale, span = self.max_scale, self.smooth_span
         return _wavelet_stack(xs, scale, span, self.max_lag, points, demean, pad)
+
+    def _study(self, T: int) -> tuple[int | None, int]:
+        """The window width (None for the wavelet estimator) and the entries
+        one replicate's estimate holds in a Monte-Carlo study of T-point
+        series, once every rule by which the estimator refuses the study
+        has passed, with its own messages in its own order.  A wavelet study
+        does not pad, and its boundary margin must leave an interior point."""
+        if T < MIN_LENGTH:
+            raise InvalidArgumentError(f"T={T} is too short for estimation: T < {MIN_LENGTH}")
+        lag = self.max_lag
+        if self.method == "windowed":
+            get_kernel(self.kernel)
+            L = _check_bandwidth(T, self.binwidth, lag)
+            # Per point a replicate holds its max_lag estimates and about 2
+            # entries more, its scaled series and masks (max_lag + 1.88, the
+            # slope of the tracemalloc peak over T = 8192..32768); of one
+            # chunk of n <= _CHUNK_POINTS points (``_windowed_stack``), its
+            # max_lag + 1 padded product rows over n + L positions and about
+            # 5 (max_lag + 1) n entries of sums, columns and Levinson arrays.
+            # This rule counts 4 a point and 3 times the rows; a batch peaks
+            # at 1.12x its entries (4 replicates, T=8192, max_lag 10) and at
+            # 1.22x (116 replicates, T=512, max_lag 2).
+            return L, (lag + 4) * T + 3 * (lag + 1) * (min(T, _CHUNK_POINTS) + L)
+        if _dyadic_length(T) != T:
+            raise InvalidArgumentError(
+                f"T={T} is not a power of two, as the wavelet estimator needs without padding"
+            )
+        _check_wavelet_lag(lag)
+        J = _checked_max_scale(self.max_scale, T)
+        _checked_span(self.smooth_span, T)
+        _check_lacv_lag(lag, J)
+        fits = [j for j in range(1, J + 1) if 2 * _wavelet_margin(j, lag) < T]
+        if fits[-1:] != [J]:
+            fit = f"max_scale={fits[-1]} is the largest that" if fits else "no max_scale"
+            raise InvalidArgumentError(
+                f"max_scale={J} gives a boundary margin of {_wavelet_margin(J, lag)} points at"
+                f" each end, which covers all T={T} points; {fit} leaves an interior point"
+                + ("" if fits else f" at max_lag={lag}")
+            )
+        # The (max_lag+1)^2 covariance block of every point and, at 16 per
+        # point, the spectral stage's scales; the certificate and the solves
+        # copy the blocks, so a batch peaks at about 3x (2.46x for 6 replicates
+        # at T=4096, max_lag 4; 2.89x, 26 MB, for one at T=8192, max_lag 10).
+        return None, ((lag + 1) ** 2 + 16) * T

@@ -32,9 +32,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import MAX_LENGTH, DataError, InvalidArgumentError, _check_int, _is_int
-from .estimators import EstimatorConfig, _check_bandwidth, _check_wavelet_study, _GridStack
-from .kernels import get_kernel
-from .series import _CHUNK_POINTS, MIN_LENGTH, TimeSeries
+from .estimators import EstimatorConfig, _GridStack
+from .series import TimeSeries
 
 __all__ = [
     "ArPathSpec",
@@ -358,28 +357,14 @@ class RmseReport:
         return self.no_interior + self.too_many_dropped
 
 
-# Replicates per batch of a study: the largest arrays of a replicate's
-# estimate stay under this many entries for the whole batch (one replicate
-# at the least).  The windowed estimator streams its windows in chunks of
-# ``_CHUNK_POINTS`` points (``estimators._windowed_stack``), so a replicate
-# holds its result and its series, max_lag estimates and about 4 copies of
-# the series per point, and its share of one chunk: max_lag + 1 padded
-# product rows over at most _CHUNK_POINTS + L positions, and the window
-# sums and Levinson arrays of the chunk's points, about 3 times the rows.
-# That is near the whole peak: a batch of 4 replicates at T=8192 and
-# max_lag 10 (L=1352, 907 552 entries, 6.9 MB) peaks at 8.2 MB under
-# tracemalloc with one lag scored and 10.7 MB with all 10.
-# For the wavelet estimator they are the (max_lag+1)^2
-# covariance block of every point and, at 16 per point, the spectral
-# stage's scales; the certificate and the solves copy the blocks, so a
-# batch peaks at about 3x those entries: 26 MB for one replicate at T=8192,
-# max_lag 10.  The simulation of a batch holds its (T + burn_in, R) path
-# array and the (R, T) copy of its series, T + burn_in + T entries a
-# replicate, in either layout, which the budget bounds too (it binds only
-# for T below about burn_in / 7); below ``_STACK_SEEDS`` it holds one
-# seed's list of T + burn_in floats beside them.  The coefficients are
-# Python floats, one tuple per step, never a (p, T + burn_in, R) broadcast
-# (13.8 MB at T=512, R=170 and p=10).
+# Replicates per batch of a study: the largest arrays of a replicate stay
+# under this many entries for the whole batch (one replicate at the least):
+# the entries of its estimate (``EstimatorConfig._study``), and of its
+# simulation, its column of the (T + burn_in, R) path array and its row of
+# the (R, T) series, in either layout (this binds only for T below about
+# burn_in / 7); below ``_STACK_SEEDS`` one seed's list of T + burn_in floats
+# is held beside them.  The coefficients are Python floats, one tuple per
+# step, never a (p, T + burn_in, R) broadcast (13.8 MB at T=512, R=170, p=10).
 _BATCH_ENTRIES = 2**20
 
 
@@ -440,24 +425,21 @@ def monte_carlo_rmse(
     but one (which leaves no standard error), the DataError gives each
     count.  The report holds one row per requested lag, in the order
     given; its ``bandwidth`` is the window width L the estimator used, None
-    for the wavelet estimator.  A study whose estimator could not run (an
-    unknown kernel, ``estimators._check_bandwidth``), or, for the wavelet
-    estimator, that no replicate could score
-    (``estimators._check_wavelet_study``), is refused with the estimator's
+    for the wavelet estimator.  A study runs at most ``MAX_LENGTH``
+    replicates.  A study that the estimator refuses
+    (``EstimatorConfig._study``: it could not run, or, for the wavelet
+    estimator, no replicate could score) is refused with the estimator's
     message before a lag is read or a replicate simulated.  Each lag is
     checked against ``config.max_lag`` as it is read, so a range of any
     length is refused at its first lag beyond it.
 
     The replicates run in batches of a fixed memory budget
-    (``_BATCH_ENTRIES``, sized per estimator; the benchmark's studies fit
-    in one): a batch's series are simulated by one ``_ar_recursion`` call,
-    whose one loop steps the rows of all replicates for a batch of
-    ``_STACK_SEEDS`` or more and one seed's floats at a time below that,
-    and estimated together: the windowed estimator takes the windows of
-    every series of the batch a chunk of points at a time, each chunk one
-    window-sum call for all of them and each ``_CHUNK_POINTS`` of their
-    points one Levinson recursion, and the wavelet estimator runs one
-    spectral and one plug-in stage.  The stacked
+    (``_BATCH_ENTRIES``, of which ``EstimatorConfig._study`` gives a
+    replicate's estimate its share; the benchmark's studies fit in one): a
+    batch's series are simulated by one ``_ar_recursion`` call, whose one
+    loop steps the rows of all replicates for a batch of ``_STACK_SEEDS``
+    or more and one seed's floats at a time below that, and estimated
+    together as one stack (``EstimatorConfig.estimate_stack``).  The stacked
     result (``EstimatorConfig._grid_stack``) is scored as arrays, with no
     grid per replicate: ``_score`` counts the exclusions from its keep mask
     and boundary flags, and scores the replicates that kept the same
@@ -465,22 +447,13 @@ def monte_carlo_rmse(
     estimates and RMSEs are those of one estimate and one score per
     replicate, bit for bit.
     """
-    _check_int(reps, f"reps={reps}", 2)
+    _check_int(reps, f"reps={reps}", 2, MAX_LENGTH, f"must be >= 2 and <= {MAX_LENGTH}")
     _check_int(seed, f"seed={seed}", 0)
     if not len(lags[:1]):  # the first lag alone: len() of a vast range overflows
         raise InvalidArgumentError("no lags requested")
     T = _check_length(T)
-    if T < MIN_LENGTH:
-        raise InvalidArgumentError(f"T={T} is too short for estimation: T < {MIN_LENGTH}")
-    lag = config.max_lag
-    if config.method == "windowed":
-        get_kernel(config.kernel)
-        bandwidth = _check_bandwidth(T, config.binwidth, lag)
-        entries = (lag + 4) * T + 3 * (lag + 1) * (min(T, _CHUNK_POINTS) + bandwidth)
-    else:
-        _check_wavelet_study(T, config.max_scale, config.smooth_span, lag)
-        bandwidth, entries = None, ((lag + 1) ** 2 + 16) * T
-    lags = _checked_lags(lags, lag)
+    bandwidth, entries = config._study(T)
+    lags = _checked_lags(lags, config.max_lag)
     table, k = _checked_table(spec, T)
     truth = _pacf_rows(k, np.array(lags))
     batch = max(1, _BATCH_ENTRIES // max(entries, 2 * T + spec.burn_in))

@@ -587,10 +587,15 @@ _HUGE = "99999999999999999999"
          f"T={_HUGE} must be positive and <= {MAX_LENGTH}"),
         (["benchmark", "--T", "64", "--reps", "3", "--max-lag", _HUGE],
          f"max_lag={_HUGE} outside [1, L/2) for L=28"),
+        (["benchmark", "--T", "64", "--reps", _HUGE],
+         f"reps={_HUGE} must be >= 2 and <= {MAX_LENGTH}"),
         (["simulate", "piecewise-ar", "--segments", f"{_HUGE}:0.1"],
          f"segments total {_HUGE} samples, more than {MAX_LENGTH}"),
     ],
-    ids=["points", "smooth-span", "simulate-T", "benchmark-T", "benchmark-max-lag", "segment"],
+    ids=[
+        "points", "smooth-span", "simulate-T", "benchmark-T", "benchmark-max-lag",
+        "benchmark-reps", "segment",
+    ],
 )
 def test_cli_refuses_a_point_or_length_beyond_any_array(
     tmp_path, capsys, monkeypatch, argv, needle

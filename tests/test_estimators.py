@@ -43,6 +43,7 @@ from locpacf.estimators import (
 )
 from locpacf.kernels import EPANECHNIKOV, _window_sums, get_kernel
 from locpacf.series import _CHUNK_POINTS, as_series
+from locpacf.simulate import _BATCH_ENTRIES
 from locpacf.spectral import default_max_scale, default_smoothing_span
 
 
@@ -712,6 +713,49 @@ def test_windowed_lpacf_memory_is_bounded_by_a_chunk_and_the_result():
         tracemalloc.stop()
     held = sum(getattr(grid, name).nbytes for name in _GRID_FIELDS)
     assert peak <= 2.5 * held
+
+
+def test_intake_holds_the_stack_and_one_temporary():
+    # the stack and its scaling's |x| temporary: 2.0x the stack's bytes; the
+    # per-series copies alive beside them peaked at 3.0x
+    xs = np.random.default_rng(0).standard_normal((20, 8192))
+    tracemalloc.start()
+    try:
+        x = estimators._intake(xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(x, estimators._unit_scaled(xs))
+    assert peak <= 2.1 * x.nbytes
+
+
+@pytest.mark.parametrize(
+    "method, T, max_lag, batch, factor",
+    [
+        ("windowed", 8192, 10, 4, 1.3),  # 1.12x measured
+        ("windowed", 512, 2, 116, 1.3),  # 1.22x
+        ("wavelet", 4096, 4, 6, 3.2),  # 2.46x
+        ("wavelet", 8192, 10, 1, 3.2),  # 2.89x
+    ],
+)
+def test_study_batch_peaks_within_a_stated_factor_of_its_entries(
+    method, T, max_lag, batch, factor
+):
+    # a batch of the size that the study budget gives for the entries of
+    # EstimatorConfig._study peaks within factor x its entries' bytes
+    config = EstimatorConfig(method, max_lag=max_lag)
+    _, entries = config._study(T)
+    assert max(1, _BATCH_ENTRIES // entries) == batch
+    spec = ArPathSpec.linear_ramp([0.9], [-0.9])
+    xs = np.stack([simulate_tvar(spec, T, seed).values for seed in range(batch)])
+    tracemalloc.start()
+    try:
+        stack = config._grid_stack(xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stack.keep.shape == (batch, T)
+    assert peak <= factor * batch * entries * 8
 
 
 @settings(max_examples=60, deadline=None)
