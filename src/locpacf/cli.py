@@ -8,8 +8,8 @@ override an optional ``--config`` key=value file, which overrides
 defaults.
 
 Exit codes: 0 success, 1 usage error, 2 data error (including an estimate
-that keeps no point and an output path that cannot be written), 3
-numerical failure, 4 verification failure.
+that keeps no point, an output path that cannot be written and an array
+that cannot be allocated), 3 numerical failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -393,8 +393,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (DataError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
+    except (DataError, OSError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation that failed
+        print(f"data error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -24,12 +24,11 @@ for a stack of series of one length; ``estimate`` is its one-series case,
 and ``_study`` checks and sizes a Monte-Carlo study of it.
 Each local estimator has one stack routine, and its public function is
 that routine's one-series case.  Both routines read their series through
-one intake and end in one stacked result, ``_GridStack``, which
-``grids()`` splits into one ``LpacfGrid`` per series and the Monte-Carlo
-scorer reads whole.  Every series of a stack keeps the bits of a call on
-it alone: every row, column and point is computed on its own.
-Estimation at distinct time points is independent; the routines
-vectorize over points and produce deterministic output ordering.
+one intake and end in one stacked result, ``_GridStack``, a row for every
+series at every requested point, which ``grids()`` splits into one
+``LpacfGrid`` per series and the Monte-Carlo scorer reads whole.  Each
+series keeps the bits of a call on it alone: every row, column and point
+is computed on its own, vectorized over points, in a deterministic order.
 """
 
 from __future__ import annotations
@@ -223,13 +222,13 @@ class _GridStack:
     """The estimates of a stack of R series at P requested points, before
     they are split into one ``LpacfGrid`` per series.
 
-    ``keep[r]`` marks the points of series r that were kept, and the rows
-    of ``estimates`` hold the kept points series by series; they are
-    clipped to [-1, 1] in place, and ``clamped`` marks the estimates with
-    |estimate| > 1 before the clip.  ``boundary`` is per requested point,
-    shared by every series, and so is ``eff``, the windowed estimator's
-    effective window length; ``bandwidth`` is its L.  Both are None for
-    the wavelet estimator.
+    ``estimates[r, p]`` holds the estimates of series r at ``points[p]``,
+    and ``keep[r, p]`` marks it kept; a dropped point's row is never read.
+    The rows are clipped to [-1, 1] in place, and ``clamped`` marks the
+    estimates with |estimate| > 1 before the clip.  ``boundary`` is per
+    requested point, shared by every series, and so is ``eff``, the
+    windowed estimator's effective window length; ``bandwidth`` is its L.
+    Both are None for the wavelet estimator.
     """
 
     def __init__(self, kind, pts, keep, estimates, boundary, bandwidth=None, eff=None):
@@ -243,19 +242,18 @@ class _GridStack:
         ``confidence_halfwidth`` of its effective lengths."""
         pts = self.points
         grids = []
-        end = 0
-        for mask in self.keep:
-            start, end = end, end + int(np.count_nonzero(mask))
+        for mask, estimates, clamped in zip(self.keep, self.estimates, self.clamped):
+            rows = slice(None) if mask.all() else mask  # a view if every point was kept
             eff = None if self.eff is None else self.eff[mask]
             grids.append(
                 LpacfGrid(
                     kind=self.kind,
                     points=pts[mask],
-                    estimates=self.estimates[start:end],
+                    estimates=estimates[rows],
                     boundary=self.boundary[mask],
                     bandwidth=self.bandwidth,
                     ci_halfwidth=None if eff is None else confidence_halfwidth(eff),
-                    clamp_count=int(np.count_nonzero(self.clamped[start:end])),
+                    clamp_count=int(np.count_nonzero(clamped[rows])),
                     dropped_points=pts[~mask],
                     effective_length=eff,
                 )
@@ -376,7 +374,8 @@ def _windowed_stack(series, L, kernel, max_lag, points, demean) -> _GridStack:
     pending, dests = [], []
 
     def solve():
-        pacf = _levinson(np.concatenate(pending, axis=1)).T
+        block = pending[0] if len(pending) == 1 else np.concatenate(pending, axis=1)
+        pacf = _levinson(block).T
         i = 0
         for at, n in dests:
             estimates[:, at] = pacf[i : i + R * n].reshape(R, n, max_lag)
@@ -396,19 +395,15 @@ def _windowed_stack(series, L, kernel, max_lag, points, demean) -> _GridStack:
         ok &= np.isfinite(gamma).all(axis=1)
         keep[:, at] = ok
         # the points of every series as columns, series by series; a dropped
-        # point's column runs too, and its estimates are cut with the keep mask
+        # point's column runs too, and the keep mask leaves its row unread
         pending.append(np.moveaxis(gamma, 1, 0).reshape(max_lag + 1, -1))
         dests.append((at, ok.shape[1]))
         if sum(g.shape[1] for g in pending) >= _CHUNK_POINTS:
             solve()
     if dests:
         solve()
-    if not keep.all():
-        estimates = estimates[keep]  # the kept points, series by series
     boundary = (eff < L).astype(np.uint8)
-    return _GridStack(
-        "windowed", pts, keep, estimates.reshape(-1, max_lag), boundary, L, eff
-    )
+    return _GridStack("windowed", pts, keep, estimates, boundary, L, eff)
 
 
 def _window_chunks(pts: np.ndarray):
@@ -431,6 +426,8 @@ def _window_chunks(pts: np.ndarray):
     lo, hi = int(pts.min()), int(pts.max())
     step = int(np.gcd.reduce(pts - lo)) or 1
     per = max(1, _CHUNK_POINTS // step)  # terms per chunk
+    # Not folded into the gather below: the bits are the same, but the gather
+    # measured 15-29% slower on every-point selections and study stacks.
     if np.array_equal(pts, np.arange(lo, hi + 1, step)):
         for i in range(0, len(pts), per):
             j = min(i + per, len(pts))
@@ -904,16 +901,17 @@ def _wavelet_stack(
     # the blocks of the times zT..zT+max_lag, and the certificate that
     # vouches for the ridge-0 gate of every lag
     G, certified = _blocks(side, z, max_lag + 1)
-    estimates = np.empty((len(z), max_lag))
+    estimates = np.empty((R, len(pts), max_lag))
+    rows = np.flatnonzero(keep)  # the row r * P + p of each point of z
     ok = np.ones(len(z), dtype=bool)
     for tau in range(1, max_lag + 1):
         phi, _, _, mb, mf, ridge = _plug_in_stack(G, tau, certified)
         ok &= ~np.isnan(ridge).any(axis=0) & _mspe_ok(mb, mf)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            estimates[:, tau - 1] = phi[:, -1] * np.sqrt(mb / mf)
+            estimates.reshape(-1, max_lag)[rows, tau - 1] = phi[:, -1] * np.sqrt(mb / mf)
     keep[keep] = ok
     boundary = ((pts < margin) | (pts > T - 1 - margin)).astype(np.uint8)
-    return _GridStack("wavelet", pts, keep, estimates[ok], boundary)
+    return _GridStack("wavelet", pts, keep, estimates, boundary)
 
 
 @dataclass(frozen=True)
@@ -956,10 +954,10 @@ class EstimatorConfig:
         each chunk one window-sum call for every series and each
         ``_CHUNK_POINTS`` columns one Levinson recursion, with one mass row
         for all of them; the wavelet one with one spectral stage and one
-        plug-in stage.  Both end in one stacked result, the kept estimates
-        of every series with their keep mask, whose ``grids()`` splits it
-        into one grid per series.  A stack of no series is no pass, and no
-        grid.
+        plug-in stage.  Both end in one stacked result, a row of estimates
+        for every series at every point with their keep mask, whose
+        ``grids()`` splits it into one grid per series.  A stack of no
+        series is no pass, and no grid.
         """
         xs = list(xs)  # read once: an iterator, or an array of no rows
         return self._grid_stack(xs, points, demean, pad).grids() if xs else []
@@ -988,13 +986,13 @@ class EstimatorConfig:
             L = _check_bandwidth(T, self.binwidth, lag)
             # Per point a replicate holds its max_lag estimates and about 2
             # entries more, its scaled series and masks (max_lag + 1.88, the
-            # slope of the tracemalloc peak over T = 8192..32768); of one
-            # chunk of n <= _CHUNK_POINTS points (``_windowed_stack``), its
-            # max_lag + 1 padded product rows over n + L positions and about
-            # 5 (max_lag + 1) n entries of sums, columns and Levinson arrays.
+            # slope of the tracemalloc peak over T = 8192..32768 at L=512); of
+            # one chunk of n <= _CHUNK_POINTS points (``_windowed_stack``), its
+            # max_lag + 1 padded product rows over n + L positions and 4.0-4.6
+            # (max_lag + 1) n entries of sums, columns and Levinson arrays.
             # This rule counts 4 a point and 3 times the rows; a batch peaks
-            # at 1.12x its entries (4 replicates, T=8192, max_lag 10) and at
-            # 1.22x (116 replicates, T=512, max_lag 2).
+            # at 1.02x its entries (4 replicates, T=8192, max_lag 10) and at
+            # 1.05x (116 replicates, T=512, max_lag 2).
             return L, (lag + 4) * T + 3 * (lag + 1) * (min(T, _CHUNK_POINTS) + L)
         if _dyadic_length(T) != T:
             raise InvalidArgumentError(

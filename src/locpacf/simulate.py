@@ -376,29 +376,28 @@ def _score(stack: _GridStack, truth: np.ndarray, lags: Sequence[int]):
 
     ``truth`` holds the truth at ``lags`` at every time.  A replicate's
     RMSE at lag tau is the root mean square of its estimates less the truth
-    over its kept points outside the margin.  The replicates that kept the
-    same points are scored together, as one contiguous (lags, replicates,
-    points) error array: each RMSE reduces one contiguous row of it, which
-    numpy sums pairwise as it does a 1-D array, so each has the bits of its
-    replicate scored alone.
+    over its kept points outside the margin.  Replicate r's estimate at
+    point p is row r * P + p of the stack's estimates, flattened to rows.
+    The replicates that kept the same points are scored together, as one
+    contiguous (lags, replicates, points) error array: each RMSE reduces
+    one contiguous row of it, which numpy sums pairwise as it does a 1-D
+    array, so each has the bits of its replicate scored alone.
     """
     keep = stack.keep
+    R, P, max_lag = stack.estimates.shape
     interior = stack.boundary == 0
-    kept = np.count_nonzero(keep, axis=1)
     no_interior = ~(keep & interior).any(axis=1)
-    too_many_dropped = ~no_interior & (keep.shape[1] - kept > 0.1 * keep.shape[1])
-    starts = np.cumsum(kept) - kept  # each replicate's first row of estimates
+    too_many_dropped = ~no_interior & (P - np.count_nonzero(keep, axis=1) > 0.1 * P)
     scored = np.flatnonzero(~no_interior & ~too_many_dropped)
     groups = {}
     for r in scored:
         groups.setdefault(keep[r].tobytes(), []).append(r)
-    by_lag = stack.estimates.T[np.subtract(lags, 1)]  # a row of estimates per lag
-    rmse = np.empty((len(keep), len(lags)))
+    by_lag = stack.estimates.reshape(-1, max_lag).T[np.subtract(lags, 1)]  # a row per lag
+    rmse = np.empty((R, len(lags)))
     for reps in groups.values():
-        mask = keep[reps[0]]
-        rows = np.flatnonzero(interior[mask])  # the interior ones of the kept rows
-        e = np.take(by_lag, starts[reps, None] + rows, axis=1)
-        e -= truth[:, None, stack.points[mask][rows]]
+        cols = np.flatnonzero(keep[reps[0]] & interior)  # the kept interior points
+        e = np.take(by_lag, np.multiply(reps, P)[:, None] + cols, axis=1)
+        e -= truth[:, None, stack.points[cols]]
         rmse[reps] = np.sqrt(np.mean(e * e, axis=-1)).T
     return rmse[scored], np.count_nonzero([no_interior, too_many_dropped], axis=1)
 

@@ -744,6 +744,28 @@ def test_cli_unwritable_plot_writes_no_csv(tmp_path, capsys, command):
     assert sorted(os.listdir(tmp_path)) == ["x.csv"]
 
 
+@pytest.mark.parametrize(
+    "message, line",
+    [
+        ("Unable to allocate 745. GiB for an array with shape (100000000000,)",
+         "data error: Unable to allocate 745. GiB for an array with shape (100000000000,)"),
+        ("", "data error: out of memory"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_cli_allocation_failure_is_a_data_error(tmp_path, capsys, monkeypatch, message, line):
+    # a length below MAX_LENGTH passes every check and can still not fit in
+    # memory: exit 2 with one line, no traceback and no file
+    def simulate_tvar(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(locpacf.cli, "simulate_tvar", simulate_tvar)
+    out = tmp_path / "big.csv"
+    assert main(["simulate", "tvar", "--T", "100000000000", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == line + "\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_cli_verify_imports_no_scipy():
     # numpy is the one runtime dependency; no command may pull in scipy
     code = (

@@ -578,7 +578,7 @@ def test_grouped_scorer_matches_the_per_replicate_loop():
     points = rng.permutation(T)[:P]  # scattered, in no order
     boundary = np.zeros(P, dtype=np.uint8)
     boundary[[0, 1, 2, 3, -4, -3, -2, -1]] = 1
-    estimates = rng.uniform(-1.2, 1.2, (np.count_nonzero(keep), 3))
+    estimates = rng.uniform(-1.2, 1.2, (9, P, 3))  # a dropped point's row is not read
     truth = rng.uniform(-1.0, 1.0, (len(lags), T))
     stack = estimators._GridStack("windowed", points, keep, estimates, boundary, 16)
     rmse, counts = simulate._score(stack, truth, lags)
