@@ -1,14 +1,14 @@
 """Discrete non-decimated Haar wavelets and derived deterministic objects.
 
 The canonical cross-scale autocorrelation wavelet here is the discrete sum
-Psi_{j,l}(tau) = sum_k psi_{j,k} psi_{l,k+tau}.  One closed-form piecewise
-expression, for l < j, was derived through the continuous convolution and
-produces the discrete values at the reflected lag, so ``psi_cross_closed``
-evaluates it at -tau.  The case l > j follows from the symmetry
-Psi_{j,l}(tau) = Psi_{l,j}(-tau), the same form with the scales swapped at
-+tau.  The continuous mother wavelet is -1 then +1 while the discrete
-sequence is + then -; products of two wavelets are unaffected, so no
-further correction is needed.
+Psi_{j,l}(tau) = sum_k psi_{j,k} psi_{l,k+tau}.  Its one closed form, for
+l < j, is the core function Omega_{j-l}(u) of the continuous convolution
+read at the reflected, rescaled lag u = -tau/2^l; ``psi_cross_closed``
+evaluates exactly that.  The case l > j follows from the symmetry
+Psi_{j,l}(tau) = Psi_{l,j}(-tau), giving Omega_{l-j}(tau/2^j).  The
+continuous mother wavelet is -1 then +1 while the discrete sequence is +
+then -; products of two wavelets are unaffected, so no further correction
+is needed.
 
 All sums over "infinite" lag ranges are computed exactly over the finite
 supports (N_j = 2^j); no truncation tolerance exists anywhere in this
@@ -111,62 +111,35 @@ def psi_cross_bruteforce(j: int, l: int, tau: int) -> float:
 def omega_core(i: int, u: float) -> float:
     """Core function Omega_i(u); Omega_0(u) = Psi_H(u).
 
-    Ten-branch piecewise formula with prefactor 2^{-i/2}.  At i = 0 the
-    stated branch intervals overlap and the matching branch values add up
-    (for i >= 1 the intervals are disjoint, so summing equals taking the
-    single match).
+    Six linear pieces with prefactor 2^{-i/2}, on the half-open intervals
+    [-1, -1/2), [-1/2, 0), [2^{i-1} - 1, 2^{i-1} - 1/2), [2^{i-1} - 1/2,
+    2^{i-1}), [2^i - 1, 2^i - 1/2) and [2^i - 1/2, 2^i), and 0 elsewhere.
+    For i >= 1 the pieces do not overlap and u takes the one it lies in; at
+    i = 0 the second and third pieces share [-1/2, 0), the fourth and fifth
+    share [0, 1/2), and each such pair adds up to Psi_H(u).
     """
     i = _check_int(i, f"order i={i}", 0, MAX_SCALE, f"outside [0, {MAX_SCALE}]")
     u = float(u)
     half = 2.0 ** (i - 1)
     full = 2.0**i
-    total = 0.0
-    if -1.0 <= u < -0.5:
-        total += -(u + 1.0)
-    if -0.5 <= u < 0.0:
-        total += u
-    if half - 1.0 <= u < half - 0.5:
-        total += 2.0 * u - full + 2.0
-    if half - 0.5 <= u < half:
-        total += full - 2.0 * u
-    if full - 1.0 <= u < full - 0.5:
-        total += full - u - 1.0
-    if full - 0.5 <= u < full:
-        total += u - full
-    return 2.0 ** (-i / 2) * total
-
-
-def _xcorr_closed_lower(j: int, l: int, t: int) -> float:
-    # piecewise form for l < j, half-open intervals [a, b)
-    nl, nl2 = 1 << l, 1 << (l - 1)
-    nj, nj2 = 1 << j, 1 << (j - 1)
-    pref = 2.0 ** (-(j - l) / 2)
-    il = 2.0 ** (-l)
-    if t < -nl:
-        return 0.0
-    if t < -nl2:
-        return pref * (-(il * t + 1.0))
-    if t < 0:
-        return pref * il * t
-    if t < nj2 - nl:
-        return 0.0
-    if t < nj2 - nl2:
-        return pref * il * (2 * t - nj + 2 * nl)
-    if t < nj2:
-        return pref * il * (nj - 2 * t)
-    if t < nj - nl:
-        return 0.0
-    if t < nj - nl2:
-        return pref * il * (nj - t - nl)
-    if t < nj:
-        return pref * il * (t - nj)
-    return 0.0
+    pieces = (
+        (-1.0, -0.5, -(u + 1.0)),
+        (-0.5, 0.0, u),
+        (half - 1.0, half - 0.5, 2.0 * u - full + 2.0),
+        (half - 0.5, half, full - 2.0 * u),
+        (full - 1.0, full - 0.5, full - u - 1.0),
+        (full - 0.5, full, u - full),
+    )
+    # u lies in at most one piece, or in two at i = 0, whose values add
+    values = [v for a, b, v in pieces if a <= u < b]
+    return 2.0 ** (-i / 2) * (sum(values[1:], values[0]) if values else 0.0)
 
 
 def psi_cross_closed(j: int, l: int, tau: int) -> float:
     """Closed-form Psi_{j,l}(tau) in the discrete lag convention.
 
-    Evaluates the one piecewise form, for l < j, at the reflected lag -tau
+    For l < j it is the core function Omega_{j-l}(-tau/2^l); for l > j the
+    symmetry Psi_{j,l}(tau) = Psi_{l,j}(-tau) makes it Omega_{l-j}(tau/2^j)
     (see module docstring).  Requires j != l; use :func:`psi_auto` for j = l.
     """
     j = _check_scale(j, "j")
@@ -175,8 +148,8 @@ def psi_cross_closed(j: int, l: int, tau: int) -> float:
         raise InvalidArgumentError("psi_cross_closed requires j != l; use psi_auto")
     tau = _check_int(tau, f"lag tau={tau}")
     if l < j:
-        return _xcorr_closed_lower(j, l, -tau)
-    return _xcorr_closed_lower(l, j, tau)  # Psi_{j,l}(tau) = Psi_{l,j}(-tau)
+        return omega_core(j - l, 2.0 ** (-l) * -tau)
+    return omega_core(l - j, 2.0 ** (-j) * tau)
 
 
 def _check_window(N: int, zT: int) -> tuple[int, int]:

@@ -340,11 +340,11 @@ def svg_plot(path: str, grid: LpacfGrid, T: int, title: str = "") -> None:
                 f'<line x1="{ml}" y1="{sy(v):.2f}" x2="{ml + pw}" y2="{sy(v):.2f}" '
                 'stroke="#c0392b" stroke-width="1" stroke-dasharray="6 4"/>'
             )
+    # the grid keeps the requested order; each line is drawn in time order
+    order = np.argsort(pts, kind="stable")
     for li, lag in enumerate(grid.lags):
         col = _PALETTE[li % len(_PALETTE)]
-        coords = " ".join(
-            f"{sx(t):.2f},{sy(grid.estimates[p, li]):.2f}" for p, t in enumerate(pts)
-        )
+        coords = " ".join(f"{sx(pts[p]):.2f},{sy(grid.estimates[p, li]):.2f}" for p in order)
         out.append(
             f'<polyline points="{coords}" fill="none" stroke="{col}" stroke-width="1.3"/>'
         )

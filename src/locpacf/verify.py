@@ -95,6 +95,7 @@ def check_symmetry(max_scale: int = 8) -> CheckResult:
 
 
 def check_omega_consistency(max_scale: int = 8) -> CheckResult:
+    # psi_cross_closed is omega_core itself, so this pins its argument map u = -tau/2^l
     worst = 0.0
     for l in range(1, max_scale):
         for j in range(l + 1, max_scale + 1):

@@ -23,7 +23,7 @@ from locpacf import (
     write_long_csv,
     write_series,
 )
-from locpacf import simulate
+from locpacf import estimators, simulate
 from locpacf.cli import main
 from locpacf.errors import MAX_LENGTH
 from locpacf.io import LONG_HEADER
@@ -429,6 +429,23 @@ def test_cli_benchmark_wavelet_refuses_a_margin_that_covers_every_point(
     monkeypatch.undo()
     assert main(argv + ["--max-scale", str(fits)]) == 0
     assert Path(out).read_text().splitlines()[1].startswith("wavelet,1,")
+
+
+def test_cli_estimate_whose_every_solve_fails_exits_2_not_3(tmp_path, capsys, monkeypatch):
+    # exit code 3 is not reached from the CLI: a point whose solve fails
+    # numerically is dropped, and an estimate that keeps no point is a data error
+    sim = str(tmp_path / "s.csv")
+    out = str(tmp_path / "w.csv")
+    assert main(["simulate", "tvar", "--T", "256", "--seed", "0", "--output", sim]) == 0
+    monkeypatch.setattr(
+        estimators, "_gated_solve", lambda M, r, certified=None: np.full(r.shape, np.nan)
+    )
+    assert main(["estimate", "--method", "wavelet", "--input", sim, "--output", out]) == 2
+    assert (
+        "data error: no estimate to write: all points were dropped (256)"
+        in capsys.readouterr().err
+    )
+    assert not os.path.exists(out)
 
 
 def test_cli_benchmark_wavelet_refuses_a_max_lag_no_scale_fits(

@@ -174,6 +174,29 @@ def test_psi_cross_closed_bits_are_pinned():
     )
 
 
+def test_psi_cross_closed_bits_are_pinned_at_deep_scales():
+    # every j != l in 1..30 (23 490 values): each breakpoint of the piecewise
+    # form and the lags 1 on either side of it.  With c the coarser and f the
+    # finer scale, the form in t has its breakpoints at -N_f, -N_f/2, 0,
+    # N_c/2 - N_f, N_c/2 - N_f/2, N_c/2, N_c - N_f, N_c - N_f/2 and N_c;
+    # t = -tau for l < j and t = tau for l > j, hashed with signed zeros
+    digest = hashlib.sha256()
+    for j in range(1, 31):
+        for l in range(1, 31):
+            if j == l:
+                continue
+            nc, nf = 1 << max(j, l), 1 << min(j, l)
+            breaks = (-nf, -nf // 2, 0, nc // 2 - nf, nc // 2 - nf // 2, nc // 2,
+                      nc - nf, nc - nf // 2, nc)
+            for b in breaks:
+                for t in (b - 1, b, b + 1):
+                    tau = -t if l < j else t
+                    digest.update(struct.pack("<d", psi_cross_closed(j, l, tau)))
+    assert digest.hexdigest() == (
+        "8db566a4d6fb568fa70adff111c82aab45d093039ebea302b53105643e37a1cd"
+    )
+
+
 def test_closed_equals_bruteforce_full_grid(verify_run):
     # j != l in 1..8, tau over both supports plus 2, within CLOSED_FORM_TOL = 1e-12
     res = verify_run.check("closed form vs brute force")

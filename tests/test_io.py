@@ -314,3 +314,26 @@ def test_svg_plot_escapes_its_title(tmp_path):
     svg_plot(str(path), grid, 4, title=title)
     root = ET.parse(path).getroot()
     assert title in [node.text for node in root.iter("{http://www.w3.org/2000/svg}text")]
+
+
+def test_svg_plot_draws_each_lag_in_time_order(tmp_path):
+    # the grid keeps the requested order, unordered and with a repeat; the
+    # lines must still run left to right
+    grid = LpacfGrid(
+        kind="windowed",
+        points=np.array([200, 10, 100, 100]),
+        estimates=np.array([[0.1, -0.2], [0.5, 0.3], [0.4, 0.0], [0.4, 0.0]]),
+        boundary=np.zeros(4, dtype=np.uint8),
+        bandwidth=None,
+        ci_halfwidth=None,
+        clamp_count=0,
+    )
+    path = tmp_path / "plot.svg"
+    svg_plot(str(path), grid, 256)
+    root = ET.parse(path).getroot()
+    lines = list(root.iter("{http://www.w3.org/2000/svg}polyline"))
+    assert len(lines) == 2
+    for line in lines:
+        xs = [float(pair.split(",")[0]) for pair in line.get("points").split()]
+        assert len(xs) == 4
+        assert xs == sorted(xs)
