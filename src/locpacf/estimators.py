@@ -9,7 +9,9 @@ representation
     q(z, tau) = phi_{tau,tau}(z) * sqrt(backward MSPE / forward MSPE)
 
 with the wavelet local autocovariance estimate, solving a local
-Yule-Walker system for phi and two prediction systems for the MSPEs.
+Yule-Walker system for phi and two prediction systems for the MSPEs: for
+every point at once with a Levinson lattice over time, and with LAPACK
+and a ridge for the points that the lattice cannot serve.
 
 Every estimator, ``classical_pacf`` too, first scales the series by the
 power of two that brings its largest magnitude into [0.5, 1).  A partial
@@ -546,8 +548,10 @@ def prediction_system(lacv: LocalAcvGrid, zT: int, tau: int) -> PredictionSystem
 
     Covariance entries are evaluated at the rescaled midpoint of each
     index pair, so the backward and forward matrices genuinely differ
-    under nonstationarity.  This is the batched stage of ``wavelet_lpacf``
-    run on a one-point stack, so it carries the same bits.
+    under nonstationarity.  This is the LAPACK stage of ``wavelet_lpacf``
+    run on a one-point stack, so it carries the bits of the points that
+    the lattice does not serve (see ``_wavelet_stack``); at the points it
+    serves, the estimate agrees with ``estimate`` to rounding.
     NumericalError is raised, with the condition number of the failing
     matrix, when a system exhausts its ridge regularization (checked in
     the order Yule-Walker, backcast, forecast) or when an MSPE does not
@@ -614,14 +618,20 @@ def _midpoint_stack(values: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
     G = np.empty((n, n, len(z)))
     for a in range(n):
         for b in range(a, n):
-            lo, odd = divmod(a + b, 2)
-            cell = G[a, b]
-            np.take(values[b - a], z + lo, out=cell)
-            if odd:
-                cell += values[b - a, z + lo + 1]
-                cell *= 0.5
-            G[b, a] = cell
+            G[b, a] = _midpoints(values, z + a, b - a, G[a, b])
     return G
+
+
+def _midpoints(values: np.ndarray, s: np.ndarray, d: int, out: np.ndarray) -> np.ndarray:
+    """out[i] = ``LocalAcvGrid.midpoint(s[i], s[i] + d)``, with the same
+    operations: the lag-d entry at the midpoint, or the two adjacent entries
+    summed and halved at a half-integer one."""
+    lo = s + d // 2
+    np.take(values[d], lo, out=out)
+    if d % 2:
+        out += values[d, lo + 1]
+        out *= 0.5
+    return out
 
 
 def _certify(G: np.ndarray) -> np.ndarray:
@@ -803,6 +813,91 @@ def _plug_in_stack(G: np.ndarray, tau: int, certified: np.ndarray):
     return phi, bb, bf, mb, mf, ridge
 
 
+def _band(values: np.ndarray, z: np.ndarray, n: int):
+    """The band of the blocks of the times z[i]..z[i]+n-1: C[d, j] =
+    ``LocalAcvGrid.midpoint(pos[j], pos[j] + d)`` for d < n, over the
+    positions pos, the union of the blocks as contiguous runs laid side by
+    side.  Returns C and the place of each z[i] in pos.
+
+    Row d holds the len(pos) - d pairs (j, j + d); a pair that spans two
+    runs, or two series, is computed and never read.  A selection costs its
+    own blocks, not the times between them.
+    """
+    zs = np.sort(z)  # not np.unique, whose first call imports numpy.ma
+    cut = np.flatnonzero(np.diff(zs) > n) + 1  # a block clear of the run before
+    first = zs[np.r_[0, cut]]
+    size = zs[np.r_[cut - 1, len(zs) - 1]] + n - first
+    pos = np.repeat(first - np.cumsum(size) + size, size) + np.arange(size.sum())
+    N = len(pos)
+    C = np.empty((n, N))
+    for d in range(n):
+        _midpoints(values, pos[: N - d], d, C[d, : N - d])
+    return C, np.searchsorted(pos, z)
+
+
+def _lattice(values: np.ndarray, z: np.ndarray, max_lag: int):
+    """The plug-in estimates at the points z at lags 1..max_lag, from the
+    time-indexed Levinson lattice (Lev-Ari & Kailath, IEEE Trans. Inf.
+    Theory 30(1), 1984) over the band of their blocks (``_band``), and
+    where each point is served by it.
+
+    At order m every pair of times (u, t = u + m) updates the forward
+    predictor a(t) of X_t from X_(t-1)..X_(u+1) and the backward predictor
+    b(u) of X_u from X_(u+1)..X_(t-1), with their MSPEs Pf(t) and Pb(u):
+    Delta = C(u, t) - sum_i a(t)_i C(u, t - i), k_f = Delta / Pb(u) and
+    k_b = Delta / Pf(t); a(t) less k_f times b(u) reversed gains k_f as
+    the coefficient of X_u, b(u) likewise with k_b, and Pf -= k_f Delta,
+    Pb -= k_b Delta.  At the
+    point z and lag tau, the pair (z, z + tau) holds the systems of
+    ``_plug_in_stack``: the Yule-Walker solution is a_tau(z + tau), whose
+    last coefficient is k_f; the backcast is b_(tau-1)(z) and the forecast
+    a_(tau-1)(z + tau), and their MSPEs are Pb_(tau-1)(z) and
+    Pf_(tau-1)(z + tau).  The estimate is k_f sqrt(Pb / Pf).
+
+    A point is served where every system at every lag passes the ridge-0
+    test of ``_solve_stack`` (``_accepted``) and every MSPE is positive and
+    finite (``_mspe_ok``); the positive MSPEs make each block of the
+    systems positive definite, which is the Cholesky gate in exact
+    arithmetic.  The estimates of a point not served are never read.
+    Every pair is computed on its own, so a point has the same bits in any
+    selection or stack.
+    """
+    if not z.size:
+        return np.empty((0, max_lag)), np.empty(0, dtype=bool)
+    C, at = _band(values, z, max_lag + 1)
+    N = C.shape[1]
+    P = N - max_lag  # the positions that start a block
+    est = np.empty((P, max_lag))
+    ok = np.ones(P, dtype=bool)
+    F = B = np.empty((0, N))  # a_(m-1)(u + m - 1) and b_(m-1)(u), by u
+    Pf = Pb = C[0]  # Pf_(m-1)(u + m - 1) and Pb_(m-1)(u), by u
+    with np.errstate(all="ignore"):
+        for m in range(1, max_lag + 1):
+            n = N - m  # the pairs (u, u + m)
+            Fs, Bs, mf, mb = F[:, 1:], B[:, :n], Pf[1:], Pb[:n]
+            ok &= _mspe_ok(mb[:P], mf[:P])
+            if m > 1:  # the backcast, and the forecast: its last is a_1
+                ok &= _accepted(Bs[:, :P].T) & _accepted(Fs[::-1, :P].T)
+            delta = C[m, :n].copy()
+            for i in range(1, m):
+                delta -= Fs[i - 1] * C[m - i, :n]
+            kf = delta / mb
+            est[:, m - 1] = (kf * np.sqrt(mb / mf))[:P]
+            F = np.empty((m, n))
+            np.multiply(Bs[::-1], kf, out=F[:-1])
+            np.subtract(Fs, F[:-1], out=F[:-1])
+            F[-1] = kf
+            ok &= _accepted(F[:, :P].T)  # the Yule-Walker system
+            if m < max_lag:
+                kb = delta / mf
+                B = np.empty((m, n))
+                np.multiply(Fs[::-1], kb, out=B[:-1])
+                np.subtract(Bs, B[:-1], out=B[:-1])
+                B[-1] = kb
+                Pf, Pb = mf - kf * delta, mb - kb * delta
+    return est[at], ok[at]
+
+
 def wavelet_lpacf(
     ts,
     max_scale: int | None = None,
@@ -824,11 +919,15 @@ def wavelet_lpacf(
     ``max_lag``.
 
     Per lag, the Yule-Walker, backcast and forecast systems of a point are
-    slices of one covariance block, the times zT..zT+max_lag.  A system is
-    accepted at the first ridge level at which it passes numpy's Cholesky
-    gate and its last coefficient is within 1 + 1e-6 of 0 in magnitude
-    (``_solve_stack``); ``prediction_system`` runs the same stage at one
-    point.
+    slices of one covariance block, the times zT..zT+max_lag, and every
+    block is a principal submatrix of one banded covariance.  One
+    time-indexed Levinson lattice over that band solves every system of
+    every point in one pass (``_lattice``).  A point is served by it when
+    each of its systems has its last coefficient within 1 + 1e-6 of 0 in
+    magnitude and each MSPE is positive.  Every other point is solved on
+    its own by LAPACK, each system accepted at the first ridge level at
+    which it passes numpy's Cholesky gate and that bound
+    (``_solve_stack``); ``prediction_system`` runs that stage at one point.
 
     ``demean`` subtracts the mean of the whole series before the spectral
     stage, not a local mean.  ``points`` defaults to every index; the
@@ -866,11 +965,13 @@ def _wavelet_stack(
 
     The spectral stage runs once on the (R, T) stack.  The plug-in stage
     lays the R lacv grids side by side as one (max_lag+1, R*T) grid and
-    solves the systems of every kept point of every series as one stack: a
-    kept point's block, the times zT..zT+max_lag, lies inside its own
-    series.  Every point is computed on its own, so each grid has the bits
-    of a call on its series alone.  A given ``lacv`` (one series' grid)
-    stands in for the spectral stage of a one-series stack.
+    runs one lattice (``_lattice``) over the blocks of every kept point of
+    every series: a kept point's block, the times zT..zT+max_lag, lies
+    inside its own series.  The points it does not serve go, every series
+    together, to one LAPACK stage (``_blocks``, ``_plug_in_stack``).  Every
+    point is computed on its own, so each grid has the bits of a call on
+    its series alone.  A given ``lacv`` (one series' grid) stands in for
+    the spectral stage of a one-series stack.
     """
     x = _intake(series)
     R, T = x.shape
@@ -897,18 +998,23 @@ def _wavelet_stack(
     keep = (pts + max_lag <= Tg - 1) & (values[:, 0, pts] > 0)
     z = (np.arange(R)[:, None] * Tg + pts)[keep]  # kept points, series by series
     side = np.moveaxis(values, 0, 1).reshape(values.shape[1], R * Tg)
-
-    # the blocks of the times zT..zT+max_lag, and the certificate that
-    # vouches for the ridge-0 gate of every lag
-    G, certified = _blocks(side, z, max_lag + 1)
     estimates = np.empty((R, len(pts), max_lag))
+    flat = estimates.reshape(-1, max_lag)
     rows = np.flatnonzero(keep)  # the row r * P + p of each point of z
-    ok = np.ones(len(z), dtype=bool)
-    for tau in range(1, max_lag + 1):
-        phi, _, _, mb, mf, ridge = _plug_in_stack(G, tau, certified)
-        ok &= ~np.isnan(ridge).any(axis=0) & _mspe_ok(mb, mf)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            estimates.reshape(-1, max_lag)[rows, tau - 1] = phi[:, -1] * np.sqrt(mb / mf)
+    flat[rows], ok = _lattice(side, z, max_lag)
+    # the points the lattice does not serve: the blocks of the times
+    # zT..zT+max_lag, and the certificate that vouches for the ridge-0 gate
+    # of every lag, solved with a ridge where it is needed
+    back = np.flatnonzero(~ok)
+    if back.size:
+        G, certified = _blocks(side, z[back], max_lag + 1)
+        good = np.ones(len(back), dtype=bool)
+        for tau in range(1, max_lag + 1):
+            phi, _, _, mb, mf, ridge = _plug_in_stack(G, tau, certified)
+            good &= ~np.isnan(ridge).any(axis=0) & _mspe_ok(mb, mf)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                flat[rows[back], tau - 1] = phi[:, -1] * np.sqrt(mb / mf)
+        ok[back] = good
     keep[keep] = ok
     boundary = ((pts < margin) | (pts > T - 1 - margin)).astype(np.uint8)
     return _GridStack("wavelet", pts, keep, estimates, boundary)
@@ -1011,7 +1117,9 @@ class EstimatorConfig:
                 + ("" if fits else f" at max_lag={lag}")
             )
         # The (max_lag+1)^2 covariance block of every point and, at 16 per
-        # point, the spectral stage's scales; the certificate and the solves
-        # copy the blocks, so a batch peaks at about 3x (2.46x for 6 replicates
-        # at T=4096, max_lag 4; 2.89x, 26 MB, for one at T=8192, max_lag 10).
+        # point, the spectral stage's scales.  Only the points that the
+        # lattice does not serve have blocks; the lattice holds its band,
+        # both predictors of two orders and the estimates, about 8
+        # (max_lag+1) per point.  A batch peaks at 1.48x (6 replicates at
+        # T=4096, max_lag 4) and 0.72x (6.2 MiB, one at T=8192, max_lag 10).
         return None, ((lag + 1) ** 2 + 16) * T

@@ -433,10 +433,16 @@ def test_cli_benchmark_wavelet_refuses_a_margin_that_covers_every_point(
 
 def test_cli_estimate_whose_every_solve_fails_exits_2_not_3(tmp_path, capsys, monkeypatch):
     # exit code 3 is not reached from the CLI: a point whose solve fails
-    # numerically is dropped, and an estimate that keeps no point is a data error
+    # numerically is dropped, and an estimate that keeps no point is a data
+    # error; the lattice serves no point here, so every point reaches the solves
     sim = str(tmp_path / "s.csv")
     out = str(tmp_path / "w.csv")
     assert main(["simulate", "tvar", "--T", "256", "--seed", "0", "--output", sim]) == 0
+    monkeypatch.setattr(
+        estimators,
+        "_lattice",
+        lambda values, z, max_lag: (np.zeros((len(z), max_lag)), np.zeros(len(z), dtype=bool)),
+    )
     monkeypatch.setattr(
         estimators, "_gated_solve", lambda M, r, certified=None: np.full(r.shape, np.nan)
     )
