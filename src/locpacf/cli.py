@@ -10,9 +10,9 @@ defaults.
 Exit codes: 0 success, 1 usage error, 2 data error (including an estimate
 that keeps no point, an output path that cannot be written and an array
 that cannot be allocated), 3 numerical failure, 4 verification failure.
-No subcommand reaches 3: only the library's ``prediction_system`` raises
-``NumericalError``, and an estimate whose every point fails numerically
-keeps no point, so it exits 2 and writes no file.
+No subcommand reaches 3: no library function raises ``NumericalError``,
+and an estimate whose every point fails numerically keeps no point, so it
+exits 2 and writes no file.
 """
 
 from __future__ import annotations

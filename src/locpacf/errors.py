@@ -41,7 +41,11 @@ class DegenerateInputError(DataError):
 
 
 class NumericalError(LocpacfError):
-    """A linear system stayed unusable after maximum regularization."""
+    """A linear system stayed unusable after maximum regularization.
+
+    No library function raises it: the estimators drop such a point and
+    report it.  The CLI keeps exit code 3 for it.
+    """
 
     def __init__(self, message, condition=None):
         super().__init__(message)

@@ -10,8 +10,9 @@ representation
 
 with the wavelet local autocovariance estimate, solving a local
 Yule-Walker system for phi and two prediction systems for the MSPEs: for
-every point at once with a Levinson lattice over time, and with LAPACK
-and a ridge for the points that the lattice cannot serve.
+every point at once with a Levinson lattice over a band of the estimates,
+and with LAPACK and a ridge, on blocks gathered from that band, for the
+points that the lattice cannot serve.
 
 Every estimator, ``classical_pacf`` too, first scales the series by the
 power of two that brings its largest magnitude into [0.5, 1).  A partial
@@ -43,7 +44,6 @@ from numpy.linalg import _umath_linalg
 from .errors import (
     DegenerateInputError,
     InvalidArgumentError,
-    NumericalError,
     _check_int,
     _holds_bool,
     _is_int,
@@ -67,8 +67,6 @@ __all__ = [
     "levinson_pacf",
     "classical_pacf",
     "windowed_lpacf",
-    "prediction_system",
-    "PredictionSystem",
     "wavelet_lpacf",
     "LpacfGrid",
     "EstimatorConfig",
@@ -81,9 +79,6 @@ _PACF_SLACK = 1e-6
 # _RIDGE_STOP, each exact, as a scalar doubling would give them
 _RIDGE_EPS = _RIDGE_START * 2.0 ** np.arange(64)
 _RIDGE_EPS = _RIDGE_EPS[_RIDGE_EPS <= _RIDGE_STOP]
-# how far the smallest eigenvalue of a unit-diagonal scaling must clear 0
-# for ``_certify``: far above the rounding bound that it proves against
-_CERTIFICATE_MARGIN = 1e-8
 _WAVELET_MAX_LAG = 10  # the deepest lag of the wavelet estimator
 
 
@@ -509,185 +504,15 @@ def _local_means(x, offs, w, mass):
     return demeaned, msq
 
 
-@dataclass(frozen=True)
-class PredictionSystem:
-    """The plug-in systems at one point zT and lag tau.
-
-    All three read the covariance block of the times zT..zT+tau.
-    ``coefficients`` solves the local Yule-Walker system that predicts the
-    observation at zT+tau: ``coefficients[i-1]`` multiplies the observation
-    i steps back, and the last element is phi_{tau,tau}.  The backcast
-    predicts the observation at zT from the tau-1 following ones; the
-    forecast predicts the observation at zT+tau from the same predictor
-    set.  Their coefficient vectors carry -1 at the target position, so
-    each MSPE is the quadratic form b' B b.
-    """
-
-    lag: int
-    coefficients: np.ndarray
-    backcast: np.ndarray
-    forecast: np.ndarray
-    backward_matrix: np.ndarray
-    forward_matrix: np.ndarray
-    mspe_backward: float
-    mspe_forward: float
-
-    @property
-    def ratio(self) -> float:
-        """sqrt(backward MSPE / forward MSPE)."""
-        return float(np.sqrt(self.mspe_backward / self.mspe_forward))
-
-    @property
-    def estimate(self) -> float:
-        """The plug-in estimate phi_{tau,tau} * ratio, before clamping."""
-        return float(self.coefficients[-1]) * self.ratio
-
-
-def prediction_system(lacv: LocalAcvGrid, zT: int, tau: int) -> PredictionSystem:
-    """The Yule-Walker and both prediction systems at one point, solved.
-
-    Covariance entries are evaluated at the rescaled midpoint of each
-    index pair, so the backward and forward matrices genuinely differ
-    under nonstationarity.  This is the LAPACK stage of ``wavelet_lpacf``
-    run on a one-point stack, so it carries the bits of the points that
-    the lattice does not serve (see ``_wavelet_stack``); at the points it
-    serves, the estimate agrees with ``estimate`` to rounding.
-    NumericalError is raised, with the condition number of the failing
-    matrix, when a system exhausts its ridge regularization (checked in
-    the order Yule-Walker, backcast, forecast) or when an MSPE does not
-    come out positive.
-    """
-    lags = f"outside [1, {lacv.max_lag}], the lags of the lacv grid"
-    _check_int(tau, f"tau={tau}", 1, lacv.max_lag, lags)
-    if _check_int(zT, f"point zT={zT}") < 0 or zT + tau > lacv.T - 1:
-        raise InvalidArgumentError(
-            f"point zT={zT} with tau={tau} needs entries up to time {zT + tau}"
-        )
-    values = lacv._one_series()
-    z = np.array([zT])
-    G, certified = _blocks(values, z, tau + 1)
-    phi, bb, bf, mb, mf, ridge = _plug_in_stack(G, tau, certified)
-    C = G[0]
-    rev = slice(tau - 1, None, -1)
-    inner = C[1:tau, 1:tau]  # the predictors of the backcast and the forecast
-    systems = zip(
-        ("Yule-Walker", "backcast", "forecast"),
-        np.isnan(ridge[:, 0]),
-        (C[rev, rev], inner, inner),
-    )
-    for name, exhausted, B in systems:
-        if exhausted:
-            cond = float(np.linalg.cond(B)) if np.all(np.isfinite(B)) else np.inf
-            raise NumericalError(
-                f"{name} system unusable after ridge {_RIDGE_STOP}", condition=cond
-            )
-    if not _mspe_ok(mb, mf)[0]:
-        raise NumericalError(
-            f"non-positive MSPE at zT={zT}, tau={tau}",
-            condition=float(np.linalg.cond(C[1:, 1:])),
-        )
-    return PredictionSystem(
-        tau, phi[0], bb[0], bf[0], C[:-1, :-1], C[1:, 1:], float(mb[0]), float(mf[0])
-    )
-
-
-def _blocks(values: np.ndarray, z: np.ndarray, n: int):
-    """The covariance blocks of the times z[i]..z[i]+n-1, points first, and
-    ``_certify``'s verdict on each.
-
-    The blocks are built points last (``_midpoint_stack``) and copied once,
-    points first, as the solves and the MSPE products read them: a stacked
-    matmul has the bits of BLAS only where the rows of each matrix are
-    contiguous in memory.  The certificate then runs in place on the points-last blocks,
-    so two stacks of blocks are the most ever held.
-    """
-    G = _midpoint_stack(values, z, n)
-    blocks = np.moveaxis(G, -1, 0).copy()  # (points, n, n)
-    return blocks, _certify(G)
-
-
-def _midpoint_stack(values: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
-    """G[a, b, i] = ``LocalAcvGrid.midpoint(z[i] + a, z[i] + b)`` for a, b < n.
-
-    Points last: each cell G[a, b] is one contiguous row over the points.
-    A half-integer midpoint averages the two adjacent entries with the same
-    operations as ``midpoint``, so every entry carries the same bits.  Each
-    cell is written in place, so no temporary holds more than one entry
-    per point.
-    """
-    G = np.empty((n, n, len(z)))
-    for a in range(n):
-        for b in range(a, n):
-            G[b, a] = _midpoints(values, z + a, b - a, G[a, b])
-    return G
-
-
-def _midpoints(values: np.ndarray, s: np.ndarray, d: int, out: np.ndarray) -> np.ndarray:
-    """out[i] = ``LocalAcvGrid.midpoint(s[i], s[i] + d)``, with the same
-    operations: the lag-d entry at the midpoint, or the two adjacent entries
-    summed and halved at a half-integer one."""
-    lo = s + d // 2
-    np.take(values[d], lo, out=out)
-    if d % 2:
-        out += values[d, lo + 1]
-        out *= 0.5
-    return out
-
-
-def _certify(G: np.ndarray) -> np.ndarray:
-    """Where ``np.linalg.cholesky`` is proved to pass on every principal
-    submatrix of the symmetric G[:, :, i], its rows and columns in any
-    order.
-
-    G is a points-last (n, n, points) stack, as ``_midpoint_stack`` builds
-    it, and is overwritten: the check works in place, each entry one
-    contiguous row over the points.  Cholesky of a symmetric n x n matrix
-    completes in floating point, in any order of operations, when the
-    smallest eigenvalue of its unit-diagonal scaling D^-1/2 A D^-1/2
-    exceeds n g/(1 - n g), g = (n+1)u/(1 - (n+1)u), about 1.5e-14 for
-    n <= 11 (Demmel, LAPACK Working Note 14, 1989; Higham, Accuracy and
-    Stability of Numerical Algorithms, Thm 10.7).  G[:, :, i] is certified
-    when its entries are finite, its diagonal is normal (with headroom
-    below the largest float, so no partial sum of a factorization
-    overflows) and a column-wise Cholesky of its scaling less
-    ``_CERTIFICATE_MARGIN`` * I finds only positive pivots.  The scaling's
-    smallest eigenvalue then exceeds the margin, less about 1e-14 for the
-    rounding of this check, far above the bound.  Every principal
-    submatrix, reordered or not, has as its scaling a principal submatrix
-    of G[:, :, i]'s scaling, whose smallest eigenvalue is at least as large
-    (eigenvalue interlacing).
-    """
-    n = G.shape[0]
-    diag = (np.arange(n), np.arange(n))
-    d = G[diag]
-    finfo = np.finfo(float)
-    ok = np.isfinite(G).all(axis=(0, 1))
-    ok &= ((d >= finfo.tiny) & (d <= finfo.max / 4)).all(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = 1.0 / np.sqrt(d)
-        G *= s[:, None]
-        G *= s[None, :]
-        G[diag] -= _CERTIFICATE_MARGIN
-        for j in range(n):
-            ok &= G[j, j] > 0.0
-            col = G[j + 1 :, j] / np.sqrt(G[j, j])
-            G[j + 1 :, j + 1 :] -= col[:, None] * col[None, :]
-    return ok
-
-
-def _gated_solve(
-    M: np.ndarray, r: np.ndarray, certified: np.ndarray | None = None
-) -> np.ndarray:
+def _gated_solve(M: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Solve every system M[i] x[i] = r[i] whose matrix passes the Cholesky
     positive-definiteness gate; x[i] is NaN where either step fails.
 
     The gate's verdict is numpy's.  A 1x1 system is solved by division,
     r / m, gated by not (m <= 0): numpy's Cholesky fails 0.0, -0.0 and
     negative m and passes NaN, +inf and subnormals, and its solve of a 1x1
-    system has the bits of the quotient.  A larger member that
-    ``certified`` marks passes without a factorization: ``_certify`` has
-    proved that LAPACK's Cholesky completes on it.  The rest go to LAPACK
-    in one call, and the members that pass are solved in one more.
+    system has the bits of the quotient.  A larger stack goes to LAPACK in
+    one call, and the members that pass are solved in one more.
     Each call is the gufunc that ``np.linalg.cholesky`` or
     ``np.linalg.solve`` wraps, run once on the stack: it factors or solves
     every member on its own and fills the whole result of a member whose
@@ -697,24 +522,20 @@ def _gated_solve(
     where the corner L[0, -1] is not NaN.  Rounding can let a singular
     matrix pass Cholesky; its LU solve then fails and leaves x[i] NaN.
     Every verdict and solution is that of the public function called on
-    the member alone.
+    the member alone.  A failing member raises the invalid flag, so the
+    caller runs this under ``np.errstate(all="ignore")``, as the LAPACK
+    stage of ``_wavelet_stack`` does.
     """
-    with np.errstate(all="ignore"):
-        if M.shape[-1] == 1:
-            return np.where(M[:, 0] <= 0.0, np.nan, r / M[:, 0])
-        passed = np.zeros(len(M), dtype=bool) if certified is None else certified.copy()
-        doubt = np.flatnonzero(~passed)
-        if doubt.size:
-            passed[doubt] = ~np.isnan(_umath_linalg.cholesky_lo(M[doubt])[:, 0, -1])
-        sub = slice(None) if passed.all() else passed  # a view, not a copy, if all
-        x = np.full(r.shape, np.nan)
-        x[sub] = _umath_linalg.solve(M[sub], r[sub, :, None])[..., 0]
+    if M.shape[-1] == 1:
+        return np.where(M[:, 0] <= 0.0, np.nan, r / M[:, 0])
+    passed = ~np.isnan(_umath_linalg.cholesky_lo(M)[:, 0, -1])
+    sub = slice(None) if passed.all() else passed  # a view, not a copy, if all
+    x = np.full(r.shape, np.nan)
+    x[sub] = _umath_linalg.solve(M[sub], r[sub, :, None])[..., 0]
     return x
 
 
-def _solve_stack(
-    B: np.ndarray, r: np.ndarray, scale: np.ndarray, certified: np.ndarray | None
-):
+def _solve_stack(B: np.ndarray, r: np.ndarray, scale: np.ndarray):
     """Solve the stack of systems B[i] phi[i] = r[i], escalating a ridge.
 
     A system is accepted when B[i] + ridge * I passes the gate of
@@ -730,14 +551,13 @@ def _solve_stack(
     a system that runs out of ridge costs 2 calls.  Every system at every
     level is solved on its own, so each keeps the bits of a solve at its
     accepted level alone.
-    ``certified`` (see ``_certify``, or None for no member) vouches for
-    the gate at ridge 0 only.
     Returns (phi, ridge) with the accepted ridge of each system; both are
-    NaN where the ridge ran out.
+    NaN where the ridge ran out.  Like ``_gated_solve``, it runs under the
+    caller's ``np.errstate(all="ignore")``.
     """
     # ridge 0 as B + 0*I: a -0.0 entry becomes 0.0, which can change the
     # sign of a zero solution; B + 0.0 is B itself where no entry is zero
-    phi = _gated_solve(B + 0.0 if (B == 0.0).any() else B, r, certified)
+    phi = _gated_solve(B + 0.0 if (B == 0.0).any() else B, r)
     ridge = np.zeros(len(B))
     todo = np.flatnonzero(~_accepted(phi))
     n, tried = B.shape[-1], 0  # the levels above 0 tried so far
@@ -783,46 +603,52 @@ def _mspe_ok(mb: np.ndarray, mf: np.ndarray) -> np.ndarray:
     return (mb > 0.0) & (mf > 0.0) & np.isfinite(mb) & np.isfinite(mf)
 
 
-def _plug_in_stack(G: np.ndarray, tau: int, certified: np.ndarray):
+def _plug_in_stack(G: np.ndarray, tau: int):
     """The three plug-in systems at lag tau of every point, solved.
 
     ``G[i, a, b]`` is the covariance of the times z_i+a and z_i+b, for
     a, b up to at least tau.  Every system is sliced from the block: the
     Yule-Walker system with its predictors ordered most recent first, the
     backcast and forecast systems on the times z_i+1..z_i+tau-1 with the
-    targets z_i and z_i+tau.  Returns (phi, backcast, forecast, backward
-    MSPE, forward MSPE, ridge); ``ridge[k, i]`` is the accepted ridge of
-    the Yule-Walker (k=0), backcast (1) and forecast (2) system of point i,
-    NaN where it ran out.  Every matrix is a principal submatrix of G[i],
-    reordered, so ``certified``, ``_certify``'s verdict on the blocks (see
-    ``_blocks``), vouches for each ridge-0 gate.  Every ridge of point i
-    scales with its lag-0 entry G[i, 0, 0], floored at 1e-300.
+    targets z_i and z_i+tau.  Every ridge of point i scales with its lag-0
+    entry G[i, 0, 0], floored at 1e-300.  Returns (phi_tau,tau, backward
+    MSPE, forward MSPE, solved), ``solved`` where none of the three ran out
+    of ridge.  Like ``_solve_stack``, it runs under the caller's
+    ``np.errstate(all="ignore")``.
     """
     scale = np.maximum(G[:, 0, 0], 1e-300)
-    ridge = np.zeros((3, len(G)))
     rev = slice(tau - 1, None, -1)  # predictors z+tau-1 down to z
-    phi, ridge[0] = _solve_stack(G[:, rev, rev], G[:, tau, rev], scale, certified)
+    phi, ridge = _solve_stack(G[:, rev, rev], G[:, tau, rev], scale)
+    solved = ~np.isnan(ridge)
     bb = np.full((len(G), tau), -1.0)
     bf = bb.copy()
     if tau > 1:
         inner = G[:, 1:tau, 1:tau]
-        bb[:, 1:], ridge[1] = _solve_stack(inner, G[:, 1:tau, 0], scale, certified)
-        bf[:, :-1], ridge[2] = _solve_stack(inner, G[:, 1:tau, tau], scale, certified)
+        bb[:, 1:], ridge = _solve_stack(inner, G[:, 1:tau, 0], scale)
+        solved &= ~np.isnan(ridge)
+        bf[:, :-1], ridge = _solve_stack(inner, G[:, 1:tau, tau], scale)
+        solved &= ~np.isnan(ridge)
     mb = _mspe_stack(G[:, :tau, :tau], bb)  # backcast span z..z+tau-1
     mf = _mspe_stack(G[:, 1 : tau + 1, 1 : tau + 1], bf)  # forecast span, one later
-    return phi, bb, bf, mb, mf, ridge
+    return phi[:, -1], mb, mf, solved
 
 
 def _band(values: np.ndarray, z: np.ndarray, n: int):
     """The band of the blocks of the times z[i]..z[i]+n-1: C[d, j] =
     ``LocalAcvGrid.midpoint(pos[j], pos[j] + d)`` for d < n, over the
     positions pos, the union of the blocks as contiguous runs laid side by
-    side.  Returns C and the place of each z[i] in pos.
+    side.  Returns C and the place of each z[i] in pos, so that the block
+    of z[i] is C[|a - b|, at[i] + min(a, b)] for a, b < n.
 
     Row d holds the len(pos) - d pairs (j, j + d); a pair that spans two
     runs, or two series, is computed and never read.  A selection costs its
-    own blocks, not the times between them.
+    own blocks, not the times between them.  A half-integer midpoint
+    averages the two adjacent entries with the same operations as
+    ``midpoint``, so every entry carries the same bits.  No point gives a
+    band of n - 1 positions, which starts no block.
     """
+    if not z.size:
+        return np.zeros((n, n - 1)), z
     zs = np.sort(z)  # not np.unique, whose first call imports numpy.ma
     cut = np.flatnonzero(np.diff(zs) > n) + 1  # a block clear of the run before
     first = zs[np.r_[0, cut]]
@@ -831,15 +657,19 @@ def _band(values: np.ndarray, z: np.ndarray, n: int):
     N = len(pos)
     C = np.empty((n, N))
     for d in range(n):
-        _midpoints(values, pos[: N - d], d, C[d, : N - d])
+        lo = pos[: N - d] + d // 2
+        row = np.take(values[d], lo, out=C[d, : N - d])
+        if d % 2:
+            row += values[d, lo + 1]
+            row *= 0.5
     return C, np.searchsorted(pos, z)
 
 
-def _lattice(values: np.ndarray, z: np.ndarray, max_lag: int):
-    """The plug-in estimates at the points z at lags 1..max_lag, from the
+def _lattice(C: np.ndarray, at: np.ndarray, max_lag: int):
+    """The plug-in estimates at lags 1..max_lag of the points whose blocks
+    start at the places ``at`` of the band C (``_band``), from the
     time-indexed Levinson lattice (Lev-Ari & Kailath, IEEE Trans. Inf.
-    Theory 30(1), 1984) over the band of their blocks (``_band``), and
-    where each point is served by it.
+    Theory 30(1), 1984) over C, and where each point is served by it.
 
     At order m every pair of times (u, t = u + m) updates the forward
     predictor a(t) of X_t from X_(t-1)..X_(u+1) and the backward predictor
@@ -862,9 +692,6 @@ def _lattice(values: np.ndarray, z: np.ndarray, max_lag: int):
     Every pair is computed on its own, so a point has the same bits in any
     selection or stack.
     """
-    if not z.size:
-        return np.empty((0, max_lag)), np.empty(0, dtype=bool)
-    C, at = _band(values, z, max_lag + 1)
     N = C.shape[1]
     P = N - max_lag  # the positions that start a block
     est = np.empty((P, max_lag))
@@ -925,9 +752,9 @@ def wavelet_lpacf(
     every point in one pass (``_lattice``).  A point is served by it when
     each of its systems has its last coefficient within 1 + 1e-6 of 0 in
     magnitude and each MSPE is positive.  Every other point is solved on
-    its own by LAPACK, each system accepted at the first ridge level at
-    which it passes numpy's Cholesky gate and that bound
-    (``_solve_stack``); ``prediction_system`` runs that stage at one point.
+    its own by LAPACK, on its block as gathered from that band, each system
+    accepted at the first ridge level at which it passes numpy's Cholesky
+    gate and that bound (``_solve_stack``).
 
     ``demean`` subtracts the mean of the whole series before the spectral
     stage, not a local mean.  ``points`` defaults to every index; the
@@ -965,13 +792,15 @@ def _wavelet_stack(
 
     The spectral stage runs once on the (R, T) stack.  The plug-in stage
     lays the R lacv grids side by side as one (max_lag+1, R*T) grid and
-    runs one lattice (``_lattice``) over the blocks of every kept point of
-    every series: a kept point's block, the times zT..zT+max_lag, lies
-    inside its own series.  The points it does not serve go, every series
-    together, to one LAPACK stage (``_blocks``, ``_plug_in_stack``).  Every
-    point is computed on its own, so each grid has the bits of a call on
-    its series alone.  A given ``lacv`` (one series' grid) stands in for
-    the spectral stage of a one-series stack.
+    builds one band (``_band``) of the blocks of every kept point of every
+    series: a kept point's block, the times zT..zT+max_lag, lies inside its
+    own series.  One lattice (``_lattice``) runs over that band.  The points
+    it does not serve go, every series together, to one LAPACK stage
+    (``_plug_in_stack``), under one ``np.errstate(all="ignore")``, on their
+    blocks gathered from the same band.  Every point is computed on its
+    own, so each grid has the bits of a call on its series alone.  A given
+    ``lacv`` (one series' grid) stands in for the spectral stage of a
+    one-series stack.
     """
     x = _intake(series)
     R, T = x.shape
@@ -1001,19 +830,21 @@ def _wavelet_stack(
     estimates = np.empty((R, len(pts), max_lag))
     flat = estimates.reshape(-1, max_lag)
     rows = np.flatnonzero(keep)  # the row r * P + p of each point of z
-    flat[rows], ok = _lattice(side, z, max_lag)
-    # the points the lattice does not serve: the blocks of the times
-    # zT..zT+max_lag, and the certificate that vouches for the ridge-0 gate
-    # of every lag, solved with a ridge where it is needed
+    C, at = _band(side, z, max_lag + 1)
+    flat[rows], ok = _lattice(C, at, max_lag)
+    # the points the lattice does not serve: their blocks of the times
+    # zT..zT+max_lag, G[i, a, b] = C[|a - b|, at[i] + min(a, b)], solved
+    # with a ridge where it is needed
     back = np.flatnonzero(~ok)
     if back.size:
-        G, certified = _blocks(side, z[back], max_lag + 1)
+        k = np.arange(max_lag + 1)
+        G = C[np.abs(k[:, None] - k), at[back, None, None] + np.minimum.outer(k, k)]
         good = np.ones(len(back), dtype=bool)
-        for tau in range(1, max_lag + 1):
-            phi, _, _, mb, mf, ridge = _plug_in_stack(G, tau, certified)
-            good &= ~np.isnan(ridge).any(axis=0) & _mspe_ok(mb, mf)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                flat[rows[back], tau - 1] = phi[:, -1] * np.sqrt(mb / mf)
+        with np.errstate(all="ignore"):
+            for tau in range(1, max_lag + 1):
+                phi, mb, mf, solved = _plug_in_stack(G, tau)
+                good &= solved & _mspe_ok(mb, mf)
+                flat[rows[back], tau - 1] = phi * np.sqrt(mb / mf)
         ok[back] = good
     keep[keep] = ok
     boundary = ((pts < margin) | (pts > T - 1 - margin)).astype(np.uint8)
@@ -1117,9 +948,10 @@ class EstimatorConfig:
                 + ("" if fits else f" at max_lag={lag}")
             )
         # The (max_lag+1)^2 covariance block of every point and, at 16 per
-        # point, the spectral stage's scales.  Only the points that the
-        # lattice does not serve have blocks; the lattice holds its band,
+        # point, the spectral stage's scales.  The lattice holds its band,
         # both predictors of two orders and the estimates, about 8
-        # (max_lag+1) per point.  A batch peaks at 1.48x (6 replicates at
-        # T=4096, max_lag 4) and 0.72x (6.2 MiB, one at T=8192, max_lag 10).
+        # (max_lag+1) per point; only the points that it does not serve have
+        # blocks, one stack gathered from the band.  A batch peaks at 1.48x
+        # (6 replicates at T=4096, max_lag 4) and 0.72x (6.2 MiB, one at
+        # T=8192, max_lag 10).
         return None, ((lag + 1) ** 2 + 16) * T

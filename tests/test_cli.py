@@ -441,11 +441,9 @@ def test_cli_estimate_whose_every_solve_fails_exits_2_not_3(tmp_path, capsys, mo
     monkeypatch.setattr(
         estimators,
         "_lattice",
-        lambda values, z, max_lag: (np.zeros((len(z), max_lag)), np.zeros(len(z), dtype=bool)),
+        lambda C, at, max_lag: (np.zeros((len(at), max_lag)), np.zeros(len(at), dtype=bool)),
     )
-    monkeypatch.setattr(
-        estimators, "_gated_solve", lambda M, r, certified=None: np.full(r.shape, np.nan)
-    )
+    monkeypatch.setattr(estimators, "_gated_solve", lambda M, r: np.full(r.shape, np.nan))
     assert main(["estimate", "--method", "wavelet", "--input", sim, "--output", out]) == 2
     assert (
         "data error: no estimate to write: all points were dropped (256)"
