@@ -644,8 +644,10 @@ def _band(values: np.ndarray, z: np.ndarray, n: int):
     runs, or two series, is computed and never read.  A selection costs its
     own blocks, not the times between them.  A half-integer midpoint
     averages the two adjacent entries with the same operations as
-    ``midpoint``, so every entry carries the same bits.  No point gives a
-    band of n - 1 positions, which starts no block.
+    ``midpoint``, so every entry carries the same bits, under
+    ``np.errstate(all="ignore")``: an average of inf and -inf, or one that
+    overflows, is a NaN or inf entry whose blocks are dropped.  No point
+    gives a band of n - 1 positions, which starts no block.
     """
     if not z.size:
         return np.zeros((n, n - 1)), z
@@ -656,12 +658,13 @@ def _band(values: np.ndarray, z: np.ndarray, n: int):
     pos = np.repeat(first - np.cumsum(size) + size, size) + np.arange(size.sum())
     N = len(pos)
     C = np.empty((n, N))
-    for d in range(n):
-        lo = pos[: N - d] + d // 2
-        row = np.take(values[d], lo, out=C[d, : N - d])
-        if d % 2:
-            row += values[d, lo + 1]
-            row *= 0.5
+    with np.errstate(all="ignore"):  # a given grid may hold inf, NaN or 1e308
+        for d in range(n):
+            lo = pos[: N - d] + d // 2
+            row = np.take(values[d], lo, out=C[d, : N - d])
+            if d % 2:
+                row += values[d, lo + 1]
+                row *= 0.5
     return C, np.searchsorted(pos, z)
 
 

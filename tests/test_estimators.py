@@ -1014,6 +1014,20 @@ def test_wavelet_stack_runs_one_spectral_stage_and_one_lapack_stage(monkeypatch)
             assert block.tobytes() == _pair_cov_matrix(lacv, np.arange(zT, zT + 4)).tobytes()
 
 
+def test_wavelet_stack_lapack_stage_gives_each_series_its_bits_alone(monkeypatch):
+    # every kept point of three series goes to one LAPACK stage, on blocks
+    # gathered from one band laid across the series: each grid has the bits
+    # of its series estimated alone
+    monkeypatch.setattr(estimators, "_lattice", _serve_nothing)
+    rng = np.random.default_rng(5)
+    xs = [np.cumsum(rng.standard_normal(128)) for _ in range(3)]
+    config = EstimatorConfig("wavelet", max_scale=4, max_lag=4)
+    for points in (None, [127, 3, 21, 20, 21, 60, 124, 0, 90]):
+        grids = config.estimate_stack(xs, points)
+        for grid, x in zip(grids, xs):
+            _assert_same_grid(grid, config.estimate(x, points))
+        assert all(grid.points.size for grid in grids)
+
 @pytest.mark.parametrize("method", ["windowed", "wavelet"])
 def test_estimate_stack_takes_series_of_one_length(method):
     config = EstimatorConfig(method, binwidth=8, max_lag=2)
@@ -1072,6 +1086,15 @@ def test_local_yule_walker_order_cutoff_invariant():
         assert grid.estimates[0, 2] == pytest.approx(-0.2, abs=1e-12)
         assert np.all(np.abs(grid.estimates[0, 3:]) < 1e-10)
 
+
+def test_local_yule_walker_validates():
+    # a singular block (every covariance equal to the variance) leaves the
+    # lag-2 backcast and forecast a zero MSPE: both stages drop the point
+    for grid in _both_stages(_constant_grid([1.0, 1.0, 1.0]), 2, [10]):
+        assert grid.points.size == 0 and grid.dropped_points.tolist() == [10]
+    # a lag outside [1, 10] is refused before the grid is read
+    with pytest.raises(InvalidArgumentError, match=r"^max_lag=0 outside \[1, 10\]$"):
+        wavelet_lpacf(np.ones(32), max_lag=0, lacv=_constant_grid([1.0, 1.0]))
 
 def test_plug_in_stack_on_toeplitz_block_has_mspe_ratio_one():
     lacv = _constant_grid(ar_autocovariances([0.5, 0.2], 1.0, 6))
@@ -1166,6 +1189,48 @@ def _served(lacv, points, max_lag):
     C, at = estimators._band(lacv.values, np.asarray(points), max_lag + 1)
     return estimators._lattice(C, at, max_lag)[1]
 
+
+def test_band_of_no_point_starts_no_block():
+    # no point asked, or every one too near the end: a band of n - 1
+    # positions, from which the lattice serves nothing, and no point kept
+    lacv = _constant_grid([1.0, 0.5, 0.25])
+    C, at = estimators._band(lacv.values, np.array([], dtype=int), 3)
+    assert C.shape == (3, 2) and at.size == 0
+    est, ok = estimators._lattice(C, at, 2)
+    assert est.shape == (0, 2) and ok.shape == (0,)
+    for points in ([], [31, 30, 31]):
+        for grid in _both_stages(lacv, 2, points):
+            assert grid.points.size == 0 and grid.estimates.shape == (0, 2)
+            assert grid.dropped_points.tolist() == points
+
+
+_ODD_ENTRIES = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 1e300, -1e300, 1e-300, 1e308])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(2, 11), st.integers(0, 24), st.floats(0.0, 0.3),
+    st.data(),
+)
+def test_band_holds_each_points_block_bit_for_bit(seed, n, extra, odd, data):
+    # C[|a - b|, at[i] + min(a, b)] is the block of the midpoint entries of
+    # the times z[i]..z[i]+n-1, for any selection (unsorted, repeated, in
+    # runs that touch, overlap or lie apart) and any entries: signed zeros,
+    # extremes whose averages overflow, inf and NaN
+    rng = np.random.default_rng(seed)
+    T = n + extra
+    vals = rng.standard_normal((n, T))
+    hit = rng.random(vals.shape) < odd
+    vals[hit] = rng.choice(_ODD_ENTRIES, hit.sum())
+    z = np.array(data.draw(st.lists(st.integers(0, T - n), min_size=1, max_size=12)))
+    C, at = estimators._band(vals, z, n)
+    lacv = LocalAcvGrid(vals, 0)
+    k = np.arange(n)
+    for i, zT in enumerate(z):
+        block = C[np.abs(k[:, None] - k), at[i] + np.minimum.outer(k, k)]
+        with np.errstate(all="ignore"):  # midpoint's own inf - inf and overflow
+            want = _pair_cov_matrix(lacv, np.arange(zT, zT + n))
+        assert block.tobytes() == want.tobytes()
 
 def _assert_matches_scalar_loop(lacv, max_lag):
     """``wavelet_lpacf`` on the grid keeps the points, drops the points and
@@ -1720,6 +1785,34 @@ def test_wavelet_lpacf_drops_the_blocks_of_an_infinite_entry_without_a_warning()
     grid = wavelet_lpacf(np.ones(T), max_lag=3, lacv=LocalAcvGrid(vals, 0))
     assert grid.dropped_points.tolist() == [7, 8, 9, 10, 37, 38, 39]
 
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 4))
+@pytest.mark.parametrize("entry", ["inf", "-inf", "nan", "inf beside -inf"])
+def test_wavelet_lpacf_drops_each_block_that_reads_a_non_finite_entry(entry, seed, max_lag, hits):
+    # a given grid of AR(1)-shaped covariances, which both stages keep, with
+    # non-finite entries at random lags and times: both stages drop exactly
+    # the points whose blocks read one, keep finite estimates elsewhere, and
+    # leak no RuntimeWarning (pyproject makes one fail)
+    rng = np.random.default_rng(seed)
+    T = 32
+    vals = 0.5 ** np.arange(max_lag + 1)[:, None] * np.ones(T)
+    d = rng.integers(0, max_lag + 1, hits)
+    t = rng.integers(0, T - 1, hits)
+    if entry == "inf beside -inf":  # their midpoint average is NaN
+        vals[d, t], vals[d, t + 1] = np.inf, -np.inf
+    else:
+        vals[d, t] = float(entry)
+    lacv = LocalAcvGrid(vals, 0)
+    with np.errstate(all="ignore"):  # midpoint's own inf - inf
+        bad = [
+            zT > T - 1 - max_lag
+            or not np.isfinite(_pair_cov_matrix(lacv, np.arange(zT, zT + max_lag + 1))).all()
+            for zT in range(T)
+        ]
+    for grid in _both_stages(lacv, max_lag, None):
+        assert grid.dropped_points.tolist() == np.flatnonzero(bad).tolist()
+        assert np.isfinite(grid.estimates).all()
 
 def test_wavelet_lpacf_rejects_grid_shorter_than_series():
     lacv = _constant_grid([1.0, 0.5, 0.25], T=32)
