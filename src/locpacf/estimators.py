@@ -12,7 +12,8 @@ with the wavelet local autocovariance estimate, solving a local
 Yule-Walker system for phi and two prediction systems for the MSPEs: for
 every point at once with a Levinson lattice over a band of the estimates,
 and with LAPACK and a ridge, on blocks gathered from that band, for the
-points that the lattice cannot serve.
+points that the lattice cannot serve.  Both stages take the band and the
+points' places in it, and return their estimates and where each is served.
 
 Every estimator, ``classical_pacf`` too, first scales the series by the
 power of two that brings its largest magnitude into [0.5, 1).  A partial
@@ -508,26 +509,19 @@ def _gated_solve(M: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Solve every system M[i] x[i] = r[i] whose matrix passes the Cholesky
     positive-definiteness gate; x[i] is NaN where either step fails.
 
-    The gate's verdict is numpy's.  A 1x1 system is solved by division,
-    r / m, gated by not (m <= 0): numpy's Cholesky fails 0.0, -0.0 and
-    negative m and passes NaN, +inf and subnormals, and its solve of a 1x1
-    system has the bits of the quotient.  A larger stack goes to LAPACK in
-    one call, and the members that pass are solved in one more.
-    Each call is the gufunc that ``np.linalg.cholesky`` or
-    ``np.linalg.solve`` wraps, run once on the stack: it factors or solves
-    every member on its own and fills the whole result of a member whose
-    LAPACK call fails with NaN, where the public function raises for the
-    whole stack.  A factor that passes has zeros above its diagonal, even
-    where NaN in its matrix leaves NaN below, so a member passes exactly
-    where the corner L[0, -1] is not NaN.  Rounding can let a singular
-    matrix pass Cholesky; its LU solve then fails and leaves x[i] NaN.
-    Every verdict and solution is that of the public function called on
-    the member alone.  A failing member raises the invalid flag, so the
-    caller runs this under ``np.errstate(all="ignore")``, as the LAPACK
-    stage of ``_wavelet_stack`` does.
+    The gate and the solve are one call each of the gufuncs that
+    ``np.linalg.cholesky`` and ``np.linalg.solve`` wrap: each factors or
+    solves every member on its own and fills with NaN the result of a
+    member whose LAPACK call fails, where the public function raises for
+    the whole stack.  A factor that passes has zeros above its diagonal,
+    even where NaN in its matrix leaves NaN below, so a member passes where
+    the corner L[0, -1] is not NaN; a 1x1 NaN, which numpy passes, fails,
+    and its x[i] is NaN either way.  Rounding can let a singular matrix
+    pass; its LU solve then fails and leaves x[i] NaN.  Every other x[i]
+    has the bits of the public functions on the member alone.  A failing
+    member raises the invalid flag, so the caller runs this under
+    ``np.errstate(all="ignore")``, as ``_plug_in_stack`` does.
     """
-    if M.shape[-1] == 1:
-        return np.where(M[:, 0] <= 0.0, np.nan, r / M[:, 0])
     passed = ~np.isnan(_umath_linalg.cholesky_lo(M)[:, 0, -1])
     sub = slice(None) if passed.all() else passed  # a view, not a copy, if all
     x = np.full(r.shape, np.nan)
@@ -535,47 +529,35 @@ def _gated_solve(M: np.ndarray, r: np.ndarray) -> np.ndarray:
     return x
 
 
-def _solve_stack(B: np.ndarray, r: np.ndarray, scale: np.ndarray):
+def _solve_stack(B: np.ndarray, r: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Solve the stack of systems B[i] phi[i] = r[i], escalating a ridge.
 
     A system is accepted when B[i] + ridge * I passes the gate of
     ``_gated_solve`` and phi[i] is finite with |phi[i, -1]| <= 1 +
     ``_PACF_SLACK``.  Every system tries ridge 0, then eps * scale[i] for
     eps doubling from ``_RIDGE_START`` while it is at most ``_RIDGE_STOP``
-    (20 levels), and keeps the first level it is accepted at.  The ridge-0
-    solve is one stack.  The systems it rejects are solved again in
-    rounds, each one ``_gated_solve`` call on a stack of every rejected
-    system at several levels: a round takes as many of the levels left as
-    fit in len(B) systems, the size of the ridge-0 stack.  So while at most
-    a twentieth of the stack is rejected, one round tries every level, and
-    a system that runs out of ridge costs 2 calls.  Every system at every
-    level is solved on its own, so each keeps the bits of a solve at its
-    accepted level alone.
-    Returns (phi, ridge) with the accepted ridge of each system; both are
-    NaN where the ridge ran out.  Like ``_gated_solve``, it runs under the
-    caller's ``np.errstate(all="ignore")``.
+    (20 levels), and keeps the first level it is accepted at, or NaN.  The
+    ridge-0 solve is one stack; the systems it rejects climb all 20 levels
+    in one ``_gated_solve`` call per ``_CHUNK_POINTS`` // 20 of them.  Each
+    member is solved on its own, so phi[i] has the bits of a solve at its
+    level alone.  It runs under the caller's ``np.errstate(all="ignore")``.
     """
     # ridge 0 as B + 0*I: a -0.0 entry becomes 0.0, which can change the
     # sign of a zero solution; B + 0.0 is B itself where no entry is zero
     phi = _gated_solve(B + 0.0 if (B == 0.0).any() else B, r)
-    ridge = np.zeros(len(B))
     todo = np.flatnonzero(~_accepted(phi))
-    n, tried = B.shape[-1], 0  # the levels above 0 tried so far
-    while todo.size and tried < len(_RIDGE_EPS):
-        width = min(len(_RIDGE_EPS) - tried, len(B) // todo.size)
-        levels = _RIDGE_EPS[tried : tried + width, None] * scale[todo]  # (width, todo)
-        M = B[todo] + levels[..., None, None] * np.eye(n)
-        x = _gated_solve(M.reshape(-1, n, n), np.tile(r[todo], (width, 1)))
-        x = x.reshape(width, todo.size, n)
+    phi[todo] = np.nan  # until a level accepts it
+    n, width = B.shape[-1], len(_RIDGE_EPS)
+    per = _CHUNK_POINTS // width  # the systems of one ladder call
+    for i in range(0, todo.size, per):
+        sub = todo[i : i + per]
+        M = B[sub] + (_RIDGE_EPS[:, None] * scale[sub])[..., None, None] * np.eye(n)
+        x = _gated_solve(M.reshape(-1, n, n), np.tile(r[sub], (width, 1)))
+        x = x.reshape(width, sub.size, n)
         good = _accepted(x)
         hit = good.any(axis=0)
-        first = good.argmax(axis=0)[hit]  # each hit system's first accepted level
-        phi[todo[hit]] = x[first, hit]
-        ridge[todo[hit]] = levels[first, hit]
-        todo = todo[~hit]
-        tried += width
-    phi[todo] = ridge[todo] = np.nan
-    return phi, ridge
+        phi[sub[hit]] = x[good.argmax(axis=0)[hit], hit]  # the first accepted level
+    return phi
 
 
 def _accepted(x: np.ndarray) -> np.ndarray:
@@ -592,45 +574,45 @@ def _accepted(x: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _mspe_stack(B: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # stacked matmul gives the bits of the scalar b @ B @ b; einsum and
-    # elementwise sums round differently
-    return (b[:, None, :] @ B @ b[:, :, None])[:, 0, 0]
-
-
 def _mspe_ok(mb: np.ndarray, mf: np.ndarray) -> np.ndarray:
     """Where both MSPEs are positive and finite."""
     return (mb > 0.0) & (mf > 0.0) & np.isfinite(mb) & np.isfinite(mf)
 
 
-def _plug_in_stack(G: np.ndarray, tau: int):
-    """The three plug-in systems at lag tau of every point, solved.
+def _plug_in_stack(C: np.ndarray, at: np.ndarray, max_lag: int):
+    """What ``_lattice`` returns for the points at the places ``at`` of the
+    band C, solved with LAPACK: their estimates, and where each is served.
 
-    ``G[i, a, b]`` is the covariance of the times z_i+a and z_i+b, for
-    a, b up to at least tau.  Every system is sliced from the block: the
-    Yule-Walker system with its predictors ordered most recent first, the
-    backcast and forecast systems on the times z_i+1..z_i+tau-1 with the
-    targets z_i and z_i+tau.  Every ridge of point i scales with its lag-0
-    entry G[i, 0, 0], floored at 1e-300.  Returns (phi_tau,tau, backward
-    MSPE, forward MSPE, solved), ``solved`` where none of the three ran out
-    of ridge.  Like ``_solve_stack``, it runs under the caller's
-    ``np.errstate(all="ignore")``.
+    The blocks are one gather from the band: G[i, a, b] = C[|a - b|, at[i]
+    + min(a, b)].  At lag tau, ``_solve_stack`` solves the Yule-Walker
+    system, its predictors most recent first, and the backcast and forecast
+    systems on the times z_i+1..z_i+tau-1 with the targets z_i and z_i+tau,
+    each ridge of point i scaled by G[i, 0, 0] floored at 1e-300.  A point
+    is served where every phi_tau,tau is not NaN and every pair of MSPEs
+    passes ``_mspe_ok``; a predictor that ran out of ridge has a NaN MSPE.
     """
+    k = np.arange(max_lag + 1)
+    G = C[np.abs(k[:, None] - k), at[:, None, None] + np.minimum.outer(k, k)]
     scale = np.maximum(G[:, 0, 0], 1e-300)
-    rev = slice(tau - 1, None, -1)  # predictors z+tau-1 down to z
-    phi, ridge = _solve_stack(G[:, rev, rev], G[:, tau, rev], scale)
-    solved = ~np.isnan(ridge)
-    bb = np.full((len(G), tau), -1.0)
-    bf = bb.copy()
-    if tau > 1:
-        inner = G[:, 1:tau, 1:tau]
-        bb[:, 1:], ridge = _solve_stack(inner, G[:, 1:tau, 0], scale)
-        solved &= ~np.isnan(ridge)
-        bf[:, :-1], ridge = _solve_stack(inner, G[:, 1:tau, tau], scale)
-        solved &= ~np.isnan(ridge)
-    mb = _mspe_stack(G[:, :tau, :tau], bb)  # backcast span z..z+tau-1
-    mf = _mspe_stack(G[:, 1 : tau + 1, 1 : tau + 1], bf)  # forecast span, one later
-    return phi[:, -1], mb, mf, solved
+    est = np.empty((len(at), max_lag))
+    ok = np.ones(len(at), dtype=bool)
+    with np.errstate(all="ignore"):
+        for tau in range(1, max_lag + 1):
+            rev = slice(tau - 1, None, -1)  # predictors z+tau-1 down to z
+            phi = _solve_stack(G[:, rev, rev], G[:, tau, rev], scale)[:, -1]
+            bb = np.full((len(G), tau), -1.0)
+            bf = bb.copy()
+            if tau > 1:
+                inner = G[:, 1:tau, 1:tau]
+                bb[:, 1:] = _solve_stack(inner, G[:, 1:tau, 0], scale)
+                bf[:, :-1] = _solve_stack(inner, G[:, 1:tau, tau], scale)
+            # stacked matmul gives the bits of the scalar b @ B @ b; einsum and
+            # elementwise sums round differently
+            mb = (bb[:, None, :] @ G[:, :tau, :tau] @ bb[:, :, None])[:, 0, 0]
+            mf = (bf[:, None, :] @ G[:, 1 : tau + 1, 1 : tau + 1] @ bf[:, :, None])[:, 0, 0]
+            est[:, tau - 1] = phi * np.sqrt(mb / mf)
+            ok &= ~np.isnan(phi) & _mspe_ok(mb, mf)
+    return est, ok
 
 
 def _band(values: np.ndarray, z: np.ndarray, n: int):
@@ -691,8 +673,9 @@ def _lattice(C: np.ndarray, at: np.ndarray, max_lag: int):
     test of ``_solve_stack`` (``_accepted``) and every MSPE is positive and
     finite (``_mspe_ok``); the positive MSPEs make each block of the
     systems positive definite, which is the Cholesky gate in exact
-    arithmetic.  The estimates of a point not served are never read.
-    Every pair is computed on its own, so a point has the same bits in any
+    arithmetic.  The estimates of a point not served are never read; its
+    caller hands it to ``_plug_in_stack``, which has this contract.  Every
+    pair is computed on its own, so a point has the same bits in any
     selection or stack.
     """
     N = C.shape[1]
@@ -757,7 +740,7 @@ def wavelet_lpacf(
     magnitude and each MSPE is positive.  Every other point is solved on
     its own by LAPACK, on its block as gathered from that band, each system
     accepted at the first ridge level at which it passes numpy's Cholesky
-    gate and that bound (``_solve_stack``).
+    gate and that bound (``_plug_in_stack``).
 
     ``demean`` subtracts the mean of the whole series before the spectral
     stage, not a local mean.  ``points`` defaults to every index; the
@@ -799,11 +782,11 @@ def _wavelet_stack(
     series: a kept point's block, the times zT..zT+max_lag, lies inside its
     own series.  One lattice (``_lattice``) runs over that band.  The points
     it does not serve go, every series together, to one LAPACK stage
-    (``_plug_in_stack``), under one ``np.errstate(all="ignore")``, on their
-    blocks gathered from the same band.  Every point is computed on its
-    own, so each grid has the bits of a call on its series alone.  A given
-    ``lacv`` (one series' grid) stands in for the spectral stage of a
-    one-series stack.
+    (``_plug_in_stack``) on the same band, which returns what the lattice
+    does: estimates, and where each point is served.  Every point is
+    computed on its own, so each grid has the bits of a call on its series
+    alone.  A given ``lacv`` (one series' grid) stands in for the spectral
+    stage of a one-series stack.
     """
     x = _intake(series)
     R, T = x.shape
@@ -835,20 +818,9 @@ def _wavelet_stack(
     rows = np.flatnonzero(keep)  # the row r * P + p of each point of z
     C, at = _band(side, z, max_lag + 1)
     flat[rows], ok = _lattice(C, at, max_lag)
-    # the points the lattice does not serve: their blocks of the times
-    # zT..zT+max_lag, G[i, a, b] = C[|a - b|, at[i] + min(a, b)], solved
-    # with a ridge where it is needed
     back = np.flatnonzero(~ok)
     if back.size:
-        k = np.arange(max_lag + 1)
-        G = C[np.abs(k[:, None] - k), at[back, None, None] + np.minimum.outer(k, k)]
-        good = np.ones(len(back), dtype=bool)
-        with np.errstate(all="ignore"):
-            for tau in range(1, max_lag + 1):
-                phi, mb, mf, solved = _plug_in_stack(G, tau)
-                good &= solved & _mspe_ok(mb, mf)
-                flat[rows[back], tau - 1] = phi * np.sqrt(mb / mf)
-        ok[back] = good
+        flat[rows[back]], ok[back] = _plug_in_stack(C, at[back], max_lag)
     keep[keep] = ok
     boundary = ((pts < margin) | (pts > T - 1 - margin)).astype(np.uint8)
     return _GridStack("wavelet", pts, keep, estimates, boundary)
@@ -954,7 +926,8 @@ class EstimatorConfig:
         # point, the spectral stage's scales.  The lattice holds its band,
         # both predictors of two orders and the estimates, about 8
         # (max_lag+1) per point; only the points that it does not serve have
-        # blocks, one stack gathered from the band.  A batch peaks at 1.48x
+        # blocks, one stack gathered from the band, and each ridge ladder
+        # call holds at most _CHUNK_POINTS systems.  A batch peaks at 1.48x
         # (6 replicates at T=4096, max_lag 4) and 0.72x (6.2 MiB, one at
         # T=8192, max_lag 10).
         return None, ((lag + 1) ** 2 + 16) * T

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MAX_LENGTH, BoundaryError, DataError, InvalidArgumentError, _check_int
+from .errors import BoundaryError, DataError, InvalidArgumentError, _check_int
 from .haar import _check_window, a_matrix, haar_value, psi_auto
 from .kernels import RECTANGULAR, TaperKernel, _window_sums
 from .series import as_series
@@ -77,12 +77,13 @@ def default_smoothing_span(T: int) -> int:
 
 def _checked_span(span: int | None, T: int) -> int:
     """The running mean's half-span for T times: the default
-    ``default_smoothing_span(T)`` for None, else an integer in [0,
-    ``MAX_LENGTH``]."""
+    ``default_smoothing_span(T)`` for None, else an integer in [0, T - 1]:
+    a longer span reflects the series more than once, and its padded rows
+    grow with the span, not with T."""
     if span is None:
         return default_smoothing_span(T)
-    rule = f"must be nonnegative and <= {MAX_LENGTH}"
-    return _check_int(span, f"span={span}", 0, MAX_LENGTH, rule)
+    rule = f"must be nonnegative and <= {T - 1} for T={T}"
+    return _check_int(span, f"span={span}", 0, T - 1, rule)
 
 
 def nondecimated_haar_transform(ts, max_scale: int | None = None, pad: bool = False):
@@ -213,8 +214,8 @@ def smooth_and_correct(raw: np.ndarray, span: int | None = None) -> EwsGrid:
     """Running-mean smooth each scale over 2*span+1 neighbors, then apply A^{-1}.
 
     ``raw`` is (..., J, T): one (J, T) periodogram, or a stack of them.
-    Edges are reflected for the smoothing.  span=0 leaves the raw values
-    untouched before correction.
+    Edges are reflected for the smoothing, so the span is at most T - 1.
+    span=0 leaves the raw values untouched before correction.
     """
     raw = np.asarray(raw, dtype=float)
     J, T = raw.shape[-2:]

@@ -602,7 +602,7 @@ _HUGE = "99999999999999999999"
     [
         (["estimate", "--points", _HUGE + "999"], "points outside [0, 255]"),
         (["estimate", "--method", "wavelet", "--smooth-span", _HUGE],
-         f"span={_HUGE} must be nonnegative and <= {MAX_LENGTH}"),
+         f"span={_HUGE} must be nonnegative and <= 255 for T=256"),
         (["simulate", "tvar", "--T", _HUGE], f"T={_HUGE} must be positive and <= {MAX_LENGTH}"),
         (["benchmark", "--T", _HUGE, "--reps", "2"],
          f"T={_HUGE} must be positive and <= {MAX_LENGTH}"),
@@ -636,6 +636,33 @@ def test_cli_refuses_a_point_or_length_beyond_any_array(
     assert main(argv + ["--output", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {needle}\n"
     assert not out.exists()
+
+
+def test_cli_refuses_a_smoothing_span_of_T_or_more(tmp_path, capsys, monkeypatch):
+    # the reflect-padded smoothing rows grow with the span, not with T: a span
+    # of T or more is a usage error naming the largest, T - 1, and writes no
+    # file, padded or not; a study refuses it before it simulates
+    sim, out = tmp_path / "sim.csv", tmp_path / "out.csv"
+    for T in ("256", "300"):
+        assert main(["simulate", "tvar", "--T", T, "--seed", "0", "--output", str(sim)]) == 0
+        argv = ["estimate", "--input", str(sim), "--output", str(out), "--method", "wavelet"]
+        argv += ["--pad"] if T == "300" else []
+        for span in (T, "100000000"):
+            capsys.readouterr()
+            assert main(argv + ["--smooth-span", span]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: span={span} must be nonnegative and <= {int(T) - 1} for T={T}\n"
+            assert not out.exists()
+    # T - 1 still runs
+    assert main(argv + ["--smooth-span", "299"]) == 0 and out.exists()
+    simulated = []
+    monkeypatch.setattr(simulate, "_ar_recursion", lambda *a: simulated.append(a))
+    study = ["benchmark", "--method", "wavelet", "--T", "256", "--max-scale", "6", "--reps", "3"]
+    rmse = tmp_path / "rmse.csv"
+    capsys.readouterr()
+    assert main(study + ["--smooth-span", "256", "--output", str(rmse)]) == 1
+    assert capsys.readouterr().err == "error: span=256 must be nonnegative and <= 255 for T=256\n"
+    assert not simulated and not rmse.exists()
 
 
 def test_cli_stride_of_T_or_more_estimates_point_0_alone(tmp_path):

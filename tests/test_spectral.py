@@ -207,9 +207,9 @@ def test_smoothing_span_zero_is_identity_before_correction():
 @given(st.data(), st.integers(2, 64), st.integers(1, 3), st.integers(0, 2**32 - 1))
 def test_smooth_and_correct_matches_reflected_running_mean(data, T, J, seed):
     # the definition: mean over the 2s+1 neighbours, the index reflected at
-    # both ends (period 2(T-1), so a span >= T reflects more than once),
-    # then A^{-1}
-    span = data.draw(st.integers(0, 3 * T + 1), label="span")
+    # both ends (period 2(T-1)), then A^{-1}; a span of T or more, which
+    # would reflect more than once, is refused
+    span = data.draw(st.integers(0, T - 1), label="span")
     raw = np.random.default_rng(seed).random((J, T))
     period = 2 * (T - 1)
     sm = np.empty_like(raw)
@@ -219,15 +219,19 @@ def test_smooth_and_correct_matches_reflected_running_mean(data, T, J, seed):
     ref = np.linalg.solve(a_matrix(J), sm)
     got = smooth_and_correct(raw, span=span).spectrum
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    too_long = data.draw(st.integers(T, 3 * T + 1), label="too long")
+    with pytest.raises(InvalidArgumentError, match=rf"<= {T - 1} for T={T}$"):
+        smooth_and_correct(raw, span=too_long)
 
 
 @pytest.mark.parametrize("span", [1, 2, 5, 6, 8, 20])
 def test_smooth_and_correct_is_the_per_scale_convolve_bit_for_bit(span):
     # spans up to 5 (at most 11 taps) take the unrolled sums, longer ones
-    # the BLAS dot; a span of T or more reflects more than once
+    # the BLAS dot; every T above the span, down to span + 1, where the
+    # padding reflects the whole series
     rng = np.random.default_rng(span)
     ker = np.full(2 * span + 1, 1.0 / (2 * span + 1))
-    for T, J in ((2, 1), (3, 2), (8, 3), (33, 4), (64, 6), (257, 8), (4096, 8)):
+    for T, J in ((span + 1, 1), (span + 2, 2), (33, 4), (64, 6), (257, 8), (4096, 8)):
         raw = rng.standard_normal((J, T)) ** 2 * 10.0 ** rng.integers(-8, 8)
         padded = np.pad(raw, ((0, 0), (span, span)), mode="reflect")
         sm = np.vstack([np.convolve(row, ker, "valid") for row in padded])
