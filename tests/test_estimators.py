@@ -30,6 +30,7 @@ from locpacf import (
 )
 from locpacf import estimators
 from locpacf.errors import NumericalError
+from locpacf.cli import TVAR_STUDY
 from locpacf.estimators import (
     _PACF_SLACK,
     _RIDGE_START,
@@ -1564,6 +1565,71 @@ def test_solve_stack_climbs_the_ladder_in_calls_of_at_most_chunk_points(monkeypa
     assert max(sizes[1:]) <= _CHUNK_POINTS
 
 
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("esc", [0, 1, _LADDER, _LADDER + 1])
+def test_solve_stack_opens_a_ladder_call_per_ladder_of_rejected_systems(monkeypatch, n, esc):
+    # the first esc of the escalating systems, cycled, beside 16 accepted
+    # at ridge 0: none rejected takes the ridge-0 call alone, and a full
+    # ladder one call more, and one system past it a third
+    B, r, scale, level = (np.resize(a, (esc,) + a.shape[1:]) for a in _escalating_systems(n))
+    B = np.concatenate([B, np.broadcast_to(2.0 * np.eye(n), (16, n, n))])
+    r = np.concatenate([r, np.full((16, n), 0.5)])
+    scale = np.concatenate([scale, np.ones(16)])
+    level = np.concatenate([level, np.zeros(16, dtype=int)])
+    sizes = _spy_gated_solve(monkeypatch)
+    ridge = _assert_solve_stack_matches_scalar_oracle(B, r, scale)
+    _assert_levels(ridge, scale, level)
+    ladders = [min(_LADDER, esc - i) for i in range(0, esc, _LADDER)]
+    assert len(ladders) == -(-esc // _LADDER)
+    assert sizes == [len(B)] + [len(_LEVELS) * k for k in ladders]
+
+
+def test_wavelet_lpacf_escalates_in_at_most_2_gated_solves_per_stack(monkeypatch):
+    spec = ArPathSpec.linear_ramp(TVAR_STUDY["phi_start"], TVAR_STUDY["phi_end"], sigma=1.0)
+    x = simulate_tvar(spec, 4096, 0)
+    want = wavelet_lpacf(x, max_lag=4)
+    calls = []  # per _solve_stack call: its stack size and its _gated_solve sizes
+    unserved = []  # per _lattice call: the points it does not serve
+    real_solve_stack, real_gated_solve = estimators._solve_stack, estimators._gated_solve
+    real_lattice = estimators._lattice
+
+    def solve_stack(B, *args):
+        calls.append((len(B), []))
+        return real_solve_stack(B, *args)
+
+    def gated_solve(M, *args):
+        calls[-1][1].append(len(M))
+        return real_gated_solve(M, *args)
+
+    def lattice(*args):
+        est, served = real_lattice(*args)
+        unserved.append(np.count_nonzero(~served))
+        return est, served
+
+    monkeypatch.setattr(estimators, "_solve_stack", solve_stack)
+    monkeypatch.setattr(estimators, "_gated_solve", gated_solve)
+    monkeypatch.setattr(estimators, "_lattice", lattice)
+    # the LAPACK stage solves the points the lattice does not serve: one
+    # stack per system, of those points, each in a ridge-0 call and at most
+    # one ladder call, as they are fewer than a ladder
+    grid = wavelet_lpacf(x, max_lag=4)
+    assert grid.estimates.tobytes() == want.estimates.tobytes()
+    assert len(calls) == 10 and {size for size, _ in calls} == set(unserved)
+    assert 0 < unserved[0] < _LADDER
+    for size, sizes in calls:
+        assert len(sizes) <= 2 and sizes[0] == size and all(s <= _CHUNK_POINTS for s in sizes[1:])
+    # with every point sent to it: lag 1 solves a Yule-Walker stack, lags
+    # 2-4 a Yule-Walker, a backcast and a forecast stack each; on this input
+    # some forecast systems run out of ridge, which takes the ridge-0 solve
+    # and one ladder call, as they are fewer than a ladder
+    calls.clear()
+    monkeypatch.setattr(estimators, "_lattice", _serve_nothing)
+    wavelet_lpacf(x, max_lag=4)
+    assert len(calls) == 10 and max(len(sizes) for _, sizes in calls) == 2
+    for size, sizes in calls:
+        assert len(sizes) <= 2 and sizes[0] == size and all(s <= _CHUNK_POINTS for s in sizes[1:])
+
+
 def test_wavelet_lpacf_ladder_calls_hold_at_most_chunk_points_members(monkeypatch):
     # a rough AR(2), whose lattice leaves 1458 points to the LAPACK stage at
     # lag 10; several of its stacks reject more than one ladder call holds
@@ -1646,6 +1712,24 @@ def _spy_lapack(monkeypatch, record):
 
     gufuncs = SimpleNamespace(cholesky_lo=spied("cholesky_lo"), solve=spied("solve"))
     monkeypatch.setattr(estimators, "_umath_linalg", gufuncs)
+
+
+def test_wavelet_lpacf_gates_and_solves_1x1_systems_through_lapack(monkeypatch):
+    spec = ArPathSpec.linear_ramp(TVAR_STUDY["phi_start"], TVAR_STUDY["phi_end"], sigma=1.0)
+    x = simulate_tvar(spec, 1024, 0)
+    want = wavelet_lpacf(x, max_lag=4)
+    calls = []  # (name, order) of each gufunc call
+
+    def record(name, M, out):
+        calls.append((name, M.shape[-1]))
+
+    _spy_lapack(monkeypatch, record)
+    grid = wavelet_lpacf(x, max_lag=4)
+    assert grid.estimates.tobytes() == want.estimates.tobytes()
+    # the lag-1 Yule-Walker stack of the points the lattice leaves takes
+    # the gate and the solve of every other order: there is no 1x1 path
+    assert ("cholesky_lo", 1) in calls and ("solve", 1) in calls
+    assert max(order for _, order in calls) == 4
 
 
 def test_wavelet_lpacf_gates_and_solves_each_stack_in_one_lapack_call(monkeypatch):
