@@ -19,13 +19,17 @@ estimate, are formatted exactly in numpy from Dekker's error-free
 product, and every other value by ``format`` itself.  Series output
 goes through the same formatter, one value per row and ``_CHUNK_POINTS``
 values per chunk.
-Reading parses every line with ``float`` in one pass and falls back to a
-line-by-line scan only to skip a header or to name a bad line.
+Reading parses ``_CHUNK_POINTS`` lines at a time, each chunk with one
+``np.array(lines, dtype=float)`` call, which converts every line with
+``float``, so the Python objects of one chunk are alive at a time.  It
+falls back to a line-by-line scan from the top only to skip a header or a
+blank line, or to name a bad line.
 """
 
 from __future__ import annotations
 
 import os
+from itertools import islice
 
 import numpy as np
 
@@ -59,17 +63,29 @@ def read_series(path: str) -> TimeSeries:
         raise DataError(f"no such file: {path}")
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
-            try:
-                values = np.array([float(line) for line in fh])
-                clean = values.size > 0 and bool(np.isfinite(values).all())
-            except ValueError:
-                clean = False
-            if not clean:
+            values = _parse_chunks(fh)
+            if values is None:
                 fh.seek(0)
                 values = np.array(_scan_lines(path, fh))
     except UnicodeDecodeError:
         raise DataError(f"{path}: not UTF-8 text") from None
     return TimeSeries(values)
+
+
+def _parse_chunks(lines) -> np.ndarray | None:
+    """Every line parsed by ``float``, ``_CHUNK_POINTS`` lines per
+    ``np.array`` call (numpy converts a ``str`` with ``float``); None if
+    there is no line, or a line does not parse or is not finite."""
+    chunks = []
+    while chunk := list(islice(lines, _CHUNK_POINTS)):
+        try:
+            values = np.array(chunk, dtype=float)
+        except ValueError:
+            return None
+        if not np.isfinite(values).all():
+            return None
+        chunks.append(values)
+    return np.concatenate(chunks) if chunks else None
 
 
 def _scan_lines(path: str, lines) -> list[float]:

@@ -5,10 +5,12 @@ coefficients) -> running-mean smoothing over time -> inverse-A correction
 -> local autocovariance synthesis c_hat(z, tau) = sum_j S_hat_j(z) Psi_j(tau).
 Each stage takes a stack of series along leading axes, time the last axis,
 and treats every series on its own, so a series keeps the bits of a run on
-it alone: one ``kernels._window_sums`` call gives the running mean of every
-scale of every series, one stacked solve the inverse-A correction and one
-broadcasting matmul the synthesis.  The grids of a stack keep its leading
-axes.
+it alone: one forward FFT of every scale's filter and one inverse FFT of
+every series and scale give the transform, one ``kernels._window_sums``
+call the running mean of every scale of every series, one stacked solve
+the inverse-A correction and one broadcasting matmul the synthesis, whose
+table of Psi_j(tau) is one expression.  The grids of a stack keep its
+leading axes.
 
 Boundary policy: the non-decimated transform wraps periodically (dyadic
 convention).  A tapered local periodogram whose window leaves the series
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryError, DataError, InvalidArgumentError, _check_int
-from .haar import _check_window, a_matrix, haar_value, psi_auto
+from .haar import _check_window, a_matrix, haar_value
 from .kernels import RECTANGULAR, TaperKernel, _window_sums
 from .series import as_series
 
@@ -95,6 +97,11 @@ def nondecimated_haar_transform(ts, max_scale: int | None = None, pad: bool = Fa
     next power of two N as ``np.pad(x, (0, N - T), mode="reflect")`` does;
     the coefficients are reported at the original T times only, and the
     default max_scale is ``default_max_scale(T)``, the estimator's.
+
+    The max_scale filters, zero-padded to N, are one (max_scale, N) array
+    with one rfft; every series' spectrum times every filter's conjugate
+    is one (..., max_scale, N/2+1) array with one irfft.  Each row has the
+    bits of its own FFT pair, and a series those of a stack that holds it.
     """
     x = np.asarray(getattr(ts, "values", ts), dtype=float)
     if x.ndim < 1 or x.shape[-1] < 1 or not np.isfinite(x).all():
@@ -108,13 +115,25 @@ def nondecimated_haar_transform(ts, max_scale: int | None = None, pad: bool = Fa
             )
         x = np.concatenate([x, x[..., -2 : -2 - (N - T) : -1]], axis=-1)
     max_scale = _checked_max_scale(max_scale, T)
-    X = np.fft.rfft(x)
-    d = np.empty(x.shape[:-1] + (max_scale, N))
+    # circular cross-correlation: d[j-1, k] = sum_t X_t psi_{j,(t-k) mod N}.
+    # np.multiply, not *: numpy's SIMD complex product rounds a * b and
+    # b * a differently, and * swaps them to reuse a temporary right operand
+    # of 256 KiB or more whose shape is the product's.  The filters' spectra
+    # are freed before the irfft, which holds the product and d.
+    XP = np.multiply(np.fft.rfft(x)[..., None, :], _conj_haar_spectra(max_scale, N))
+    return np.fft.irfft(XP, N)[..., :T]
+
+
+def _conj_haar_spectra(max_scale: int, N: int) -> np.ndarray:
+    """The conjugate rfft of psi_{j,.} zero-padded to N for j = 1..max_scale,
+    a (max_scale, N/2+1) array: one rfft of every filter."""
+    p = np.zeros((max_scale, N))  # row j-1: psi_{j,.}
     for j in range(1, max_scale + 1):
-        p = haar_value(j, np.arange(N))  # psi_{j,.} zero-padded to N
-        # circular cross-correlation: d[k] = sum_t X_t p[(t-k) mod N]
-        d[..., j - 1, :] = np.fft.irfft(X * np.conj(np.fft.rfft(p)), N)
-    return d[..., :T]
+        half, amp = 1 << (j - 1), 2.0 ** (-j / 2)  # haar_value's values
+        p[j - 1, :half] = amp
+        p[j - 1, half : 2 * half] = -amp
+    spectra = np.fft.rfft(p)
+    return np.conjugate(spectra, out=spectra)
 
 
 def raw_wavelet_periodogram(ts, max_scale: int | None = None, pad: bool = False):
@@ -297,9 +316,9 @@ def local_autocovariance(ews: EwsGrid, max_lag: int) -> LocalAcvGrid:
     spectrum or a stack of them; the floored cells are ``ews.negative_cells``."""
     _check_lacv_lag(max_lag, ews.max_scale)
     S = np.maximum(ews.spectrum, 0.0)
-    psi = np.array(
-        [psi_auto(j, np.arange(max_lag + 1)) for j in range(1, ews.max_scale + 1)]
-    )
+    # psi_auto(j, tau) of every scale j and lag tau in one expression
+    u = np.arange(max_lag + 1.0) * np.ldexp(1.0, -np.arange(1, ews.max_scale + 1)[:, None])
+    psi = np.where(u <= 0.5, 1.0 - 3.0 * u, np.where(u <= 1.0, u - 1.0, 0.0))
     values = psi.T @ S
     values.setflags(write=False)
     return LocalAcvGrid(values, ews.negative_cells)

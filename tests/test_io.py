@@ -245,9 +245,37 @@ _LINES = st.one_of(
 )
 
 
+@st.composite
+def _files(draw):
+    """Up to 12 drawn lines, or a file of one chunk less one, one chunk or
+    one chunk and one lines of numbers with up to 3 drawn lines anywhere."""
+    if draw(st.booleans()):
+        return draw(st.lists(_LINES, max_size=12))
+    n = draw(st.sampled_from([_CHUNK_POINTS - 1, _CHUNK_POINTS, _CHUNK_POINTS + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lines = [repr(v) for v in rng.standard_normal(n).tolist()]
+    for _ in range(draw(st.integers(0, 3))):
+        lines[draw(st.integers(0, n - 1))] = draw(_LINES)
+    return lines
+
+
+def _assert_reads_as_reference_scan(path):
+    try:
+        expected = reference_read_series(path).values
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            read_series(path)
+        assert str(got.value) == str(exc)
+        return str(exc)
+    got = read_series(path).values
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+    return None
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    lines=st.lists(_LINES, max_size=12),
+    lines=_files(),
     newline=st.sampled_from(["\n", "\r\n"]),
     trailing=st.booleans(),
 )
@@ -255,16 +283,36 @@ def test_read_series_matches_reference_scan(tmp_path_factory, lines, newline, tr
     p = tmp_path_factory.mktemp("read") / "x.csv"
     text = newline.join(lines) + (newline if trailing else "")
     p.write_bytes(text.encode("utf-8"))
-    try:
-        expected = reference_read_series(str(p)).values
-    except DataError as exc:
-        with pytest.raises(DataError) as got:
-            read_series(str(p))
-        assert str(got.value) == str(exc)
+    _assert_reads_as_reference_scan(str(p))
+
+
+@pytest.mark.parametrize("place", [_CHUNK_POINTS, _CHUNK_POINTS + 4])
+@pytest.mark.parametrize(
+    "line, error",
+    [
+        ("value", "column 1: could not parse 'value'"),
+        ("", None),  # skipped
+        ("  ", None),
+        ("inf", "column 1: non-finite value 'inf'"),
+        ("nan", "column 1: non-finite value 'nan'"),
+        ("1e400", "column 1: non-finite value '1e400'"),
+        ("1.5 2.5", "column 1: could not parse '1.5 2.5'"),
+        ("1.0,2.0", "column 2: expected a single column, found 2"),
+    ],
+)
+def test_read_series_names_a_bad_line_of_the_second_chunk(tmp_path, place, line, error):
+    # the first chunk parses; the line at index place, in the second, sends
+    # the reader back to the scan, which names it by its line number
+    values = np.random.default_rng(place).standard_normal(_CHUNK_POINTS + 5)
+    lines = [repr(v) for v in values.tolist()]
+    lines[place] = line
+    p = tmp_path / "x.csv"
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    got = _assert_reads_as_reference_scan(str(p))
+    if error is None:
+        assert got is None and read_series(str(p)).T == _CHUNK_POINTS + 4
     else:
-        got = read_series(str(p)).values
-        assert got.dtype == expected.dtype
-        assert got.tobytes() == expected.tobytes()
+        assert got == f"{p}: line {place + 1}, {error}"
 
 
 @pytest.mark.parametrize(
@@ -275,6 +323,22 @@ def test_read_series_skips_a_utf8_bom(tmp_path, text, values):
     p = tmp_path / "bom.csv"
     p.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
     assert read_series(str(p)).values.tolist() == values
+
+
+def test_read_series_memory_is_bounded_by_the_chunk(tmp_path):
+    # the values twice (the chunks and their concatenation) and one chunk's
+    # lines: 2.0 MiB here; a Python float per line peaks near 5 MiB
+    n = 2**17
+    p = tmp_path / "big.csv"
+    write_series(str(p), TimeSeries(np.random.default_rng(0).standard_normal(n)))
+    tracemalloc.start()
+    try:
+        ts = read_series(str(p))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ts.T == n
+    assert peak < 3 * 2**20
 
 
 def test_write_long_csv_memory_is_bounded_by_the_chunk(tmp_path):

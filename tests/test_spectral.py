@@ -17,10 +17,12 @@ from locpacf import (
     RECTANGULAR,
     a_matrix,
     haar_coefficients,
+    haar_value,
     integrated_periodogram,
     local_autocovariance,
     local_wavelet_periodogram_tapered,
     nondecimated_haar_transform,
+    psi_auto,
     raw_wavelet_periodogram,
     smooth_and_correct,
 )
@@ -106,6 +108,48 @@ def test_padded_transform_takes_the_default_scale_of_the_series_length(T):
     d = nondecimated_haar_transform(x, pad=True)
     assert d.shape == (default_max_scale(T), T) == ({100: 6, 200: 7, 300: 8}[T], T)
     assert raw_wavelet_periodogram(x, pad=True).shape == d.shape
+
+
+def per_scale_haar_transform(x, max_scale):
+    """The transform one scale at a time: each filter from ``haar_value``,
+    one rfft and one irfft per scale.  ``x`` is a stack (R, N) of dyadic
+    length, so the product X * conj(P) never has the shape of its
+    temporary right operand and numpy computes it as written."""
+    N = x.shape[-1]
+    X = np.fft.rfft(x)
+    d = np.empty(x.shape[:-1] + (max_scale, N))
+    for j in range(1, max_scale + 1):
+        p = haar_value(j, np.arange(N))  # psi_{j,.} zero-padded to N
+        d[..., j - 1, :] = np.fft.irfft(X * np.conj(np.fft.rfft(p)), N)
+    return d
+
+
+@pytest.mark.parametrize("R", [1, 3])
+@pytest.mark.parametrize("T", [2, 16, 1024, 32768, 3, 100, 2560, 20000])
+def test_transform_is_the_per_scale_loop_bit_for_bit(T, R):
+    # every scale at every max_scale, dyadic and reflect-padded.  R=1 is one
+    # series, not a stack: at N=32768 (T=32768 and 20000) it keeps the bits
+    # of a stack, which the per-scale loop run on one series did not, as
+    # numpy swapped the operands of its X * temporary to reuse the temporary
+    x = np.random.default_rng(T + R).standard_normal((R, T))
+    N = 1 << (T - 1).bit_length()
+    padded = np.pad(x, [(0, 0), (0, N - T)], mode="reflect")
+    for max_scale in range(1, N.bit_length()):
+        d = nondecimated_haar_transform(x[0] if R == 1 else x, max_scale, pad=True)
+        ref = per_scale_haar_transform(padded, max_scale)[..., :T]
+        assert d.shape == (ref[0] if R == 1 else ref).shape
+        assert d.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("max_scale", [1, 2, 3, 8, 12])
+def test_psi_table_is_psi_auto_row_by_row(max_scale):
+    # the spectrum of max_scale times whose time j-1 holds scale j alone
+    # synthesizes the table itself: values[tau, j-1] = Psi_j(tau)
+    for max_lag in sorted({0, 1, (1 << max_scale) - 1}):
+        lacv = local_autocovariance(EwsGrid(np.eye(max_scale), 0), max_lag)
+        for j in range(1, max_scale + 1):
+            row = psi_auto(j, np.arange(max_lag + 1))
+            assert lacv.values[:, j - 1].tobytes() == row.tobytes()
 
 
 def test_periodogram_scaling_and_nonnegativity():
