@@ -317,6 +317,13 @@ def windowed_lpacf(
     ``_CHUNK_POINTS`` positions, every window from the lowest to the
     highest of their points there.
 
+    Each lag-tau pair (t, t + tau) is weighted by the taper at its left
+    index t alone, so only the rectangular kernel with an odd L is
+    time-reversible: on the T=1024 TVAR ramp, the Epanechnikov estimates
+    of the reversed series differ from the reversed estimates by up to
+    0.35 at L=41.  ROADMAP item 7 holds the fix until the paper's
+    definition can be checked.
+
     This is the one-series case of the stack routine that
     ``EstimatorConfig.estimate_stack`` runs on many series of one length.
     It works through the windows in chunks, so its memory is bounded by

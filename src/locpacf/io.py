@@ -19,11 +19,12 @@ estimate, are formatted exactly in numpy from Dekker's error-free
 product, and every other value by ``format`` itself.  Series output
 goes through the same formatter, one value per row and ``_CHUNK_POINTS``
 values per chunk.
-Reading parses ``_CHUNK_POINTS`` lines at a time, each chunk with one
-``np.array(lines, dtype=float)`` call, which converts every line with
-``float``, so the Python objects of one chunk are alive at a time.  It
-falls back to a line-by-line scan from the top only to skip a header or a
-blank line, or to name a bad line.
+Reading is one pass over the file, ``_CHUNK_POINTS`` lines at a time:
+each chunk is parsed with one ``np.array(lines, dtype=float)`` call,
+which converts every line with ``float``, and only a chunk with a line
+that does not parse or is not finite is scanned line by line, to skip a
+header or a blank line or to name the bad line.  Either way the Python
+objects of one chunk are alive at a time.
 """
 
 from __future__ import annotations
@@ -56,42 +57,44 @@ def _fmt(x: float) -> str:
 def read_series(path: str) -> TimeSeries:
     """Read one value per line, or a single-column CSV with optional header.
 
-    NaN and infinities are rejected; parse failures name the offending
-    line and column.
+    One pass, ``_CHUNK_POINTS`` lines at a time: a chunk whose every line
+    ``float`` parses to a finite value is taken as one array, and any
+    other chunk goes through ``_scan_lines``.  ``float`` accepts a line
+    only where the scan takes it with the same value, so the first error
+    in file order is the one a scan of the whole file would name.  NaN and
+    infinities are rejected; parse failures name the offending line and
+    column.
     """
     if not os.path.exists(path):
         raise DataError(f"no such file: {path}")
+    chunks = []
+    lineno = 1  # of the chunk's first line
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
-            values = _parse_chunks(fh)
-            if values is None:
-                fh.seek(0)
-                values = np.array(_scan_lines(path, fh))
+            while lines := list(islice(fh, _CHUNK_POINTS)):
+                try:
+                    values = np.array(lines, dtype=float)
+                    clean = np.isfinite(values).all()
+                except ValueError:
+                    clean = False
+                if not clean:
+                    values = np.array(_scan_lines(path, lines, lineno), dtype=float)
+                chunks.append(values)
+                lineno += len(lines)
     except UnicodeDecodeError:
         raise DataError(f"{path}: not UTF-8 text") from None
+    values = np.concatenate([np.empty(0), *chunks])
+    del chunks  # TimeSeries copies the values: hold two arrays, not three
+    if not values.size:
+        raise DataError(f"{path}: no numeric data found")
     return TimeSeries(values)
 
 
-def _parse_chunks(lines) -> np.ndarray | None:
-    """Every line parsed by ``float``, ``_CHUNK_POINTS`` lines per
-    ``np.array`` call (numpy converts a ``str`` with ``float``); None if
-    there is no line, or a line does not parse or is not finite."""
-    chunks = []
-    while chunk := list(islice(lines, _CHUNK_POINTS)):
-        try:
-            values = np.array(chunk, dtype=float)
-        except ValueError:
-            return None
-        if not np.isfinite(values).all():
-            return None
-        chunks.append(values)
-    return np.concatenate(chunks) if chunks else None
-
-
-def _scan_lines(path: str, lines) -> list[float]:
-    """Line-by-line parse: skips blank lines and a header, names bad lines."""
+def _scan_lines(path: str, lines, first: int) -> list[float]:
+    """Line-by-line parse of lines numbered from ``first``: skips blank
+    lines and a header on line 1, names the first bad line."""
     values = []
-    for lineno, rawline in enumerate(lines, start=1):
+    for lineno, rawline in enumerate(lines, start=first):
         line = rawline.strip()
         if not line:
             continue
@@ -108,7 +111,7 @@ def _scan_lines(path: str, lines) -> list[float]:
         try:
             val = float(token)
         except ValueError:
-            if lineno == 1 and not values:
+            if lineno == 1:
                 continue  # header row
             raise DataError(
                 f"{path}: line {lineno}, column 1: could not parse {token!r}"
@@ -118,8 +121,6 @@ def _scan_lines(path: str, lines) -> list[float]:
                 f"{path}: line {lineno}, column 1: non-finite value {token!r}"
             )
         values.append(val)
-    if not values:
-        raise DataError(f"{path}: no numeric data found")
     return values
 
 

@@ -1335,6 +1335,36 @@ def test_wavelet_selection_equals_the_every_point_grid(seed, max_lag, strength, 
         assert grid.dropped_points.tobytes() == dropped.tobytes()
 
 
+def _served_estimates(lacv, max_lag):
+    """``wavelet_lpacf`` on the grid as a (T, max_lag) array by point, NaN
+    at every point that the lattice does not serve."""
+    grid = wavelet_lpacf(np.ones(lacv.T), max_lag=max_lag, lacv=lacv)
+    served = _served(lacv, grid.points, max_lag)
+    out = np.full((lacv.T, max_lag), np.nan)
+    out[grid.points[served]] = grid.estimates[served]
+    return out
+
+
+@pytest.mark.parametrize("T, max_lag", [(1024, 4), (4096, 4), (4096, 8)])
+@pytest.mark.parametrize("seed", range(6))
+def test_plug_in_stage_is_time_reversible_where_the_lattice_serves(seed, T, max_lag):
+    # reversing the grid in time maps the pair (z, z + tau) onto the pair
+    # (T-1-z-tau, T-1-z), and q, a partial correlation of the pair's ends,
+    # does not see which end comes first: wherever the lattice serves both
+    # blocks, the estimates agree to rounding (at most 6.5 eps on these
+    # grids).  The LAPACK stage's ridge moves its points by up to 1e-4, so
+    # they are left out.
+    x = simulate_tvar(ArPathSpec.linear_ramp([0.9], [-0.9]), T, seed).values
+    lacv = local_autocovariance(smooth_and_correct(raw_wavelet_periodogram(x)), max_lag)
+    fwd = _served_estimates(lacv, max_lag)
+    rev = _served_estimates(LocalAcvGrid(lacv.values[:, ::-1], 0), max_lag)
+    z, k = np.nonzero(~np.isnan(fwd))  # the served pairs (z, z + k + 1)
+    mirror = rev[T - 2 - z - k, k]
+    both = ~np.isnan(mirror)
+    assert both.sum() >= 0.9 * T * max_lag
+    assert np.abs(fwd[z, k] - mirror)[both].max() <= 16 * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("max_lag", [4, 10])
 def test_wavelet_lpacf_memory_at_sparse_points_is_bounded_on_a_given_grid(max_lag):
     # 4 points, one of them twice, on a given T=2^17 grid: beyond the

@@ -316,6 +316,41 @@ def test_read_series_names_a_bad_line_of_the_second_chunk(tmp_path, place, line,
 
 
 @pytest.mark.parametrize(
+    "line, error",
+    [
+        ("nan", "column 1: non-finite value 'nan'"),
+        ("1.5 2.5", "column 1: could not parse '1.5 2.5'"),
+        (",", "column 1: no value"),
+        ("value", "column 1: could not parse 'value'"),  # a header only on line 1
+    ],
+)
+def test_read_series_with_a_header_names_a_bad_line_of_the_third_chunk(
+    tmp_path, line, error
+):
+    # the header sends the first chunk to the scan, the second parses whole,
+    # and the third, scanned from its own first line, names the bad one
+    values = np.random.default_rng(3).standard_normal(3 * _CHUNK_POINTS)
+    lines = ["value"] + [repr(v) for v in values.tolist()]
+    place = 2 * _CHUNK_POINTS + 7
+    lines[place] = line
+    p = tmp_path / "x.csv"
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert _assert_reads_as_reference_scan(str(p)) == f"{p}: line {place + 1}, {error}"
+
+
+@pytest.mark.parametrize("blank", ["", "  ", "\t"])
+def test_read_series_skips_a_chunk_of_blank_lines(tmp_path, blank):
+    # a chunk that scans to no value, between two that parse whole
+    values = np.random.default_rng(4).standard_normal(2 * _CHUNK_POINTS)
+    lines = [repr(v) for v in values.tolist()]
+    lines[_CHUNK_POINTS:_CHUNK_POINTS] = [blank] * _CHUNK_POINTS
+    p = tmp_path / "x.csv"
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert _assert_reads_as_reference_scan(str(p)) is None
+    assert read_series(str(p)).values.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize(
     "text, values",
     [("1.5\n2.5\n3.5\n", [1.5, 2.5, 3.5]), ("value\n1.5\n2.5\n", [1.5, 2.5])],
 )
@@ -325,19 +360,27 @@ def test_read_series_skips_a_utf8_bom(tmp_path, text, values):
     assert read_series(str(p)).values.tolist() == values
 
 
-def test_read_series_memory_is_bounded_by_the_chunk(tmp_path):
+@pytest.mark.parametrize(
+    "head, tail", [(b"", b""), (b"value\n", b"\n")], ids=["plain", "header-and-blank"]
+)
+def test_read_series_memory_is_bounded_by_the_chunk(tmp_path, head, tail):
     # the values twice (the chunks and their concatenation) and one chunk's
-    # lines: 2.0 MiB here; a Python float per line peaks near 5 MiB
+    # lines: 2.0 MiB here, with a header and a trailing blank line too, each
+    # of which sends only its own chunk to the scan; a Python float per line
+    # peaks near 5 MiB
     n = 2**17
+    values = np.random.default_rng(0).standard_normal(n)
     p = tmp_path / "big.csv"
-    write_series(str(p), TimeSeries(np.random.default_rng(0).standard_normal(n)))
+    write_series(str(p), TimeSeries(values))
+    p.write_bytes(head + p.read_bytes() + tail)
     tracemalloc.start()
     try:
         ts = read_series(str(p))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert ts.T == n
+    assert ts.values.tobytes() == values.tobytes()
+    assert _assert_reads_as_reference_scan(str(p)) is None
     assert peak < 3 * 2**20
 
 
